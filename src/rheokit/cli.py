@@ -60,9 +60,7 @@ FIG6_PRESET = {
 
 
 def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(float(x), ".17g")
+    return "%.17g" % float(x)
 
 
 def _write(out_path, text: str) -> None:
@@ -74,11 +72,9 @@ def _write(out_path, text: str) -> None:
 
 
 def _csv(header, columns) -> str:
-    lines = [",".join(header)]
-    n = len(columns[0])
-    for i in range(n):
-        lines.append(",".join(_fmt(col[i]) for col in columns))
-    return "\n".join(lines) + "\n"
+    row = ",".join(["%.17g"] * len(columns))
+    cols = [np.asarray(c, dtype=float).tolist() for c in columns]
+    return "\n".join([",".join(header), *(row % r for r in zip(*cols))]) + "\n"
 
 
 def _load_json(path):
@@ -122,20 +118,18 @@ def cmd_curve(args) -> int:
 def _parse_n_list(text):
     out = []
     for tok in text.split(","):
-        tok = tok.strip()
-        if tok == "inf":
-            out.append(math.inf)
-        elif tok in ("2", "3"):
-            out.append(float(tok))
-        else:
-            raise InvalidInputError(f"n-list entries must be 2, 3 or inf, got {tok!r}")
-    if not out:
-        raise InvalidInputError("n-list must not be empty")
+        try:
+            n = float(tok)
+        except ValueError:
+            n = math.nan
+        if not n > 0:
+            raise InvalidInputError(f"n-list entries must be numbers > 0 or inf, got {tok!r}")
+        out.append(n)
     return out
 
 
 def _n_suffix(n) -> str:
-    return "inf" if math.isinf(n) else f"n{int(n)}"
+    return "inf" if math.isinf(n) else "n" + repr(n).removesuffix(".0")
 
 
 def compare_columns(d_dif, d_dsl, n_list, eps):
@@ -275,7 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--preset", choices=["fig6"], default=None)
     comp.add_argument("--d-dif", dest="d_dif", type=float, default=None)
     comp.add_argument("--d-dsl", dest="d_dsl", type=float, default=None)
-    comp.add_argument("--n-list", dest="n_list", default=None, help="subset of 2,3,inf")
+    comp.add_argument("--n-list", dest="n_list", default=None,
+                      help="creep exponents, each > 0 or inf (default 2,3,inf)")
     comp.add_argument("--eps-min", dest="eps_min", type=float, default=None)
     comp.add_argument("--eps-max", dest="eps_max", type=float, default=None)
     comp.add_argument("--samples", type=int, default=None)

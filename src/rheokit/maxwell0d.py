@@ -203,6 +203,8 @@ def step(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
         raise InvalidInputError("dt must be > 0")
     e_el = float(e_el)
     eps = float(eps)
+    if not (math.isfinite(e_el) and math.isfinite(eps)):
+        raise InvalidInputError(f"e_el and eps must be finite, got {e_el}, {eps}")
     flows, cap = _flows_and_cap(model)
     E = model.E
 
@@ -277,7 +279,6 @@ def simulate(
         raise InvalidInputError("dt must be > 0")
     if not (t_end >= dt):
         raise InvalidInputError("t_end must be at least dt")
-    steps = []
     n_full = int(math.floor(t_end / dt + 1e-12))
     steps = [dt] * n_full
     rem = t_end - n_full * dt

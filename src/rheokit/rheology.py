@@ -11,7 +11,13 @@ monotone maps
 * ``stress_of_strain_rate`` (the primal derivative, stresses summed
   across a Parallel node)
 
-invert each other by bracketed bisection where no closed form exists.
+invert each other where no closed form exists, by one vectorized
+monotone root finder: safeguarded Newton steps in log-log coordinates
+inside a bracket that bisects the ordered bits of the floats, so no
+solve depends on the unit scale.  Every node reports its tangent next to
+its value (stiffnesses add across Parallel, compliances across Serial,
+an inverse takes the reciprocal), which the finder uses for its Newton
+steps and ``mu_eff_rigorous`` for its exact limit at rest.
 Set-valued points are carried as :class:`SubdiffInterval`; saturation
 (stress beyond a composite's attainable range) is reported with a +inf
 marker, not an error.
@@ -65,13 +71,8 @@ __all__ = [
     "harmonic_mean_linear",
 ]
 
-_BISECT_RTOL = 1e-14
-_TINY = 1e-300
-_MAX_BISECT = 200
-_MAX_DOUBLINGS = 1024
-# Doubling horizon for parallel inversion; targets still unbracketed at
-# this scale are treated as saturated, not as solver failures.
-_PARALLEL_DOUBLINGS = 64
+_RTOL = 1e-14
+_MAX_ITER = 200
 
 
 # ---------------------------------------------------------------------------
@@ -233,59 +234,70 @@ def _pl_deriv_lo_hi(f: SampledFunction, x: np.ndarray):
 
 
 def _leaf_flow(p: Potential, sig: np.ndarray):
-    """Strain rate interval of one element at stress magnitudes ``sig``."""
+    """Strain-rate interval of one element at stress magnitudes ``sig``.
+
+    The third array is the slope of the upper end, d(rate)/d(stress); a
+    jump (a vertical segment of the graph) has slope +inf.
+    """
     if isinstance(p, Dashpot):
         x = sig / p.D
-        return x, x.copy()
+        return x, x, np.full_like(sig, 1.0 / p.D)
     if isinstance(p, PowerLaw):
         x = (sig / p.D) ** p.n
-        return x, x.copy()
+        with np.errstate(divide="ignore", over="ignore"):
+            return x, x, p.n / p.D * (sig / p.D) ** (p.n - 1.0)
     if isinstance(p, PerfectPlastic):
         a = p.sigma_a
-        lo = np.where(sig <= a, 0.0, np.inf)
-        hi = np.where(sig < a, 0.0, np.inf)
-        return lo, hi
+        hi = np.where(sig < a, 0.0, np.inf)  # also the slope: flat, then a jump
+        return np.where(sig <= a, 0.0, np.inf), hi, hi
     if isinstance(p, Huber):
         a = p.sigma_a
         lo = np.where(sig <= a, sig / p.D, np.inf)
         hi = np.where(sig < a, sig / p.D, np.inf)
-        return lo, hi
+        return lo, hi, np.where(sig < a, 1.0 / p.D, np.inf)
     if isinstance(p, QuadPlusBall):
         if p.Dinv_quad == 0.0:
             x = np.where(sig > 0, p.sigma_a, 0.0)
-            return x, x.copy()
-        x = np.minimum(sig / p.Dinv_quad, p.sigma_a)
-        return x, x.copy()
-    lo, hi = _pl_deriv_lo_hi(_sampled_conjugate(p), sig)
-    lo = np.where(sig == 0.0, 0.0, lo)
-    hi = np.where(sig == 0.0, 0.0, hi)
-    return lo, hi
+            return x, x, np.where(sig > 0, 0.0, np.inf)
+        u = sig / p.Dinv_quad
+        x = np.minimum(u, p.sigma_a)
+        return x, x, np.where(u < p.sigma_a, 1.0 / p.Dinv_quad, 0.0)
+    lo0, hi0 = _pl_deriv_lo_hi(_sampled_conjugate(p), sig)
+    lo = np.where(sig == 0.0, 0.0, lo0)
+    hi = np.where(sig == 0.0, 0.0, hi0)
+    # piecewise constant: flat between grid points, a jump at a kink or
+    # where the rate leaves zero at rest
+    return lo, hi, np.where((lo == hi) & (hi == hi0), 0.0, np.inf)
 
 
 def _leaf_stress(p: Potential, eps: np.ndarray):
-    """Stress interval of one element at strain rates ``eps``."""
+    """Stress interval of one element at strain rates ``eps``.
+
+    The third array is the slope of the upper end, d(stress)/d(rate).
+    """
     if isinstance(p, Dashpot):
         x = p.D * eps
-        return x, x.copy()
+        return x, x, np.full_like(eps, p.D)
     if isinstance(p, PowerLaw):
         x = p.D * eps ** (1.0 / p.n)
-        return x, x.copy()
+        with np.errstate(divide="ignore", over="ignore"):
+            return x, x, p.D / p.n * eps ** (1.0 / p.n - 1.0)
     if isinstance(p, PerfectPlastic):
         a = p.sigma_a
-        lo = np.where(eps > 0, a, 0.0)
-        hi = np.full_like(eps, a)
-        return lo, hi
+        # rigid: the graph is the vertical segment [0, a] at rest
+        return np.where(eps > 0, a, 0.0), np.full_like(eps, a), np.where(eps > 0, 0.0, np.inf)
     if isinstance(p, Huber):
-        x = np.minimum(p.D * eps, p.sigma_a)
-        return x, x.copy()
+        de = p.D * eps
+        x = np.minimum(de, p.sigma_a)
+        return x, x, np.where(de < p.sigma_a, p.D, 0.0)
     if isinstance(p, QuadPlusBall):
         a = p.sigma_a
         lo = np.where(eps <= a, p.Dinv_quad * eps, np.inf)
         hi = np.where(eps < a, p.Dinv_quad * eps, np.inf)
-        return lo, hi
+        return lo, hi, np.where(eps < a, p.Dinv_quad, np.inf)
     lo, hi = _pl_deriv_lo_hi(p.f, eps)
     lo = np.where(eps == 0.0, 0.0, lo)
-    return lo, hi
+    return lo, hi, np.where(lo == hi, 0.0, np.inf)
 
 
 def _plastic_dashpot_pattern(node: Parallel):
@@ -324,128 +336,123 @@ def _stress_sup(e) -> float:
     return min(_stress_sup(c) for c in e.children)
 
 
-def _flow_lo_hi(e, sig: np.ndarray):
-    """Strain rate interval of a subtree at stress magnitudes ``sig``."""
+def _sum(parts):
+    """Elementwise sum of (lo, hi, slope) triples."""
+    lo, hi, d = next(parts)
+    for clo, chi, cd in parts:
+        lo, hi, d = lo + clo, hi + chi, d + cd
+    return lo, hi, d
+
+
+def _flow(e, sig: np.ndarray):
+    """Strain-rate interval of a subtree at stress magnitudes ``sig``.
+
+    With the slope d(rate)/d(stress): compliances add across Serial.
+    """
     if isinstance(e, Leaf):
         return _leaf_flow(e.p, sig)
     if isinstance(e, Serial):
-        lo = np.zeros_like(sig)
-        hi = np.zeros_like(sig)
-        for c in e.children:
-            clo, chi = _flow_lo_hi(c, sig)
-            lo = lo + clo
-            hi = hi + chi
-        return lo, hi
+        return _sum(_flow(c, sig) for c in e.children)
     pat = _plastic_dashpot_pattern(e)
-    if pat is not None:
-        offset, d_sum = pat
-        if d_sum > 0.0:
-            x = np.maximum(sig - offset, 0.0) / d_sum
-            return x, x.copy()
-        lo = np.where(sig <= offset, 0.0, np.inf)
-        hi = np.where(sig < offset, 0.0, np.inf)
-        return lo, hi
-    return _parallel_flow_solve(e, sig)
+    if pat is None:
+        return _parallel_flow(e, sig)
+    offset, d_sum = pat
+    if d_sum > 0.0:
+        x = np.maximum(sig - offset, 0.0) / d_sum
+        return x, x, np.where(sig > offset, 1.0 / d_sum, 0.0)
+    hi = np.where(sig < offset, 0.0, np.inf)
+    return np.where(sig <= offset, 0.0, np.inf), hi, hi
 
 
-def _sig_lo_hi(e, eps: np.ndarray):
-    """Stress interval of a subtree at strain rates ``eps``."""
+def _stress(e, eps: np.ndarray):
+    """Stress interval of a subtree at strain rates ``eps``.
+
+    With the slope d(stress)/d(rate): stiffnesses add across Parallel; a
+    Serial node inverts its summed flow and takes the reciprocal slope.
+    """
     if isinstance(e, Leaf):
         return _leaf_stress(e.p, eps)
     if isinstance(e, Parallel):
-        lo = np.zeros_like(eps)
-        hi = np.zeros_like(eps)
-        for c in e.children:
-            clo, chi = _sig_lo_hi(c, eps)
-            lo = lo + clo
-            hi = hi + chi
-        return lo, hi
-    x = _serial_stress_solve(e, eps)
-    return x, x.copy()
+        return _sum(_stress(c, eps) for c in e.children)
+    x, d = _root(lambda s: _flow(e, s)[1:], eps, _stress_sup(e))
+    return x, x, d
 
 
-def _flow_hi(e, sig):
-    return _flow_lo_hi(e, sig)[1]
-
-
-def _sig_hi(e, eps):
-    return _sig_lo_hi(e, eps)[1]
-
-
-def _serial_stress_solve(node: Serial, eps: np.ndarray) -> np.ndarray:
-    """Invert the summed conjugate derivative of a Serial node.
-
-    Bracketed bisection on the monotone strain-rate response, bracket
-    grown by doubling from [0, 1]; relative tolerance 1e-14.
-    """
-    out = np.zeros_like(eps)
-    act = eps > 0
-    if not act.any():
-        return out
-    e = eps[act]
-    b = np.ones_like(e)
-    for _ in range(_MAX_DOUBLINGS):
-        need = _flow_hi(node, b) < e
-        if not need.any():
-            break
-        b = np.where(need, 2.0 * b, b)
-    else:
-        raise NonConvergenceError(
-            "serial stress solve: bracket expansion failed after "
-            f"{_MAX_DOUBLINGS} doublings (ill-posed composite?)"
-        )
-    a = np.zeros_like(e)
-    for _ in range(_MAX_BISECT):
-        if np.all(b - a <= _BISECT_RTOL * np.maximum(b, _TINY)):
-            break
-        mid = 0.5 * (a + b)
-        pred = _flow_hi(node, mid) < e
-        a = np.where(pred, mid, a)
-        b = np.where(pred, b, mid)
-    out[act] = 0.5 * (a + b)
-    return out
-
-
-def _parallel_flow_solve(node: Parallel, sig: np.ndarray):
+def _parallel_flow(node: Parallel, sig: np.ndarray):
     """Invert the summed stress of a Parallel node (generic path).
 
     Stresses beyond the node's attainable supremum saturate to a +inf
     marker instead of failing.
     """
-    lo = np.zeros_like(sig)
-    hi = np.zeros_like(sig)
-    act = sig > 0
-    if not act.any():
-        return lo, hi
-    s = sig[act]
-    sup = _stress_sup(node)
-    sat = s > sup * (1.0 + 1e-12) if math.isfinite(sup) else np.zeros_like(s, dtype=bool)
+    sat = sig > _stress_sup(node)
+    x, d = _root(lambda e: _stress(node, e)[1:], np.where(sat, 0.0, sig))
+    x = np.where(sat, np.inf, x)
+    return x, x, np.where(sat, np.inf, d)
 
-    res = np.full_like(s, np.inf)
-    solve = ~sat
-    if solve.any():
-        t = s[solve]
-        b = np.ones_like(t)
-        for _ in range(_PARALLEL_DOUBLINGS):
-            need = _sig_hi(node, b) < t
-            if not need.any():
+
+def _parallel_flow_solve(node: Parallel, sig: np.ndarray):
+    """Flow interval of a Parallel node by the generic inverse alone."""
+    return _parallel_flow(node, sig)[:2]
+
+
+def _root(fn, target, sup=math.inf):
+    """Smallest ``x`` in ``[0, sup]`` with ``fn(x)[0] >= target``, elementwise.
+
+    ``fn`` is nondecreasing and returns its value and slope.  Newton steps
+    solve ``log(fn(x) - fn(0)) = log(target - fn(0))`` against ``log(x)``,
+    which is blind to the unit scale and exact in one step for a power
+    law.  A step is taken only if it lands inside the bracket and is at
+    most half the step before last (rtsafe); otherwise the bracket is
+    bisected in the ordered int64 view of the floats, so 64 halvings span
+    [0, inf].  An entry stops only on a verified bracket, ``hi - lo <=
+    1e-14 * hi`` or adjacent floats, and returns ``hi``; a Newton step
+    shorter than that is pushed across the root to close the bracket.
+    Also returns dx/dtarget at the root, the reciprocal of the slope
+    there (0 where ``fn`` jumps past the target).
+    """
+    t = np.asarray(target, dtype=float)
+    shape, t = t.shape, t.ravel()
+    x = np.zeros_like(t)
+    with np.errstate(all="ignore"):
+        g0, d0 = (v[0] for v in fn(np.zeros(1)))
+        dxdt = np.where(t < g0, 0.0, 1.0 / d0)
+        idx = np.flatnonzero(t > g0)
+        if idx.size and sup < math.inf:
+            # not reached below the cap: the answer is the cap itself
+            cap = fn(np.array([np.nextafter(sup, 0.0)]))[0] < t[idx]
+            x[idx[cap]], dxdt[idx[cap]] = sup, 0.0
+            idx = idx[~cap]
+        t = t[idx]
+        lt = np.log(t - g0)
+        lo, hi = np.zeros_like(t), np.full_like(t, sup)
+        xc = np.full_like(t, min(1.0, 0.5 * sup))
+        s1 = s2 = np.full_like(t, np.inf)
+        for _ in range(_MAX_ITER):
+            if not idx.size:
                 break
-            b = np.where(need, 2.0 * b, b)
-        unbracketed = _sig_hi(node, b) < t
-        a = np.zeros_like(t)
-        for _ in range(_MAX_BISECT):
-            if np.all(b - a <= _BISECT_RTOL * np.maximum(b, _TINY)):
-                break
-            mid = 0.5 * (a + b)
-            pred = _sig_hi(node, mid) < t
-            a = np.where(pred, mid, a)
-            b = np.where(pred, b, mid)
-        pt = 0.5 * (a + b)
-        pt = np.where(unbracketed, np.inf, pt)
-        res[solve] = pt
-    lo[act] = res
-    hi[act] = res
-    return lo, hi
+            g, d = fn(xc)
+            below = g < t
+            lo = np.where(below, xc, lo)
+            hi = np.where(below, hi, xc)
+            ilo, ihi = lo.view(np.int64), hi.view(np.int64)
+            done = ((hi - lo <= _RTOL * hi) & (hi < np.inf)) | (ihi - ilo <= 1)
+            x[idx[done]] = hi[done]
+            dxdt[idx[done]] = 1.0 / d[done]
+            r = g - g0
+            xn = xc * np.exp((lt - np.log(r)) * r / (xc * d))
+            tiny = 0.5 * _RTOL * xc
+            xn = np.where(np.abs(xn - xc) < tiny, xc + np.where(below, tiny, -tiny), xn)
+            ok = (xn > lo) & (xn < hi) & (np.abs(np.log(xn / xc)) <= 0.5 * s2)
+            xn = np.where(ok, xn, (ilo + (ihi - ilo) // 2).view(np.float64))
+            s1, s2 = np.abs(np.log(xn / xc)), s1
+            keep = ~done
+            idx, t, lt, lo, hi, xc, s1, s2 = (a[keep] for a in (idx, t, lt, lo, hi, xn, s1, s2))
+    if idx.size:
+        raise NonConvergenceError(
+            f"root solve: {idx.size} targets unresolved after {_MAX_ITER} steps, "
+            f"first {float(t[0])!r}"
+        )
+    return x.reshape(shape), dxdt.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +476,7 @@ def strain_rate_of_stress(e: RheoExpr, sigma: float) -> SubdiffInterval:
     """
     _check_expr(e)
     sigma = _check_scalar_nonneg(sigma, "sigma")
-    lo, hi = _flow_lo_hi(e, np.array([sigma]))
+    lo, hi, _ = _flow(e, np.array([sigma]))
     return SubdiffInterval(float(lo[0]), float(hi[0]))
 
 
@@ -477,7 +484,7 @@ def stress_of_strain_rate(e: RheoExpr, eps: float) -> SubdiffInterval:
     """Stress response at strain-rate magnitude ``eps``, in Pa."""
     _check_expr(e)
     eps = _check_scalar_nonneg(eps, "eps")
-    lo, hi = _sig_lo_hi(e, np.array([eps]))
+    lo, hi, _ = _stress(e, np.array([eps]))
     return SubdiffInterval(float(lo[0]), float(hi[0]))
 
 
@@ -487,7 +494,7 @@ def stress_curve(e: RheoExpr, eps) -> np.ndarray:
     eps = np.asarray(eps, dtype=float)
     if np.any(eps < 0) or not np.all(np.isfinite(eps)):
         raise InvalidInputError("strain rates must be finite and >= 0")
-    lo, hi = _sig_lo_hi(e, eps)
+    lo, hi, _ = _stress(e, eps)
     return 0.5 * (lo + hi)
 
 
@@ -505,7 +512,9 @@ def mu_eff_rigorous(e: RheoExpr, eps: float, limit: bool = False) -> float:
     ``stress_of_strain_rate(e, eps).midpoint / eps`` for ``eps > 0``.
     At ``eps = 0`` the value is defined only by continuity: pass
     ``limit=True`` to get the limit, which is +inf when the model
-    carries a yield offset at rest and finite otherwise.
+    carries a yield offset at rest and otherwise the exact tangent
+    d(stress)/d(rate) at rest (stiffnesses add across Parallel,
+    compliances across Serial; +inf for a power law with n > 1).
     """
     _check_expr(e)
     eps = _check_scalar_nonneg(eps, "eps")
@@ -513,11 +522,8 @@ def mu_eff_rigorous(e: RheoExpr, eps: float, limit: bool = False) -> float:
         return stress_of_strain_rate(e, eps).midpoint / eps
     if not limit:
         raise InvalidInputError("mu_eff at eps = 0 requires limit=True")
-    rest = stress_of_strain_rate(e, 0.0)
-    if rest.hi > 0:
-        return math.inf
-    probe = 1e-8
-    return stress_of_strain_rate(e, probe).midpoint / probe
+    _, rest, slope = _stress(e, np.zeros(1))
+    return math.inf if rest[0] > 0 else float(slope[0])
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +656,15 @@ def mu_eff_formula(formula, params: Sequence, eps):
         raise InvalidInputError(
             f"{formula.name} takes {_FORMULA_ARITY[formula]} parameters, got {len(params)}"
         )
+    if formula is not Formula.EMP_HARMONIC_GENERAL:
+        # every modulus positive and finite; an exponent n may also be inf
+        has_n = formula in (Formula.HB_MIN, Formula.EMP_DIF_DSL)
+        for i, x in enumerate(params):
+            x = np.asarray(x, dtype=float)
+            if not np.all((x > 0) & (np.isfinite(x) | (has_n and i == 2))):
+                raise InvalidInputError(
+                    f"{formula.name} parameters must be positive and finite, got {params!r}"
+                )
     scalar_in = np.isscalar(eps) or np.ndim(eps) == 0
     eps = np.asarray(eps, dtype=float)
     if np.any(eps <= 0):
@@ -713,8 +728,9 @@ def serial_dif_dsl_stress(
 
     Solves ``(sigma/D_dsl)**n + sigma/D_dif = eps`` for ``sigma >= 0``.
     Closed mode covers n in {1, 2, 3} (linear harmonic mean, quadratic
-    formula, depressed-cubic real root); numeric mode bisects the
-    monotone residual for any n > 0.  The two agree to 1e-9 relative.
+    formula, depressed-cubic real root); numeric mode runs the monotone
+    root finder of the tree solves for any n > 0.  The two agree to 1e-9
+    relative.
     """
     for name, x in (("D_dif", D_dif), ("D_dsl", D_dsl), ("n", n)):
         if not (math.isfinite(float(x)) and float(x) > 0):
@@ -751,36 +767,14 @@ def serial_dif_dsl_stress(
                 f"closed mode covers n in {{1, 2, 3}}, got n = {n}"
             )
     elif mode == "numeric":
-        out = _dif_dsl_bisect(D_dif, D_dsl, n, eps)
+        def residual(s):
+            u = s / D_dsl
+            return u**n + s / D_dif, n / D_dsl * u ** (n - 1.0) + 1.0 / D_dif
+
+        out = _root(residual, eps)[0]
     else:
         raise InvalidInputError(f"mode must be 'closed' or 'numeric', got {mode!r}")
     return float(out) if scalar_in else out
-
-
-def _dif_dsl_bisect(D_dif, D_dsl, n, eps):
-    out = np.zeros_like(eps)
-    act = eps > 0
-    if not act.any():
-        return out
-    e = eps[act]
-    b = np.ones_like(e)
-    for _ in range(_MAX_DOUBLINGS):
-        need = (b / D_dsl) ** n + b / D_dif < e
-        if not need.any():
-            break
-        b = np.where(need, 2.0 * b, b)
-    else:
-        raise NonConvergenceError("dif/dsl bisection: bracket expansion failed")
-    a = np.zeros_like(e)
-    for _ in range(_MAX_BISECT):
-        if np.all(b - a <= _BISECT_RTOL * np.maximum(b, _TINY)):
-            break
-        mid = 0.5 * (a + b)
-        pred = (mid / D_dsl) ** n + mid / D_dif < e
-        a = np.where(pred, mid, a)
-        b = np.where(pred, b, mid)
-    out[act] = 0.5 * (a + b)
-    return out
 
 
 def harmonic_mean_linear(D_list: Sequence[float]) -> float:

@@ -279,3 +279,19 @@ def test_criterion_8_shear_thinning_monotonicity():
             mu = mu_eff_curve(tree, eps)
             slack = 1e-12 * np.maximum(1.0, mu[:-1])
             assert np.all(np.diff(mu) <= slack)
+
+
+def test_compare_numeric_exponent_matches_bisection_oracle(tmp_path):
+    """n = 3.5 has no closed form; the numeric root solve serves it."""
+    out = str(tmp_path / "n35.csv")
+    rc = cli.main(["compare", "--n-list", "3.5", "--d-dif", "2", "--d-dsl", "0.5",
+                   "--eps-min", "1e-3", "--eps-max", "50", "--samples", "60", "--out", out])
+    assert rc == 0
+    lines = open(out).read().splitlines()
+    header = lines[0].split(",")
+    rows = np.array([[float(t) for t in ln.split(",")] for ln in lines[1:]])
+    col = {name: rows[:, i] for i, name in enumerate(header)}
+    eps = col["eps"]
+    ref = np.array([bisect_oracle(lambda s: (s / 0.5) ** 3.5 + s / 2.0, e) for e in eps])
+    assert np.max(np.abs(col["sig_rig_n3.5"] - ref) / ref) <= 1e-13
+    assert np.max(np.abs(col["mu_rig_n3.5"] - ref / eps) / (ref / eps)) <= 1e-13

@@ -29,6 +29,13 @@ def test_model_and_drive_validation():
     assert d.rate_at(5.0) == 0.0
 
 
+def test_step_rejects_nonfinite_state():
+    m = MaxwellModel(1.0, [Dashpot(1.0)])
+    for e_el, eps in ((math.nan, 0.0), (math.inf, 0.0), (0.0, math.nan), (0.0, -math.inf)):
+        with pytest.raises(InvalidInputError):
+            step(m, e_el, eps, 0.01)
+
+
 def test_step_linear_closed_form():
     m = MaxwellModel(1.0, [Dashpot(1.0)])
     # backward Euler on relaxation: e+ = e / (1 + dt E / D)

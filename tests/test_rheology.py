@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rheokit.rheology as rheology
 from rheokit.errors import InvalidInputError, UnsupportedModeError
 from rheokit.potentials import Dashpot, Huber, PerfectPlastic, PowerLaw
 from rheokit.rheology import (
@@ -21,6 +22,7 @@ from rheokit.rheology import (
     mu_eff_rigorous,
     serial_dif_dsl_stress,
     strain_rate_of_stress,
+    stress_curve,
     stress_of_strain_rate,
     three_element_parallel_serial,
     three_element_serial_parallel,
@@ -159,6 +161,93 @@ def test_parallel_fast_path_matches_generic_solve():
     assert np.max(np.abs(lo_g - lo_f)) <= 1e-10 * max(1.0, np.max(lo_f))
 
 
+def test_parallel_flow_below_yield_is_exactly_zero():
+    node = Parallel([L(PowerLaw(1.0, 2.5)), L(PerfectPlastic(1.0))])
+    iv = strain_rate_of_stress(node, 0.5)
+    assert iv.lo == iv.hi == 0.0
+    lo, hi = _parallel_flow_solve(node, np.array([0.0, 0.5, 1.0]))
+    assert np.all(lo == 0.0) and np.all(hi == 0.0)
+    # above yield the overstress drives the power law: (sig - 1)**2.5
+    assert strain_rate_of_stress(node, 3.0).hi == pytest.approx(2.0**2.5, rel=1e-14)
+
+
+def _rescaled(e, S, R):
+    """The same tree with stresses scaled by S and strain rates by R."""
+    if isinstance(e, Parallel):
+        return Parallel([_rescaled(c, S, R) for c in e.children])
+    if isinstance(e, Serial):
+        return Serial([_rescaled(c, S, R) for c in e.children])
+    p = e.p
+    if isinstance(p, Dashpot):
+        return L(Dashpot(p.D * S / R))
+    if isinstance(p, PowerLaw):
+        return L(PowerLaw(p.D * S / R ** (1.0 / p.n), p.n))
+    if isinstance(p, PerfectPlastic):
+        return L(PerfectPlastic(p.sigma_a * S))
+    return L(Huber(p.sigma_a * S, p.D * S / R))
+
+
+_D, _P, _W = L(Dashpot(1.0)), L(PerfectPlastic(1.0)), L(PowerLaw(1.0, 3.0))
+_SCALE_TREES = (
+    Serial([
+        Parallel([L(PowerLaw(0.8, 2.5)), L(PerfectPlastic(0.6))]),
+        L(Dashpot(1.3)),
+        L(Huber(2.0, 0.7)),
+    ]),
+    Serial([Parallel([Serial([Parallel([_D, _P]), _W]), _P, _D]), _W]),
+    Parallel([Serial([Parallel([L(PowerLaw(1.2, 3.5)), _P]), _D]), L(Dashpot(0.1))]),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    which=st.integers(0, len(_SCALE_TREES) - 1),
+    ks=st.integers(-150, 150),
+    kr=st.integers(-150, 150),
+    eps=st.lists(st.floats(0.001, 10.0), min_size=1, max_size=8),
+)
+def test_stress_is_unit_scale_invariant(which, ks, kr, eps):
+    tree = _SCALE_TREES[which]
+    S, R = 10.0**ks, 10.0**kr
+    eps = np.array(eps)
+    unit = stress_curve(tree, eps)
+    scaled = stress_curve(_rescaled(tree, S, R), eps * R) / S
+    assert np.all(np.abs(scaled - unit) <= 1e-12 * unit)
+
+
+def test_nested_tree_work_budget(monkeypatch):
+    """Three nested solves at 200 rates stay within a fixed leaf-call budget."""
+    calls = [0]
+    for name in ("_leaf_flow", "_leaf_stress"):
+        kernel = getattr(rheology, name)
+
+        def counted(*args, kernel=kernel):
+            calls[0] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(rheology, name, counted)
+    tree = _SCALE_TREES[1]
+    eps = np.linspace(0.01, 10.0, 200)
+    sig = stress_curve(tree, eps)
+    assert calls[0] <= 20_000
+    for i in (0, 57, 199):
+        assert strain_rate_of_stress(tree, sig[i]).hi == pytest.approx(eps[i], rel=1e-12)
+
+
+def test_mu_eff_limit_is_the_tangent_at_rest():
+    assert math.isinf(mu_eff_rigorous(L(PowerLaw(1.0, 3.0)), 0.0, limit=True))
+    assert mu_eff_rigorous(L(Dashpot(2.5)), 0.0, limit=True) == 2.5
+    assert mu_eff_rigorous(L(PowerLaw(4.0, 0.5)), 0.0, limit=True) == 0.0
+    serial = Serial([L(Dashpot(2.0)), L(Dashpot(3.0)), L(PowerLaw(1.0, 3.0))])
+    assert mu_eff_rigorous(serial, 0.0, limit=True) == pytest.approx(1.2, rel=1e-15)
+    par = Parallel([L(Dashpot(2.0)), L(Huber(1.0, 3.0)), L(PowerLaw(1.0, 0.5))])
+    assert mu_eff_rigorous(par, 0.0, limit=True) == 5.0
+    # a rigid (Bingham) child carries no rate at small stress
+    rigid = Serial([Parallel([L(Dashpot(1.0)), L(PerfectPlastic(1.0))]), L(Dashpot(4.0))])
+    assert mu_eff_rigorous(rigid, 0.0, limit=True) == 4.0
+    assert math.isinf(mu_eff_rigorous(Serial([_W, L(PowerLaw(2.0, 2.0))]), 0.0, limit=True))
+
+
 def test_parallel_saturation():
     node = Parallel([L(PerfectPlastic(1.0)), L(PerfectPlastic(0.5))])
     iv = strain_rate_of_stress(node, 2.0)
@@ -244,6 +333,20 @@ def test_formula_arity_and_validation():
         mu_eff_formula(Formula.MULTI_ELEMENT, ([], [], 1.0), 1.0)
 
 
+def test_formula_rejects_nonpositive_or_nonfinite_parameters():
+    for bad in ((1.0, -1.0), (0.0, 1.0), (math.nan, 1.0), (1.0, math.inf)):
+        with pytest.raises(InvalidInputError):
+            mu_eff_formula("vp_min", bad, 1.0)
+    with pytest.raises(InvalidInputError):
+        mu_eff_formula(Formula.MULTI_ELEMENT, ([1.0, -2.0], [1.0, 1.0], 1.0), 1.0)
+    with pytest.raises(InvalidInputError):
+        mu_eff_formula(Formula.EMP_DIF_DSL, (1.0, 1.0, 0.0), 1.0)
+    # only a creep exponent may be infinite
+    assert mu_eff_formula(Formula.HB_MIN, (1.0, 1.0, math.inf), 2.0) == pytest.approx(0.5)
+    with pytest.raises(InvalidInputError):
+        mu_eff_formula(Formula.HB_MIN, (math.inf, 1.0, 3.0), 2.0)
+
+
 def test_multi_element_reduces_to_three_element():
     eps = np.linspace(0.01, 5.0, 50)
     a = mu_eff_formula(Formula.MULTI_ELEMENT, ([1.3], [0.7], 0.4), eps)
@@ -301,6 +404,14 @@ def test_dif_dsl_modes_and_errors():
     # numeric mode covers arbitrary exponents
     s = serial_dif_dsl_stress(1.0, 1.0, 4.5, 2.0, mode="numeric")
     assert s**4.5 + s == pytest.approx(2.0, rel=1e-10)
+
+
+def test_dif_dsl_numeric_mode_is_scale_free():
+    big = serial_dif_dsl_stress(1.0, 1.0, 3, 1e200, mode="numeric")
+    assert big**3 + big == pytest.approx(1e200, rel=1e-13)
+    tiny = serial_dif_dsl_stress(1e-200, 1.0, 0.5, 1e-100, mode="numeric")
+    assert math.sqrt(tiny) + tiny / 1e-200 == pytest.approx(1e-100, rel=1e-14)
+    assert serial_dif_dsl_stress(1.0, 1.0, 4.5, 0.0, mode="numeric") == 0.0
 
 
 def test_dif_dsl_closed_matches_bisection_oracle():

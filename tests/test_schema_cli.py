@@ -199,7 +199,49 @@ def test_compare_fig6_columns(tmp_path):
 
 
 def test_compare_rejects_bad_n(tmp_path):
-    assert cli.main(["compare", "--n-list", "7"]) == 2
+    for bad in ("0", "-2", "nan", "-inf", "two", "", "2,,3"):
+        assert cli.main(["compare", f"--n-list={bad}"]) == 2
+
+
+def test_compare_accepts_any_positive_exponent(tmp_path):
+    out = str(tmp_path / "n.csv")
+    assert cli.main(["compare", "--n-list", "7,3.5,inf", "--samples", "20", "--out", out]) == 0
+    header, rows = read_csv(out)
+    assert header[1:4] == ["mu_rig_n7", "mu_rig_n3.5", "mu_rig_inf"]
+    eps = rows[:, 0]
+    for j, n in ((7, 7.0), (8, 3.5)):
+        sig = rows[:, j]
+        assert np.allclose(sig**n + sig, eps, rtol=1e-13, atol=0)
+
+
+def _per_cell_csv(header, columns):
+    """The one-format-call-per-cell CSV writer, kept as the byte reference."""
+    def fmt(x):
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return format(float(x), ".17g")
+
+    lines = [",".join(header)]
+    for i in range(len(columns[0])):
+        lines.append(",".join(fmt(col[i]) for col in columns))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_bytes_match_per_cell_formatter():
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310,
+               2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e16,
+               1e17, 123456789012345678.0, -2.5]
+    n = len(special)
+    cols = [
+        np.array(special),
+        rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+        np.arange(n),
+        list(rng.uniform(-1.0, 1.0, n)),
+    ]
+    header = ["a", "b", "c", "d"]
+    assert cli._csv(header, cols) == _per_cell_csv(header, cols)
+    assert cli._csv(["x"], [np.empty(0)]) == "x\n" == _per_cell_csv(["x"], [np.empty(0)])
 
 
 def test_curve_rest_row_uses_limit(tmp_path):
