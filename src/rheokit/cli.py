@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedModeError,
 )
 from .maxwell0d import simulate
-from .potentials import QuadPlusBall, conjugate_analytic, value
+from .potentials import conjugate_analytic, value
 from .rheology import (
     Formula,
     Leaf,
@@ -152,13 +152,8 @@ def compare_columns(d_dif, d_dsl, n_list, eps):
 
 
 def cmd_compare(args) -> int:
-    if args.preset == "fig6":
-        for key, val in FIG6_PRESET.items():
-            if getattr(args, key) is None:
-                setattr(args, key, val)
-    defaults = {"d_dif": 1.0, "d_dsl": 1.0, "n_list": "2,3,inf",
-                "eps_min": 0.017, "eps_max": 3.4, "samples": 200}
-    for key, val in defaults.items():
+    # the fig6 preset is also the default; an explicit option overrides it
+    for key, val in FIG6_PRESET.items():
         if getattr(args, key) is None:
             setattr(args, key, val)
     n_list = _parse_n_list(args.n_list)
@@ -240,7 +235,8 @@ def cmd_conjugate(args) -> int:
     conj = conjugate_analytic(expr.p)
     sigma_max = args.sigma_max
     if sigma_max is None:
-        sigma_max = 2.0 * conj.sigma_a if isinstance(conj, QuadPlusBall) else 10.0
+        sup = expr.p.stress_sup()
+        sigma_max = 2.0 * sup if sup < math.inf else 10.0
     if not (sigma_max > 0) or args.samples < 2:
         raise InvalidInputError("need sigma_max > 0 and samples >= 2")
     s = np.linspace(0.0, sigma_max, int(args.samples))

@@ -73,10 +73,6 @@ class SubdiffInterval:
             )
 
     @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
-    @property
     def midpoint(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
@@ -155,20 +151,11 @@ class SampledFunction:
         m = int(np.argmax(infinite)) if infinite.any() else values.size
         return cls(np.asarray(grid, dtype=float), values, m)
 
-    @classmethod
-    def from_callable(cls, fn, grid) -> "SampledFunction":
-        grid = np.asarray(grid, dtype=float)
-        return cls.from_samples(grid, np.array([fn(v) for v in grid], dtype=float))
-
     # -- basic queries ------------------------------------------------
 
     @property
     def r_max(self) -> float:
         return float(self.grid[-1])
-
-    @property
-    def last_finite_arg(self) -> float:
-        return float(self.grid[self.finite_sup - 1])
 
     def __call__(self, v: float) -> float:
         return evaluate(self, v)

@@ -7,35 +7,26 @@ of the elements' conjugate flow rates at the common stress:
 
     d(e_el)/dt = eps(t) - sum_i flow_i(E * e_el)
 
-Time stepping is backward Euler: each step solves the strictly
-monotone residual for the new elastic strain by bisection.  Elements
-whose conjugate has bounded support (a plastic constraint
-``|sigma| <= sigma_a``) are handled by the radial return map: the step
-is solved with the quadratic (unconstrained) extension of the flow and
-the stress is then clamped onto the admissible ball, which is the exact
-resolution of the differential inclusion for this scalar model.
+Time stepping is backward Euler on the elements' own set-valued flow
+laws (``Potential.flow``).  Each step solves the monotone inclusion for
+the new elastic strain inside the bracket ``[0, min(|trial|, cap / E)]``,
+where ``cap`` is the tightest stress supremum of the elements (a plastic
+constraint ``|sigma| <= sigma_a``).  A flow that jumps to +inf at the cap
+stops the stress there, so the step needs no clamp: this is the radial
+return map, the exact resolution of the differential inclusion for this
+scalar model.  The solve stops on a bracket relative to the trial strain,
+so it is correct at any unit scale.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .convex_core import SampledFunction
 from .errors import InvalidInputError, NonConvergenceError
-from .potentials import (
-    Dashpot,
-    Huber,
-    PerfectPlastic,
-    Potential,
-    PowerLaw,
-    QuadPlusBall,
-    Sampled,
-    conjugate_analytic,
-)
+from .potentials import Potential
 
 __all__ = [
     "MaxwellModel",
@@ -47,7 +38,7 @@ __all__ = [
 ]
 
 _STEP_RTOL = 1e-15
-_MAX_STEP_BISECT = 200
+_MAX_STEP_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -65,12 +56,11 @@ class MaxwellModel:
         if not elements:
             raise InvalidInputError("MaxwellModel needs at least one element")
         for p in elements:
-            if not isinstance(
-                p, (Dashpot, PerfectPlastic, PowerLaw, Huber, QuadPlusBall, Sampled)
-            ):
+            if not isinstance(p, Potential):
                 raise InvalidInputError(f"not a Potential: {p!r}")
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_cap", min(p.stress_sup() for p in elements))
 
 
 @dataclass(frozen=True)
@@ -136,68 +126,15 @@ class TimeSeries:
         return self.t.size
 
 
-def _element_flow(p: Potential):
-    """Unconstrained flow rate (stress magnitude -> rate) and stress cap.
-
-    The flow is the conjugate derivative with any plastic constraint
-    removed (quadratic branch extended); the cap carries the constraint
-    for the return map.
-    """
-    if isinstance(p, Dashpot):
-        d = p.D
-        return (lambda s: s / d), None
-    if isinstance(p, PowerLaw):
-        d, n = p.D, p.n
-        return (lambda s: (s / d) ** n), None
-    if isinstance(p, Huber):
-        d = p.D
-        return (lambda s: s / d), p.sigma_a
-    if isinstance(p, PerfectPlastic):
-        return (lambda s: 0.0), p.sigma_a
-    if isinstance(p, QuadPlusBall):
-        q, a = p.Dinv_quad, p.sigma_a
-        if q == 0.0:
-            return (lambda s: a if s > 0 else 0.0), None
-        return (lambda s: min(s / q, a)), None
-    # Sampled: piecewise-linear conjugate derivative, last slope extended.
-    conj = conjugate_analytic(p)
-    g: SampledFunction = conj.f
-    m = g.finite_sup
-    gr = g.grid[:m]
-    if m < 2:
-        return (lambda s: 0.0), None
-    sl = (np.diff(g.values[:m]) / np.diff(gr)).tolist()
-    bounds = gr[1:].tolist()
-    cap = g.grid[m - 1] if m < g.grid.size else None
-
-    def flow(s, bounds=bounds, sl=sl):
-        for b, r in zip(bounds, sl):
-            if s <= b:
-                return r
-        return sl[-1]
-
-    return flow, cap
-
-
-@lru_cache(maxsize=32)
-def _flows_and_cap(model: MaxwellModel):
-    flows = []
-    caps = []
-    for p in model.elements:
-        f, c = _element_flow(p)
-        flows.append(f)
-        if c is not None:
-            caps.append(c)
-    cap = min(caps) if caps else None
-    return tuple(flows), cap
-
-
 def step(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
     """One backward-Euler step of the elastic strain.
 
-    Solves ``x = e_el + dt * (eps - sum_i flow_i(E x))`` by bisection of
-    the strictly monotone residual, then clamps ``|E x|`` onto the
-    tightest plastic cap.
+    Solves ``x = e_el + dt * (eps - sum_i flow_i(E x))``, signed like the
+    trial ``e_el + dt * eps``, in the bracket of the module docstring by
+    safeguarded Newton steps (rtsafe); one shorter than half the tolerance
+    is pushed across the root to close the bracket.  Stops when it is at
+    most ``1e-15 * |trial|`` wide or its ends are adjacent floats, and
+    returns the last Newton estimate inside it.
     """
     if not (dt > 0):
         raise InvalidInputError("dt must be > 0")
@@ -205,61 +142,61 @@ def step(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
     eps = float(eps)
     if not (math.isfinite(e_el) and math.isfinite(eps)):
         raise InvalidInputError(f"e_el and eps must be finite, got {e_el}, {eps}")
-    flows, cap = _flows_and_cap(model)
-    E = model.E
-
-    def total_flow(sig: float) -> float:
-        if sig == 0.0:
-            return 0.0
-        s = abs(sig)
-        r = 0.0
-        for f in flows:
-            r += f(s)
-        return r if sig > 0 else -r
-
     trial = e_el + dt * eps
-    if trial == 0.0:
-        x = 0.0
-    else:
-        a, b = (0.0, trial) if trial > 0 else (trial, 0.0)
-        tol = _STEP_RTOL * max(1.0, abs(trial))
-        converged = False
-        for _ in range(_MAX_STEP_BISECT):
-            if b - a <= tol:
-                converged = True
-                break
-            mid = 0.5 * (a + b)
-            if mid - trial + dt * total_flow(E * mid) < 0.0:
-                a = mid
+    t = abs(trial)
+    E = model.E
+    a, b = 0.0, min(t, model._cap / E)
+    tol = _STEP_RTOL * t
+    # the first probe sits just below the top, so a capped step ends at once
+    x = est = math.nextafter(b, 0.0)
+    s1 = s2 = math.inf
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_STEP_ITER):
+            if b - a <= tol or math.nextafter(a, b) >= b:
+                x = est if a <= est <= b else b
+                return x if trial >= 0 else -x
+            # numpy scalar stress: an overflow gives +inf, not an exception
+            sig = np.float64(E * x)
+            f = d = 0.0
+            for p in model.elements:
+                _, hi, slope = p.flow(sig)
+                f += hi
+                d += slope
+            r = float(x - t + dt * f)
+            if r < 0:
+                a = x
             else:
-                b = mid
-        if not converged and b - a > tol:
-            raise NonConvergenceError("backward-Euler step did not converge")
-        x = 0.5 * (a + b)
-    if cap is not None:
-        bound = cap / E
-        x = min(max(x, -bound), bound)
-    return x
+                b = x
+            est = xn = x - r / (1.0 + dt * E * float(d))
+            if abs(xn - x) < 0.5 * tol:
+                xn = x + (0.5 * tol if r < 0 else -0.5 * tol)
+            if not (a < xn < b and 0 < abs(xn - x) <= 0.5 * s2):
+                xn = 0.5 * (a + b)
+            s1, s2 = abs(xn - x), s1
+            x = xn
+    raise NonConvergenceError(
+        f"backward-Euler step: trial strain {trial!r} unresolved after {_MAX_STEP_ITER} steps"
+    )
 
 
 def step_explicit(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
     """Forward-Euler step, for cross-checks at small dt only.
 
     Conditionally stable; the implicit :func:`step` is the reference.
-    The same return-map clamp keeps the stress admissible.
+    The flow is the least rate each element allows at the current stress,
+    read at most at the cap, and a clamp onto the cap keeps the stress
+    admissible.
     """
     if not (dt > 0):
         raise InvalidInputError("dt must be > 0")
-    flows, cap = _flows_and_cap(model)
     sig = model.E * float(e_el)
-    s = abs(sig)
-    rate = sum(f(s) for f in flows)
+    s = np.float64(min(abs(sig), model._cap))
+    with np.errstate(all="ignore"):
+        rate = float(sum(p.flow(s)[0] for p in model.elements))
     flow = rate if sig > 0 else (-rate if sig < 0 else 0.0)
     x = float(e_el) + dt * (float(eps) - flow)
-    if cap is not None:
-        bound = cap / model.E
-        x = min(max(x, -bound), bound)
-    return x
+    bound = model._cap / model.E
+    return min(max(x, -bound), bound)
 
 
 def simulate(

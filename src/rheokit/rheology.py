@@ -34,23 +34,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
 
-from . import convex_core as cc
-from .convex_core import SampledFunction, SubdiffInterval
+from .convex_core import SubdiffInterval
 from .errors import InvalidInputError, NonConvergenceError, UnsupportedModeError
-from .potentials import (
-    Dashpot,
-    Huber,
-    PerfectPlastic,
-    Potential,
-    PowerLaw,
-    QuadPlusBall,
-    Sampled,
-)
+from .potentials import Dashpot, PerfectPlastic, Potential, _Feat
 
 __all__ = [
     "Leaf",
@@ -85,9 +75,7 @@ class Leaf:
     p: Potential
 
     def __post_init__(self):
-        if not isinstance(
-            self.p, (Dashpot, PerfectPlastic, PowerLaw, Huber, QuadPlusBall, Sampled)
-        ):
+        if not isinstance(self.p, Potential):
             raise InvalidInputError(f"Leaf needs a Potential, got {self.p!r}")
 
 
@@ -138,24 +126,6 @@ def _check_expr(e):
         raise InvalidInputError(f"expected a RheoExpr node, got {e!r}")
 
 
-@dataclass(frozen=True)
-class _Feat:
-    """Features of a node's primal derivative graph on the half-line.
-
-    sv: single-valued (no vertical segments inside the domain)
-    nf: no flats (strictly increasing where defined)
-    dom: domain is all of [0, inf)
-    ub: range is unbounded
-    Conjugation swaps sv<->nf and dom<->ub; Parallel sums primal graphs,
-    Serial sums conjugate graphs.
-    """
-
-    sv: bool
-    nf: bool
-    dom: bool
-    ub: bool
-
-
 def _conj_feat(f: _Feat) -> _Feat:
     return _Feat(f.nf, f.sv, f.ub, f.dom)
 
@@ -169,27 +139,9 @@ def _sum_feats(fs) -> _Feat:
     )
 
 
-def _leaf_feat(p: Potential) -> _Feat:
-    if isinstance(p, (Dashpot, PowerLaw)):
-        return _Feat(True, True, True, True)
-    if isinstance(p, PerfectPlastic):
-        return _Feat(False, False, True, False)
-    if isinstance(p, Huber):
-        return _Feat(True, False, True, False)
-    if isinstance(p, QuadPlusBall):
-        return _Feat(False, p.Dinv_quad > 0.0, False, True)
-    # Sampled data: accept strictly convex, everywhere-finite samples as
-    # strict and unbounded (growth beyond the window is not inferable).
-    f = p.f
-    allfin = f.finite_sup == f.grid.size
-    slopes = np.diff(f.values[: f.finite_sup]) / np.diff(f.grid[: f.finite_sup])
-    strict = slopes.size >= 1 and bool(np.all(np.diff(slopes) > 0.0))
-    return _Feat(allfin, strict, allfin, strict and allfin)
-
-
 def _feat(e) -> _Feat:
     if isinstance(e, Leaf):
-        return _leaf_feat(e.p)
+        return e.p._feat()
     if isinstance(e, Parallel):
         return _sum_feats([_feat(c) for c in e.children])
     return _conj_feat(_sum_feats([_conj_feat(_feat(c)) for c in e.children]))
@@ -205,99 +157,14 @@ def _strict_unbounded(e) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _sampled_conjugate(s: Sampled) -> SampledFunction:
-    return cc.legendre_transform(s.f)
-
-
-def _pl_deriv_lo_hi(f: SampledFunction, x: np.ndarray):
-    """Piecewise-linear derivative bounds of sampled data, elementwise."""
-    m = f.finite_sup
-    gr = f.grid[:m]
-    if m < 2:
-        lo = np.where(x > 0, np.inf, 0.0)
-        return lo, lo.copy()
-    sl = np.diff(f.values[:m]) / np.diff(gr)
-    idx_l = np.clip(np.searchsorted(gr, x, side="left") - 1, 0, m - 2)
-    idx_r = np.clip(np.searchsorted(gr, x, side="right") - 1, 0, m - 2)
-    lo = sl[idx_l]
-    hi = sl[idx_r]
-    cut = m < f.grid.size
-    last = gr[-1]
-    if cut:
-        hi = np.where(x >= last, np.inf, hi)
-        lo = np.where(x > last, np.inf, lo)
-    else:
-        hi = np.where(x > last, np.inf, hi)
-        lo = np.where(x > last, np.inf, lo)
-    return lo, hi
-
-
 def _leaf_flow(p: Potential, sig: np.ndarray):
-    """Strain-rate interval of one element at stress magnitudes ``sig``.
-
-    The third array is the slope of the upper end, d(rate)/d(stress); a
-    jump (a vertical segment of the graph) has slope +inf.
-    """
-    if isinstance(p, Dashpot):
-        x = sig / p.D
-        return x, x, np.full_like(sig, 1.0 / p.D)
-    if isinstance(p, PowerLaw):
-        x = (sig / p.D) ** p.n
-        with np.errstate(divide="ignore", over="ignore"):
-            return x, x, p.n / p.D * (sig / p.D) ** (p.n - 1.0)
-    if isinstance(p, PerfectPlastic):
-        a = p.sigma_a
-        hi = np.where(sig < a, 0.0, np.inf)  # also the slope: flat, then a jump
-        return np.where(sig <= a, 0.0, np.inf), hi, hi
-    if isinstance(p, Huber):
-        a = p.sigma_a
-        lo = np.where(sig <= a, sig / p.D, np.inf)
-        hi = np.where(sig < a, sig / p.D, np.inf)
-        return lo, hi, np.where(sig < a, 1.0 / p.D, np.inf)
-    if isinstance(p, QuadPlusBall):
-        if p.Dinv_quad == 0.0:
-            x = np.where(sig > 0, p.sigma_a, 0.0)
-            return x, x, np.where(sig > 0, 0.0, np.inf)
-        u = sig / p.Dinv_quad
-        x = np.minimum(u, p.sigma_a)
-        return x, x, np.where(u < p.sigma_a, 1.0 / p.Dinv_quad, 0.0)
-    lo0, hi0 = _pl_deriv_lo_hi(_sampled_conjugate(p), sig)
-    lo = np.where(sig == 0.0, 0.0, lo0)
-    hi = np.where(sig == 0.0, 0.0, hi0)
-    # piecewise constant: flat between grid points, a jump at a kink or
-    # where the rate leaves zero at rest
-    return lo, hi, np.where((lo == hi) & (hi == hi0), 0.0, np.inf)
+    """Strain-rate interval and slope of one element at stress magnitudes ``sig``."""
+    return p.flow(sig)
 
 
 def _leaf_stress(p: Potential, eps: np.ndarray):
-    """Stress interval of one element at strain rates ``eps``.
-
-    The third array is the slope of the upper end, d(stress)/d(rate).
-    """
-    if isinstance(p, Dashpot):
-        x = p.D * eps
-        return x, x, np.full_like(eps, p.D)
-    if isinstance(p, PowerLaw):
-        x = p.D * eps ** (1.0 / p.n)
-        with np.errstate(divide="ignore", over="ignore"):
-            return x, x, p.D / p.n * eps ** (1.0 / p.n - 1.0)
-    if isinstance(p, PerfectPlastic):
-        a = p.sigma_a
-        # rigid: the graph is the vertical segment [0, a] at rest
-        return np.where(eps > 0, a, 0.0), np.full_like(eps, a), np.where(eps > 0, 0.0, np.inf)
-    if isinstance(p, Huber):
-        de = p.D * eps
-        x = np.minimum(de, p.sigma_a)
-        return x, x, np.where(de < p.sigma_a, p.D, 0.0)
-    if isinstance(p, QuadPlusBall):
-        a = p.sigma_a
-        lo = np.where(eps <= a, p.Dinv_quad * eps, np.inf)
-        hi = np.where(eps < a, p.Dinv_quad * eps, np.inf)
-        return lo, hi, np.where(eps < a, p.Dinv_quad, np.inf)
-    lo, hi = _pl_deriv_lo_hi(p.f, eps)
-    lo = np.where(eps == 0.0, 0.0, lo)
-    return lo, hi, np.where(lo == hi, 0.0, np.inf)
+    """Stress interval and slope of one element at strain rates ``eps``."""
+    return p.stress(eps)
 
 
 def _plastic_dashpot_pattern(node: Parallel):
@@ -317,20 +184,7 @@ def _plastic_dashpot_pattern(node: Parallel):
 def _stress_sup(e) -> float:
     """Supremum of attainable stress of a subtree (inf when unbounded)."""
     if isinstance(e, Leaf):
-        p = e.p
-        if isinstance(p, PerfectPlastic):
-            return p.sigma_a
-        if isinstance(p, Huber):
-            return p.sigma_a
-        if isinstance(p, Sampled):
-            f = p.f
-            if f.finite_sup < f.grid.size:
-                return math.inf
-            m = f.finite_sup
-            if m < 2:
-                return 0.0
-            return float((f.values[m - 1] - f.values[m - 2]) / (f.grid[m - 1] - f.grid[m - 2]))
-        return math.inf
+        return e.p.stress_sup()
     if isinstance(e, Parallel):
         return sum(_stress_sup(c) for c in e.children)
     return min(_stress_sup(c) for c in e.children)
@@ -476,7 +330,8 @@ def strain_rate_of_stress(e: RheoExpr, sigma: float) -> SubdiffInterval:
     """
     _check_expr(e)
     sigma = _check_scalar_nonneg(sigma, "sigma")
-    lo, hi, _ = _flow(e, np.array([sigma]))
+    with np.errstate(divide="ignore", over="ignore"):
+        lo, hi, _ = _flow(e, np.array([sigma]))
     return SubdiffInterval(float(lo[0]), float(hi[0]))
 
 
@@ -484,7 +339,8 @@ def stress_of_strain_rate(e: RheoExpr, eps: float) -> SubdiffInterval:
     """Stress response at strain-rate magnitude ``eps``, in Pa."""
     _check_expr(e)
     eps = _check_scalar_nonneg(eps, "eps")
-    lo, hi, _ = _stress(e, np.array([eps]))
+    with np.errstate(divide="ignore", over="ignore"):
+        lo, hi, _ = _stress(e, np.array([eps]))
     return SubdiffInterval(float(lo[0]), float(hi[0]))
 
 
@@ -494,7 +350,8 @@ def stress_curve(e: RheoExpr, eps) -> np.ndarray:
     eps = np.asarray(eps, dtype=float)
     if np.any(eps < 0) or not np.all(np.isfinite(eps)):
         raise InvalidInputError("strain rates must be finite and >= 0")
-    lo, hi, _ = _stress(e, eps)
+    with np.errstate(divide="ignore", over="ignore"):
+        lo, hi, _ = _stress(e, eps)
     return 0.5 * (lo + hi)
 
 
@@ -522,7 +379,8 @@ def mu_eff_rigorous(e: RheoExpr, eps: float, limit: bool = False) -> float:
         return stress_of_strain_rate(e, eps).midpoint / eps
     if not limit:
         raise InvalidInputError("mu_eff at eps = 0 requires limit=True")
-    _, rest, slope = _stress(e, np.zeros(1))
+    with np.errstate(divide="ignore", over="ignore"):
+        _, rest, slope = _stress(e, np.zeros(1))
     return math.inf if rest[0] > 0 else float(slope[0])
 
 
@@ -743,25 +601,29 @@ def serial_dif_dsl_stress(
     if mode == "closed":
         if n == 1:
             out = eps / (1.0 / D_dif + 1.0 / D_dsl)
-        elif n == 2:
-            c = D_dsl**2 / (2.0 * D_dif)
-            # sqrt(c^2 + eps D^2) - c, rationalized to avoid cancellation
-            out = eps * D_dsl**2 / (np.sqrt(c**2 + eps * D_dsl**2) + c)
-        elif n == 3:
-            # Depressed cubic x^3 + p x = q with p = D_dsl^3/D_dif and
-            # q = eps D_dsl^3; real root by the two signed cube roots,
-            # evaluated as q/(A^2 - A B + B^2) so the near-cancelling
-            # sum A + B never forms.
-            p_ = D_dsl**3 / D_dif
-            q_ = eps * D_dsl**3
-            disc = q_**2 / 4.0 + p_**3 / 27.0
-            root = np.sqrt(disc)
-            u1 = q_ / 2.0 + root
-            u2 = -(p_**3 / 27.0) / u1
-            a_ = _signed_cbrt(u1)
-            b_ = _signed_cbrt(u2)
-            denom = a_**2 - a_ * b_ + b_**2
-            out = q_ / denom
+        elif n in (2, 3):
+            # Dimensionless: sigma = S y and eps = (S / D_dif) e turn the
+            # equation into y**n + y = e, so no power of a modulus forms.
+            S = D_dsl * (D_dsl / D_dif) ** (1.0 / (n - 1.0))
+            e = eps / (S / D_dif)
+            if n == 2:
+                # y = sqrt(e + 1/4) - 1/2, rationalized to avoid cancellation
+                y = e / (np.sqrt(0.25 + e) + 0.5)
+            else:
+                # Depressed cubic y^3 + y = e; real root by the two signed
+                # cube roots, evaluated as e/(A^2 - A B + B^2) so the
+                # near-cancelling sum A + B never forms.  Above e = 1e8 the
+                # 1/27 is below half an ulp of e^2/4, so the root of the
+                # discriminant is e/2 exactly; taking it so keeps e^2 finite.
+                root = np.where(
+                    e < 1e8, np.sqrt(np.minimum(e, 1e8) ** 2 / 4.0 + 1.0 / 27.0), e / 2.0
+                )
+                u1 = e / 2.0 + root
+                u2 = -(1.0 / 27.0) / u1
+                a_ = _signed_cbrt(u1)
+                b_ = _signed_cbrt(u2)
+                y = e / (a_**2 - a_ * b_ + b_**2)
+            out = S * y
         else:
             raise UnsupportedModeError(
                 f"closed mode covers n in {{1, 2, 3}}, got n = {n}"

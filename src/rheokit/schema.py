@@ -21,10 +21,11 @@ offending field.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 from .errors import SchemaError
 from .maxwell0d import DriveProgram, MaxwellModel
-from .potentials import Dashpot, Huber, PerfectPlastic, Potential, PowerLaw
+from .potentials import Potential
 from .rheology import Leaf, Parallel, RheoExpr, Serial
 
 __all__ = [
@@ -36,12 +37,7 @@ __all__ = [
     "dump_simulation",
 ]
 
-_POTENTIAL_FIELDS = {
-    "dashpot": ("D",),
-    "plastic": ("sigma_a",),
-    "powerlaw": ("D", "n"),
-    "huber": ("sigma_a", "D"),
-}
+_KINDS = {c.kind: c for c in Potential.__subclasses__() if c.kind is not None}
 
 
 def _expect_object(doc, path):
@@ -66,23 +62,16 @@ def _positive_number(doc, key, path):
 def parse_potential(doc, path: str = "potential") -> Potential:
     doc = _expect_object(doc, path)
     kind = doc.get("kind")
-    if kind not in _POTENTIAL_FIELDS:
+    if kind not in _KINDS:
         raise SchemaError(
             f"{path}.kind",
-            f"must be one of {sorted(_POTENTIAL_FIELDS)}, got {kind!r}",
+            f"must be one of {sorted(_KINDS)}, got {kind!r}",
         )
-    fields = _POTENTIAL_FIELDS[kind]
-    extra = set(doc) - {"kind", *fields}
+    names = [f.name for f in fields(_KINDS[kind])]
+    extra = set(doc) - {"kind", *names}
     if extra:
         raise SchemaError(f"{path}.{sorted(extra)[0]}", f"unknown field for kind {kind!r}")
-    vals = {f: _positive_number(doc, f, path) for f in fields}
-    if kind == "dashpot":
-        return Dashpot(vals["D"])
-    if kind == "plastic":
-        return PerfectPlastic(vals["sigma_a"])
-    if kind == "powerlaw":
-        return PowerLaw(vals["D"], vals["n"])
-    return Huber(vals["sigma_a"], vals["D"])
+    return _KINDS[kind](**{f: _positive_number(doc, f, path) for f in names})
 
 
 def parse_model(doc, path: str = "") -> RheoExpr:
@@ -119,15 +108,9 @@ def parse_model(doc, path: str = "") -> RheoExpr:
 
 
 def dump_potential(p: Potential) -> dict:
-    if isinstance(p, Dashpot):
-        return {"kind": "dashpot", "D": p.D}
-    if isinstance(p, PerfectPlastic):
-        return {"kind": "plastic", "sigma_a": p.sigma_a}
-    if isinstance(p, PowerLaw):
-        return {"kind": "powerlaw", "D": p.D, "n": p.n}
-    if isinstance(p, Huber):
-        return {"kind": "huber", "sigma_a": p.sigma_a, "D": p.D}
-    raise SchemaError("potential", f"{type(p).__name__} is not representable in a document")
+    if getattr(p, "kind", None) is None:
+        raise SchemaError("potential", f"{type(p).__name__} is not representable in a document")
+    return {"kind": p.kind, **{f.name: getattr(p, f.name) for f in fields(p)}}
 
 
 def dump_model(e: RheoExpr) -> dict:

@@ -36,6 +36,22 @@ def test_step_rejects_nonfinite_state():
             step(m, e_el, eps, 0.01)
 
 
+def test_step_tolerance_is_relative_to_the_trial_strain():
+    # geoscale: a step moves the strain by 1e-15, far below any absolute tolerance
+    m = MaxwellModel(1e9, [Dashpot(1e21)])
+    assert step(m, 0.0, 1e-15, 1.0) == pytest.approx(1e-15 / (1.0 + 1e-12), rel=1e-14, abs=0)
+    assert step(m, 0.0, -1e-15, 1.0) == pytest.approx(-1e-15 / (1.0 + 1e-12), rel=1e-14, abs=0)
+    # past the cap the stress stops exactly at the cap
+    capped = MaxwellModel(3e10, [Dashpot(1e21), PerfectPlastic(2e7)])
+    assert step(capped, 0.0, 1e-12, 1e9) == 2e7 / 3e10
+    assert step(capped, 0.0, -1e-12, 1e9) == -2e7 / 3e10
+    # subnormal trial strains end on adjacent floats, with no error
+    for e_el in (5e-324, 1e-320, -3e-310):
+        for elements in ([Dashpot(1.0)], [PowerLaw(1.0, 0.5), Dashpot(2.0)]):
+            x = step(MaxwellModel(0.5, elements), e_el, 0.0, 1.0)
+            assert 0.0 <= x / e_el <= 1.0
+
+
 def test_step_linear_closed_form():
     m = MaxwellModel(1.0, [Dashpot(1.0)])
     # backward Euler on relaxation: e+ = e / (1 + dt E / D)

@@ -167,3 +167,21 @@ def test_sampled_potential_normalized():
     conj = conjugate_analytic(s)
     assert isinstance(conj, Sampled)
     assert conj.f.values[0] == 0.0
+
+
+def test_flow_is_the_stress_law_of_the_conjugate():
+    """Each element's flow law agrees with its conjugate's stress law at s > 0."""
+    grid = cc.uniform_grid()
+    sampled = Sampled(cc.SampledFunction.from_samples(grid, 0.3 * grid**2 + 0.1 * grid**3))
+    for p in CATALOG + [QuadPlusBall(0.0, 1.1), sampled]:
+        sup = p.stress_sup()
+        s = np.geomspace(1e-3, 4.0, 400)
+        s = np.sort(np.append(s, [sup] if math.isfinite(sup) else []))
+        with np.errstate(divide="ignore", over="ignore"):
+            flow = p.flow(s)
+            stress = p.conjugate().stress(s)
+        for a, b in zip(flow, stress):
+            a, b = np.broadcast_to(a, s.shape), np.broadcast_to(b, s.shape)
+            assert np.array_equal(np.isinf(a), np.isinf(b)), p
+            fin = np.isfinite(a)
+            assert np.all(np.abs(a[fin] - b[fin]) <= 1e-14 * np.abs(a[fin])), p

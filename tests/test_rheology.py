@@ -414,6 +414,18 @@ def test_dif_dsl_numeric_mode_is_scale_free():
     assert serial_dif_dsl_stress(1.0, 1.0, 4.5, 0.0, mode="numeric") == 0.0
 
 
+def test_dif_dsl_closed_form_is_scale_free():
+    """The n = 2, 3 closed forms agree with numeric mode far from unit scale."""
+    cases = ((1.0, 1.0, 1e200), (1e150, 1e150, 1e-150), (1e-150, 1e-150, 1e150),
+             (1e21, 1e9, 1e-15))
+    with np.errstate(over="raise", invalid="raise"):
+        for n in (2, 3):
+            for d_dif, d_dsl, eps in cases:
+                closed = serial_dif_dsl_stress(d_dif, d_dsl, n, eps)
+                numeric = serial_dif_dsl_stress(d_dif, d_dsl, n, eps, mode="numeric")
+                assert closed == pytest.approx(numeric, rel=1e-12, abs=0), (n, eps)
+
+
 def test_dif_dsl_closed_matches_bisection_oracle():
     eps = np.linspace(0.0, 10.0, 41)
     worst = 0.0

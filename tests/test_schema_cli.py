@@ -214,6 +214,13 @@ def test_compare_accepts_any_positive_exponent(tmp_path):
         assert np.allclose(sig**n + sig, eps, rtol=1e-13, atol=0)
 
 
+def test_compare_far_from_unit_moduli(tmp_path):
+    out = str(tmp_path / "big.csv")
+    assert cli.main(["compare", "--d-dsl", "1e150", "--samples", "5", "--out", out]) == 0
+    _, rows = read_csv(out)
+    assert np.all(np.isfinite(rows))
+
+
 def _per_cell_csv(header, columns):
     """The one-format-call-per-cell CSV writer, kept as the byte reference."""
     def fmt(x):
