@@ -13,9 +13,9 @@ Discrete exactness
 The conjugate of sampled data is piecewise linear with kinks exactly at
 the discrete slopes of the input.  The default dual grid therefore uses
 those slopes, which makes biconjugation reproduce the input values on
-the interior of its finite domain to roundoff, and makes the two
-infimal-convolution routes agree to roundoff as well.  Uniform dual
-grids are available by passing an explicit grid.
+its finite domain to roundoff, and makes the two infimal-convolution
+routes agree to roundoff as well.  Other dual grids are available by
+passing an explicit array.
 
 A function sampled on ``[0, r_max]`` with all values finite is a
 window onto a function defined on the whole half-line.  Its conjugate
@@ -23,13 +23,15 @@ beyond the right slope at ``r_max`` is not resolvable from the window
 and is reported as +inf (never as a large finite surrogate), which is
 exact for 1-homogeneous inputs and conservative otherwise.  When the
 input itself carries a +inf tail inside the window (an indicator-type
-function), the conjugate is finite for every argument and no sentinel
-is produced.
+function), the conjugate is finite for every argument and affine past
+its last kink, with the last finite sample point as its slope; one dual
+point past that kink carries the tail exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -157,8 +159,55 @@ class SampledFunction:
     def r_max(self) -> float:
         return float(self.grid[-1])
 
+    @cached_property
+    def _slopes(self) -> np.ndarray:
+        """Slopes of the segments between consecutive finite samples."""
+        m = self.finite_sup
+        return np.diff(self.values[:m]) / np.diff(self.grid[:m])
+
     def __call__(self, v: float) -> float:
         return evaluate(self, v)
+
+
+def _tol(f: SampledFunction) -> float:
+    """Roundoff slack of argument comparisons on the grid of ``f``."""
+    return 1e-12 * max(1.0, f.r_max)
+
+
+def _in_range(f: SampledFunction, v: float) -> float:
+    """``v`` clamped onto the grid; :class:`OutOfRangeError` past roundoff."""
+    v = float(v)
+    if v < -_tol(f) or v > f.r_max + _tol(f):
+        raise OutOfRangeError(f"argument {v} outside grid range [0, {f.r_max}]")
+    return min(max(v, 0.0), f.r_max)
+
+
+def _interp(f: SampledFunction, r):
+    """Linear interpolant of the samples; +inf past the last finite one."""
+    m = f.finite_sup
+    out = np.interp(r, f.grid[:m], f.values[:m])
+    return np.where(r > f.grid[m - 1] + _tol(f), np.inf, out)
+
+
+def _slope_interval(f: SampledFunction, r):
+    """Ends ``(lo, hi)`` of the interpolant's slope interval at ``r >= 0``.
+
+    Between samples both are the segment's slope, and at a sample the
+    slopes on either side; ``lo`` is 0 at ``r = 0``.  The graph is
+    vertical past the last finite sample, and at it when the support is
+    cut there.
+    """
+    m = f.finite_sup
+    g = f.grid[:m]
+    if m < 2:
+        # point support: the normal cone at 0
+        return np.where(r > 0, np.inf, 0.0), np.full(np.shape(r), np.inf)
+    s = f._slopes
+    lo = s[np.clip(np.searchsorted(g, r, side="left") - 1, 0, m - 2)]
+    hi = s[np.clip(np.searchsorted(g, r, side="right") - 1, 0, m - 2)]
+    lo = np.where(r > g[-1], np.inf, np.where(r == 0.0, 0.0, lo))
+    hi = np.where((r >= g[-1]) if m < f.grid.size else (r > g[-1]), np.inf, hi)
+    return lo, hi
 
 
 def evaluate(f: SampledFunction, v: float) -> float:
@@ -167,29 +216,7 @@ def evaluate(f: SampledFunction, v: float) -> float:
     Points beyond the last finite sample (but inside the grid) return
     +inf; points outside the grid range raise :class:`OutOfRangeError`.
     """
-    v = float(v)
-    tol = 1e-12 * max(1.0, f.r_max)
-    if v < -tol or v > f.r_max + tol:
-        raise OutOfRangeError(f"argument {v} outside grid range [0, {f.r_max}]")
-    v = min(max(v, 0.0), f.r_max)
-    m = f.finite_sup
-    if v > f.grid[m - 1] + tol:
-        return float("inf")
-    v = min(v, float(f.grid[m - 1]))
-    return float(np.interp(v, f.grid[:m], f.values[:m]))
-
-
-def _slopes(f: SampledFunction) -> np.ndarray:
-    m = f.finite_sup
-    if m < 2:
-        return np.empty(0)
-    return np.diff(f.values[:m]) / np.diff(f.grid[:m])
-
-
-def _right_slope_end(f: SampledFunction) -> float:
-    """Right slope at the end of the finite range; +inf for a single point."""
-    s = _slopes(f)
-    return float(s[-1]) if s.size else float("inf")
+    return float(_interp(f, _in_range(f, v)))
 
 
 def _dual_cap(f: SampledFunction) -> float:
@@ -197,30 +224,33 @@ def _dual_cap(f: SampledFunction) -> float:
 
     Window-limited data (finite everywhere on the grid) resolves the
     conjugate only up to the right slope at the window end.  Data with a
-    +inf tail inside the window has a finite conjugate for every dual
-    argument.
+    +inf tail inside the window, or a single point, has a finite
+    conjugate for every dual argument.
     """
-    if f.finite_sup < f.grid.size:
+    if f.finite_sup < f.grid.size or not f._slopes.size:
         return float("inf")
-    return _right_slope_end(f)
+    return float(f._slopes[-1])
 
 
-def _default_dual_grid(f: SampledFunction) -> np.ndarray:
-    """Discrete slope points of ``f`` (the exact kinks of its conjugate)."""
-    pts = _slopes(f)
-    pts = np.concatenate(([0.0], pts))
-    pts = np.unique(pts)
+def _dual_grid(slopes: np.ndarray, cap: float) -> np.ndarray:
+    """Dual grid on the kinks ``slopes`` of a conjugate resolvable up to ``cap``.
+
+    Past a finite ``cap`` one explicit +inf point keeps the window
+    information through further conjugation.  With no cap the conjugate
+    is affine past its last kink, and one more point resolves that tail.
+    """
+    pts = np.unique(np.concatenate(([0.0], slopes)))
+    if np.isfinite(cap):
+        pts = pts[pts <= cap * (1.0 + _SENTINEL_RTOL) + 1e-300]
+        if pts[-1] < cap:
+            pts = np.append(pts, cap)
     keep = [pts[0]]
     for p in pts[1:]:
         if p > keep[-1] + 1e-13 * max(1.0, abs(p)):
             keep.append(p)
-    grid = np.array(keep)
-    cap = _dual_cap(f)
-    if np.isfinite(cap):
-        # One explicit +inf point past the resolvable range keeps the
-        # window information through further conjugation.
-        grid = np.append(grid, cap + 1e-6 * max(1.0, cap))
-    return grid
+    end = keep[-1]
+    keep.append(cap + 1e-6 * max(1.0, cap) if np.isfinite(cap) else end + max(1.0, end))
+    return np.array(keep)
 
 
 def _conjugate_values_scan(v, fv, s) -> np.ndarray:
@@ -257,11 +287,11 @@ def legendre_transform(
     Parameters
     ----------
     f : SampledFunction
-    dual_grid : None, int, or array
+    dual_grid : None or array
         ``None`` uses the discrete slopes of ``f`` (exact transform,
-        domain ``[0, right slope at r_max]``).  An int builds a uniform
-        grid on that domain.  An explicit array is used as-is; it must
-        start at 0 and be strictly increasing.
+        domain ``[0, right slope at r_max]``, plus one point past the
+        last kink; see the module docstring).  An explicit array is used
+        as-is; it must start at 0 and be strictly increasing.
     method : {"sweep", "scan"}
         "scan" is the exhaustive reference; "sweep" walks the argmax
         monotonically in a single pass.  Both agree to roundoff.
@@ -275,15 +305,7 @@ def legendre_transform(
     if not isinstance(f, SampledFunction):
         raise InvalidInputError("legendre_transform expects a SampledFunction")
     if dual_grid is None:
-        s = _default_dual_grid(f)
-    elif isinstance(dual_grid, int):
-        cap = _dual_cap(f)
-        if not np.isfinite(cap):
-            raise InvalidInputError(
-                "cannot size a default dual grid for an indicator-type input; "
-                "pass an explicit grid"
-            )
-        s = np.linspace(0.0, cap, dual_grid)
+        s = _dual_grid(f._slopes, _dual_cap(f))
     else:
         s = np.asarray(dual_grid, dtype=float)
         if s.ndim != 1 or s.size == 0 or s[0] != 0.0:
@@ -319,10 +341,7 @@ def _require_uniform(grid: np.ndarray, what: str) -> float:
 
 
 def _resample(f: SampledFunction, grid: np.ndarray) -> SampledFunction:
-    m = f.finite_sup
-    vals = np.interp(grid, f.grid[:m], f.values[:m])
-    vals[grid > f.grid[m - 1] + 1e-12 * max(1.0, f.r_max)] = np.inf
-    return SampledFunction.from_samples(grid, vals)
+    return SampledFunction.from_samples(grid, _interp(f, grid))
 
 
 def _common_pair(f: SampledFunction, g: SampledFunction):
@@ -366,25 +385,8 @@ def inf_convolve_via_conjugate(
     slope grid contains every kink of ``f* + g*``.
     """
     f2, g2 = _common_pair(f, g)
-    cap = min(_dual_cap(f2), _dual_cap(g2))
-    pts = np.concatenate(([0.0], _slopes(f2), _slopes(g2)))
-    pts = np.unique(pts)
-    if np.isfinite(cap):
-        pts = pts[pts <= cap * (1.0 + _SENTINEL_RTOL) + 1e-300]
-        if pts[-1] < cap:
-            pts = np.append(pts, cap)
-    keep = [pts[0]]
-    for p in pts[1:]:
-        if p > keep[-1] + 1e-13 * max(1.0, abs(p)):
-            keep.append(p)
-    dual = np.array(keep)
-    if np.isfinite(cap):
-        dual = np.append(dual, cap + 1e-6 * max(1.0, cap))
-    else:
-        # Both inputs end in genuine +inf tails: their conjugates are
-        # exact and affine beyond the last kink, so one extra dual point
-        # resolves the tail of the sum exactly.
-        dual = np.append(dual, dual[-1] + max(1.0, dual[-1]))
+    dual = _dual_grid(np.concatenate((f2._slopes, g2._slopes)),
+                      min(_dual_cap(f2), _dual_cap(g2)))
     fstar = legendre_transform(f2, dual)
     gstar = legendre_transform(g2, dual)
     total = SampledFunction.from_samples(dual, fstar.values + gstar.values)
@@ -410,46 +412,23 @@ def subdifferential(f: SampledFunction, v: float) -> SubdiffInterval:
 
     ``f`` is extended evenly through 0, so at ``v = 0`` the interval is
     ``[-f'(0+), f'(0+)]``.  At the boundary of the finite support the
-    upper end is +inf (normal cone).
+    upper end is +inf (normal cone); inside the +inf region both ends
+    are +inf, a saturation marker rather than an error.
     """
-    v = float(v)
-    tol = 1e-12 * max(1.0, f.r_max)
-    if v < -tol or v > f.r_max + tol:
-        raise OutOfRangeError(f"argument {v} outside grid range [0, {f.r_max}]")
-    v = min(max(v, 0.0), f.r_max)
-    m = f.finite_sup
-    grid = f.grid
-    vals = f.values
-    if m < 2:
-        # Only v = 0 is finite: normal cone of the point support.
-        if v <= tol:
-            return SubdiffInterval(float("-inf"), float("inf"))
-        return SubdiffInterval(float("inf"), float("inf"))
-    last = float(grid[m - 1])
-    if v > last + tol:
-        # Inside the +inf region: empty subdifferential, reported as
-        # a saturation marker rather than an error.
-        return SubdiffInterval(float("inf"), float("inf"))
-
-    slopes = np.diff(vals[:m]) / np.diff(grid[:m])
+    v = _in_range(f, v)
+    tol = _tol(f)
     if v <= tol:
-        r = float(slopes[0])
-        return SubdiffInterval(-r, r)
-    i = int(np.searchsorted(grid[:m], v))
-    at_node = i < m and abs(v - grid[i]) <= tol * max(1.0, abs(float(grid[i])))
-    if not at_node and i > 0 and abs(v - grid[i - 1]) <= tol:
-        i, at_node = i - 1, True
-    if at_node:
-        left = float(slopes[i - 1])
-        if i == m - 1:
-            boundary = m < grid.size
-            right = float("inf") if boundary else left
-        else:
-            # clamp against slope noise across nearly coincident points
-            right = max(float(slopes[i]), left)
-        return SubdiffInterval(left, right)
-    seg = float(slopes[i - 1])
-    return SubdiffInterval(seg, seg)
+        hi = float(_slope_interval(f, 0.0)[1])
+        return SubdiffInterval(-hi, hi)
+    g = f.grid[: f.finite_sup]
+    i = int(np.searchsorted(g, v))
+    if i < g.size and abs(v - g[i]) <= tol * max(1.0, abs(float(g[i]))):
+        v = float(g[i])
+    elif i > 0 and abs(v - g[i - 1]) <= tol:
+        v = float(g[i - 1])
+    lo, hi = (float(x) for x in _slope_interval(f, v))
+    # clamp against slope noise across nearly coincident points
+    return SubdiffInterval(lo, max(hi, lo))
 
 
 def fenchel_young_residual(

@@ -304,7 +304,9 @@ class Sampled(Potential):
     """Grid-sampled potential; shifted so the value at 0 is exactly 0.
 
     Derivatives are those of the piecewise-linear interpolant; the flow
-    is the stress law of the numeric conjugate, computed once.
+    is the stress law of the numeric conjugate, computed once.  A +inf
+    tail bounds the rate by the last finite sample point: the conjugate
+    is affine past its last grid point, and the flow there is that bound.
     """
 
     f: SampledFunction = field()
@@ -316,37 +318,20 @@ class Sampled(Potential):
             object.__setattr__(self, "f", shifted)
 
     @cached_property
-    def _slopes(self) -> np.ndarray:
-        m = self.f.finite_sup
-        return np.diff(self.f.values[:m]) / np.diff(self.f.grid[:m])
-
-    @cached_property
     def _dual(self) -> "Sampled":
         return Sampled(cc.legendre_transform(self.f))
 
     def value(self, r):
-        f = self.f
-        m = f.finite_sup
-        out = np.interp(np.minimum(r, f.grid[m - 1]), f.grid[:m], f.values[:m])
-        return np.where(r > f.grid[m - 1] + 1e-12 * max(1.0, f.r_max), np.inf, out)
+        return cc._interp(self.f, r)
 
     def stress(self, eps):
-        f = self.f
-        m = f.finite_sup
-        gr = f.grid[:m]
-        if m < 2:
-            lo = np.where(eps > 0, np.inf, 0.0)
-            return lo, lo, np.zeros_like(lo)
-        sl = self._slopes
-        lo = sl[np.clip(np.searchsorted(gr, eps, side="left") - 1, 0, m - 2)]
-        hi = sl[np.clip(np.searchsorted(gr, eps, side="right") - 1, 0, m - 2)]
-        # past the data the graph is vertical; a cut support is vertical at its end
-        lo = np.where(eps > gr[-1], np.inf, np.where(eps == 0.0, 0.0, lo))
-        hi = np.where((eps >= gr[-1]) if m < f.grid.size else (eps > gr[-1]), np.inf, hi)
+        lo, hi = cc._slope_interval(self.f, eps)
         # piecewise constant: flat between grid points, a jump at a kink
         return lo, hi, np.where(lo == hi, 0.0, np.inf)
 
     def flow(self, sig):
+        if self.f.finite_sup < self.f.grid.size:
+            sig = np.minimum(sig, self._dual.f.r_max)
         # the rate at zero stress is zero, not the conjugate's slope at rest
         lo, hi, d = self._dual.stress(sig)
         return lo, np.where(sig == 0.0, 0.0, hi), d
@@ -359,13 +344,11 @@ class Sampled(Potential):
         # unbounded (growth beyond the window is not inferable)
         f = self.f
         allfin = f.finite_sup == f.grid.size
-        strict = self._slopes.size >= 1 and bool(np.all(np.diff(self._slopes) > 0.0))
+        strict = f._slopes.size >= 1 and bool(np.all(np.diff(f._slopes) > 0.0))
         return _Feat(allfin, strict, allfin, strict and allfin)
 
     def stress_sup(self):
-        if self.f.finite_sup < self.f.grid.size:
-            return math.inf
-        return float(self._slopes[-1]) if self._slopes.size else 0.0
+        return cc._dual_cap(self.f)
 
 
 def _magnitudes(p, r) -> np.ndarray:

@@ -40,6 +40,11 @@ __all__ = [
 _KINDS = {c.kind: c for c in Potential.__subclasses__() if c.kind is not None}
 
 
+def _at(path, key):
+    """JSON path of ``key`` inside the object at ``path``."""
+    return f"{path}.{key}" if path else key
+
+
 def _expect_object(doc, path):
     if not isinstance(doc, dict):
         raise SchemaError(path or "<root>", f"expected an object, got {type(doc).__name__}")
@@ -47,10 +52,10 @@ def _expect_object(doc, path):
 
 
 def _positive_number(doc, key, path):
+    where = _at(path, key)
     if key not in doc:
-        raise SchemaError(f"{path}.{key}" if path else key, "missing required field")
+        raise SchemaError(where, "missing required field")
     val = doc[key]
-    where = f"{path}.{key}" if path else key
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise SchemaError(where, f"must be a number, got {val!r}")
     val = float(val)
@@ -77,27 +82,22 @@ def parse_potential(doc, path: str = "potential") -> Potential:
 def parse_model(doc, path: str = "") -> RheoExpr:
     doc = _expect_object(doc, path)
     node = doc.get("node")
-    here = f"{path}.node" if path else "node"
     if node not in ("leaf", "parallel", "serial"):
-        raise SchemaError(here, f"must be 'leaf', 'parallel' or 'serial', got {node!r}")
+        raise SchemaError(_at(path, "node"),
+                          f"must be 'leaf', 'parallel' or 'serial', got {node!r}")
     extra = set(doc) - {"node", "potential", "children"}
     if extra:
-        raise SchemaError(
-            f"{path}.{sorted(extra)[0]}" if path else sorted(extra)[0], "unknown field"
-        )
+        raise SchemaError(_at(path, sorted(extra)[0]), "unknown field")
     if node == "leaf":
         if "children" in doc:
-            raise SchemaError(f"{path}.children" if path else "children", "leaf takes no children")
+            raise SchemaError(_at(path, "children"), "leaf takes no children")
         if "potential" not in doc:
-            raise SchemaError(f"{path}.potential" if path else "potential", "missing required field")
-        pot_path = f"{path}.potential" if path else "potential"
-        return Leaf(parse_potential(doc["potential"], pot_path))
+            raise SchemaError(_at(path, "potential"), "missing required field")
+        return Leaf(parse_potential(doc["potential"], _at(path, "potential")))
     if "potential" in doc:
-        raise SchemaError(
-            f"{path}.potential" if path else "potential", f"{node} node takes no potential"
-        )
+        raise SchemaError(_at(path, "potential"), f"{node} node takes no potential")
     children = doc.get("children")
-    kids_path = f"{path}.children" if path else "children"
+    kids_path = _at(path, "children")
     if not isinstance(children, list) or not children:
         raise SchemaError(kids_path, "must be a nonempty array")
     kids = [parse_model(c, f"{kids_path}[{i}]") for i, c in enumerate(children)]

@@ -123,6 +123,18 @@ def test_monotone_duality():
     assert np.all(fs.values >= gs.values - 1e-12)
 
 
+def test_biconjugate_keeps_the_last_finite_sample_of_a_cut_support():
+    """The conjugate of a +inf-tailed input carries its affine tail."""
+    grid = np.linspace(0.0, 2.0, 201)
+    f = SampledFunction.from_samples(grid, np.where(grid <= 1.0, 0.5 * grid**2, np.inf))
+    assert f.finite_sup == 101
+    fstar = legendre_transform(f)
+    assert np.all(np.isfinite(fstar.values))
+    bi = legendre_transform(fstar, f.grid)
+    assert bi.finite_sup == 101
+    assert np.max(np.abs(bi.values[:101] - f.values[:101])) <= 1e-15
+
+
 def test_transform_rejects_bad_dual_grid(grid401):
     f = half_square(grid401)
     with pytest.raises(InvalidInputError):
@@ -131,6 +143,11 @@ def test_transform_rejects_bad_dual_grid(grid401):
         legendre_transform(f, np.array([0.0, 1.0, 1.0]))
     with pytest.raises(InvalidInputError):
         legendre_transform(f, method="nope")
+
+
+def test_transform_dual_grid_is_none_or_an_array(grid401):
+    with pytest.raises(InvalidInputError):
+        legendre_transform(half_square(grid401), 64)
 
 
 # ---------------------------------------------------------------------------

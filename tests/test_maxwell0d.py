@@ -179,3 +179,37 @@ def test_timeseries_validation():
         )
     with pytest.raises(InvalidInputError):
         TimeSeries(t=np.array([0.0, 1.0]), eps=np.zeros(3), e_el=np.zeros(2), sigma=np.zeros(2))
+
+
+@pytest.mark.parametrize("sig_scale, rate_scale", [(1.0, 1.0), (1e6, 1e-5), (1e8, 1e-15)])
+def test_step_is_the_tree_stress_of_a_spring_turned_dashpot(sig_scale, rate_scale):
+    """Backward Euler turns the spring into a dashpot of viscosity E dt.
+
+    So ``E * step`` is the stress of ``Serial[Dashpot(E dt), elements]`` at
+    the rate ``|trial| / dt``, signed like the trial: the scalar step solver
+    and the array tree solver must agree, to 1e-13 relative plus the step's
+    own stopping width of 1e-15 |trial| in strain.
+    """
+    S, R = sig_scale, rate_scale
+    mixes = [
+        [Dashpot(S / R)],
+        [PowerLaw(S / R ** (1 / 3), 3.0)],
+        [Dashpot(2 * S / R), PowerLaw(S / R**0.5, 2.0)],
+        [Huber(0.8 * S, S / R)],
+        [PerfectPlastic(0.8 * S)],
+        [Dashpot(S / R), PerfectPlastic(1.2 * S)],
+        [Dashpot(3 * S / R), PowerLaw(S / R ** (1 / 3), 3.0), Huber(0.9 * S, 2 * S / R)],
+    ]
+    rng = np.random.default_rng(7)
+    for elements in mixes:
+        E = 30.0 * S
+        m = MaxwellModel(E, elements)
+        for _ in range(40):
+            e_el = rng.uniform(-3.0, 3.0) * S / E
+            eps = rng.uniform(-3.0, 3.0) * R
+            dt = 10.0 ** rng.uniform(-3.0, 1.0) / R
+            trial = e_el + dt * eps
+            tree = Serial([Leaf(Dashpot(E * dt))] + [Leaf(p) for p in elements])
+            sig = math.copysign(stress_of_strain_rate(tree, abs(trial) / dt).hi, trial)
+            tol = 1e-13 * abs(sig) + 1e-15 * E * abs(trial)
+            assert abs(E * step(m, e_el, eps, dt) - sig) <= tol

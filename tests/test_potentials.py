@@ -185,3 +185,13 @@ def test_flow_is_the_stress_law_of_the_conjugate():
             assert np.array_equal(np.isinf(a), np.isinf(b)), p
             fin = np.isfinite(a)
             assert np.all(np.abs(a[fin] - b[fin]) <= 1e-14 * np.abs(a[fin])), p
+
+
+def test_bounded_rate_sampled_flow_reads_the_rate_bound():
+    """0.5 r**2 on [0, 1], +inf beyond: past its conjugate's grid the flow is 1."""
+    grid = np.linspace(0.0, 2.0, 201)
+    p = Sampled(cc.SampledFunction.from_samples(
+        grid, np.where(grid <= 1.0, 0.5 * grid**2, np.inf)))
+    lo, hi, slope = p.flow(np.array([5.0, 1e300]))
+    assert np.all(lo == 1.0) and np.all(hi == 1.0) and np.all(slope == 0.0)
+    assert p.flow(np.float64(5.0))[1] == 1.0

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import rheokit.rheology as rheology
 from rheokit.errors import InvalidInputError, UnsupportedModeError
-from rheokit.potentials import Dashpot, Huber, PerfectPlastic, PowerLaw
+from rheokit.convex_core import SampledFunction
+from rheokit.potentials import Dashpot, Huber, PerfectPlastic, PowerLaw, Sampled
 from rheokit.rheology import (
     Formula,
     Leaf,
@@ -248,6 +249,17 @@ def test_mu_eff_limit_is_the_tangent_at_rest():
     assert math.isinf(mu_eff_rigorous(Serial([_W, L(PowerLaw(2.0, 2.0))]), 0.0, limit=True))
 
 
+def test_bounded_rate_sampled_element_in_series():
+    """A +inf-tailed sampled potential caps its rate at the last finite sample."""
+    grid = np.linspace(0.0, 2.0, 201)
+    p = Sampled(SampledFunction.from_samples(grid, np.where(grid <= 1.0, 0.5 * grid**2, np.inf)))
+    tree = Serial([L(p), L(Dashpot(1.0))])
+    rate = strain_rate_of_stress(tree, 5.0)
+    assert (rate.lo, rate.hi) == pytest.approx((6.0, 6.0), rel=1e-15)
+    sig = stress_of_strain_rate(tree, 6.0)
+    assert (sig.lo, sig.hi) == pytest.approx((5.0, 5.0), rel=1e-14)
+
+
 def test_parallel_saturation():
     node = Parallel([L(PerfectPlastic(1.0)), L(PerfectPlastic(0.5))])
     iv = strain_rate_of_stress(node, 2.0)
@@ -424,6 +436,32 @@ def test_dif_dsl_closed_form_is_scale_free():
                 closed = serial_dif_dsl_stress(d_dif, d_dsl, n, eps)
                 numeric = serial_dif_dsl_stress(d_dif, d_dsl, n, eps, mode="numeric")
                 assert closed == pytest.approx(numeric, rel=1e-12, abs=0), (n, eps)
+
+
+def test_dif_dsl_closed_form_over_the_whole_float_range():
+    """Closed mode is right to 1e-12 wherever the stress is a normal float.
+
+    Moduli and rates span 600 decades.  The stress lies within a factor 2
+    of the smaller single-element stress, so the cases kept have a normal
+    answer.  The residual at (1 -/+ 1e-12) times the closed answer must
+    bracket eps, and numeric mode must agree on the first 500 cases.
+    """
+    rng = np.random.default_rng(20261018)
+    d_dif, d_dsl, eps = 10.0 ** rng.uniform(-300, 300, size=(3, 3000))
+    for n in (2, 3):
+        lg = np.log10(eps) + np.minimum(np.log10(d_dif),
+                                        np.log10(d_dsl) - np.log10(eps) * (1 - 1 / n))
+        keep = np.abs(lg) < 300
+        a, b, e = d_dif[keep], d_dsl[keep], eps[keep]
+        closed = np.array([serial_dif_dsl_stress(x, y, n, z) for x, y, z in zip(a, b, e)])
+        with np.errstate(under="ignore"):
+            for k, sign in ((1 - 1e-12, -1), (1 + 1e-12, 1)):
+                residual = (k * closed / b) ** n + k * closed / a - e
+                assert np.all(np.sign(residual) == sign)
+        for x, y, z, c in list(zip(a, b, e, closed))[:500]:
+            numeric = serial_dif_dsl_stress(x, y, n, z, mode="numeric")
+            assert c == pytest.approx(numeric, rel=1e-12, abs=0), (x, y, n, z)
+    assert serial_dif_dsl_stress(1e200, 1e-100, 2, 1.0) == pytest.approx(1e-100, rel=1e-15)
 
 
 def test_dif_dsl_closed_matches_bisection_oracle():
