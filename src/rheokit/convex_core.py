@@ -26,6 +26,10 @@ input itself carries a +inf tail inside the window (an indicator-type
 function), the conjugate is finite for every argument and affine past
 its last kink, with the last finite sample point as its slope; one dual
 point past that kink carries the tail exactly.
+
+The exhaustive scan and the direct infimal convolution take O(n m) time
+and O(block) memory, reducing blocks of ``_BLOCK`` elements, and their
+outputs are bitwise those of the plain definitions.
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ _CONVEXITY_TOL = 1e-12
 # Relative slack when deciding that a dual point exceeds the resolvable
 # slope range of a window-limited function.
 _SENTINEL_RTOL = 1e-12
+# Elements (256 KB of float64) in one block of the exhaustive kernels.
+_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -244,22 +250,33 @@ def _dual_grid(slopes: np.ndarray, cap: float) -> np.ndarray:
         pts = pts[pts <= cap * (1.0 + _SENTINEL_RTOL) + 1e-300]
         if pts[-1] < cap:
             pts = np.append(pts, cap)
-    keep = [pts[0]]
-    for p in pts[1:]:
-        if p > keep[-1] + 1e-13 * max(1.0, abs(p)):
-            keep.append(p)
-    end = keep[-1]
-    keep.append(cap + 1e-6 * max(1.0, cap) if np.isfinite(cap) else end + max(1.0, end))
-    return np.array(keep)
+    # A point clear of its predecessor is clear of the last kept point,
+    # which is no larger, so only the others need the sequential rule.
+    tol = 1e-13 * np.maximum(1.0, np.abs(pts))
+    keep = np.ones(pts.size, dtype=bool)
+    keep[1:] = pts[1:] > pts[:-1] + tol[1:]
+    last = 0
+    for i in np.flatnonzero(~keep).tolist():
+        if keep[i - 1]:
+            last = i - 1
+        keep[i] = pts[i] > pts[last] + tol[i]
+    pts = pts[keep]
+    end = pts[-1]
+    tail = cap + 1e-6 * max(1.0, cap) if np.isfinite(cap) else end + max(1.0, end)
+    return np.append(pts, tail)
 
 
 def _conjugate_values_scan(v, fv, s) -> np.ndarray:
-    """Exhaustive sup over the grid, chunked to bound memory."""
+    """Exhaustive sup over the grid, in blocks of ``_BLOCK`` elements."""
     out = np.empty(s.size)
-    chunk = max(1, int(2**22 // max(1, v.size)))
-    for k in range(0, s.size, chunk):
-        sk = s[k : k + chunk]
-        out[k : k + chunk] = np.max(sk[:, None] * v[None, :] - fv[None, :], axis=1)
+    rows = max(1, _BLOCK // v.size)
+    buf = np.empty((rows, v.size))
+    for k in range(0, s.size, rows):
+        sk = s[k : k + rows, None]
+        blk = buf[: sk.shape[0]]
+        np.multiply(sk, v, out=blk)
+        np.subtract(blk, fv, out=blk)
+        blk.max(axis=1, out=out[k : k + rows])
     return out
 
 
@@ -368,9 +385,19 @@ def inf_convolve_direct(f: SampledFunction, g: SampledFunction) -> SampledFuncti
     fv = f2.values
     gv = g2.values
     n = fv.size
+    # Row i of ``gw`` holds g[i - j] at column j <= i and +inf past it, which
+    # never wins the min; a block of rows [a, b) reads only columns < b.
+    gr = np.concatenate((gv[::-1], np.full(n - 1, np.inf)))
+    gw = np.lib.stride_tricks.sliding_window_view(gr, n)[::-1]
     out = np.empty(n)
-    for i in range(n):
-        out[i] = np.min(fv[: i + 1] + gv[i::-1])
+    rows = max(1, _BLOCK // n)
+    buf = np.empty(rows * n)
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        # a contiguous block: rows n apart alias in cache when n is 2**k
+        blk = buf[: (b - a) * b].reshape(b - a, b)
+        np.add(fv[:b], gw[a:b, :b], out=blk)
+        blk.min(axis=1, out=out[a:b])
     return SampledFunction.from_samples(f2.grid, out)
 
 

@@ -14,8 +14,9 @@ where ``cap`` is the tightest stress supremum of the elements (a plastic
 constraint ``|sigma| <= sigma_a``).  A flow that jumps to +inf at the cap
 stops the stress there, so the step needs no clamp: this is the radial
 return map, the exact resolution of the differential inclusion for this
-scalar model.  The solve stops on a bracket relative to the trial strain,
-so it is correct at any unit scale.
+scalar model.  The solve stops on a bracket relative to its upper end,
+which bounds the answer, so it is correct at any unit scale and also
+when a step relaxes most of its trial strain.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ __all__ = [
 ]
 
 _STEP_RTOL = 1e-15
+# Past this many iterations the stop width is relative to |trial| again:
+# a steep law that relaxes a step by many decades descends from |trial| at
+# two to three iterations per halving, and must end within the cap.
+_STEP_TIGHT_ITER = 100
 _MAX_STEP_ITER = 200
 
 
@@ -132,9 +137,10 @@ def step(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
     Solves ``x = e_el + dt * (eps - sum_i flow_i(E x))``, signed like the
     trial ``e_el + dt * eps``, in the bracket of the module docstring by
     safeguarded Newton steps (rtsafe); one shorter than half the tolerance
-    is pushed across the root to close the bracket.  Stops when it is at
-    most ``1e-15 * |trial|`` wide or its ends are adjacent floats, and
-    returns the last Newton estimate inside it.
+    at its start point is pushed across the root to close the bracket.
+    Stops when the bracket is at most ``1e-15`` of its upper end wide (of
+    ``|trial|`` after ``_STEP_TIGHT_ITER`` steps) or its ends are adjacent
+    floats, and returns the last Newton estimate inside it.
     """
     if not (dt > 0):
         raise InvalidInputError("dt must be > 0")
@@ -146,13 +152,13 @@ def step(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
     t = abs(trial)
     E = model.E
     a, b = 0.0, min(t, model._cap / E)
-    tol = _STEP_RTOL * t
     # the first probe sits just below the top, so a capped step ends at once
     x = est = math.nextafter(b, 0.0)
     s1 = s2 = math.inf
     with np.errstate(all="ignore"):
-        for _ in range(_MAX_STEP_ITER):
-            if b - a <= tol or math.nextafter(a, b) >= b:
+        for k in range(_MAX_STEP_ITER):
+            top = b if k < _STEP_TIGHT_ITER else t
+            if b - a <= _STEP_RTOL * top or math.nextafter(a, b) >= b:
                 x = est if a <= est <= b else b
                 return x if trial >= 0 else -x
             # numpy scalar stress: an overflow gives +inf, not an exception
@@ -168,6 +174,7 @@ def step(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
             else:
                 b = x
             est = xn = x - r / (1.0 + dt * E * float(d))
+            tol = _STEP_RTOL * x
             if abs(xn - x) < 0.5 * tol:
                 xn = x + (0.5 * tol if r < 0 else -0.5 * tol)
             if not (a < xn < b and 0 < abs(xn - x) <= 0.5 * s2):

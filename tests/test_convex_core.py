@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from rheokit.convex_core import (
     SampledFunction,
     SubdiffInterval,
+    _common_pair,
+    _dual_grid,
     fenchel_young_residual,
     inf_convolve_direct,
     inf_convolve_via_conjugate,
@@ -325,6 +328,110 @@ def test_monotone_duality_random(slopes, extra):
     gs = legendre_transform(g, dual)
     fin = np.isfinite(fs.values) & np.isfinite(gs.values)
     assert np.all(fs.values[fin] >= gs.values[fin] - 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive kernels: bitwise the plain definitions, in bounded memory
+# ---------------------------------------------------------------------------
+
+
+def _kernel_inputs(n, seed):
+    """Convex samples on ``n`` points: finite, and with a +inf tail."""
+    rng = np.random.default_rng(seed)
+    grid = np.array([0.0]) if n == 1 else np.linspace(0.0, 2.0, n)
+    vals = np.concatenate(([0.0], np.cumsum(np.sort(rng.uniform(0.0, 3.0, n - 1)) * np.diff(grid))))
+    tailed = vals.copy()
+    tailed[max(1, int(0.6 * n)):] = np.inf
+    return (SampledFunction.from_samples(grid, vals),
+            SampledFunction.from_samples(grid, tailed),
+            SampledFunction.from_samples(grid, 0.5 * grid**2))
+
+
+def _direct_rows(fv, gv):
+    return np.array([np.min(fv[: i + 1] + gv[i::-1]) for i in range(fv.size)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 300, 1000])
+def test_scan_is_bitwise_the_plain_sup(n):
+    for f in _kernel_inputs(n, n):
+        v, fv = f.grid[: f.finite_sup], f.values[: f.finite_sup]
+        for dual in (None, np.array([0.0]), np.linspace(0.0, 4.0, 3 * n)):
+            fs = legendre_transform(f, dual, method="scan")
+            s = fs.grid
+            plain = np.max(s[:, None] * v - fv, axis=1)
+            fin = np.isfinite(fs.values)  # past a window's cap both are +inf
+            assert np.array_equal(fs.values[fin], plain[fin])
+
+
+@pytest.mark.parametrize("n", [2, 3, 300, 1000])
+def test_direct_and_yosida_are_bitwise_the_plain_min(n):
+    f, tailed, quad = _kernel_inputs(n, n)
+    for a, b in ((f, tailed), (tailed, f), (f, quad), (tailed, tailed)):
+        plain = _direct_rows(a.values, b.values)
+        assert np.array_equal(inf_convolve_direct(a, b).values, plain)
+    for eps in (0.05, 3.0):
+        plain = _direct_rows(f.values, f.grid**2 / (2.0 * eps))
+        assert np.array_equal(yosida(f, eps).values, plain)
+    # unequal grids: the resampled pair on a shared grid
+    g = SampledFunction.from_samples(np.linspace(0.0, 3.0, n + 1), np.linspace(0.0, 3.0, n + 1))
+    f2, g2 = _common_pair(tailed, g)
+    assert f2.grid.size > n
+    plain = _direct_rows(f2.values, g2.values)
+    assert np.array_equal(inf_convolve_direct(tailed, g).values, plain)
+
+
+def test_exhaustive_kernels_run_in_bounded_memory():
+    grid = np.linspace(0.0, 1.0, 2048)
+    f = half_square(grid)  # 2047 distinct slopes: a 2049-point dual grid
+    tracemalloc.start()
+    try:
+        fs = legendre_transform(f, method="scan")
+        _, scan_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        inf_convolve_direct(f, f)
+        _, direct_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fs.grid.size > 2000
+    assert scan_peak <= 4 * 2**20
+    assert direct_peak <= 2 * 2**20
+
+
+def _dual_grid_sequential(slopes, cap):
+    """The dedupe rule point by point: keep what clears the last kept point."""
+    pts = np.unique(np.concatenate(([0.0], slopes)))
+    if np.isfinite(cap):
+        pts = pts[pts <= cap * (1.0 + 1e-12) + 1e-300]
+        if pts[-1] < cap:
+            pts = np.append(pts, cap)
+    keep = [pts[0]]
+    for p in pts[1:]:
+        if p > keep[-1] + 1e-13 * max(1.0, abs(p)):
+            keep.append(p)
+    end = keep[-1]
+    keep.append(cap + 1e-6 * max(1.0, cap) if np.isfinite(cap) else end + max(1.0, end))
+    return np.array(keep)
+
+
+def test_dual_grid_drops_near_duplicates_like_the_sequential_rule():
+    # a chain of steps each within tolerance of the one before, drifting
+    # past the last kept point: a pairwise diff would keep only its start
+    chain = 5.0 * (1.0 + 0.6e-13 * np.arange(12))
+    kept = _dual_grid(chain, math.inf)
+    assert np.array_equal(kept, _dual_grid_sequential(chain, math.inf))
+    assert np.count_nonzero((kept >= chain[0]) & (kept <= chain[-1])) > 1
+
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        base = np.sort(rng.uniform(0.0, 10.0, rng.integers(1, 40))) * 10.0 ** rng.integers(-3, 4)
+        # clusters within 1e-13 relative and chains of steps inside the tolerance
+        parts = [base]
+        for c in rng.choice(base, rng.integers(0, 6)):
+            steps = rng.uniform(0.0, 1.2e-13, rng.integers(1, 12)) * max(1.0, c)
+            parts.append(c + np.cumsum(steps))
+        slopes = np.concatenate(parts)
+        for cap in (math.inf, float(slopes.max()), float(rng.choice(slopes)) * (1.0 + 1e-13)):
+            assert np.array_equal(_dual_grid(slopes, cap), _dual_grid_sequential(slopes, cap))
 
 
 # ---------------------------------------------------------------------------

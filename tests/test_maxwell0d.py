@@ -52,6 +52,24 @@ def test_step_tolerance_is_relative_to_the_trial_strain():
             assert 0.0 <= x / e_el <= 1.0
 
 
+def test_step_tolerance_is_relative_to_the_answer():
+    """A step that relaxes most of its trial strain is exact to 1e-14 of itself."""
+
+    def residual(m, x, t, dt):
+        return x - t + dt * sum(float(p.flow(np.float64(m.E * x))[1]) for p in m.elements)
+
+    for m, dt in ((MaxwellModel(1.0, [PowerLaw(1.0, 3.0)]), 1e9),
+                  (MaxwellModel(1.0, [Dashpot(1.0)]), 1e6)):
+        for e_el, eps in ((0.0, 1.0), (0.5, -1.0), (1.0, 0.0)):
+            t = abs(e_el + dt * eps)
+            x = abs(step(m, e_el, eps, dt))
+            assert residual(m, (1 - 1e-14) * x, t, dt) < 0 < residual(m, (1 + 1e-14) * x, t, dt)
+    # a steep law relaxing a step by hundreds of decades still ends in the cap
+    for n in (3.0, 8.0, 12.0):
+        for dt in (1e60, 1e300):
+            assert 0.0 < step(MaxwellModel(1.0, [PowerLaw(1.0, n)]), 1.0, 0.0, dt) < 1e-5
+
+
 def test_step_linear_closed_form():
     m = MaxwellModel(1.0, [Dashpot(1.0)])
     # backward Euler on relaxation: e+ = e / (1 + dt E / D)
