@@ -8,15 +8,12 @@ of the elements' conjugate flow rates at the common stress:
     d(e_el)/dt = eps(t) - sum_i flow_i(E * e_el)
 
 Time stepping is backward Euler on the elements' own set-valued flow
-laws (``Potential.flow``).  Each step solves the monotone inclusion for
-the new elastic strain inside the bracket ``[0, min(|trial|, cap / E)]``,
-where ``cap`` is the tightest stress supremum of the elements (a plastic
-constraint ``|sigma| <= sigma_a``).  A flow that jumps to +inf at the cap
-stops the stress there, so the step needs no clamp: this is the radial
-return map, the exact resolution of the differential inclusion for this
-scalar model.  The solve stops on a bracket relative to its upper end,
-which bounds the answer, so it is correct at any unit scale and also
-when a step relaxes most of its trial strain.
+laws (``Potential.flow``).  Each step solves for the stress in ``[0,
+min(E |trial|, cap)]``, where ``cap`` is the tightest stress supremum of
+the elements (a plastic constraint ``|sigma| <= sigma_a``), with the tree
+solves' scale-free root finder.  A step that reaches the cap stops there
+with no clamp: this is the radial return map, the exact resolution of
+the differential inclusion for this scalar model.
 """
 
 from __future__ import annotations
@@ -26,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NonConvergenceError
+from .errors import InvalidInputError
 from .potentials import Potential
+from .rheology import _root_scalar
 
 __all__ = [
     "MaxwellModel",
@@ -39,11 +37,6 @@ __all__ = [
 ]
 
 _STEP_RTOL = 1e-15
-# Past this many iterations the stop width is relative to |trial| again:
-# a steep law that relaxes a step by many decades descends from |trial| at
-# two to three iterations per halving, and must end within the cap.
-_STEP_TIGHT_ITER = 100
-_MAX_STEP_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -135,55 +128,32 @@ def step(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
     """One backward-Euler step of the elastic strain.
 
     Solves ``x = e_el + dt * (eps - sum_i flow_i(E x))``, signed like the
-    trial ``e_el + dt * eps``, in the bracket of the module docstring by
-    safeguarded Newton steps (rtsafe); one shorter than half the tolerance
-    at its start point is pushed across the root to close the bracket.
-    Stops when the bracket is at most ``1e-15`` of its upper end wide (of
-    ``|trial|`` after ``_STEP_TIGHT_ITER`` steps) or its ends are adjacent
-    floats, and returns the last Newton estimate inside it.
+    trial ``e_el + dt * eps``, for the stress ``E |x|`` with the tree
+    solves' finder ``rheology._root_scalar``, to ``1e-15`` of itself;
+    ``cap / E`` when the stress stops at the cap.
     """
     if not (dt > 0):
         raise InvalidInputError("dt must be > 0")
-    e_el = float(e_el)
-    eps = float(eps)
+    e_el, eps = float(e_el), float(eps)
     if not (math.isfinite(e_el) and math.isfinite(eps)):
         raise InvalidInputError(f"e_el and eps must be finite, got {e_el}, {eps}")
     trial = e_el + dt * eps
     t = abs(trial)
-    E = model.E
-    a, b = 0.0, min(t, model._cap / E)
-    # the first probe sits just below the top, so a capped step ends at once
-    x = est = math.nextafter(b, 0.0)
-    s1 = s2 = math.inf
+    E, cap, elements = model.E, model._cap, model.elements
+
+    def residual(s):
+        # numpy scalar stress: an overflow gives +inf, not an exception
+        sig = np.float64(s)
+        f = d = 0.0
+        for p in elements:
+            _, hi, slope = p.flow(sig)
+            f, d = f + float(hi), d + float(slope)
+        return s / E - t + dt * f, 1.0 / E + dt * d
+
     with np.errstate(all="ignore"):
-        for k in range(_MAX_STEP_ITER):
-            top = b if k < _STEP_TIGHT_ITER else t
-            if b - a <= _STEP_RTOL * top or math.nextafter(a, b) >= b:
-                x = est if a <= est <= b else b
-                return x if trial >= 0 else -x
-            # numpy scalar stress: an overflow gives +inf, not an exception
-            sig = np.float64(E * x)
-            f = d = 0.0
-            for p in model.elements:
-                _, hi, slope = p.flow(sig)
-                f += hi
-                d += slope
-            r = float(x - t + dt * f)
-            if r < 0:
-                a = x
-            else:
-                b = x
-            est = xn = x - r / (1.0 + dt * E * float(d))
-            tol = _STEP_RTOL * x
-            if abs(xn - x) < 0.5 * tol:
-                xn = x + (0.5 * tol if r < 0 else -0.5 * tol)
-            if not (a < xn < b and 0 < abs(xn - x) <= 0.5 * s2):
-                xn = 0.5 * (a + b)
-            s1, s2 = abs(xn - x), s1
-            x = xn
-    raise NonConvergenceError(
-        f"backward-Euler step: trial strain {trial!r} unresolved after {_MAX_STEP_ITER} steps"
-    )
+        s = _root_scalar(residual, t, min(E * t, cap), _STEP_RTOL)
+    x = min(s / E, t)
+    return x if trial >= 0 else -x
 
 
 def step_explicit(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:

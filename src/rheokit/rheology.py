@@ -12,12 +12,13 @@ monotone maps
   across a Parallel node)
 
 invert each other where no closed form exists, by one vectorized
-monotone root finder: safeguarded Newton steps in log-log coordinates
-inside a bracket that bisects the ordered bits of the floats, so no
-solve depends on the unit scale.  Every node reports its tangent next to
-its value (stiffnesses add across Parallel, compliances across Serial,
-an inverse takes the reciprocal), which the finder uses for its Newton
-steps and ``mu_eff_rigorous`` for its exact limit at rest.
+monotone root finder (its scalar form runs the Maxwell step): safeguarded
+Newton steps in log-log coordinates inside a bracket that bisects the
+ordered bits of the floats, so no solve depends on the unit scale.  Each
+node reports its tangent next to its value (stiffnesses add across
+Parallel, compliances across Serial, an inverse takes the reciprocal),
+which the finder uses for its Newton steps and ``mu_eff_rigorous`` for
+its exact limit at rest.
 Set-valued points are carried as :class:`SubdiffInterval`; saturation
 (stress beyond a composite's attainable range) is reported with a +inf
 marker, not an error.
@@ -244,11 +245,6 @@ def _parallel_flow(node: Parallel, sig: np.ndarray):
     return x, x, np.where(sat, np.inf, d)
 
 
-def _parallel_flow_solve(node: Parallel, sig: np.ndarray):
-    """Flow interval of a Parallel node by the generic inverse alone."""
-    return _parallel_flow(node, sig)[:2]
-
-
 def _root(fn, target, sup=math.inf):
     """Smallest ``x`` in ``[0, sup]`` with ``fn(x)[0] >= target``, elementwise.
 
@@ -297,7 +293,7 @@ def _root(fn, target, sup=math.inf):
             tiny = 0.5 * _RTOL * xc
             xn = np.where(np.abs(xn - xc) < tiny, xc + np.where(below, tiny, -tiny), xn)
             ok = (xn > lo) & (xn < hi) & (np.abs(np.log(xn / xc)) <= 0.5 * s2)
-            xn = np.where(ok, xn, (ilo + (ihi - ilo) // 2).view(np.float64))
+            xn = np.where(ok, xn, _mid(lo, hi))
             s1, s2 = np.abs(np.log(xn / xc)), s1
             keep = ~done
             idx, t, lt, lo, hi, xc, s1, s2 = (a[keep] for a in (idx, t, lt, lo, hi, xn, s1, s2))
@@ -307,6 +303,40 @@ def _root(fn, target, sup=math.inf):
             f"first {float(t[0])!r}"
         )
     return x.reshape(shape), dxdt.reshape(shape)
+
+
+def _mid(lo, hi):
+    """Midpoint of ``[lo, hi]`` (floats >= 0) in their ordered int64 view."""
+    ilo, ihi = lo.view(np.int64), hi.view(np.int64)
+    return (ilo + (ihi - ilo) // 2).view(np.float64)
+
+
+def _root_scalar(fn, target, sup, rtol):
+    """Scalar :func:`_root` for a nondecreasing ``g`` with ``g(0) = 0``.
+
+    ``fn(x)`` returns floats: the residual ``g(x) - target``, formed by the caller so
+    its sign holds where the two cancel, and ``g'(x)``.  Stops ``rtol`` wide.  Newton
+    steps ``x + x * expm1(log1p((t - g) / g) * g / (x * g'))`` are linear at the root.
+    The first probe, just below ``sup``, tests the cap; ``sup`` if never reached.
+    """
+    lo, hi, x, s1, s2 = 0.0, sup, math.nextafter(sup, 0.0), math.inf, math.inf
+    for _ in range(_MAX_ITER):
+        r, d = fn(x)
+        lo, hi = (x, hi) if r < 0 else (lo, x)
+        if (hi - lo <= rtol * hi and hi < math.inf) or math.nextafter(lo, hi) >= hi:
+            return hi
+        try:  # a step through 0 or +inf raises, and bisects
+            g = target + r
+            u = math.log1p(-r / g) * g / (x * d)  # log(xn / x)
+            xn = x + x * math.expm1(u)
+            if abs(xn - x) < 0.5 * rtol * x:  # too short to cross the root: push it across
+                xn, u = x + (0.5 if r < 0 else -0.5) * rtol * x, 0.5 * rtol
+            ok = lo < xn < hi and abs(u) <= 0.5 * s2
+        except (ArithmeticError, ValueError):
+            ok = False
+        xn = xn if ok else float(_mid(np.float64(lo), np.float64(hi)))
+        s1, s2, x = abs(u if ok else math.log(xn / x)), s1, xn
+    raise NonConvergenceError(f"root solve: target {target!r} unresolved after {_MAX_ITER} steps")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rheokit.errors import InvalidInputError
 from rheokit.maxwell0d import (
@@ -52,22 +55,110 @@ def test_step_tolerance_is_relative_to_the_trial_strain():
             assert 0.0 <= x / e_el <= 1.0
 
 
-def test_step_tolerance_is_relative_to_the_answer():
-    """A step that relaxes most of its trial strain is exact to 1e-14 of itself."""
-
-    def residual(m, x, t, dt):
+def _residual(m, x, t, dt):
+    """Backward-Euler residual ``x - t + dt * flow(E x)`` at the strain magnitude ``x``."""
+    with np.errstate(over="ignore"):
         return x - t + dt * sum(float(p.flow(np.float64(m.E * x))[1]) for p in m.elements)
 
+
+def _straddles(m, x, t, dt):
+    return _residual(m, (1 - 1e-14) * x, t, dt) < 0 < _residual(m, (1 + 1e-14) * x, t, dt)
+
+
+@contextlib.contextmanager
+def _flow_evaluations(m):
+    """Count the model's flow evaluations (one call of every element's flow each)."""
+    calls = [0]
+    with pytest.MonkeyPatch.context() as mp:
+        for kind in {type(p) for p in m.elements}:
+            def counted(self, sig, flow=kind.flow):
+                calls[0] += 1
+                return flow(self, sig)
+
+            mp.setattr(kind, "flow", counted)
+        yield lambda: calls[0] / len(m.elements)
+
+
+def test_step_tolerance_is_relative_to_the_answer():
+    """A step that relaxes most of its trial strain is exact to 1e-14 of itself."""
     for m, dt in ((MaxwellModel(1.0, [PowerLaw(1.0, 3.0)]), 1e9),
                   (MaxwellModel(1.0, [Dashpot(1.0)]), 1e6)):
         for e_el, eps in ((0.0, 1.0), (0.5, -1.0), (1.0, 0.0)):
             t = abs(e_el + dt * eps)
-            x = abs(step(m, e_el, eps, dt))
-            assert residual(m, (1 - 1e-14) * x, t, dt) < 0 < residual(m, (1 + 1e-14) * x, t, dt)
-    # a steep law relaxing a step by hundreds of decades still ends in the cap
-    for n in (3.0, 8.0, 12.0):
-        for dt in (1e60, 1e300):
-            assert 0.0 < step(MaxwellModel(1.0, [PowerLaw(1.0, n)]), 1.0, 0.0, dt) < 1e-5
+            assert _straddles(m, abs(step(m, e_el, eps, dt)), t, dt)
+    # steep laws relaxing or loading a step over hundreds of decades, in a
+    # few flow evaluations each: a log-log Newton step is exact on a power
+    # law, and a bisection of the floats' bits halves the exponent
+    counts = []
+    for n in (1.2, 1.5, 2.0, 3.0, 4.5, 8.0, 12.0, 20.0, 40.0):
+        m = MaxwellModel(1.0, [PowerLaw(1.0, n)])
+        for k in range(-300, 301, 10):
+            dt = 10.0**k
+            for e_el, eps in ((1.0, 0.0), (0.0, 1.0)):
+                with _flow_evaluations(m) as evaluations:
+                    x = step(m, e_el, eps, dt)
+                counts.append(evaluations())
+                assert _straddles(m, x, e_el + dt * eps, dt), (n, k, eps)
+    assert max(counts) <= 24 and sum(counts) <= 7 * len(counts)
+    # the roots of x + 1e60 x^3 = 1 and = 1e60
+    w = MaxwellModel(1.0, [PowerLaw(1.0, 3.0)])
+    assert step(w, 1.0, 0.0, 1e60) == pytest.approx(1e-20, rel=1e-14, abs=0)
+    assert step(w, 0.0, 1.0, 1e60) == pytest.approx(1.0, rel=1e-14, abs=0)
+
+
+def test_a_step_past_the_cap_costs_one_flow_evaluation():
+    # geoscale: crustal E, a dashpot, a power law and a plastic cap, where
+    # E * nextafter(cap / E, 0) rounds back onto the cap
+    E, cap = 4.84e10, 4.94e6
+    m = MaxwellModel(E, [Dashpot(9.42e20), PowerLaw(1.98e16, 1.5), PerfectPlastic(cap)])
+    for e_el, eps in ((cap / E, 2.3e-14), (0.0, 1e-11), (-cap / E, -2.3e-14), (0.5 * cap / E, 1e-11)):
+        with _flow_evaluations(m) as evaluations:
+            x = step(m, e_el, eps, 1.67e7)
+        assert abs(x) == cap / E
+        assert evaluations() <= 2
+
+
+@st.composite
+def _steps(draw):
+    """A model, a state and a step, log-uniform over hundreds of decades.
+
+    E and D span 1e+-50 and dt 1e+-200, so E dt / D spans 1e+-300; the
+    elastic strain and the rate span 1e+-50 and take either sign or 0.
+    """
+    def lg(lo, hi):
+        return 10.0 ** draw(st.floats(lo, hi))
+
+    E = lg(-50, 50)
+    elements = [PowerLaw(lg(-50, 50), draw(st.floats(1.2, 40.0)))]
+    if draw(st.booleans()):
+        elements.append(Dashpot(lg(-50, 50)))
+    e_el = draw(st.sampled_from((-1.0, 0.0, 1.0))) * lg(-50, 50)
+    eps = draw(st.sampled_from((-1.0, 0.0, 1.0))) * lg(-50, 50)
+    dt = lg(-200, 200)
+    trial = e_el + dt * eps
+    assume(trial != 0.0)
+    if draw(st.booleans()):
+        # a yield stress within twenty decades below the trial stress
+        elements.append(PerfectPlastic(E * abs(trial) * lg(-20, 1)))
+    return MaxwellModel(E, elements), e_el, eps, dt
+
+
+@settings(max_examples=300, deadline=None)
+@given(_steps())
+def test_step_is_exact_over_hundreds_of_decades(args):
+    m, e_el, eps, dt = args
+    trial = e_el + dt * eps
+    t = abs(trial)
+    with _flow_evaluations(m) as evaluations:
+        x = step(m, e_el, eps, dt)
+    assert evaluations() <= 100
+    assert x == 0.0 or (x > 0) == (trial > 0)
+    x = abs(x)
+    cap = m._cap / m.E
+    assert x <= min(t, cap)
+    # a root below the normal floats, in strain or stress, only has to be bounded
+    tiny = np.finfo(float).tiny * max(1.0, 1.0 / m.E)
+    assert x == cap or _straddles(m, x, t, dt) or (x <= tiny <= t and _residual(m, tiny, t, dt) >= 0)
 
 
 def test_step_linear_closed_form():
@@ -204,9 +295,10 @@ def test_step_is_the_tree_stress_of_a_spring_turned_dashpot(sig_scale, rate_scal
     """Backward Euler turns the spring into a dashpot of viscosity E dt.
 
     So ``E * step`` is the stress of ``Serial[Dashpot(E dt), elements]`` at
-    the rate ``|trial| / dt``, signed like the trial: the scalar step solver
-    and the array tree solver must agree, to 1e-13 relative plus the step's
-    own stopping width of 1e-15 |trial| in strain.
+    the rate ``|trial| / dt``, signed like the trial: the scalar and the
+    array form of the tree solves' root finder must agree, to 1e-13
+    relative plus a margin of 1e-15 |trial| in strain (the step's own stop
+    is a bracket 1e-15 of its answer wide).
     """
     S, R = sig_scale, rate_scale
     mixes = [

@@ -15,7 +15,7 @@ from rheokit.rheology import (
     Parallel,
     Serial,
     ThreeElementParams,
-    _parallel_flow_solve,
+    _parallel_flow,
     harmonic_mean_linear,
     map_serial_parallel_params,
     mu_eff_curve,
@@ -157,7 +157,7 @@ def random_plastic_tree(rng, depth=2, rich=False):
 def test_parallel_fast_path_matches_generic_solve():
     node = Parallel([L(PerfectPlastic(1.2)), L(Dashpot(0.7)), L(Dashpot(1.3))])
     sig = np.linspace(0.0, 6.0, 97)
-    lo_g, hi_g = _parallel_flow_solve(node, sig)
+    lo_g, hi_g = _parallel_flow(node, sig)[:2]
     lo_f = np.array([strain_rate_of_stress(node, s).lo for s in sig])
     assert np.max(np.abs(lo_g - lo_f)) <= 1e-10 * max(1.0, np.max(lo_f))
 
@@ -166,7 +166,7 @@ def test_parallel_flow_below_yield_is_exactly_zero():
     node = Parallel([L(PowerLaw(1.0, 2.5)), L(PerfectPlastic(1.0))])
     iv = strain_rate_of_stress(node, 0.5)
     assert iv.lo == iv.hi == 0.0
-    lo, hi = _parallel_flow_solve(node, np.array([0.0, 0.5, 1.0]))
+    lo, hi = _parallel_flow(node, np.array([0.0, 0.5, 1.0]))[:2]
     assert np.all(lo == 0.0) and np.all(hi == 0.0)
     # above yield the overstress drives the power law: (sig - 1)**2.5
     assert strain_rate_of_stress(node, 3.0).hi == pytest.approx(2.0**2.5, rel=1e-14)
