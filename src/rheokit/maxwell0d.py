@@ -8,12 +8,13 @@ of the elements' conjugate flow rates at the common stress:
     d(e_el)/dt = eps(t) - sum_i flow_i(E * e_el)
 
 Time stepping is backward Euler on the elements' own set-valued flow
-laws (``Potential.flow``).  Each step solves for the stress in ``[0,
-min(E |trial|, cap)]``, where ``cap`` is the tightest stress supremum of
-the elements (a plastic constraint ``|sigma| <= sigma_a``), with the tree
-solves' scale-free root finder.  A step that reaches the cap stops there
-with no clamp: this is the radial return map, the exact resolution of
-the differential inclusion for this scalar model.
+laws (``Potential.flow``), the polyline ones (dashpot, plastic, Huber)
+merged into one graph as in a Serial node.  Each step solves for the
+stress in ``[0, min(E |trial|, cap)]``, ``cap`` the tightest stress
+supremum of the elements (a plastic constraint ``|sigma| <= sigma_a``),
+with the tree solves' scale-free root finder.  A step that reaches the
+cap stops there with no clamp: the radial return map, the exact
+resolution of the differential inclusion for this scalar model.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .potentials import Potential
-from .rheology import _root_scalar
+from .rheology import Leaf, _merged, _root_scalar
 
 __all__ = [
     "MaxwellModel",
@@ -56,9 +57,11 @@ class MaxwellModel:
         for p in elements:
             if not isinstance(p, Potential):
                 raise InvalidInputError(f"not a Potential: {p!r}")
+        flows = tuple(c.p for c in _merged(tuple(Leaf(p) for p in elements), serial=True))
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "_cap", min(p.stress_sup() for p in elements))
+        object.__setattr__(self, "_flows", flows)
+        object.__setattr__(self, "_cap", min(p.stress_sup() for p in flows))
 
 
 @dataclass(frozen=True)
@@ -139,13 +142,13 @@ def step(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
         raise InvalidInputError(f"e_el and eps must be finite, got {e_el}, {eps}")
     trial = e_el + dt * eps
     t = abs(trial)
-    E, cap, elements = model.E, model._cap, model.elements
+    E, cap, flows = model.E, model._cap, model._flows
 
     def residual(s):
         # numpy scalar stress: an overflow gives +inf, not an exception
         sig = np.float64(s)
         f = d = 0.0
-        for p in elements:
+        for p in flows:
             _, hi, slope = p.flow(sig)
             f, d = f + float(hi), d + float(slope)
         return s / E - t + dt * f, 1.0 / E + dt * d
@@ -169,7 +172,7 @@ def step_explicit(model: MaxwellModel, e_el: float, eps: float, dt: float) -> fl
     sig = model.E * float(e_el)
     s = np.float64(min(abs(sig), model._cap))
     with np.errstate(all="ignore"):
-        rate = float(sum(p.flow(s)[0] for p in model.elements))
+        rate = float(sum(p.flow(s)[0] for p in model._flows))
     flow = rate if sig > 0 else (-rate if sig < 0 else 0.0)
     x = float(e_el) + dt * (float(eps) - flow)
     bound = model._cap / model.E

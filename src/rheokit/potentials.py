@@ -14,7 +14,9 @@ Huber(a, D)            0.5*D*r**2 below a/D, affine above (serial creep+slip)
 QuadPlusBall(q, a)     0.5*q*s**2 on [0, a], +inf outside (conjugate-side)
 Sampled(f)             grid data, numeric fallbacks
 
-Each kind subclasses :class:`Potential` and carries its own laws.
+Each kind subclasses :class:`Potential` and carries its own laws.  The
+polyline kinds (Dashpot, PerfectPlastic, Huber, QuadPlusBall) declare
+only their stress law's graph and read their kernels from it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from . import convex_core as cc
-from .convex_core import SampledFunction, SubdiffInterval
+from .convex_core import SampledFunction, SubdiffInterval, _Feat, _Graph
 from .errors import InvalidInputError
 
 __all__ = [
@@ -57,59 +59,21 @@ def _check_positive(**kwargs):
             raise InvalidInputError(f"{name} must be a positive finite number, got {x!r}")
 
 
-def _where(c, x, y):
-    """``np.where`` that keeps a scalar condition scalar (the Maxwell step)."""
-    return np.where(c, x, y) if isinstance(c, np.ndarray) else (x if c else y)
-
-
-def _full(x, v):
-    return np.full_like(x, v) if isinstance(x, np.ndarray) else v
-
-
-@dataclass(frozen=True)
-class _Feat:
-    """Features of an element's primal derivative graph on the half-line.
-
-    sv: single-valued (no vertical segments inside the domain)
-    nf: no flats (strictly increasing where defined)
-    dom: domain is all of [0, inf)
-    ub: range is unbounded
-    Conjugation swaps sv<->nf and dom<->ub; Parallel sums primal graphs,
-    Serial sums conjugate graphs.
-    """
-
-    sv: bool
-    nf: bool
-    dom: bool
-    ub: bool
-
-
 class Potential:
     """One element kind of the catalog, carrying its own laws.
 
-    ``value`` is the density at an array of magnitudes, +inf off the
-    support.  The kernels ``stress`` (at strain-rate magnitudes) and
-    ``flow`` (at stress magnitudes, the conjugate derivative) take a
-    float64 array or a numpy float64 scalar and return ``(lo, hi,
-    slope)``: the ends of the set-valued derivative and the slope of the
-    upper end, +inf at a jump (a vertical segment of the graph).  Callers
-    set ``np.errstate``.  ``kind`` names the element in model documents;
-    it is None for the kinds a document cannot hold.
+    Each kind defines ``value`` (the density at an array of magnitudes,
+    +inf off the support), ``conjugate``, and the kernels ``stress`` (at
+    strain-rate magnitudes) and ``flow`` (at stress magnitudes): at a
+    float64 array or numpy scalar they return ``(lo, hi, slope)``, the
+    ends of the set-valued derivative and the slope of the upper end, +inf
+    at a jump.  Callers set ``np.errstate``.  ``kind`` names the element
+    in model documents (None: not representable); ``_graph`` is the stress
+    law as a polyline, None where it is not one.
     """
 
     kind = None
-
-    def value(self, r):
-        raise NotImplementedError
-
-    def stress(self, eps):
-        raise NotImplementedError
-
-    def flow(self, sig):
-        raise NotImplementedError
-
-    def conjugate(self) -> "Potential":
-        raise NotImplementedError
+    _graph = None
 
     def _feat(self) -> _Feat:
         """Graph features; by default a strictly increasing, unbounded law."""
@@ -120,8 +84,37 @@ class Potential:
         return math.inf
 
 
+class _GraphLaw(Potential):
+    """A kind whose stress law is the polyline its ``_pieces`` declare; the
+    kernels, graph features and stress supremum are read from that graph
+    (:class:`convex_core._Graph`), the flow from its transpose."""
+
+    @cached_property
+    def _graph(self) -> _Graph:
+        return _Graph(self._pieces())
+
+    def stress(self, eps):
+        return self._graph(eps)
+
+    def flow(self, sig):
+        return self._graph.T(sig, rest=True)  # zero rate at zero stress
+
+    def _feat(self):
+        return self._graph.feat
+
+    def stress_sup(self):
+        return self._graph.sup
+
+
 @dataclass(frozen=True)
-class Dashpot(Potential):
+class _Polyline(_GraphLaw):
+    """A merged graph of the kinds below: one element standing for several."""
+
+    _graph: _Graph
+
+
+@dataclass(frozen=True)
+class Dashpot(_GraphLaw):
     """Linear viscous element with modulus ``D`` in Pa*s."""
 
     D: float
@@ -133,20 +126,15 @@ class Dashpot(Potential):
     def value(self, r):
         return 0.5 * self.D * r**2
 
-    def stress(self, eps):
-        x = self.D * eps
-        return x, x, _full(eps, self.D)
-
-    def flow(self, sig):
-        x = sig / self.D
-        return x, x, _full(sig, 1.0 / self.D)
+    def _pieces(self):
+        return ((0.0, 0.0, 1.0, float(self.D)),)
 
     def conjugate(self):
         return Dashpot(1.0 / self.D)
 
 
 @dataclass(frozen=True)
-class PerfectPlastic(Potential):
+class PerfectPlastic(_GraphLaw):
     """Rate-independent element with activation (yield) stress in Pa."""
 
     sigma_a: float
@@ -158,24 +146,12 @@ class PerfectPlastic(Potential):
     def value(self, r):
         return self.sigma_a * r
 
-    def stress(self, eps):
-        a = self.sigma_a
-        # rigid: the graph is the vertical segment [0, a] at rest
-        return _where(eps > 0, a, 0.0), _full(eps, a), _where(eps > 0, 0.0, math.inf)
-
-    def flow(self, sig):
-        a = self.sigma_a
-        hi = _where(sig < a, 0.0, math.inf)  # also the slope: flat, then a jump
-        return _where(sig <= a, 0.0, math.inf), hi, hi
+    def _pieces(self):
+        # rigid: the vertical segment [0, a] at rest, then flat
+        return ((0.0, 0.0, 0.0, 1.0), (0.0, float(self.sigma_a), 1.0, 0.0))
 
     def conjugate(self):
         return QuadPlusBall(0.0, self.sigma_a)
-
-    def _feat(self):
-        return _Feat(False, False, True, False)
-
-    def stress_sup(self):
-        return self.sigma_a
 
 
 @dataclass(frozen=True)
@@ -212,7 +188,7 @@ class PowerLaw(Potential):
 
 
 @dataclass(frozen=True)
-class Huber(Potential):
+class Huber(_GraphLaw):
     """Quadratic below ``sigma_a / D``, affine above.
 
     The serial combination of a yield element ``sigma_a`` and a dashpot
@@ -231,28 +207,16 @@ class Huber(Potential):
         a, d = self.sigma_a, self.D
         return np.where(r <= a / d, 0.5 * d * r**2, a * r - 0.5 * a**2 / d)
 
-    def stress(self, eps):
-        de = self.D * eps
-        x = np.minimum(de, self.sigma_a)
-        return x, x, _where(de < self.sigma_a, self.D, 0.0)
-
-    def flow(self, sig):
-        a, x = self.sigma_a, sig / self.D
-        return (_where(sig <= a, x, math.inf), _where(sig < a, x, math.inf),
-                _where(sig < a, 1.0 / self.D, math.inf))
+    def _pieces(self):
+        a, d = float(self.sigma_a), float(self.D)
+        return ((0.0, 0.0, 1.0, d), (a / d, a, 1.0, 0.0))
 
     def conjugate(self):
         return QuadPlusBall(1.0 / self.D, self.sigma_a)
 
-    def _feat(self):
-        return _Feat(True, False, True, False)
-
-    def stress_sup(self):
-        return self.sigma_a
-
 
 @dataclass(frozen=True)
-class QuadPlusBall(Potential):
+class QuadPlusBall(_GraphLaw):
     """``0.5 * Dinv_quad * s**2`` on ``[0, sigma_a]``, +inf outside.
 
     Conjugate-side object (argument is a stress magnitude).  A zero
@@ -276,27 +240,15 @@ class QuadPlusBall(Potential):
     def value(self, r):
         return np.where(r <= self.sigma_a, 0.5 * self.Dinv_quad * r**2, np.inf)
 
-    def stress(self, eps):
-        a, q = self.sigma_a, self.Dinv_quad
-        return (_where(eps <= a, q * eps, math.inf), _where(eps < a, q * eps, math.inf),
-                _where(eps < a, q, math.inf))
-
-    def flow(self, sig):
-        a, q = self.sigma_a, self.Dinv_quad
-        if q == 0.0:
-            x = _where(sig > 0, a, 0.0)
-            return x, x, _where(sig > 0, 0.0, math.inf)
-        u = sig / q
-        x = np.minimum(u, a)
-        return x, x, _where(u < a, 1.0 / q, 0.0)
+    def _pieces(self):
+        # the normal cone at the support boundary is a vertical end ray
+        q, a = float(self.Dinv_quad), float(self.sigma_a)
+        return ((0.0, 0.0, 1.0, q), (a, a * q, 0.0, 1.0))
 
     def conjugate(self):
         if self.Dinv_quad == 0.0:
             return PerfectPlastic(self.sigma_a)
         return Huber(self.sigma_a, 1.0 / self.Dinv_quad)
-
-    def _feat(self):
-        return _Feat(False, self.Dinv_quad > 0.0, False, True)
 
 
 @dataclass(frozen=True)

@@ -2,23 +2,18 @@
 
 A rheological network is a tree: leaves hold potentials, Parallel nodes
 add potentials (stresses add at common rate), Serial nodes combine them
-by infimal convolution (rates add at common stress).  Evaluating the
-tree never forms the composed potential explicitly; instead the two
-monotone maps
-
-* ``strain_rate_of_stress`` (the conjugate derivative, rates summed
-  across a Serial node), and
-* ``stress_of_strain_rate`` (the primal derivative, stresses summed
-  across a Parallel node)
-
-invert each other where no closed form exists, by one vectorized
-monotone root finder (its scalar form runs the Maxwell step): safeguarded
-Newton steps in log-log coordinates inside a bracket that bisects the
-ordered bits of the floats, so no solve depends on the unit scale.  Each
-node reports its tangent next to its value (stiffnesses add across
-Parallel, compliances across Serial, an inverse takes the reciprocal),
-which the finder uses for its Newton steps and ``mu_eff_rigorous`` for
-its exact limit at rest.
+by infimal convolution (rates add at common stress).  When a node is
+built, its children with polyline stress laws (dashpot, plastic, Huber)
+merge into one exact polyline leaf, so a subtree of them alone is one
+closed form.  Elsewhere ``strain_rate_of_stress`` (rates summed across
+a Serial node) and ``stress_of_strain_rate`` (stresses summed across a
+Parallel node) invert each other by one vectorized monotone root finder
+(its scalar form runs the Maxwell step): safeguarded Newton steps in
+log-log coordinates inside a bracket that bisects the ordered bits of
+the floats, so no solve depends on the unit scale.  Each node reports
+its tangent next to its value (stiffnesses add across Parallel,
+compliances across Serial, an inverse takes the reciprocal), for the
+Newton steps and for ``mu_eff_rigorous``'s exact limit at rest.
 Set-valued points are carried as :class:`SubdiffInterval`; saturation
 (stress beyond a composite's attainable range) is reported with a +inf
 marker, not an error.
@@ -39,9 +34,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .convex_core import SubdiffInterval
+from .convex_core import SubdiffInterval, _graph_sum
 from .errors import InvalidInputError, NonConvergenceError, UnsupportedModeError
-from .potentials import Dashpot, PerfectPlastic, Potential, _Feat
+from .potentials import Dashpot, PerfectPlastic, Potential, PowerLaw, _Feat, _Polyline
 
 __all__ = [
     "Leaf",
@@ -92,6 +87,7 @@ class Parallel:
             raise InvalidInputError("Parallel needs at least one child")
         for c in self.children:
             _check_expr(c)
+        object.__setattr__(self, "_parts", _merged(self.children, serial=False))
 
 
 @dataclass(frozen=True)
@@ -117,6 +113,7 @@ class Serial:
                 "increasing, unbounded conjugate derivative (e.g. a dashpot "
                 "or power-law element)"
             )
+        object.__setattr__(self, "_parts", _merged(self.children, serial=True))
 
 
 RheoExpr = Union[Leaf, Parallel, Serial]
@@ -153,6 +150,27 @@ def _strict_unbounded(e) -> bool:
     return f.sv and f.nf and f.dom and f.ub
 
 
+def _graph(e):
+    """The polyline graph a subtree evaluates as, or None."""
+    if isinstance(e, Leaf):
+        return e.p._graph
+    return _graph(e._parts[0]) if len(e._parts) == 1 else None
+
+
+def _merged(children, serial):
+    """What a node evaluates: its graph children merged into one leaf, in
+    place of the first; Parallel adds graphs at a common rate, Serial at a
+    common stress."""
+    graphs = [_graph(c) for c in children]
+    found = [g for g in graphs if g is not None]
+    if len(found) < 2:
+        return children
+    merged = _graph_sum([g.T for g in found]).T if serial else _graph_sum(found)
+    first = next(i for i, g in enumerate(graphs) if g is not None)
+    return tuple(Leaf(_Polyline(merged)) if i == first else c
+                 for i, c in enumerate(children) if i == first or graphs[i] is None)
+
+
 # ---------------------------------------------------------------------------
 # Vectorized interval evaluation
 # ---------------------------------------------------------------------------
@@ -168,27 +186,13 @@ def _leaf_stress(p: Potential, eps: np.ndarray):
     return p.stress(eps)
 
 
-def _plastic_dashpot_pattern(node: Parallel):
-    """Yield offset and total viscosity of an all-leaf plastic/dashpot node."""
-    offset = 0.0
-    d_sum = 0.0
-    for c in node.children:
-        if isinstance(c, Leaf) and isinstance(c.p, PerfectPlastic):
-            offset += c.p.sigma_a
-        elif isinstance(c, Leaf) and isinstance(c.p, Dashpot):
-            d_sum += c.p.D
-        else:
-            return None
-    return offset, d_sum
-
-
 def _stress_sup(e) -> float:
     """Supremum of attainable stress of a subtree (inf when unbounded)."""
     if isinstance(e, Leaf):
         return e.p.stress_sup()
     if isinstance(e, Parallel):
-        return sum(_stress_sup(c) for c in e.children)
-    return min(_stress_sup(c) for c in e.children)
+        return sum(_stress_sup(c) for c in e._parts)
+    return min(_stress_sup(c) for c in e._parts)
 
 
 def _sum(parts):
@@ -206,17 +210,9 @@ def _flow(e, sig: np.ndarray):
     """
     if isinstance(e, Leaf):
         return _leaf_flow(e.p, sig)
-    if isinstance(e, Serial):
-        return _sum(_flow(c, sig) for c in e.children)
-    pat = _plastic_dashpot_pattern(e)
-    if pat is None:
-        return _parallel_flow(e, sig)
-    offset, d_sum = pat
-    if d_sum > 0.0:
-        x = np.maximum(sig - offset, 0.0) / d_sum
-        return x, x, np.where(sig > offset, 1.0 / d_sum, 0.0)
-    hi = np.where(sig < offset, 0.0, np.inf)
-    return np.where(sig <= offset, 0.0, np.inf), hi, hi
+    if isinstance(e, Serial) or len(e._parts) == 1:
+        return _sum(_flow(c, sig) for c in e._parts)
+    return _parallel_flow(e, sig)
 
 
 def _stress(e, eps: np.ndarray):
@@ -227,8 +223,8 @@ def _stress(e, eps: np.ndarray):
     """
     if isinstance(e, Leaf):
         return _leaf_stress(e.p, eps)
-    if isinstance(e, Parallel):
-        return _sum(_stress(c, eps) for c in e.children)
+    if isinstance(e, Parallel) or len(e._parts) == 1:
+        return _sum(_stress(c, eps) for c in e._parts)
     x, d = _root(lambda s: _flow(e, s)[1:], eps, _stress_sup(e))
     return x, x, d
 
@@ -663,11 +659,7 @@ def serial_dif_dsl_stress(
                 f"closed mode covers n in {{1, 2, 3}}, got n = {n}"
             )
     elif mode == "numeric":
-        def residual(s):
-            u = s / D_dsl
-            return u**n + s / D_dif, n / D_dsl * u ** (n - 1.0) + 1.0 / D_dif
-
-        out = _root(residual, eps)[0]
+        out = _stress(Serial([Leaf(Dashpot(D_dif)), Leaf(PowerLaw(D_dsl, n))]), eps)[1]
     else:
         raise InvalidInputError(f"mode must be 'closed' or 'numeric', got {mode!r}")
     return float(out) if scalar_in else out

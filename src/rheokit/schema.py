@@ -37,7 +37,12 @@ __all__ = [
     "dump_simulation",
 ]
 
-_KINDS = {c.kind: c for c in Potential.__subclasses__() if c.kind is not None}
+
+def _subclasses(cls):
+    return [d for c in cls.__subclasses__() for d in (c, *_subclasses(c))]
+
+
+_KINDS = {c.kind: c for c in _subclasses(Potential) if c.kind is not None}
 
 
 def _at(path, key):

@@ -16,7 +16,7 @@ from rheokit.maxwell0d import (
     step_explicit,
 )
 from rheokit.potentials import Dashpot, Huber, PerfectPlastic, PowerLaw
-from rheokit.rheology import Leaf, Serial, stress_of_strain_rate
+from rheokit.rheology import Leaf, Serial, _root_scalar, stress_of_strain_rate
 
 
 def test_model_and_drive_validation():
@@ -67,16 +67,17 @@ def _straddles(m, x, t, dt):
 
 @contextlib.contextmanager
 def _flow_evaluations(m):
-    """Count the model's flow evaluations (one call of every element's flow each)."""
+    """Count the model's flow evaluations: one is a call of each flow the step sums
+    (``m._flows``, where the polyline elements are merged into one)."""
     calls = [0]
     with pytest.MonkeyPatch.context() as mp:
-        for kind in {type(p) for p in m.elements}:
+        for kind in {type(p) for p in m._flows}:
             def counted(self, sig, flow=kind.flow):
                 calls[0] += 1
                 return flow(self, sig)
 
             mp.setattr(kind, "flow", counted)
-        yield lambda: calls[0] / len(m.elements)
+        yield lambda: calls[0] / len(m._flows)
 
 
 def test_step_tolerance_is_relative_to_the_answer():
@@ -323,3 +324,40 @@ def test_step_is_the_tree_stress_of_a_spring_turned_dashpot(sig_scale, rate_scal
             sig = math.copysign(stress_of_strain_rate(tree, abs(trial) / dt).hi, trial)
             tol = 1e-13 * abs(sig) + 1e-15 * E * abs(trial)
             assert abs(E * step(m, e_el, eps, dt) - sig) <= tol
+
+
+def _reference_step(m, e_el, eps, dt):
+    """The backward-Euler step on the per-element flows, summed element by element."""
+    trial = e_el + dt * eps
+    t, E = abs(trial), m.E
+
+    def residual(s):
+        sig, f, d = np.float64(s), 0.0, 0.0
+        for p in m.elements:
+            _, hi, slope = p.flow(sig)
+            f, d = f + float(hi), d + float(slope)
+        return s / E - t + dt * f, 1.0 / E + dt * d
+
+    cap = min(p.stress_sup() for p in m.elements)
+    with np.errstate(all="ignore"):
+        x = min(_root_scalar(residual, t, min(E * t, cap), 1e-15) / E, t)
+    return x if trial >= 0 else -x
+
+
+def test_step_on_merged_polyline_elements():
+    """Dashpot, plastic and Huber elements step as one merged graph."""
+    rng = np.random.default_rng(83)
+    for elements in ([Dashpot(2.0), Huber(0.6, 1.5), PowerLaw(1.3, 3.5)],
+                     [Dashpot(0.7), PowerLaw(0.9, 1.5), PerfectPlastic(0.5)]):
+        m = MaxwellModel(10.0, elements)
+        assert len(m._flows) == 2 and m._cap == min(p.stress_sup() for p in elements)
+        for _ in range(300):
+            e_el, eps = rng.uniform(-0.1, 0.1), rng.uniform(-3.0, 3.0)
+            dt = 10.0 ** rng.uniform(-3.0, 1.0)
+            x, ref = step(m, e_el, eps, dt), _reference_step(m, e_el, eps, dt)
+            assert abs(x - ref) <= 1e-14 * abs(ref)
+        # past the cap the stress stops exactly there, after at most two evaluations
+        for eps in (100.0, -100.0):
+            with _flow_evaluations(m) as evaluations:
+                assert step(m, 0.0, eps, 0.1) == math.copysign(m._cap / m.E, eps)
+            assert evaluations() <= 2

@@ -195,3 +195,133 @@ def test_bounded_rate_sampled_flow_reads_the_rate_bound():
     lo, hi, slope = p.flow(np.array([5.0, 1e300]))
     assert np.all(lo == 1.0) and np.all(hi == 1.0) and np.all(slope == 0.0)
     assert p.flow(np.float64(5.0))[1] == 1.0
+
+
+# The closed-form kernels the four polyline kinds had before they read
+# their laws from one graph; the graph kernels must reproduce them bit
+# for bit.  ``sel`` keeps a scalar condition scalar, as the kernels did.
+def _sel(c, x, y):
+    return np.where(c, x, y) if isinstance(c, np.ndarray) else (x if c else y)
+
+
+def _const(x, v):
+    return np.full_like(x, v) if isinstance(x, np.ndarray) else v
+
+
+def _closed_stress(p, eps):
+    if isinstance(p, Dashpot):
+        x = p.D * eps
+        return x, x, _const(eps, p.D)
+    if isinstance(p, PerfectPlastic):
+        a = p.sigma_a
+        return _sel(eps > 0, a, 0.0), _const(eps, a), _sel(eps > 0, 0.0, math.inf)
+    if isinstance(p, Huber):
+        de = p.D * eps
+        x = np.minimum(de, p.sigma_a)
+        return x, x, _sel(de < p.sigma_a, p.D, 0.0)
+    a, q = p.sigma_a, p.Dinv_quad
+    return (_sel(eps <= a, q * eps, math.inf), _sel(eps < a, q * eps, math.inf),
+            _sel(eps < a, q, math.inf))
+
+
+def _closed_flow(p, sig):
+    if isinstance(p, Dashpot):
+        x = sig / p.D
+        return x, x, _const(sig, 1.0 / p.D)
+    if isinstance(p, PerfectPlastic):
+        a = p.sigma_a
+        hi = _sel(sig < a, 0.0, math.inf)
+        return _sel(sig <= a, 0.0, math.inf), hi, hi
+    if isinstance(p, Huber):
+        a, x = p.sigma_a, sig / p.D
+        return (_sel(sig <= a, x, math.inf), _sel(sig < a, x, math.inf),
+                _sel(sig < a, 1.0 / p.D, math.inf))
+    a, q = p.sigma_a, p.Dinv_quad
+    if q == 0.0:
+        x = _sel(sig > 0, a, 0.0)
+        return x, x, _sel(sig > 0, 0.0, math.inf)
+    u = sig / q
+    x = np.minimum(u, a)
+    return x, x, _sel(u < a, 1.0 / q, 0.0)
+
+
+def _around(vertices):
+    """0, each vertex, three floats either side of it, and points further off."""
+    pts = [0.0]
+    for v in vertices:
+        for k in (-1, 1):
+            x = v
+            for _ in range(3):
+                x = np.nextafter(x, k * np.inf)
+                pts.append(x)
+        pts += [v, v * (1 - 1e-9), v * (1 + 1e-9), 0.5 * v, 2.0 * v]
+    return np.array([x for x in pts if x >= 0.0])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def test_graph_kernels_are_the_closed_forms_bit_for_bit():
+    rng = np.random.default_rng(20261018)
+    cases = [Dashpot(3.0), PerfectPlastic(1.0), Huber(1.0, 49.0), Huber(1.0, 3.0),
+             QuadPlusBall(0.0, 1.0), QuadPlusBall(49.0, 1.0)]
+    for a, d in 10.0 ** rng.uniform(-8, 8, size=(300, 2)):
+        cases += [Dashpot(d), PerfectPlastic(a), Huber(a, d), QuadPlusBall(d, a),
+                  QuadPlusBall(0.0, a)]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for p in cases:
+            a = getattr(p, "sigma_a", 1.0)
+            x = _around([a, a / p.D] if isinstance(p, Huber) else
+                        [a, a * p.Dinv_quad] if isinstance(p, QuadPlusBall) else [a])
+            for kernel, closed in ((p.stress, _closed_stress), (p.flow, _closed_flow)):
+                got, want = kernel(x), closed(p, x)
+                for g, w in zip(got, want):
+                    assert np.array_equal(_bits(g), _bits(w)), (p, kernel.__name__)
+                for xi in x:
+                    got, want = kernel(np.float64(xi)), closed(p, np.float64(xi))
+                    assert [int(_bits(g)) for g in got] == [int(_bits(w)) for w in want], \
+                        (p, kernel.__name__, xi)
+
+
+def test_rest_point_conventions():
+    assert PerfectPlastic(2.0).stress(np.float64(0.0)) == (0.0, 2.0, math.inf)
+    assert QuadPlusBall(0.0, 2.0).flow(np.float64(0.0)) == (0.0, 0.0, math.inf)
+    lo, hi, slope = PerfectPlastic(2.0).stress(np.zeros(2))
+    assert lo.tolist() == [0.0, 0.0] and hi.tolist() == [2.0, 2.0]
+    assert slope.tolist() == [math.inf, math.inf]
+    lo, hi, slope = QuadPlusBall(0.0, 2.0).flow(np.array([0.0, 1.0]))
+    assert lo.tolist() == [0.0, 2.0] and hi.tolist() == [0.0, 2.0]
+    assert slope.tolist() == [math.inf, 0.0]
+
+
+def test_polyline_kinds_read_their_laws_from_the_graph():
+    for kind in (Dashpot, PerfectPlastic, Huber, QuadPlusBall):
+        own = {"stress", "flow", "_feat", "stress_sup"} & set(vars(kind))
+        assert not own, (kind.__name__, own)
+    feats = {Dashpot(1.0): (True, True, True, True), PerfectPlastic(1.0): (False, False, True, False),
+             Huber(1.0, 2.0): (True, False, True, False), QuadPlusBall(2.0, 1.0): (False, True, False, True),
+             QuadPlusBall(0.0, 1.0): (False, False, False, True)}
+    for p, feat in feats.items():
+        assert tuple(p._feat()) == feat, p
+    assert [p.stress_sup() for p in feats] == [math.inf, 1.0, 1.0, math.inf, math.inf]
+
+
+def _shape(g):
+    """Vertices and slopes of a graph: the polyline whatever the length of its directions."""
+    return [(x, y, dy / dx if dx else math.inf) for x, y, dx, dy in g.pieces]
+
+
+def test_conjugate_graph_is_the_transpose():
+    # exact wherever the conjugate's own parameters are: a reciprocal 1/D
+    # rounds, which moves a vertex a/D of the conjugate by up to one ulp
+    for a, d in ((1.0, 4.0), (0.375, 0.5), (3.0, 1024.0), (1.7, 3.1), (2e-7, 6e12)):
+        exact = math.frexp(d)[0] == 0.5
+        for p in (Dashpot(d), PerfectPlastic(a), Huber(a, d), QuadPlusBall(d, a),
+                  QuadPlusBall(0.0, a)):
+            got, want = _shape(p.conjugate()._graph), _shape(p._graph.T)
+            if exact or isinstance(p, (Dashpot, PerfectPlastic)) or p == QuadPlusBall(0.0, a):
+                assert got == want, p
+            else:
+                assert [s for *_, s in got] == [s for *_, s in want], p
+                assert np.allclose(got, want, rtol=2.3e-16, atol=0), p

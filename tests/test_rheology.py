@@ -500,3 +500,133 @@ def test_shear_thinning_of_plastic_dashpot_models():
         mu = mu_eff_curve(expr, eps)
         tol = 1e-12 * np.maximum(1.0, mu[:-1])
         assert np.all(np.diff(mu) <= tol)
+
+
+# ---------------------------------------------------------------------------
+# Polyline merging
+# ---------------------------------------------------------------------------
+
+
+def _root_calls(monkeypatch):
+    calls = [0]
+    root = rheology._root
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return root(*args, **kwargs)
+
+    monkeypatch.setattr(rheology, "_root", counted)
+    return calls
+
+
+def _from_children(e, eps):
+    """Stress of a node from its children's laws: their sum, or its inverse by bisection."""
+    if isinstance(e, Parallel):
+        return sum(stress_of_strain_rate(c, eps).hi for c in e.children)
+    return bisect_scalar(lambda s: sum(strain_rate_of_stress(c, s).hi for c in e.children), eps)
+
+
+def _nodes(e):
+    if not isinstance(e, Leaf):
+        yield e
+        for c in e.children:
+            yield from _nodes(c)
+
+
+_FOUR_LEVEL = Serial([
+    Parallel([Serial([Parallel([L(Dashpot(1.2)), L(PerfectPlastic(0.8))]),
+                      L(Huber(1.5, 2.0)), L(Dashpot(0.5))]),
+              L(PerfectPlastic(0.6)), L(Dashpot(0.3))]),
+    L(Dashpot(2.0)),
+])
+
+
+def test_all_graph_trees_take_no_root_solve(monkeypatch):
+    calls = _root_calls(monkeypatch)
+    p = ThreeElementParams(1.3, 0.7, 0.4)
+    eps = np.array([0.05, 0.9, 1.6, 4.0])
+    three = (three_element_parallel_serial(p),
+             three_element_serial_parallel(map_serial_parallel_params(1.3, 0.7, 0.4)))
+    for tree in three:
+        sig = stress_curve(tree, eps)
+        assert np.max(np.abs(sig - three_element_stress(p, eps)) / sig) <= 1e-13
+    stress_curve(_FOUR_LEVEL, np.linspace(0.0, 10.0, 101))
+    # two yield elements in parallel saturate at the sum of their caps
+    node = Parallel([L(PerfectPlastic(1.0)), L(PerfectPlastic(0.5))])
+    ivs = [strain_rate_of_stress(node, s) for s in (1.0, 1.5, 2.0)]
+    assert [(iv.lo, iv.hi) for iv in ivs] == [(0.0, 0.0), (0.0, math.inf), (math.inf, math.inf)]
+    assert calls[0] == 0
+    # every node's merged graph against bisection over its children's laws
+    for node in [n for tree in three + (_FOUR_LEVEL,) for n in _nodes(tree)]:
+        for e in (0.05, 0.9, 1.6, 4.0):
+            s = stress_of_strain_rate(node, e).hi
+            assert abs(s - _from_children(node, e)) <= 1e-13 * s, (node, e)
+
+
+def test_a_mixed_tree_solves_only_where_a_power_law_sits(monkeypatch):
+    calls = _root_calls(monkeypatch)
+    tree = Serial([Parallel([L(Huber(1.1, 0.9)), L(PerfectPlastic(0.7))]), L(PowerLaw(1.3, 1.5))])
+    eps = np.array([0.01, 0.4, 2.0, 7.5])
+    sig = stress_curve(tree, eps)
+    assert calls[0] == 1
+    for e, s in zip(eps, sig):
+        assert abs(s - _from_children(tree, e)) <= 1e-13 * s
+
+
+def test_huber_is_the_serial_merge_of_plastic_and_dashpot():
+    rng = np.random.default_rng(5)
+    for a, d in 10.0 ** rng.uniform(-30, 30, size=(200, 2)):
+        merged = Serial([L(PerfectPlastic(a)), L(Dashpot(d))])._parts
+        assert len(merged) == 1
+        assert merged[0].p._graph == Huber(a, d)._graph
+
+
+def test_merging_keeps_the_tree_as_written():
+    kids = [L(Dashpot(1.0)), L(PowerLaw(1.0, 3.0)), L(PerfectPlastic(2.0)), L(Huber(1.0, 2.0))]
+    tree = Serial(kids)
+    assert tree.children == tuple(kids) and tree == Serial(kids)
+    assert len(tree._parts) == 2 and tree._parts[1] == kids[1]
+    lone = Parallel([L(PowerLaw(1.0, 2.0)), L(Dashpot(1.0))])
+    assert lone._parts == lone.children
+
+
+@st.composite
+def _graph_trees(draw, depth=4):
+    if depth == 0 or draw(st.booleans()):
+        mod = lambda: 10.0 ** draw(st.floats(-1.0, 1.0))  # noqa: E731
+        kind = draw(st.sampled_from("DPH"))
+        return L(Dashpot(mod()) if kind == "D" else PerfectPlastic(mod()) if kind == "P"
+                 else Huber(mod(), mod()))
+    kids = [draw(_graph_trees(depth=depth - 1)) for _ in range(draw(st.integers(2, 3)))]
+    if draw(st.booleans()):
+        return Parallel(kids)
+    return Serial(kids + [L(Dashpot(10.0 ** draw(st.floats(-1.0, 1.0))))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=_graph_trees(), ks=st.integers(-150, 150), kr=st.integers(-150, 150),
+       eps=st.lists(st.floats(0.001, 10.0), min_size=1, max_size=6))
+def test_all_graph_trees_are_one_exact_polyline(tree, ks, kr, eps):
+    calls = [0]
+    root = rheology._root
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return root(*args, **kwargs)
+
+    S, R = 10.0**ks, 10.0**kr
+    eps = np.array(eps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rheology, "_root", counted)
+        unit = stress_curve(tree, eps)
+        scaled = stress_curve(_rescaled(tree, S, R), eps * R) / S
+        for e, s in zip(eps, unit):
+            # the rates at the stress map back onto it (rate from stress
+            # alone is as ill-conditioned as a yield offset is large)
+            iv = strain_rate_of_stress(tree, s)
+            assert iv.lo <= e <= iv.hi or abs(stress_of_strain_rate(tree, iv.lo).hi - s) <= 1e-13 * s
+    assert calls[0] == 0
+    assert np.all(np.abs(scaled - unit) <= 1e-13 * unit)
+    if not isinstance(tree, Leaf):
+        for e, s in zip(eps[:2], unit):
+            assert abs(s - _from_children(tree, e)) <= 1e-13 * s
