@@ -516,17 +516,20 @@ class _Graph:
                 rows.append((x, y, dx, dy, dy / dx, ps[k + 1][1] if flat else None, lo))
         return rows, [r[0] for r in rows[1:]]
 
+    def _at(self, x: float, rest=True):
+        """:meth:`__call__` at a Python float, in Python floats; ``rest`` by default, as a flow."""
+        rows, starts = self._rows
+        x0, y0, dx, dy, s, cap, lo = rows[bisect_right(starts, x)]
+        y = y0 + (x - x0) * dy / dx if dy else y0
+        if cap is not None and not y < cap:
+            y, s = cap, 0.0
+        return (lo, lo if rest and not x else y, _INF) if x == x0 and lo < y0 else (y, y, s)
+
     def __call__(self, x, rest=False):
         """``(lo, hi, slope)`` at ``x >= 0``; ``rest`` reads only ``lo`` at ``x = 0``."""
-        rows, starts = self._rows
         if not isinstance(x, np.ndarray):
-            x = float(x)
-            x0, y0, dx, dy, s, cap, lo = rows[bisect_right(starts, x)]
-            y = y0 + (x - x0) * dy / dx if dy else y0
-            if cap is not None and not y < cap:
-                y, s = cap, 0.0
-            return (lo, lo if rest and not x else y, _INF) if x == x0 and lo < y0 else (y, y, s)
-        for k, (x0, y0, dx, dy, s, cap, _) in enumerate(rows):
+            return self._at(float(x), rest)
+        for k, (x0, y0, dx, dy, s, cap, _) in enumerate(self._rows[0]):
             v, ds = y0, s  # a constant stays a scalar until the end
             if dy:  # y0 + (x - x0) * dy / dx, less the exact identities
                 v = x - x0 if x0 else x
@@ -540,7 +543,7 @@ class _Graph:
             y, d = v, ds
         lo = y = np.full(x.shape, y) if np.ndim(y) == 0 else y
         d = np.full(x.shape, d) if np.ndim(d) == 0 else d
-        for x0, y0, *_, l0 in rows:
+        for x0, y0, *_, l0 in self._rows[0]:
             if l0 < y0:  # a jump at x0
                 at = x == x0
                 lo, d = np.where(at, l0, lo), np.where(at, _INF, d)

@@ -9,18 +9,20 @@ of the elements' conjugate flow rates at the common stress:
 
 Time stepping is backward Euler on the elements' own set-valued flow
 laws (``Potential.flow``), the polyline ones (dashpot, plastic, Huber)
-merged into one graph as in a Serial node.  Each step solves for the
-stress in ``[0, min(E |trial|, cap)]``, ``cap`` the tightest stress
-supremum of the elements (a plastic constraint ``|sigma| <= sigma_a``),
-with the tree solves' scale-free root finder.  A step that reaches the
-cap stops there with no clamp: the radial return map, the exact
-resolution of the differential inclusion for this scalar model.
+merged into one graph as in a Serial node, whose float kernels a model
+sums once.  Each step solves, on Python floats only, for the stress in
+``[0, min(E |trial|, cap)]``, ``cap`` the tightest stress supremum of the
+elements (a plastic constraint ``|sigma| <= sigma_a``), with the tree
+solves' scale-free root finder.  A step that reaches the cap stops there
+with no clamp: the radial return map, the exact resolution of the
+differential inclusion for this scalar model.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -62,6 +64,17 @@ class MaxwellModel:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_flows", flows)
         object.__setattr__(self, "_cap", min(p.stress_sup() for p in flows))
+        object.__setattr__(self, "_flow", reduce(_plus, (p._float_flow() for p in flows)))
+
+
+def _plus(f, g):
+    """The float kernel of two flows in series: their ``(lo, hi, slope)`` added."""
+    def flow(s):
+        a, b, c = f(s)
+        x, y, z = g(s)
+        return a + x, b + y, c + z
+
+    return flow
 
 
 @dataclass(frozen=True)
@@ -133,28 +146,23 @@ def step(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
     Solves ``x = e_el + dt * (eps - sum_i flow_i(E x))``, signed like the
     trial ``e_el + dt * eps``, for the stress ``E |x|`` with the tree
     solves' finder ``rheology._root_scalar``, to ``1e-15`` of itself;
-    ``cap / E`` when the stress stops at the cap.
+    ``cap / E`` when the stress stops at the cap.  The residual reads the
+    model's float kernel: no numpy scalar and no floating-point error state.
     """
     if not (dt > 0):
         raise InvalidInputError("dt must be > 0")
-    e_el, eps = float(e_el), float(eps)
+    e_el, eps, dt = float(e_el), float(eps), float(dt)
     if not (math.isfinite(e_el) and math.isfinite(eps)):
         raise InvalidInputError(f"e_el and eps must be finite, got {e_el}, {eps}")
     trial = e_el + dt * eps
     t = abs(trial)
-    E, cap, flows = model.E, model._cap, model._flows
+    E, flow, compliance = model.E, model._flow, 1.0 / model.E
 
     def residual(s):
-        # numpy scalar stress: an overflow gives +inf, not an exception
-        sig = np.float64(s)
-        f = d = 0.0
-        for p in flows:
-            _, hi, slope = p.flow(sig)
-            f, d = f + float(hi), d + float(slope)
-        return s / E - t + dt * f, 1.0 / E + dt * d
+        _, f, d = flow(s)
+        return s / E - t + dt * f, compliance + dt * d
 
-    with np.errstate(all="ignore"):
-        s = _root_scalar(residual, t, min(E * t, cap), _STEP_RTOL)
+    s = _root_scalar(residual, t, min(E * t, model._cap), _STEP_RTOL)
     x = min(s / E, t)
     return x if trial >= 0 else -x
 
@@ -170,9 +178,7 @@ def step_explicit(model: MaxwellModel, e_el: float, eps: float, dt: float) -> fl
     if not (dt > 0):
         raise InvalidInputError("dt must be > 0")
     sig = model.E * float(e_el)
-    s = np.float64(min(abs(sig), model._cap))
-    with np.errstate(all="ignore"):
-        rate = float(sum(p.flow(s)[0] for p in model._flows))
+    rate = model._flow(min(abs(sig), model._cap))[0]
     flow = rate if sig > 0 else (-rate if sig < 0 else 0.0)
     x = float(e_el) + dt * (float(eps) - flow)
     bound = model._cap / model.E
@@ -202,20 +208,14 @@ def simulate(
     if rem > 1e-12 * dt:
         steps.append(rem)
 
-    n = len(steps)
-    t = np.empty(n + 1)
-    eps_col = np.empty(n + 1)
-    e_col = np.empty(n + 1)
-    t[0] = 0.0
-    eps_col[0] = drive.rate_at(0.0)
-    e_col[0] = float(e_el0)
-    e = float(e_el0)
-    now = 0.0
-    for k, h in enumerate(steps, start=1):
+    e, now = float(e_el0), 0.0
+    t, eps_col, e_col = [now], [drive.rate_at(now)], [e]
+    for h in steps:
         now += h
         rate = drive.rate_at(now)
         e = step(model, e, rate, h)
-        t[k] = now
-        eps_col[k] = rate
-        e_col[k] = e
+        t.append(now)
+        eps_col.append(rate)
+        e_col.append(e)
+    e_col = np.array(e_col)
     return TimeSeries(t=t, eps=eps_col, e_el=e_col, sigma=model.E * e_col)

@@ -67,13 +67,22 @@ class Potential:
     strain-rate magnitudes) and ``flow`` (at stress magnitudes): at a
     float64 array or numpy scalar they return ``(lo, hi, slope)``, the
     ends of the set-valued derivative and the slope of the upper end, +inf
-    at a jump.  Callers set ``np.errstate``.  ``kind`` names the element
-    in model documents (None: not representable); ``_graph`` is the stress
-    law as a polyline, None where it is not one.
+    at a jump.  Callers set ``np.errstate``.  ``_float_flow()`` is ``flow`` on
+    one Python float: Python floats, bit for bit, +inf on overflow, no raise.
+    ``kind`` names the element in model documents (None: not representable);
+    ``_graph`` is the stress law as a polyline, None where it is not one.
     """
 
     kind = None
     _graph = None
+
+    def _float_flow(self):
+        """The float kernel; by default the numpy kernel under its own errstate."""
+        def flow(s):
+            with np.errstate(all="ignore"):
+                return tuple(map(float, self.flow(np.float64(s))))
+
+        return flow
 
     def _feat(self) -> _Feat:
         """Graph features; by default a strictly increasing, unbounded law."""
@@ -98,6 +107,9 @@ class _GraphLaw(Potential):
 
     def flow(self, sig):
         return self._graph.T(sig, rest=True)  # zero rate at zero stress
+
+    def _float_flow(self):
+        return self._graph.T._at  # with rest, as flow
 
     def _feat(self):
         return self._graph.feat
@@ -181,6 +193,21 @@ class PowerLaw(Potential):
         u = sig / self.D
         x = u**self.n
         return x, x, self.n / self.D * u ** (self.n - 1.0)
+
+    def _float_flow(self):
+        D, n, m, c = float(self.D), float(self.n), float(self.n) - 1.0, float(self.n / self.D)
+        def flow(s):  # +inf where ** overflows or raises 0 to n - 1 < 0, as in numpy
+            u = s / D
+            try:
+                x = u**n
+            except ArithmeticError:
+                x = math.inf
+            try:
+                return x, x, c * u**m
+            except ArithmeticError:
+                return x, x, c * math.inf
+
+        return flow
 
     def conjugate(self):
         # exponent 1+n, coefficient 1/((1+n) D**n)

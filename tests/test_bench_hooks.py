@@ -1,13 +1,17 @@
 """The benchmark's per-layer hooks still name functions that exist.
 
 ``perfbench/tracing.HOOKS`` lists each (module, attribute) it wraps to
-time and count a layer; a hook whose target moved reports nothing.
+time and count a layer; a hook whose target moved reports nothing, and
+one that the library no longer calls through its module counts nothing.
 """
 
 import importlib
 from pathlib import Path
 
 import pytest
+
+from rheokit import maxwell0d
+from rheokit.potentials import Dashpot, PerfectPlastic, PowerLaw
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -24,3 +28,21 @@ def test_every_bench_hook_resolves(monkeypatch):
             assert getattr(importlib.import_module(name), attr, None) is fn, (
                 f"{metric}: {name} no longer imports {attr} from {module}"
             )
+
+
+def test_simulate_calls_the_module_level_step_once_per_step(monkeypatch):
+    """The ``maxwell0d.step`` hook wraps the module's ``step``: ``simulate`` must
+    call it, once per recorded step, for ``maxwell0d.steps`` and ``step_us`` to
+    count real steps."""
+    calls = []
+    step = maxwell0d.step
+
+    def counted(model, e_el, eps, dt):
+        calls.append(e_el)
+        return step(model, e_el, eps, dt)
+
+    monkeypatch.setattr(maxwell0d, "step", counted)
+    m = maxwell0d.MaxwellModel(2.0, [Dashpot(1.0), PowerLaw(1.0, 3.0), PerfectPlastic(0.5)])
+    ts = maxwell0d.simulate(m, maxwell0d.DriveProgram([(0.5, 1.0), (1.0, -1.0)]), 0.03, 1.0)
+    assert len(calls) == len(ts) - 1 == 34
+    assert calls == ts.e_el[:-1].tolist()  # each step starts from the row before

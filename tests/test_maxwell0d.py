@@ -1,4 +1,6 @@
 import contextlib
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import rheokit.cli as cli
 from rheokit.errors import InvalidInputError
 from rheokit.maxwell0d import (
     DriveProgram,
@@ -67,17 +70,26 @@ def _straddles(m, x, t, dt):
 
 @contextlib.contextmanager
 def _flow_evaluations(m):
-    """Count the model's flow evaluations: one is a call of each flow the step sums
-    (``m._flows``, where the polyline elements are merged into one)."""
+    """Count the flow evaluations of one step: one is a call of each float kernel the
+    step sums (one per flow of ``m._flows``, where the polyline elements are merged
+    into one).  The kernels are counted on their kinds and bound into ``m`` as a
+    model binds them; a step evaluates its flow at least once."""
     calls = [0]
     with pytest.MonkeyPatch.context() as mp:
         for kind in {type(p) for p in m._flows}:
-            def counted(self, sig, flow=kind.flow):
-                calls[0] += 1
-                return flow(self, sig)
+            def counted(self, bind=kind._float_flow):
+                kernel = bind(self)
 
-            mp.setattr(kind, "flow", counted)
+                def flow(s):
+                    calls[0] += 1
+                    return kernel(s)
+
+                return flow
+
+            mp.setattr(kind, "_float_flow", counted)
+        mp.setitem(vars(m), "_flow", MaxwellModel(m.E, m.elements)._flow)
         yield lambda: calls[0] / len(m._flows)
+    assert calls[0] >= len(m._flows), "the step's flow evaluations went uncounted"
 
 
 def test_step_tolerance_is_relative_to_the_answer():
@@ -361,3 +373,67 @@ def test_step_on_merged_polyline_elements():
             with _flow_evaluations(m) as evaluations:
                 assert step(m, 0.0, eps, 0.1) == math.copysign(m._cap / m.E, eps)
             assert evaluations() <= 2
+
+
+def test_step_and_simulate_raise_nothing_under_any_error_state():
+    """The float kernels give +inf on overflow: a law of exponent 40 at dt = 1e300
+    and at geoscale steps with every floating-point error raising."""
+    steep = MaxwellModel(1.0, [PowerLaw(1.0, 40.0), Dashpot(1.0)])
+    E, cap = 4.84e10, 4.94e6
+    geo = MaxwellModel(E, [Dashpot(9.42e20), PowerLaw(1.98e16, 40.0), PerfectPlastic(cap)])
+    states = ((1.0, 0.0), (0.0, 1.0), (-1e300, 0.0), (1e-300, -1.0))
+    with np.errstate(all="raise"):
+        xs = [step(steep, e_el, eps, 1e300) for e_el, eps in states]
+        xg = [step(geo, cap / E * e_el, 1e-11 * eps, 1e300) for e_el, eps in states]
+        ts = simulate(steep, DriveProgram([(3e300, 1.0), (6e300, -1.0)]), 1e300, 6e300)
+        tg = simulate(geo, DriveProgram([(3e13, 1e-14), (6e13, -1e-14)]), 1.2e11, 6e13)
+    for x, (e_el, eps) in zip(xs, states):
+        assert _straddles(steep, abs(x), abs(e_el + 1e300 * eps), 1e300)
+    assert all(abs(x) <= cap / E for x in xg)
+    assert len(ts) == 7 and len(tg) == 501
+    assert np.all(np.isfinite(ts.sigma)) and np.max(np.abs(tg.sigma)) <= cap
+
+
+# SHA-256 of the ``rheokit simulate`` CSV of the four element mixes of the
+# maxwell-long benchmark at unit and geo scale, 500 steps each.  The CSV
+# prints 17 significant digits, so any change of a step's answer shows.
+_MIXES = ((2.5, ("dashpot", "powerlaw", "huber")), (3.5, ("powerlaw", "huber", "dashpot")),
+          (4.5, ("dashpot", "powerlaw", "huber")), (1.5, ("dashpot", "powerlaw", "plastic")))
+_SCALES = {"unit": (1.0, 1.0, 1.0), "geo": (1e7, 1e-14, 3e-4)}  # stress, rate, strain
+_GOLDEN = {
+    (2.5, "unit"): "97af5de0817e899aab0bff5debb1ea8e3ce7748b254d74a354d5fab2fdacac66",
+    (2.5, "geo"): "2fa4643d2b1160aaf744cad69fd70a8723e40853063ac3ea8acc2d75d85dacff",
+    (3.5, "unit"): "239125079331fc3ccf950d779b2ae8072b8b8d056c1c381153b2e0cbf23ebb95",
+    (3.5, "geo"): "0a644b86749ccdb4eb9e7644c8223b22a10ccd27673b7efed07f202b87f4bc81",
+    (4.5, "unit"): "b1740bfc102f868dc25ac1cb535ab24e85ed6c41b2ae456b06d58ec7b44dfcfb",
+    (4.5, "geo"): "3eec1bfe3bec570b7e367284fc6a7f1de2dc7cce90fc2ebb66bad51874899235",
+    (1.5, "unit"): "4471f5c1e39ac3f10cb226633ff472787c306a2fa938cf50b67fe610f5f681ce",
+    (1.5, "geo"): "26121482703953542d3e819023fc917774b6bcc6b7d4c580ecb0c5eaf4799f13",
+}
+
+
+def _simulate_csv(tmp_path, n, kinds, scale):
+    """Load, hold and reverse: E = S / X, elements of order one in the scales."""
+    S, R, X = _SCALES[scale]
+    laws = {"dashpot": {"kind": "dashpot", "D": 1.3 * S / R},
+            "powerlaw": {"kind": "powerlaw", "D": 0.7 * S / R ** (1.0 / n), "n": n},
+            "huber": {"kind": "huber", "sigma_a": 0.6 * S, "D": 1.6 * S / R},
+            "plastic": {"kind": "plastic", "sigma_a": 0.45 * S}}
+    tau, rate = X / R, 1.2 * R
+    doc = {"E": S / X, "elements": [laws[k] for k in kinds],
+           "drive": [{"t_end": 1.5 * tau, "eps": rate}, {"t_end": 2.3 * tau, "eps": 0.0},
+                     {"t_end": 3.7 * tau, "eps": -rate}], "e_el0": 0.0}
+    model, out = tmp_path / "model.json", tmp_path / "out.csv"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    t_end = 3.7 * tau
+    argv = ["simulate", "--model", str(model), "--dt", repr(t_end / 500), "--t-end", repr(t_end)]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("scale", sorted(_SCALES))
+@pytest.mark.parametrize("n, kinds", _MIXES)
+def test_simulate_csv_is_pinned(tmp_path, n, kinds, scale):
+    csv = _simulate_csv(tmp_path, n, kinds, scale)
+    assert csv.count(b"\n") == 502
+    assert hashlib.sha256(csv).hexdigest() == _GOLDEN[n, scale]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rheokit.convex_core as cc
 from rheokit.errors import InvalidInputError
@@ -20,6 +22,7 @@ from rheokit.potentials import (
     sample_potential,
     value,
 )
+from rheokit.rheology import Leaf, _merged
 
 CATALOG = [
     Dashpot(1.7),
@@ -325,3 +328,47 @@ def test_conjugate_graph_is_the_transpose():
             else:
                 assert [s for *_, s in got] == [s for *_, s in want], p
                 assert np.allclose(got, want, rtol=2.3e-16, atol=0), p
+
+
+def _float_kernel_is_the_flow(p, points):
+    """At each point the float kernel returns Python floats, bit for bit
+    ``p.flow(np.float64(s))``, and raises nothing under any error state."""
+    kernel = p._float_flow()
+    for s in points:
+        with np.errstate(all="ignore"):
+            want = p.flow(np.float64(s))
+        with np.errstate(all="raise"):
+            got = kernel(float(s))
+        assert all(type(g) is float for g in got), (p, s, got)
+        assert [int(_bits(g)) for g in got] == [int(_bits(w)) for w in want], (p, s, got, want)
+
+
+def test_float_kernels_are_the_numpy_kernels_bit_for_bit():
+    """Every kind at 0, at each vertex of its flow and three floats either side, and
+    log-uniform over 1e+-300: the merged graphs, power laws of exponent 0.3 to 40,
+    and sampled potentials with and without a +inf tail."""
+    rng = np.random.default_rng(20261020)
+    wide = np.concatenate((10.0 ** rng.uniform(-300, 300, 300), [5e-324, 1.7976931348623157e308]))
+    polylines = [Dashpot(3.0), PerfectPlastic(1.0), Huber(1.0, 49.0), QuadPlusBall(0.0, 1.0),
+                 QuadPlusBall(49.0, 1.0), Dashpot(9.42e20), Huber(4.94e6, 1.1e21)]
+    laws = [Dashpot(2.0), Huber(0.6, 1.5), PerfectPlastic(0.9)]
+    for serial in (True, False):  # a merged graph, in series and in parallel
+        (merged,) = _merged(tuple(Leaf(p) for p in laws), serial=serial)
+        polylines.append(merged.p)
+    for p in polylines:
+        vertices = [x for x, *_ in p._graph.T.pieces]
+        _float_kernel_is_the_flow(p, np.concatenate((_around(vertices), wide)))
+    exponents = np.geomspace(0.3, 40.0, 13).tolist() + [1.0, 2.0, 3.0]
+    powers = [PowerLaw(2, 3)] + [PowerLaw(d, n) for n in exponents for d in (1e-30, 1.0, 2.5e16)]
+    for p in powers:
+        _float_kernel_is_the_flow(p, np.concatenate((_around([p.D]), wide)))
+    grid = np.linspace(0.0, 2.0, 101)
+    for values in (0.3 * grid**2 + 0.1 * grid**3, np.where(grid <= 1.0, 0.5 * grid**2, np.inf)):
+        p = Sampled(cc.SampledFunction.from_samples(grid, values))
+        _float_kernel_is_the_flow(p, np.concatenate((_around(p.conjugate().f.grid), wide)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.3, 40.0), st.floats(-50.0, 50.0), st.floats(-300.0, 300.0))
+def test_power_law_float_kernel_over_hundreds_of_decades(n, log_d, log_s):
+    _float_kernel_is_the_flow(PowerLaw(10.0**log_d, n), [10.0**log_s])
