@@ -20,8 +20,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
+from ._numpy import np
 from .errors import (
     InvalidInputError,
     NonConvergenceError,
@@ -73,7 +72,7 @@ def _write(out_path, text: str) -> None:
 
 def _csv(header, columns) -> str:
     row = ",".join(["%.17g"] * len(columns))
-    cols = [np.asarray(c, dtype=float).tolist() for c in columns]
+    cols = [c.tolist() if hasattr(c, "tolist") else c for c in columns]  # arrays to floats
     return "\n".join([",".join(header), *(row % r for r in zip(*cols))]) + "\n"
 
 
@@ -219,7 +218,7 @@ def cmd_simulate(args) -> int:
     if not (args.dt > 0 and args.t_end >= args.dt):
         raise InvalidInputError("need dt > 0 and t_end >= dt")
     ts = simulate(model, drive, args.dt, args.t_end, e_el0)
-    _write(args.out, _csv(["t", "eps", "e_el", "sigma"], [ts.t, ts.eps, ts.e_el, ts.sigma]))
+    _write(args.out, _csv(["t", "eps", "e_el", "sigma"], ts.columns))
     return EXIT_OK
 
 

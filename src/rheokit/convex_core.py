@@ -43,8 +43,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
-import numpy as np
-
+from ._numpy import np
 from .errors import InvalidInputError, OutOfRangeError
 
 __all__ = [

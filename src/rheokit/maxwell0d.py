@@ -15,17 +15,18 @@ sums once.  Each step solves, on Python floats only, for the stress in
 elements (a plastic constraint ``|sigma| <= sigma_a``), with the tree
 solves' scale-free root finder.  A step that reaches the cap stops there
 with no clamp: the radial return map, the exact resolution of the
-differential inclusion for this scalar model.
+differential inclusion for this scalar model.  :func:`simulate` collects
+its rows as Python floats and hands them to :class:`TimeSeries` as they
+are, so a simulation written out as CSV never imports numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
-import numpy as np
-
+from ._numpy import np
 from .errors import InvalidInputError
 from .potentials import Potential
 from .rheology import Leaf, _merged, _root_scalar
@@ -116,28 +117,39 @@ class DriveProgram:
         return 0.0
 
 
+def _column(i):
+    def column(self):
+        a = np.array(self.columns[i], dtype=float)
+        a.setflags(write=False)
+        return a
+
+    return cached_property(column)
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Recorded rows ``(t, eps, e_el, sigma)`` with ``sigma = E * e_el``."""
+    """Recorded rows ``(t, eps, e_el, sigma)`` with ``sigma = E * e_el``.
 
-    t: np.ndarray
-    eps: np.ndarray
-    e_el: np.ndarray
-    sigma: np.ndarray
+    ``columns`` holds the four columns as given (:func:`simulate` gives
+    lists of Python floats, which the CLI writes out as they are); ``t``,
+    ``eps``, ``e_el`` and ``sigma`` are read-only float64 copies of them,
+    built on first access and kept, so only a caller that reads one loads
+    numpy.
+    """
 
-    def __post_init__(self):
-        for name in ("t", "eps", "e_el", "sigma"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        n = self.t.size
-        if any(getattr(self, k).size != n for k in ("eps", "e_el", "sigma")):
+    columns: tuple
+
+    def __init__(self, t, eps, e_el, sigma):
+        if not len(t) == len(eps) == len(e_el) == len(sigma):
             raise InvalidInputError("TimeSeries columns must have equal length")
-        if n > 1 and not np.all(np.diff(self.t) > 0):
+        if not all(a < b for a, b in zip(t, t[1:])):
             raise InvalidInputError("TimeSeries times must be strictly increasing")
+        object.__setattr__(self, "columns", (t, eps, e_el, sigma))
+
+    t, eps, e_el, sigma = (_column(i) for i in range(4))
 
     def __len__(self):
-        return self.t.size
+        return len(self.columns[0])
 
 
 def step(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
@@ -217,5 +229,4 @@ def simulate(
         t.append(now)
         eps_col.append(rate)
         e_col.append(e)
-    e_col = np.array(e_col)
-    return TimeSeries(t=t, eps=eps_col, e_el=e_col, sigma=model.E * e_col)
+    return TimeSeries(t=t, eps=eps_col, e_el=e_col, sigma=[model.E * x for x in e_col])

@@ -25,8 +25,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
+from ._numpy import np
 from . import convex_core as cc
 from .convex_core import SampledFunction, SubdiffInterval, _Feat, _Graph
 from .errors import InvalidInputError

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import enum
 import math
+import struct
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-import numpy as np
-
+from ._numpy import np
 from .convex_core import SubdiffInterval, _graph_sum
 from .errors import InvalidInputError, NonConvergenceError, UnsupportedModeError
 from .potentials import Dashpot, PerfectPlastic, Potential, PowerLaw, _Feat, _Polyline
@@ -307,6 +307,15 @@ def _mid(lo, hi):
     return (ilo + (ihi - ilo) // 2).view(np.float64)
 
 
+_F64, _I64 = struct.Struct("d"), struct.Struct("q")
+
+
+def _mid_scalar(lo, hi):
+    """:func:`_mid` of two Python floats, through their bits packed by ``struct``."""
+    (ilo,), (ihi,) = _I64.unpack(_F64.pack(lo)), _I64.unpack(_F64.pack(hi))
+    return _F64.unpack(_I64.pack(ilo + (ihi - ilo) // 2))[0]
+
+
 def _root_scalar(fn, target, sup, rtol):
     """Scalar :func:`_root` for a nondecreasing ``g`` with ``g(0) = 0``.
 
@@ -330,7 +339,7 @@ def _root_scalar(fn, target, sup, rtol):
             ok = lo < xn < hi and abs(u) <= 0.5 * s2
         except (ArithmeticError, ValueError):
             ok = False
-        xn = xn if ok else float(_mid(np.float64(lo), np.float64(hi)))
+        xn = xn if ok else _mid_scalar(lo, hi)
         s1, s2, x = abs(u if ok else math.log(xn / x)), s1, xn
     raise NonConvergenceError(f"root solve: target {target!r} unresolved after {_MAX_ITER} steps")
 

@@ -2,6 +2,10 @@ import contextlib
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +307,30 @@ def test_timeseries_validation():
         TimeSeries(t=np.array([0.0, 1.0]), eps=np.zeros(3), e_el=np.zeros(2), sigma=np.zeros(2))
 
 
+def test_timeseries_columns_are_read_only_arrays_built_on_demand():
+    m = MaxwellModel(3.0, [Dashpot(1.0), PowerLaw(1.0, 3.0), PerfectPlastic(0.5)])
+    ts = simulate(m, DriveProgram([(0.5, 1.0), (1.0, -1.0)]), 0.03, 1.0)
+    assert len(ts) == 35 and all(type(c) is list and len(c) == 35 for c in ts.columns)
+    for name, col in zip(("t", "eps", "e_el", "sigma"), ts.columns):
+        a = getattr(ts, name)
+        assert type(a) is np.ndarray and a.dtype == np.float64 and a.tolist() == col
+        assert getattr(ts, name) is a
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    assert np.array_equal(ts.sigma.view(np.int64), (m.E * ts.e_el).view(np.int64))
+    # from lists or arrays, the same two errors; a caller's array is copied, not frozen
+    for wrap in (list, np.array):
+        with pytest.raises(InvalidInputError, match="equal length"):
+            TimeSeries(wrap([0.0, 1.0]), wrap([0.0] * 3), wrap([0.0] * 2), wrap([0.0] * 2))
+        for t in ([0.0, 0.0], [1.0, 0.5], [0.0, math.nan]):
+            with pytest.raises(InvalidInputError, match="strictly increasing"):
+                TimeSeries(wrap(t), wrap([0.0] * 2), wrap([0.0] * 2), wrap([0.0] * 2))
+    e_el = np.array([0.5, 0.25])
+    ts = TimeSeries(t=np.array([0.0, 1.0]), eps=[0, 0], e_el=e_el, sigma=2.0 * e_el)
+    assert ts.e_el.tolist() == [0.5, 0.25] and ts.e_el is not e_el and e_el.flags.writeable
+    assert ts.eps.dtype == np.float64 and len(ts) == 2
+
+
 @pytest.mark.parametrize("sig_scale, rate_scale", [(1.0, 1.0), (1e6, 1e-5), (1e8, 1e-15)])
 def test_step_is_the_tree_stress_of_a_spring_turned_dashpot(sig_scale, rate_scale):
     """Backward Euler turns the spring into a dashpot of viscosity E dt.
@@ -412,8 +440,10 @@ _GOLDEN = {
 }
 
 
-def _simulate_csv(tmp_path, n, kinds, scale):
-    """Load, hold and reverse: E = S / X, elements of order one in the scales."""
+def _simulate_argv(tmp_path, n, kinds, scale):
+    """The ``simulate`` arguments of one mix, its model written to ``tmp_path``.
+
+    Load, hold and reverse: E = S / X, elements of order one in the scales."""
     S, R, X = _SCALES[scale]
     laws = {"dashpot": {"kind": "dashpot", "D": 1.3 * S / R},
             "powerlaw": {"kind": "powerlaw", "D": 0.7 * S / R ** (1.0 / n), "n": n},
@@ -427,8 +457,13 @@ def _simulate_csv(tmp_path, n, kinds, scale):
     model.write_text(json.dumps(doc), encoding="utf-8")
     t_end = 3.7 * tau
     argv = ["simulate", "--model", str(model), "--dt", repr(t_end / 500), "--t-end", repr(t_end)]
-    assert cli.main(argv + ["--out", str(out)]) == 0
-    return out.read_bytes()
+    return argv + ["--out", str(out)]
+
+
+def _simulate_csv(tmp_path, n, kinds, scale):
+    argv = _simulate_argv(tmp_path, n, kinds, scale)
+    assert cli.main(argv) == 0
+    return (tmp_path / "out.csv").read_bytes()
 
 
 @pytest.mark.parametrize("scale", sorted(_SCALES))
@@ -437,3 +472,61 @@ def test_simulate_csv_is_pinned(tmp_path, n, kinds, scale):
     csv = _simulate_csv(tmp_path, n, kinds, scale)
     assert csv.count(b"\n") == 502
     assert hashlib.sha256(csv).hexdigest() == _GOLDEN[n, scale]
+
+
+# Run in a fresh interpreter, where numpy is not loaded yet: calls
+# ``rheokit.cli.main`` on each argv list, checks after each that numpy is still
+# not loaded, and prints how many scalar root brackets each case bisected.
+_NO_NUMPY_SCRIPT = """
+import json, sys
+import rheokit
+assert "numpy" not in sys.modules, "import rheokit"
+import rheokit.cli, rheokit.rheology as rheology
+mid, calls = rheology._mid_scalar, [0]
+def counted(lo, hi):
+    calls[0] += 1
+    return mid(lo, hi)
+rheology._mid_scalar = counted
+bisections = []
+for argv in json.loads(sys.argv[1]):
+    calls[0] = 0
+    assert rheokit.cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+    bisections.append(calls[0])
+print(json.dumps(bisections))
+"""
+
+
+def test_simulate_and_dump_model_never_load_numpy(tmp_path):
+    """``import rheokit``, ``simulate`` and ``--dump-model`` start and finish
+    without numpy, which is imported on first numeric use.  The cases: the
+    maxwell-long mixes at unit and geo scale; a steep law (n = 40, dt = 1e300)
+    whose steps bisect; and ``curve`` and ``simulate`` with ``--dump-model``."""
+    cases = []
+    for n, kinds in _MIXES:
+        for scale in _SCALES:
+            (tmp_path / f"{n}-{scale}").mkdir()
+            cases.append(_simulate_argv(tmp_path / f"{n}-{scale}", n, kinds, scale))
+    steep = tmp_path / "steep.json"
+    steep.write_text(json.dumps({
+        "E": 1.0, "elements": [{"kind": "powerlaw", "D": 1.0, "n": 40.0},
+                               {"kind": "dashpot", "D": 1.0}],
+        "drive": [{"t_end": 3e300, "eps": 1.0}, {"t_end": 6e300, "eps": -1.0}],
+        "e_el0": 0.0}), encoding="utf-8")
+    out, steep_case = str(tmp_path / "steep.csv"), len(cases)
+    cases.append(["simulate", "--model", str(steep), "--dt", "1e300", "--t-end", "6e300",
+                  "--out", out])
+    leaf = tmp_path / "leaf.json"
+    leaf.write_text(json.dumps({"node": "leaf", "potential": {"kind": "dashpot", "D": 2.0}}),
+                    encoding="utf-8")
+    cases.append(["curve", "--model", str(leaf), "--dump-model", "--out", out])
+    cases.append(["simulate", "--model", str(steep), "--dump-model", "--out", out])
+
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_SCRIPT, json.dumps(cases)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    bisections = json.loads(proc.stdout)
+    assert len(bisections) == len(cases) == 11
+    assert bisections[steep_case] > 0  # the steep law's steps bisect, with no numpy scalar

@@ -630,3 +630,20 @@ def test_all_graph_trees_are_one_exact_polyline(tree, ks, kr, eps):
     if not isinstance(tree, Leaf):
         for e, s in zip(eps[:2], unit):
             assert abs(s - _from_children(tree, e)) <= 1e-13 * s
+
+
+def test_scalar_midpoint_is_the_array_midpoint_bit_for_bit():
+    """``_mid_scalar``, the bisection of the Maxwell step, halves the bits of
+    Python floats as ``_mid`` halves those of float64 arrays."""
+    rng = np.random.default_rng(11)
+    special = [0.0, 5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-300,
+               1.0, 1e300, 1.7976931348623157e308, math.inf]
+    bits = rng.integers(0, np.float64(math.inf).view(np.int64), 20_000, endpoint=True)
+    logs = 10.0 ** rng.uniform(-300.0, 300.0, 20_000)
+    a = np.concatenate((np.repeat(special, 10), bits.view(np.float64)[:10_000], logs[:10_000]))
+    b = np.concatenate((np.tile(special, 10), bits.view(np.float64)[10_000:], logs[10_000:]))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    want = rheology._mid(lo, hi)
+    got = np.array([rheology._mid_scalar(x, y) for x, y in zip(lo.tolist(), hi.tolist())])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert all(type(rheology._mid_scalar(x, y)) is float for x, y in zip(special, special[1:]))
