@@ -91,9 +91,9 @@ def _dump_json(doc) -> str:
 
 
 def _eps_grid(eps_min, eps_max, samples):
-    if eps_min < 0 or not (eps_max > eps_min) or samples < 2:
+    if eps_min < 0 or not (eps_min < eps_max < math.inf) or samples < 2:
         raise InvalidInputError(
-            "need eps_min >= 0, eps_max > eps_min and samples >= 2"
+            "need --eps-min >= 0, --eps-min < --eps-max < inf and --samples >= 2"
         )
     return np.linspace(eps_min, eps_max, int(samples))
 
@@ -236,8 +236,8 @@ def cmd_conjugate(args) -> int:
     if sigma_max is None:
         sup = expr.p.stress_sup()
         sigma_max = 2.0 * sup if sup < math.inf else 10.0
-    if not (sigma_max > 0) or args.samples < 2:
-        raise InvalidInputError("need sigma_max > 0 and samples >= 2")
+    if not (0 < sigma_max < math.inf) or args.samples < 2:
+        raise InvalidInputError("need 0 < --sigma-max < inf and --samples >= 2")
     s = np.linspace(0.0, sigma_max, int(args.samples))
     vals = value(conj, s)
     _write(args.out, _csv(["sigma", "zeta_star"], [s, vals]))

@@ -40,10 +40,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property, reduce
 
 from ._numpy import np
+from ._record import Record
 from .errors import InvalidInputError, OutOfRangeError
 
 __all__ = [
@@ -68,8 +68,7 @@ _SENTINEL_RTOL = 1e-12
 _BLOCK = 2**15
 
 
-@dataclass(frozen=True)
-class SubdiffInterval:
+class SubdiffInterval(Record):
     """Closed interval ``[lo, hi]`` of a set-valued scalar subdifferential.
 
     ``lo == hi`` at differentiable points; ``hi = inf`` marks a normal
@@ -97,8 +96,7 @@ def uniform_grid(r_max: float = 10.0, n: int = 2048) -> np.ndarray:
     return np.linspace(0.0, float(r_max), int(n))
 
 
-@dataclass(frozen=True, eq=False)
-class SampledFunction:
+class SampledFunction(Record, eq=False):
     """Grid-sampled scalar convex function with a +inf support boundary.
 
     Parameters
@@ -480,8 +478,7 @@ _Feat = namedtuple("_Feat", "sv nf dom ub")
 _INF = float("inf")
 
 
-@dataclass(frozen=True)
-class _Graph:
+class _Graph(Record):
     """A complete nondecreasing polyline on the half-line, from the origin.
 
     ``pieces`` are ``(x, y, dx, dy)``, a start vertex and a direction; each

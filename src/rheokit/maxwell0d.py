@@ -23,10 +23,10 @@ are, so a simulation written out as CSV never imports numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, reduce
 
 from ._numpy import np
+from ._record import Record
 from .errors import InvalidInputError
 from .potentials import Potential
 from .rheology import Leaf, _merged, _root_scalar
@@ -43,8 +43,7 @@ __all__ = [
 _STEP_RTOL = 1e-15
 
 
-@dataclass(frozen=True)
-class MaxwellModel:
+class MaxwellModel(Record):
     """Elastic modulus ``E`` (Pa) and the serial viscoplastic elements."""
 
     E: float
@@ -78,8 +77,7 @@ def _plus(f, g):
     return flow
 
 
-@dataclass(frozen=True)
-class DriveProgram:
+class DriveProgram(Record):
     """Piecewise-constant prescribed strain rate.
 
     ``segments`` is a sequence of ``(t_end, eps)`` pairs with strictly
@@ -126,8 +124,7 @@ def _column(i):
     return cached_property(column)
 
 
-@dataclass(frozen=True, eq=False)
-class TimeSeries:
+class TimeSeries(Record, eq=False):
     """Recorded rows ``(t, eps, e_el, sigma)`` with ``sigma = E * e_el``.
 
     ``columns`` holds the four columns as given (:func:`simulate` gives

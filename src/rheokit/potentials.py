@@ -22,11 +22,11 @@ only their stress law's graph and read their kernels from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from ._numpy import np
 from . import convex_core as cc
+from ._record import Record
 from .convex_core import SampledFunction, SubdiffInterval, _Feat, _Graph
 from .errors import InvalidInputError
 
@@ -58,7 +58,15 @@ def _check_positive(**kwargs):
             raise InvalidInputError(f"{name} must be a positive finite number, got {x!r}")
 
 
-class Potential:
+def _conjugate_modulus(kind, name, x, base, exp):
+    """A conjugate's modulus ``x = base**exp``; a typed error where that over- or underflowed."""
+    if 0.0 < x < math.inf:
+        return x
+    raise InvalidInputError(f"the conjugate {kind} has {name} = 10**{exp * math.log10(base):.6g}, "
+                            "which float64 cannot represent")
+
+
+class Potential(Record):
     """One element kind of the catalog, carrying its own laws.
 
     Each kind defines ``value`` (the density at an array of magnitudes,
@@ -117,14 +125,12 @@ class _GraphLaw(Potential):
         return self._graph.sup
 
 
-@dataclass(frozen=True)
 class _Polyline(_GraphLaw):
     """A merged graph of the kinds below: one element standing for several."""
 
     _graph: _Graph
 
 
-@dataclass(frozen=True)
 class Dashpot(_GraphLaw):
     """Linear viscous element with modulus ``D`` in Pa*s."""
 
@@ -141,10 +147,9 @@ class Dashpot(_GraphLaw):
         return ((0.0, 0.0, 1.0, float(self.D)),)
 
     def conjugate(self):
-        return Dashpot(1.0 / self.D)
+        return Dashpot(_conjugate_modulus("Dashpot", "D", 1.0 / self.D, self.D, -1))
 
 
-@dataclass(frozen=True)
 class PerfectPlastic(_GraphLaw):
     """Rate-independent element with activation (yield) stress in Pa."""
 
@@ -165,7 +170,6 @@ class PerfectPlastic(_GraphLaw):
         return QuadPlusBall(0.0, self.sigma_a)
 
 
-@dataclass(frozen=True)
 class PowerLaw(Potential):
     """Power-law creep element, stress law ``D * r**(1/n)``.
 
@@ -210,10 +214,13 @@ class PowerLaw(Potential):
 
     def conjugate(self):
         # exponent 1+n, coefficient 1/((1+n) D**n)
-        return PowerLaw(self.D ** (-self.n), 1.0 / self.n)
+        try:
+            d = self.D ** (-self.n)
+        except OverflowError:
+            d = math.inf
+        return PowerLaw(_conjugate_modulus("PowerLaw", "D", d, self.D, -self.n), 1.0 / self.n)
 
 
-@dataclass(frozen=True)
 class Huber(_GraphLaw):
     """Quadratic below ``sigma_a / D``, affine above.
 
@@ -238,10 +245,10 @@ class Huber(_GraphLaw):
         return ((0.0, 0.0, 1.0, d), (a / d, a, 1.0, 0.0))
 
     def conjugate(self):
-        return QuadPlusBall(1.0 / self.D, self.sigma_a)
+        q = _conjugate_modulus("QuadPlusBall", "Dinv_quad", 1.0 / self.D, self.D, -1)
+        return QuadPlusBall(q, self.sigma_a)
 
 
-@dataclass(frozen=True)
 class QuadPlusBall(_GraphLaw):
     """``0.5 * Dinv_quad * s**2`` on ``[0, sigma_a]``, +inf outside.
 
@@ -274,10 +281,10 @@ class QuadPlusBall(_GraphLaw):
     def conjugate(self):
         if self.Dinv_quad == 0.0:
             return PerfectPlastic(self.sigma_a)
-        return Huber(self.sigma_a, 1.0 / self.Dinv_quad)
+        d = _conjugate_modulus("Huber", "D", 1.0 / self.Dinv_quad, self.Dinv_quad, -1)
+        return Huber(self.sigma_a, d)
 
 
-@dataclass(frozen=True)
 class Sampled(Potential):
     """Grid-sampled potential; shifted so the value at 0 is exactly 0.
 
@@ -287,7 +294,7 @@ class Sampled(Potential):
     is affine past its last grid point, and the flow there is that bound.
     """
 
-    f: SampledFunction = field()
+    f: SampledFunction
 
     def __post_init__(self):
         f = self.f

@@ -30,10 +30,10 @@ from __future__ import annotations
 import enum
 import math
 import struct
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 from ._numpy import np
+from ._record import Record
 from .convex_core import SubdiffInterval, _graph_sum
 from .errors import InvalidInputError, NonConvergenceError, UnsupportedModeError
 from .potentials import Dashpot, PerfectPlastic, Potential, PowerLaw, _Feat, _Polyline
@@ -66,8 +66,7 @@ _MAX_ITER = 200
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(Record):
     p: Potential
 
     def __post_init__(self):
@@ -75,8 +74,7 @@ class Leaf:
             raise InvalidInputError(f"Leaf needs a Potential, got {self.p!r}")
 
 
-@dataclass(frozen=True)
-class Parallel:
+class Parallel(Record):
     """Sum of potentials: children see a common strain rate."""
 
     children: tuple
@@ -90,8 +88,7 @@ class Parallel:
         object.__setattr__(self, "_parts", _merged(self.children, serial=False))
 
 
-@dataclass(frozen=True)
-class Serial:
+class Serial(Record):
     """Infimal convolution of potentials: children see a common stress.
 
     At least one child must have a strictly increasing, unbounded
@@ -424,8 +421,7 @@ def mu_eff_rigorous(e: RheoExpr, eps: float, limit: bool = False) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThreeElementParams:
+class ThreeElementParams(Record):
     """Yield stress plus two viscosities of the bi-viscous plastic models."""
 
     sigma_a: float

@@ -21,7 +21,6 @@ offending field.
 from __future__ import annotations
 
 import math
-from dataclasses import fields
 
 from .errors import SchemaError
 from .maxwell0d import DriveProgram, MaxwellModel
@@ -77,7 +76,7 @@ def parse_potential(doc, path: str = "potential") -> Potential:
             f"{path}.kind",
             f"must be one of {sorted(_KINDS)}, got {kind!r}",
         )
-    names = [f.name for f in fields(_KINDS[kind])]
+    names = _KINDS[kind]._fields
     extra = set(doc) - {"kind", *names}
     if extra:
         raise SchemaError(f"{path}.{sorted(extra)[0]}", f"unknown field for kind {kind!r}")
@@ -115,7 +114,7 @@ def parse_model(doc, path: str = "") -> RheoExpr:
 def dump_potential(p: Potential) -> dict:
     if getattr(p, "kind", None) is None:
         raise SchemaError("potential", f"{type(p).__name__} is not representable in a document")
-    return {"kind": p.kind, **{f.name: getattr(p, f.name) for f in fields(p)}}
+    return {"kind": p.kind, **{f: getattr(p, f) for f in p._fields}}
 
 
 def dump_model(e: RheoExpr) -> dict:

@@ -480,7 +480,10 @@ def test_simulate_csv_is_pinned(tmp_path, n, kinds, scale):
 _NO_NUMPY_SCRIPT = """
 import json, sys
 import rheokit
-assert "numpy" not in sys.modules, "import rheokit"
+def absent(where):  # numpy, and dataclasses with the inspect it loads
+    for name in ("numpy", "dataclasses", "inspect"):
+        assert name not in sys.modules, (name, where)
+absent("import rheokit")
 import rheokit.cli, rheokit.rheology as rheology
 mid, calls = rheology._mid_scalar, [0]
 def counted(lo, hi):
@@ -491,7 +494,7 @@ bisections = []
 for argv in json.loads(sys.argv[1]):
     calls[0] = 0
     assert rheokit.cli.main(argv) == 0, argv
-    assert "numpy" not in sys.modules, argv
+    absent(argv)
     bisections.append(calls[0])
 print(json.dumps(bisections))
 """
@@ -499,7 +502,8 @@ print(json.dumps(bisections))
 
 def test_simulate_and_dump_model_never_load_numpy(tmp_path):
     """``import rheokit``, ``simulate`` and ``--dump-model`` start and finish
-    without numpy, which is imported on first numeric use.  The cases: the
+    without numpy, which is imported on first numeric use, and without
+    ``dataclasses`` and ``inspect``.  The cases: the
     maxwell-long mixes at unit and geo scale; a steep law (n = 40, dt = 1e300)
     whose steps bisect; and ``curve`` and ``simulate`` with ``--dump-model``."""
     cases = []

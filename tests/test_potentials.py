@@ -94,6 +94,22 @@ def test_conjugate_analytic_mappings():
     assert conjugate_analytic(Dashpot(4.0)) == Dashpot(0.25)
 
 
+@pytest.mark.parametrize("p, message", [
+    (PowerLaw(1e-110, 3), "the conjugate PowerLaw has D = 10**330,"),
+    (PowerLaw(1e21, 40), "the conjugate PowerLaw has D = 10**-840,"),
+    (Dashpot(1e-310), "the conjugate Dashpot has D = 10**310,"),
+    (Huber(1.0, 1e-310), "the conjugate QuadPlusBall has Dinv_quad = 10**310,"),
+    (QuadPlusBall(1e-310, 1.0), "the conjugate Huber has D = 10**310,"),
+])
+def test_unrepresentable_conjugate_moduli_are_typed_errors(p, message):
+    """A valid element whose conjugate's modulus over- or underflows float64
+    raises an input error naming that conjugate, not one that blames the input
+    and not a bare ``OverflowError``."""
+    with pytest.raises(InvalidInputError) as exc:
+        p.conjugate()
+    assert str(exc.value) == message + " which float64 cannot represent"
+
+
 def test_closed_form_biconjugation():
     rs = np.linspace(0.0, 3.0, 61)
     for p in CATALOG:

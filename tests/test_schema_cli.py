@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -353,6 +354,39 @@ def test_conjugate_outputs(tmp_path):
     _, rows3 = read_csv(out3)
     assert np.all(rows3[rows3[:, 0] <= 1.0, 1] == 0.0)
     assert np.all(np.isinf(rows3[rows3[:, 0] > 1.0, 1]))
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["compare", "--eps-max", "inf"], "--eps-max"),
+    (["conjugate", "--model", "{model}", "--sigma-max", "inf"], "--sigma-max"),
+    (["curve", "--model", "{model}", "--eps-max", "inf"], "--eps-max"),
+])
+def test_infinite_range_ends_are_input_errors(tmp_path, capsys, argv, option):
+    """An infinite range end is rejected by name before any grid is built:
+    exit 2, no rows and no RuntimeWarning (an error under this suite)."""
+    leaf = {"node": "leaf", "potential": {"kind": "dashpot", "D": 1.0}}
+    model = write_json(tmp_path, "m.json", leaf)
+    out = tmp_path / "out.csv"
+    argv = [a.format(model=model) for a in argv] + ["--out", str(out)]
+    assert cli.main(argv) == 2
+    assert option in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_conjugate_of_an_unrepresentable_power_law_exits_2(tmp_path):
+    """Two valid power laws whose conjugate's D over- and underflows float64:
+    the CLI names the conjugate, with no traceback."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for name, d, n, exponent in [("over", 1e-110, 3, "330"), ("under", 1e21, 40, "-840")]:
+        model = write_json(tmp_path, f"{name}.json",
+                           {"node": "leaf", "potential": {"kind": "powerlaw", "D": d, "n": n}})
+        proc = subprocess.run([sys.executable, "-m", "rheokit", "conjugate", "--model", model],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        assert proc.stderr == (f"rheokit: input error: the conjugate PowerLaw has D = "
+                               f"10**{exponent}, which float64 cannot represent\n")
 
 
 def test_conjugate_rejects_composites(tmp_path):
