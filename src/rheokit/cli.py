@@ -33,11 +33,13 @@ from .rheology import (
     Formula,
     Leaf,
     ThreeElementParams,
+    _depth,
     map_serial_parallel_params,
     mu_eff_formula,
     mu_eff_rigorous,
     serial_dif_dsl_stress,
     stress_curve,
+    stress_of_strain_rate,
     three_element_parallel_serial,
     three_element_serial_parallel,
 )
@@ -56,6 +58,9 @@ FIG6_PRESET = {
     "eps_max": 3.4,
     "samples": 200,
 }
+
+# Curves of at most this many rates, solves nested at most this deep: floats, no numpy.
+FLOAT_RATES, FLOAT_DEPTH = 64, 2
 
 
 def _fmt(x: float) -> str:
@@ -90,12 +95,20 @@ def _dump_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _eps_grid(eps_min, eps_max, samples):
+def _eps_grid(eps_min, eps_max, samples, floats=False):
     if eps_min < 0 or not (eps_min < eps_max < math.inf) or samples < 2:
         raise InvalidInputError(
             "need --eps-min >= 0, --eps-min < --eps-max < inf and --samples >= 2"
         )
-    return np.linspace(eps_min, eps_max, int(samples))
+    return (_linspace if floats else np.linspace)(eps_min, eps_max, int(samples))
+
+
+def _linspace(start, stop, num):
+    """``np.linspace(start, stop, num)`` in Python floats, bit for bit: ``i * step +
+    start``, or ``i / div * delta + start`` where the step underflows to 0, then ``stop``."""
+    div, delta = num - 1, stop - start
+    step = delta / div
+    return [i * step + start if step else i / div * delta + start for i in range(div)] + [stop]
 
 
 def cmd_curve(args) -> int:
@@ -103,13 +116,13 @@ def cmd_curve(args) -> int:
     if args.dump_model:
         _write(args.out, _dump_json(dump_model(expr)))
         return EXIT_OK
-    eps = _eps_grid(args.eps_min, args.eps_max, args.samples)
-    sigma = stress_curve(expr, eps)
-    mu = np.empty_like(eps)
-    pos = eps > 0
-    mu[pos] = sigma[pos] / eps[pos]
-    for i in np.nonzero(~pos)[0]:
-        mu[i] = mu_eff_rigorous(expr, 0.0, limit=True)
+    floats = args.samples <= FLOAT_RATES and _depth(expr) <= FLOAT_DEPTH
+    eps = _eps_grid(args.eps_min, args.eps_max, args.samples, floats)
+    if floats:
+        sigma = [stress_of_strain_rate(expr, e).midpoint for e in eps]
+    else:
+        eps, sigma = eps.tolist(), stress_curve(expr, eps).tolist()
+    mu = [s / e if e > 0 else mu_eff_rigorous(expr, 0.0, limit=True) for e, s in zip(eps, sigma)]
     _write(args.out, _csv(["eps", "mu_eff", "sigma"], [eps, mu, sigma]))
     return EXIT_OK
 

@@ -74,8 +74,8 @@ class Potential(Record):
     strain-rate magnitudes) and ``flow`` (at stress magnitudes): at a
     float64 array or numpy scalar they return ``(lo, hi, slope)``, the
     ends of the set-valued derivative and the slope of the upper end, +inf
-    at a jump.  Callers set ``np.errstate``.  ``_float_flow()`` is ``flow`` on
-    one Python float: Python floats, bit for bit, +inf on overflow, no raise.
+    at a jump.  Callers set ``np.errstate``.  ``_float_flow()``, ``_float_stress()``:
+    each on one Python float, in Python floats, bit for bit, +inf on overflow, no raise.
     ``kind`` names the element in model documents (None: not representable);
     ``_graph`` is the stress law as a polyline, None where it is not one.
     """
@@ -83,13 +83,17 @@ class Potential(Record):
     kind = None
     _graph = None
 
-    def _float_flow(self):
-        """The float kernel; by default the numpy kernel under its own errstate."""
-        def flow(s):
+    def _float_flow(self, law=None):
+        """The float kernel of ``flow`` (or ``law``): by default the numpy one, under errstate."""
+        law = law or self.flow
+        def kernel(x):
             with np.errstate(all="ignore"):
-                return tuple(map(float, self.flow(np.float64(s))))
+                return tuple(map(float, law(np.float64(x))))
 
-        return flow
+        return kernel
+
+    def _float_stress(self):
+        return Potential._float_flow(self, self.stress)
 
     def _feat(self) -> _Feat:
         """Graph features; by default a strictly increasing, unbounded law."""
@@ -117,6 +121,10 @@ class _GraphLaw(Potential):
 
     def _float_flow(self):
         return self._graph.T._at  # with rest, as flow
+
+    def _float_stress(self):
+        at = self._graph._at
+        return lambda r: at(r, False)
 
     def _feat(self):
         return self._graph.feat
@@ -170,6 +178,24 @@ class PerfectPlastic(_GraphLaw):
         return QuadPlusBall(0.0, self.sigma_a)
 
 
+def _power_kernel(a, b, p, c):
+    """A power law either way: ``v -> (x, x, c * u**(p - 1))``, ``u = v / a``, ``x = b * u**p``
+    (``a`` or ``b`` of 1 moves no bit); +inf where ** overflows or raises 0 to a power < 0."""
+    q = p - 1.0
+    def kernel(v):
+        u = v / a
+        try:
+            x = b * u**p
+        except ArithmeticError:
+            x = math.inf
+        try:
+            return x, x, c * u**q
+        except ArithmeticError:
+            return x, x, c * math.inf
+
+    return kernel
+
+
 class PowerLaw(Potential):
     """Power-law creep element, stress law ``D * r**(1/n)``.
 
@@ -198,19 +224,10 @@ class PowerLaw(Potential):
         return x, x, self.n / self.D * u ** (self.n - 1.0)
 
     def _float_flow(self):
-        D, n, m, c = float(self.D), float(self.n), float(self.n) - 1.0, float(self.n / self.D)
-        def flow(s):  # +inf where ** overflows or raises 0 to n - 1 < 0, as in numpy
-            u = s / D
-            try:
-                x = u**n
-            except ArithmeticError:
-                x = math.inf
-            try:
-                return x, x, c * u**m
-            except ArithmeticError:
-                return x, x, c * math.inf
+        return _power_kernel(float(self.D), 1.0, float(self.n), float(self.n / self.D))
 
-        return flow
+    def _float_stress(self):
+        return _power_kernel(1.0, float(self.D), 1.0 / self.n, float(self.D / self.n))
 
     def conjugate(self):
         # exponent 1+n, coefficient 1/((1+n) D**n)
@@ -237,8 +254,13 @@ class Huber(_GraphLaw):
         _check_positive(sigma_a=self.sigma_a, D=self.D)
 
     def value(self, r):
-        a, d = self.sigma_a, self.D
-        return np.where(r <= a / d, 0.5 * d * r**2, a * r - 0.5 * a**2 / d)
+        a, d = float(self.sigma_a), float(self.D)
+        try:
+            off = 0.5 * a**2 / d
+        except OverflowError:  # a**2 past the float range; the offset may not be
+            off = 0.5 * a * (a / d)
+        with np.errstate(over="ignore", invalid="ignore"):  # +inf past the float range
+            return np.where(r <= a / d, 0.5 * d * r**2, a * r - off)
 
     def _pieces(self):
         a, d = float(self.sigma_a), float(self.D)
@@ -271,7 +293,8 @@ class QuadPlusBall(_GraphLaw):
         _check_positive(sigma_a=self.sigma_a)
 
     def value(self, r):
-        return np.where(r <= self.sigma_a, 0.5 * self.Dinv_quad * r**2, np.inf)
+        q = self.Dinv_quad  # a plain ball is 0 inside, also where r**2 overflows
+        return np.where(r <= self.sigma_a, 0.5 * q * r**2 if q else 0.0, np.inf)
 
     def _pieces(self):
         # the normal cone at the support boundary is a vertical end ray
@@ -298,6 +321,8 @@ class Sampled(Potential):
 
     def __post_init__(self):
         f = self.f
+        if not isinstance(f, SampledFunction):
+            raise InvalidInputError(f"Sampled needs a SampledFunction, got {f!r}")
         if f.values[0] != 0.0:
             shifted = SampledFunction(f.grid, f.values - f.values[0], f.finite_sup)
             object.__setattr__(self, "f", shifted)

@@ -7,8 +7,8 @@ built, its children with polyline stress laws (dashpot, plastic, Huber)
 merge into one exact polyline leaf, so a subtree of them alone is one
 closed form.  Elsewhere ``strain_rate_of_stress`` (rates summed across
 a Serial node) and ``stress_of_strain_rate`` (stresses summed across a
-Parallel node) invert each other by one vectorized monotone root finder
-(its scalar form runs the Maxwell step): safeguarded Newton steps in
+Parallel node) invert each other by one monotone root finder, vectorized
+and scalar (the Maxwell step's): safeguarded Newton steps in
 log-log coordinates inside a bracket that bisects the ordered bits of
 the floats, so no solve depends on the unit scale.  Each node reports
 its tangent next to its value (stiffnesses add across Parallel,
@@ -16,7 +16,8 @@ compliances across Serial, an inverse takes the reciprocal), for the
 Newton steps and for ``mu_eff_rigorous``'s exact limit at rest.
 Set-valued points are carried as :class:`SubdiffInterval`; saturation
 (stress beyond a composite's attainable range) is reported with a +inf
-marker, not an error.
+marker, not an error.  ``stress_curve`` walks the tree over arrays, the
+scalar API on Python floats (never importing numpy); ``curve`` picks one.
 
 The module also provides the closed-form and empirical effective
 viscosity family (min-formulas, harmonic-mean variants, diffusion +
@@ -72,6 +73,8 @@ class Leaf(Record):
     def __post_init__(self):
         if not isinstance(self.p, Potential):
             raise InvalidInputError(f"Leaf needs a Potential, got {self.p!r}")
+        p = self.p  # its float kernels, bound once
+        self.__dict__.update(_float_flow=p._float_flow(), _float_stress=p._float_stress())
 
 
 class Parallel(Record):
@@ -86,6 +89,7 @@ class Parallel(Record):
         for c in self.children:
             _check_expr(c)
         object.__setattr__(self, "_parts", _merged(self.children, serial=False))
+        object.__setattr__(self, "_sup", sum(map(_stress_sup, self._parts)))
 
 
 class Serial(Record):
@@ -111,6 +115,7 @@ class Serial(Record):
                 "or power-law element)"
             )
         object.__setattr__(self, "_parts", _merged(self.children, serial=True))
+        object.__setattr__(self, "_sup", min(map(_stress_sup, self._parts)))
 
 
 RheoExpr = Union[Leaf, Parallel, Serial]
@@ -168,6 +173,15 @@ def _merged(children, serial):
                  for i, c in enumerate(children) if i == first or graphs[i] is None)
 
 
+def _depth(e, stress=True) -> int:
+    """How deeply the solves of ``_stress`` (``_flow`` if not ``stress``) nest."""
+    if isinstance(e, Leaf):
+        return 0
+    # a Serial node solves for its stress, a Parallel one for its rate, unless merged to one part
+    own = len(e._parts) > 1 and stress == isinstance(e, Serial)
+    return own + max(_depth(c, stress != own) for c in e._parts)
+
+
 # ---------------------------------------------------------------------------
 # Vectorized interval evaluation
 # ---------------------------------------------------------------------------
@@ -184,12 +198,8 @@ def _leaf_stress(p: Potential, eps: np.ndarray):
 
 
 def _stress_sup(e) -> float:
-    """Supremum of attainable stress of a subtree (inf when unbounded)."""
-    if isinstance(e, Leaf):
-        return e.p.stress_sup()
-    if isinstance(e, Parallel):
-        return sum(_stress_sup(c) for c in e._parts)
-    return min(_stress_sup(c) for c in e._parts)
+    """Supremum of attainable stress of a subtree (inf when unbounded), kept by each node."""
+    return e.p.stress_sup() if isinstance(e, Leaf) else e._sup
 
 
 def _sum(parts):
@@ -341,6 +351,43 @@ def _root_scalar(fn, target, sup, rtol):
     raise NonConvergenceError(f"root solve: target {target!r} unresolved after {_MAX_ITER} steps")
 
 
+def _flow_f(e, sig: float):
+    """:func:`_flow` at one Python float, in Python floats."""
+    if isinstance(e, Leaf):
+        return e._float_flow(sig)
+    if isinstance(e, Serial) or len(e._parts) == 1:
+        return _sum(_flow_f(c, sig) for c in e._parts)
+    if sig > e._sup:  # saturated
+        return math.inf, math.inf, math.inf
+    x, d = _solve(lambda r: _stress_f(e, r), sig, math.inf)
+    return x, x, d
+
+
+def _stress_f(e, eps: float):
+    """:func:`_stress` at one Python float, in Python floats."""
+    if isinstance(e, Leaf):
+        return e._float_stress(eps)
+    if isinstance(e, Parallel) or len(e._parts) == 1:
+        return _sum(_stress_f(c, eps) for c in e._parts)
+    x, d = _solve(lambda s: _flow_f(e, s), eps, e._sup)
+    return x, x, d
+
+
+def _solve(fn, t, sup):
+    """:func:`_root` at one float by :func:`_root_scalar`, on the upper end of ``fn``
+    less its value at rest: ``x`` and dx/dt, 0 below rest and at the cap ``sup``."""
+    _, g0, d = fn(0.0)
+    x = 0.0
+    if t > g0:
+        def residual(x):
+            nonlocal d
+            _, g, d = fn(x)
+            return g - t, d
+
+        x = _root_scalar(residual, t - g0, sup, _RTOL)
+    return x, 0.0 if t < g0 or x == sup else 1.0 / d if d else math.inf
+
+
 # ---------------------------------------------------------------------------
 # Public evaluation
 # ---------------------------------------------------------------------------
@@ -358,22 +405,18 @@ def strain_rate_of_stress(e: RheoExpr, sigma: float) -> SubdiffInterval:
 
     Sum of conjugate derivatives across a Serial node; monotone root
     solve across a Parallel node.  Stress beyond a yield cap returns a
-    saturated interval with +inf ends.
+    saturated interval with +inf ends.  Evaluated on Python floats.
     """
     _check_expr(e)
-    sigma = _check_scalar_nonneg(sigma, "sigma")
-    with np.errstate(divide="ignore", over="ignore"):
-        lo, hi, _ = _flow(e, np.array([sigma]))
-    return SubdiffInterval(float(lo[0]), float(hi[0]))
+    lo, hi, _ = _flow_f(e, _check_scalar_nonneg(sigma, "sigma"))
+    return SubdiffInterval(lo, hi)
 
 
 def stress_of_strain_rate(e: RheoExpr, eps: float) -> SubdiffInterval:
-    """Stress response at strain-rate magnitude ``eps``, in Pa."""
+    """Stress response at strain-rate magnitude ``eps``, in Pa, on Python floats."""
     _check_expr(e)
-    eps = _check_scalar_nonneg(eps, "eps")
-    with np.errstate(divide="ignore", over="ignore"):
-        lo, hi, _ = _stress(e, np.array([eps]))
-    return SubdiffInterval(float(lo[0]), float(hi[0]))
+    lo, hi, _ = _stress_f(e, _check_scalar_nonneg(eps, "eps"))
+    return SubdiffInterval(lo, hi)
 
 
 def stress_curve(e: RheoExpr, eps) -> np.ndarray:
@@ -411,9 +454,8 @@ def mu_eff_rigorous(e: RheoExpr, eps: float, limit: bool = False) -> float:
         return stress_of_strain_rate(e, eps).midpoint / eps
     if not limit:
         raise InvalidInputError("mu_eff at eps = 0 requires limit=True")
-    with np.errstate(divide="ignore", over="ignore"):
-        _, rest, slope = _stress(e, np.zeros(1))
-    return math.inf if rest[0] > 0 else float(slope[0])
+    _, rest, slope = _stress_f(e, 0.0)
+    return math.inf if rest > 0 else slope
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rheokit.convex_core import SampledFunction
+
+# ``pytest --hypothesis-profile=ci``: a property that fails prints the blob that
+# replays it (``@reproduce_failure``), and no example is cut short by a deadline.
+settings.register_profile("ci", print_blob=True, deadline=None)
 
 
 @pytest.fixture

@@ -475,37 +475,69 @@ def test_simulate_csv_is_pinned(tmp_path, n, kinds, scale):
 
 
 # Run in a fresh interpreter, where numpy is not loaded yet: calls
-# ``rheokit.cli.main`` on each argv list, checks after each that numpy is still
-# not loaded, and prints how many scalar root brackets each case bisected.
+# ``rheokit.cli.main`` on each argv list and prints, for each, how many scalar root
+# brackets it bisected and which of numpy, dataclasses and the inspect it loads
+# are loaded after it.
 _NO_NUMPY_SCRIPT = """
 import json, sys
 import rheokit
-def absent(where):  # numpy, and dataclasses with the inspect it loads
-    for name in ("numpy", "dataclasses", "inspect"):
-        assert name not in sys.modules, (name, where)
-absent("import rheokit")
+def loaded():
+    return [name for name in ("numpy", "dataclasses", "inspect") if name in sys.modules]
+assert not loaded(), loaded()
 import rheokit.cli, rheokit.rheology as rheology
 mid, calls = rheology._mid_scalar, [0]
 def counted(lo, hi):
     calls[0] += 1
     return mid(lo, hi)
 rheology._mid_scalar = counted
-bisections = []
+runs = []
 for argv in json.loads(sys.argv[1]):
     calls[0] = 0
     assert rheokit.cli.main(argv) == 0, argv
-    absent(argv)
-    bisections.append(calls[0])
-print(json.dumps(bisections))
+    runs.append([calls[0], loaded()])
+print(json.dumps(runs))
 """
 
 
+def _fresh_runs(cases):
+    """``[bisections, modules loaded]`` after each CLI case, in one fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_SCRIPT, json.dumps(cases)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+_D, _P, _W = ({"node": "leaf", "potential": p} for p in (
+    {"kind": "dashpot", "D": 1.0}, {"kind": "plastic", "sigma_a": 1.0},
+    {"kind": "powerlaw", "D": 1.0, "n": 3.0}))
+
+
+def _curve_argv(tmp_path, name, doc, samples):
+    model, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    return ["curve", "--model", str(model), "--eps-min", "0", "--eps-max", "3e-14",
+            "--samples", str(samples), "--out", str(out)]
+
+
+def _depth2(S):
+    """``Serial[Parallel[W, P], D]`` with stresses scaled by S: two nested solves."""
+    return {"node": "serial", "children": [
+        {"node": "parallel", "children": [
+            {"node": "leaf", "potential": {"kind": "powerlaw", "D": 1.5 * S * 1e14 ** 0.4,
+                                           "n": 2.5}},
+            {"node": "leaf", "potential": {"kind": "plastic", "sigma_a": 0.8 * S}}]},
+        {"node": "leaf", "potential": {"kind": "dashpot", "D": 1.1 * S * 1e14}}]}
+
+
 def test_simulate_and_dump_model_never_load_numpy(tmp_path):
-    """``import rheokit``, ``simulate`` and ``--dump-model`` start and finish
-    without numpy, which is imported on first numeric use, and without
+    """``import rheokit``, ``simulate``, ``--dump-model`` and a short ``curve`` start
+    and finish without numpy, which is imported on first numeric use, and without
     ``dataclasses`` and ``inspect``.  The cases: the
     maxwell-long mixes at unit and geo scale; a steep law (n = 40, dt = 1e300)
-    whose steps bisect; and ``curve`` and ``simulate`` with ``--dump-model``."""
+    whose steps bisect; ``curve`` and ``simulate`` with ``--dump-model``; and a
+    geoscale ``curve`` of 64 rates on a tree whose solves nest two deep."""
     cases = []
     for n, kinds in _MIXES:
         for scale in _SCALES:
@@ -525,12 +557,23 @@ def test_simulate_and_dump_model_never_load_numpy(tmp_path):
                     encoding="utf-8")
     cases.append(["curve", "--model", str(leaf), "--dump-model", "--out", out])
     cases.append(["simulate", "--model", str(steep), "--dump-model", "--out", out])
+    cases.append(_curve_argv(tmp_path, "short", _depth2(1e7), 64))
 
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_SCRIPT, json.dumps(cases)],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    bisections = json.loads(proc.stdout)
-    assert len(bisections) == len(cases) == 11
-    assert bisections[steep_case] > 0  # the steep law's steps bisect, with no numpy scalar
+    runs = _fresh_runs(cases)
+    assert len(runs) == len(cases) == 12
+    assert [loaded for _, loaded in runs] == [[]] * 12
+    assert runs[steep_case][0] > 0  # the steep law's steps bisect, with no numpy scalar
+    assert len((tmp_path / "short.csv").read_text().splitlines()) == 65
+
+
+def test_longer_or_deeper_curves_load_numpy(tmp_path):
+    """A ``curve`` of 65 rates, or one on a tree whose solves nest three deep, is
+    evaluated as arrays, and so loads numpy; each runs in its own interpreter."""
+    depth3 = {"node": "serial", "children": [
+        {"node": "parallel", "children": [
+            {"node": "serial", "children": [
+                {"node": "parallel", "children": [_D, _P]}, _W]}, _P, _D]}, _W]}
+    for name, doc, samples in (("long", _depth2(1e7), 65), ("deep", depth3, 4)):
+        (_, loaded), = _fresh_runs([_curve_argv(tmp_path, name, doc, samples)])
+        assert "numpy" in loaded, name
+        assert len((tmp_path / f"{name}.csv").read_text().splitlines()) == samples + 1

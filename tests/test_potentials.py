@@ -58,6 +58,25 @@ def test_values_closed_forms():
         value(Dashpot(1.0), -0.5)
 
 
+def test_values_past_the_square_overflow():
+    """Past about 1.3e154 a square overflows: Huber's value is then the finite
+    closed form where it is representable and +inf past it, and a plain ball is 0
+    inside, not nan; wherever ``sigma_a**2`` is finite the bits do not move."""
+    assert value(Huber(1e300, 1e-10), 1e200) == math.inf
+    got = value(Huber(1e160, 1e100), 1e100)  # a**2 = 1e320, the offset 5e219
+    assert got == pytest.approx(1e260 - 0.5 * 1e160 * 1e60, rel=1e-15) and got < math.inf
+    assert value(Huber(1e160, 1e100), 1e300) == math.inf
+    assert value(QuadPlusBall(0.0, 1e300), 1e200) == 0.0
+    assert value(QuadPlusBall(0.0, 1e300), [0.0, 1e200, 1e300, 2e300]).tolist() == \
+        [0.0, 0.0, 0.0, math.inf]
+    rng = np.random.default_rng(3)
+    for a, d in (10.0 ** rng.uniform(-150, 150, size=(200, 2))).tolist():
+        r = np.array([0.5, 1.0, 2.0]) * (a / d)
+        with np.errstate(all="ignore"):
+            want = np.where(r <= a / d, 0.5 * d * r**2, a * r - 0.5 * a**2 / d)
+        assert np.array_equal(_bits(value(Huber(a, d), r)), _bits(want)), (a, d)
+
+
 def test_dvalue_intervals():
     assert dvalue(Dashpot(2.0), 3.0).lo == pytest.approx(6.0)
     iv = dvalue(PerfectPlastic(1.0), 0.0)
@@ -347,22 +366,24 @@ def test_conjugate_graph_is_the_transpose():
 
 
 def _float_kernel_is_the_flow(p, points):
-    """At each point the float kernel returns Python floats, bit for bit
-    ``p.flow(np.float64(s))``, and raises nothing under any error state."""
-    kernel = p._float_flow()
-    for s in points:
-        with np.errstate(all="ignore"):
-            want = p.flow(np.float64(s))
-        with np.errstate(all="raise"):
-            got = kernel(float(s))
-        assert all(type(g) is float for g in got), (p, s, got)
-        assert [int(_bits(g)) for g in got] == [int(_bits(w)) for w in want], (p, s, got, want)
+    """At each point the float kernels return Python floats, bit for bit
+    ``p.flow(np.float64(s))`` and ``p.stress(np.float64(s))``, and raise nothing
+    under any error state."""
+    for kernel, law in ((p._float_flow(), p.flow), (p._float_stress(), p.stress)):
+        for s in points:
+            with np.errstate(all="ignore"):
+                want = law(np.float64(s))
+            with np.errstate(all="raise"):
+                got = kernel(float(s))
+            assert all(type(g) is float for g in got), (p, law, s, got)
+            assert [int(_bits(g)) for g in got] == [int(_bits(w)) for w in want], \
+                (p, law, s, got, want)
 
 
 def test_float_kernels_are_the_numpy_kernels_bit_for_bit():
-    """Every kind at 0, at each vertex of its flow and three floats either side, and
-    log-uniform over 1e+-300: the merged graphs, power laws of exponent 0.3 to 40,
-    and sampled potentials with and without a +inf tail."""
+    """Every kind at 0, at each vertex of its flow and of its stress law and three
+    floats either side, and log-uniform over 1e+-300: the merged graphs, power laws
+    of exponent 0.3 to 40, and sampled potentials with and without a +inf tail."""
     rng = np.random.default_rng(20261020)
     wide = np.concatenate((10.0 ** rng.uniform(-300, 300, 300), [5e-324, 1.7976931348623157e308]))
     polylines = [Dashpot(3.0), PerfectPlastic(1.0), Huber(1.0, 49.0), QuadPlusBall(0.0, 1.0),
@@ -372,16 +393,17 @@ def test_float_kernels_are_the_numpy_kernels_bit_for_bit():
         (merged,) = _merged(tuple(Leaf(p) for p in laws), serial=serial)
         polylines.append(merged.p)
     for p in polylines:
-        vertices = [x for x, *_ in p._graph.T.pieces]
+        vertices = [x for x, *_ in p._graph.T.pieces] + [x for x, *_ in p._graph.pieces]
         _float_kernel_is_the_flow(p, np.concatenate((_around(vertices), wide)))
     exponents = np.geomspace(0.3, 40.0, 13).tolist() + [1.0, 2.0, 3.0]
     powers = [PowerLaw(2, 3)] + [PowerLaw(d, n) for n in exponents for d in (1e-30, 1.0, 2.5e16)]
     for p in powers:
-        _float_kernel_is_the_flow(p, np.concatenate((_around([p.D]), wide)))
+        _float_kernel_is_the_flow(p, np.concatenate((_around([p.D, 1.0]), wide)))
     grid = np.linspace(0.0, 2.0, 101)
     for values in (0.3 * grid**2 + 0.1 * grid**3, np.where(grid <= 1.0, 0.5 * grid**2, np.inf)):
         p = Sampled(cc.SampledFunction.from_samples(grid, values))
-        _float_kernel_is_the_flow(p, np.concatenate((_around(p.conjugate().f.grid), wide)))
+        grids = np.concatenate((p.conjugate().f.grid, grid))
+        _float_kernel_is_the_flow(p, np.concatenate((_around(grids), wide)))
 
 
 @settings(max_examples=300, deadline=None)

@@ -41,7 +41,7 @@ RECORDS = [
     (PowerLaw, (1.0, 3.0), ("D", "n"), (1.0, -3.0)),
     (Huber, (1.0, 2.0), ("sigma_a", "D"), (1.0, math.inf)),
     (QuadPlusBall, (0.5, 1.0), ("Dinv_quad", "sigma_a"), (-0.5, 1.0)),
-    (Sampled, (SampledFunction.from_samples(_GRID, _GRID**2),), ("f",), None),
+    (Sampled, (SampledFunction.from_samples(_GRID, _GRID**2),), ("f",), ("x",)),
     (Leaf, (Dashpot(1.0),), ("p",), ("dashpot",)),
     (Parallel, (_KIDS,), ("children",), ([],)),
     (Serial, (_KIDS,), ("children",), ([Leaf(PerfectPlastic(1.0))],)),

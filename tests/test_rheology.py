@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rheokit.rheology as rheology
@@ -647,3 +647,107 @@ def test_scalar_midpoint_is_the_array_midpoint_bit_for_bit():
     got = np.array([rheology._mid_scalar(x, y) for x, y in zip(lo.tolist(), hi.tolist())])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert all(type(rheology._mid_scalar(x, y)) is float for x, y in zip(special, special[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Scalar evaluation on Python floats
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _mixed_trees(draw, depth=3, top=True):
+    """Dashpot, plastic, power-law and Huber leaves of unit order under a node, up to
+    ``depth`` levels.  A Serial node gets a power law or a dashpot, so it is well posed;
+    with a plastic child its stress is capped, and a Parallel node above caps saturates."""
+    mod = lambda: 10.0 ** draw(st.floats(-1.0, 1.0))  # noqa: E731
+    law = lambda: L(PowerLaw(mod(), draw(st.floats(1.5, 4.0))))  # noqa: E731
+    if depth == 0 or not top and draw(st.booleans()):
+        kind = draw(st.sampled_from("DPWH"))
+        return (L(Dashpot(mod())) if kind == "D" else L(PerfectPlastic(mod())) if kind == "P"
+                else law() if kind == "W" else L(Huber(mod(), mod())))
+    kids = [draw(_mixed_trees(depth - 1, False)) for _ in range(draw(st.integers(2, 3)))]
+    if draw(st.booleans()):
+        return Parallel(kids)
+    return Serial(kids + [law() if draw(st.booleans()) else L(Dashpot(mod()))])
+
+
+def _agree(got, want, rtol=1e-13):
+    """Each pair equal, or finite and within ``rtol`` of each other relative."""
+    return all(g == w or abs(g - w) <= rtol * max(abs(g), abs(w)) < math.inf
+               for g, w in zip(got, want))
+
+
+@settings(max_examples=30, deadline=None)
+@example(tree=Parallel([Serial([_P, _W]), _P]), ks=0, kr=0, rates=[1.0], stresses=[1.0])  # saturates
+@given(tree=_mixed_trees(), ks=st.integers(-150, 150), kr=st.integers(-150, 150),
+       rates=st.lists(st.floats(0.001, 100.0), min_size=1, max_size=3),
+       stresses=st.lists(st.floats(0.001, 100.0), min_size=1, max_size=3))
+def test_scalar_path_is_the_array_path(tree, ks, kr, rates, stresses):
+    """``_stress_f`` and ``_flow_f`` on Python floats give the array walk's ``(lo, hi)``
+    to 1e-13, at rest, at caps, past saturation and at scales of 1e+-150.  A slope is
+    the tangent at a finder's last probe, which lies within 1e-14 of the root but is not
+    the same probe on both walks; so slopes are compared to 1e-9, where the array
+    walk's slope is smooth: the same to 1e-9 a relative 1e-12 either side."""
+    S, R = 10.0**ks, 10.0**kr
+    tree = _rescaled(tree, S, R)
+    sup = rheology._stress_sup(tree)
+    eps = [0.0] + [e * R for e in rates]
+    sig = [0.0] + [s * S for s in stresses] + ([0.5 * sup, sup, 2.0 * sup] if sup < math.inf else [])
+    for scalar, array, xs in ((rheology._stress_f, rheology._stress, eps),
+                              (rheology._flow_f, rheology._flow, sig)):
+        with np.errstate(all="ignore"):  # at each x, and a relative 1e-12 below and above it
+            out = np.transpose(array(tree, np.outer([1.0, 1.0 - 1e-12, 1.0 + 1e-12], xs).ravel()))
+        for x, w, below, above in zip(xs, *np.split(out, 3)):
+            got = scalar(tree, x)
+            assert all(type(g) is float for g in got), (x, got)
+            assert _agree(got[:2], w[:2]), (x, got, w)
+            if _agree(below[2:], above[2:], 1e-9):
+                assert _agree(got[2:], w[2:], 1e-9), (x, got, w)
+
+
+def test_depth_counts_how_deeply_the_solves_nest(monkeypatch):
+    """``_depth``, which picks the ``curve`` path, is the deepest nesting of ``_root``
+    that the array walks ``_stress`` and ``_flow`` run."""
+    depth = [0, 0]  # open, deepest
+    root = rheology._root
+
+    def nested(*args, **kwargs):
+        depth[0] += 1
+        depth[1] = max(depth)
+        try:
+            return root(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(rheology, "_root", nested)
+    trees = _SCALE_TREES + (_FOUR_LEVEL, _W, Parallel([_W, _P]), Serial([_W, _P]))
+    for tree in trees:
+        for stress, walk in ((True, rheology._stress), (False, rheology._flow)):
+            depth[1] = 0
+            with np.errstate(all="ignore"):
+                walk(tree, np.array([0.7, 3.0]))
+            assert depth[1] == rheology._depth(tree, stress), (tree, stress)
+    assert [rheology._depth(t) for t in trees] == [2, 3, 2, 0, 0, 0, 1]
+
+
+def test_scalar_parallel_flow_solves_the_overstress(monkeypatch):
+    """Above a yield offset a Parallel node's flow is the power law of the overstress.
+    The scalar solve is taken against the stress at rest, where that law is exact in
+    one Newton step, so it evaluates the node at most five times at any unit scale."""
+    calls = [0]
+    root = rheology._root_scalar
+
+    def counted(fn, *args):
+        def f(x):
+            calls[0] += 1
+            return fn(x)
+
+        return root(f, *args)
+
+    monkeypatch.setattr(rheology, "_root_scalar", counted)
+    for S in (1e-150, 1.0, 1e150):
+        node = Parallel([L(PowerLaw(S, 2.5)), L(PerfectPlastic(S))])
+        for sig in (1.5, 3.0, 50.0):
+            calls[0] = 0
+            rate = strain_rate_of_stress(node, sig * S).hi
+            assert rate == pytest.approx((sig - 1.0) ** 2.5, rel=1e-14) and calls[0] <= 5, (S, sig)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 import rheokit.cli as cli
 from rheokit.errors import NonConvergenceError, SchemaError
 from rheokit.potentials import Dashpot, Huber, PerfectPlastic, PowerLaw
-from rheokit.rheology import Leaf, Parallel, Serial
+from rheokit.rheology import Leaf, Parallel, Serial, stress_curve
 from rheokit.schema import (
     dump_model,
     dump_simulation,
@@ -268,6 +269,89 @@ def test_curve_rest_row_uses_limit(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0"
     assert first[1] == "inf"  # yield offset at rest: no finite viscosity limit
+
+
+# ---------------------------------------------------------------------------
+# Curve paths: a short grid on a shallow tree on floats, any other as arrays
+# ---------------------------------------------------------------------------
+
+
+def test_float_grid_is_linspace_bit_for_bit():
+    """``cli._linspace`` builds ``np.linspace``'s grid in Python floats, bit for bit:
+    from 0, over subnormal spans, where the step underflows to 0, and over 1e+-300."""
+    rng = np.random.default_rng(12)
+    cases = [(0.0, 10.0, n) for n in (2, 3, 7, 64, 65, 200)]
+    cases += [(0.0, 5e-324, 64), (0.0, 1e-320, 64), (5e-324, 1e-322, 9),
+              (1e-310, 1e-310 + 3 * 5e-324, 40), (2.225073858507201e-308, 2.2250738585072014e-308, 33),
+              (3.4 / 200.0, 3.4, 200), (0.0, 1.7976931348623157e308, 64),
+              (1e308, 1.7976931348623157e308, 17)]
+    for lo, hi in np.sort(10.0 ** rng.uniform(-300, 300, size=(200, 2)), axis=1).tolist():
+        cases.append((lo, hi, int(rng.integers(2, 70))))
+    for start, stop, num in cases:
+        with np.errstate(over="ignore"):  # numpy's last entry, replaced by stop, may overflow
+            want = np.linspace(start, stop, num)
+        got = cli._linspace(start, stop, num)
+        assert all(type(x) is float for x in got)
+        assert np.array_equal(np.array(got).view(np.int64), want.view(np.int64)), (start, stop, num)
+
+
+def _nested(S, R):
+    """A depth-2 tree, ``Serial[Parallel[PowerLaw, plastic], dashpot]``, at scales S and R."""
+    leaf = lambda p: {"node": "leaf", "potential": p}  # noqa: E731
+    return {"node": "serial", "children": [
+        {"node": "parallel", "children": [
+            leaf({"kind": "powerlaw", "D": 1.2 * S / R ** 0.4, "n": 2.5}),
+            leaf({"kind": "plastic", "sigma_a": 0.7 * S})]},
+        leaf({"kind": "dashpot", "D": 1.3 * S / R})]}
+
+
+@pytest.mark.parametrize("S, R, eps_min", [(1.0, 1.0, 0.0), (1e7, 1e-14, 1e-16),
+                                           (1e-150, 1e150, 0.0)])
+def test_short_curves_on_floats_match_the_array_path(tmp_path, monkeypatch, S, R, eps_min):
+    """A grid of at most ``FLOAT_RATES`` rates on a tree whose solves nest at most
+    ``FLOAT_DEPTH`` deep runs on floats: its eps column is the array path's byte for
+    byte, its viscosities and stresses agree with it to 1e-13 relative."""
+    model = write_json(tmp_path, "n.json", _nested(S, R))
+    argv = ["curve", "--model", model, "--eps-min", repr(eps_min), "--eps-max", repr(7.0 * R),
+            "--samples", str(cli.FLOAT_RATES)]
+    arrays = []
+    monkeypatch.setattr(cli, "stress_curve", lambda *a: arrays.append(1) or stress_curve(*a))
+    columns = []
+    for rates in (cli.FLOAT_RATES, 0):  # the float path, then the array path
+        monkeypatch.setattr(cli, "FLOAT_RATES", rates)
+        out = tmp_path / f"{rates}.csv"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        columns.append(list(zip(*(ln.split(",") for ln in out.read_text().splitlines()[1:]))))
+    assert len(arrays) == 1  # only the second run took the array path
+    (eps_f, *rest_f), (eps_a, *rest_a) = columns
+    assert eps_f == eps_a and len(eps_f) == 64
+    for f, a in zip(rest_f, rest_a):
+        f, a = np.array(f, dtype=float), np.array(a, dtype=float)
+        assert np.all((f == a) | (np.abs(f - a) <= 1e-13 * np.abs(a))), (f, a)
+
+
+# SHA-256 of two outputs of the array path, pinned when short curves moved to
+# floats: a 10,000-rate curve with a rest row, and the fig6 comparison.
+_WIDE_CURVE = {"node": "serial", "children": [
+    {"node": "leaf", "potential": {"kind": "dashpot", "D": 1.3}},
+    {"node": "leaf", "potential": {"kind": "powerlaw", "D": 0.8, "n": 3.5}},
+    {"node": "parallel", "children": [
+        {"node": "leaf", "potential": {"kind": "plastic", "sigma_a": 0.6}},
+        {"node": "leaf", "potential": {"kind": "dashpot", "D": 1.1}}]},
+    {"node": "leaf", "potential": {"kind": "huber", "sigma_a": 1.7, "D": 0.9}}]}
+_PINNED = {"curve": "62df404c1a24037166e6d12517b4c4a455c8b6c921912c0ca2a3a0696814fe4a",
+           "compare": "56c44a7dd7189017bc6e9e0f64e8f4a58a7431bdcde3718305eaa1aba0ebb8b7"}
+
+
+def test_array_path_csv_is_pinned(tmp_path):
+    model = write_json(tmp_path, "w.json", _WIDE_CURVE)
+    runs = {"curve": ["curve", "--model", model, "--eps-min", "0", "--eps-max", "10",
+                      "--samples", "10000"],
+            "compare": ["compare", "--preset", "fig6"]}
+    for name, argv in runs.items():
+        out = tmp_path / f"{name}.csv"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED[name], name
 
 
 def test_equivalence_exit_and_report(tmp_path):
