@@ -8,28 +8,28 @@ of the elements' conjugate flow rates at the common stress:
     d(e_el)/dt = eps(t) - sum_i flow_i(E * e_el)
 
 Time stepping is backward Euler on the elements' own set-valued flow
-laws (``Potential.flow``), the polyline ones (dashpot, plastic, Huber)
-merged into one graph as in a Serial node, whose float kernels a model
-sums once.  Each step solves, on Python floats only, for the stress in
-``[0, min(E |trial|, cap)]``, ``cap`` the tightest stress supremum of the
-elements (a plastic constraint ``|sigma| <= sigma_a``), with the tree
-solves' scale-free root finder.  A step that reaches the cap stops there
-with no clamp: the radial return map, the exact resolution of the
-differential inclusion for this scalar model.  :func:`simulate` collects
-its rows as Python floats and hands them to :class:`TimeSeries` as they
-are, so a simulation written out as CSV never imports numpy.
+laws (``Potential.flow``), bound as a Serial node's parts, so the
+polyline ones (dashpot, plastic, Huber) merge into one graph.  Each step
+solves, on Python floats only, for the stress in ``[0, min(E |trial|,
+cap)]``, ``cap`` the tightest stress supremum of the elements (a plastic
+constraint ``|sigma| <= sigma_a``), with the tree solves' scale-free
+root finder.  A step that reaches the cap stops there with no clamp: the
+radial return map, the exact resolution of the differential inclusion
+for this scalar model.  :func:`simulate` collects its rows as Python
+floats and hands them to :class:`TimeSeries` as they are, so a
+simulation written out as CSV never imports numpy.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property, reduce
+from functools import cached_property
 
 from ._numpy import np
 from ._record import Record
 from .errors import InvalidInputError
 from .potentials import Potential
-from .rheology import Leaf, _merged, _root_scalar
+from .rheology import Leaf, _bind, _root_scalar
 
 __all__ = [
     "MaxwellModel",
@@ -59,22 +59,8 @@ class MaxwellModel(Record):
         for p in elements:
             if not isinstance(p, Potential):
                 raise InvalidInputError(f"not a Potential: {p!r}")
-        flows = tuple(c.p for c in _merged(tuple(Leaf(p) for p in elements), serial=True))
-        object.__setattr__(self, "E", E)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "_flows", flows)
-        object.__setattr__(self, "_cap", min(p.stress_sup() for p in flows))
-        object.__setattr__(self, "_flow", reduce(_plus, (p._float_flow() for p in flows)))
-
-
-def _plus(f, g):
-    """The float kernel of two flows in series: their ``(lo, hi, slope)`` added."""
-    def flow(s):
-        a, b, c = f(s)
-        x, y, z = g(s)
-        return a + x, b + y, c + z
-
-    return flow
+        # a Serial node's parts, less its strict-child check: the spring keeps each step well posed
+        self.__dict__.update(_bind(tuple(map(Leaf, elements)), serial=True), E=E, elements=elements)
 
 
 class DriveProgram(Record):
@@ -165,13 +151,13 @@ def step(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
         raise InvalidInputError(f"e_el and eps must be finite, got {e_el}, {eps}")
     trial = e_el + dt * eps
     t = abs(trial)
-    E, flow, compliance = model.E, model._flow, 1.0 / model.E
+    E, flow, compliance = model.E, model._float_flow, 1.0 / model.E
 
     def residual(s):
         _, f, d = flow(s)
         return s / E - t + dt * f, compliance + dt * d
 
-    s = _root_scalar(residual, t, min(E * t, model._cap), _STEP_RTOL)
+    s = _root_scalar(residual, t, min(E * t, model._sup), _STEP_RTOL)
     x = min(s / E, t)
     return x if trial >= 0 else -x
 
@@ -187,10 +173,10 @@ def step_explicit(model: MaxwellModel, e_el: float, eps: float, dt: float) -> fl
     if not (dt > 0):
         raise InvalidInputError("dt must be > 0")
     sig = model.E * float(e_el)
-    rate = model._flow(min(abs(sig), model._cap))[0]
+    rate = model._float_flow(min(abs(sig), model._sup))[0]
     flow = rate if sig > 0 else (-rate if sig < 0 else 0.0)
     x = float(e_el) + dt * (float(eps) - flow)
-    bound = model._cap / model.E
+    bound = model._sup / model.E
     return min(max(x, -bound), bound)
 
 

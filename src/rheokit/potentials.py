@@ -388,10 +388,13 @@ def dvalue(p: Potential, r: float) -> SubdiffInterval:
     reported as ``[0, sigma_a]``, and the normal cone at the support
     boundary of QuadPlusBall, reported with an upper end of +inf.
     """
-    r = _magnitudes(p, [float(r)])
-    with np.errstate(divide="ignore", over="ignore"):
-        lo, hi, _ = p.stress(r)
-    return SubdiffInterval(float(lo[0]), float(hi[0]))
+    if not isinstance(p, Potential):
+        raise InvalidInputError(f"unknown potential {p!r}")
+    r = float(r)
+    if r < 0:
+        raise InvalidInputError("potential argument must be >= 0")
+    lo, hi, _ = p._float_stress()(r)
+    return SubdiffInterval(lo, hi)
 
 
 def conjugate_analytic(p: Potential) -> Potential:

@@ -16,8 +16,9 @@ compliances across Serial, an inverse takes the reciprocal), for the
 Newton steps and for ``mu_eff_rigorous``'s exact limit at rest.
 Set-valued points are carried as :class:`SubdiffInterval`; saturation
 (stress beyond a composite's attainable range) is reported with a +inf
-marker, not an error.  ``stress_curve`` walks the tree over arrays, the
-scalar API on Python floats (never importing numpy); ``curve`` picks one.
+marker, not an error.  ``stress_curve`` walks the tree over arrays; on
+Python floats (never importing numpy) every node binds its two laws once,
+when built, and the scalar API calls the root's; ``curve`` picks one.
 
 The module also provides the closed-form and empirical effective
 viscosity family (min-formulas, harmonic-mean variants, diffusion +
@@ -31,6 +32,7 @@ from __future__ import annotations
 import enum
 import math
 import struct
+from functools import reduce
 from typing import Sequence, Union
 
 from ._numpy import np
@@ -73,8 +75,9 @@ class Leaf(Record):
     def __post_init__(self):
         if not isinstance(self.p, Potential):
             raise InvalidInputError(f"Leaf needs a Potential, got {self.p!r}")
-        p = self.p  # its float kernels, bound once
-        self.__dict__.update(_float_flow=p._float_flow(), _float_stress=p._float_stress())
+        p = self.p  # its float laws and stress supremum, bound once
+        self.__dict__.update(_float_flow=p._float_flow(), _float_stress=p._float_stress(),
+                             _sup=p.stress_sup())
 
 
 class Parallel(Record):
@@ -88,8 +91,7 @@ class Parallel(Record):
             raise InvalidInputError("Parallel needs at least one child")
         for c in self.children:
             _check_expr(c)
-        object.__setattr__(self, "_parts", _merged(self.children, serial=False))
-        object.__setattr__(self, "_sup", sum(map(_stress_sup, self._parts)))
+        self.__dict__.update(_bind(self.children, serial=False))
 
 
 class Serial(Record):
@@ -114,8 +116,7 @@ class Serial(Record):
                 "increasing, unbounded conjugate derivative (e.g. a dashpot "
                 "or power-law element)"
             )
-        object.__setattr__(self, "_parts", _merged(self.children, serial=True))
-        object.__setattr__(self, "_sup", min(map(_stress_sup, self._parts)))
+        self.__dict__.update(_bind(self.children, serial=True))
 
 
 RheoExpr = Union[Leaf, Parallel, Serial]
@@ -173,6 +174,39 @@ def _merged(children, serial):
                  for i, c in enumerate(children) if i == first or graphs[i] is None)
 
 
+def _bind(children, serial):
+    """A node's ``_parts`` (its children :func:`_merged`), stress supremum ``_sup`` and
+    float laws, bound once when it is built.  Parts in series add their rates, and the
+    least supremum bounds them; parts in parallel add their stresses and suprema.  The
+    other law inverts that sum by :func:`_solve`; a parallel flow saturates to +inf past
+    ``_sup``.  A lone part's laws are the node's."""
+    parts = _merged(children, serial)
+    sup = (min if serial else sum)(c._sup for c in parts)
+    total = reduce(_plus, [c._float_flow if serial else c._float_stress for c in parts])
+    cap, top = (sup, math.inf) if serial else (math.inf, sup)
+    if len(parts) == 1:
+        inverse = parts[0]._float_stress if serial else parts[0]._float_flow
+    else:
+        def inverse(t):
+            if t > top:  # saturated
+                return math.inf, math.inf, math.inf
+            x, d = _solve(total, t, cap)
+            return x, x, d
+
+    flow, stress = (total, inverse) if serial else (inverse, total)
+    return {"_parts": parts, "_sup": sup, "_float_flow": flow, "_float_stress": stress}
+
+
+def _plus(f, g):
+    """The float law of two in sum: their ``(lo, hi, slope)`` added."""
+    def law(x):
+        a, b, c = f(x)
+        u, v, w = g(x)
+        return a + u, b + v, c + w
+
+    return law
+
+
 def _depth(e, stress=True) -> int:
     """How deeply the solves of ``_stress`` (``_flow`` if not ``stress``) nest."""
     if isinstance(e, Leaf):
@@ -195,11 +229,6 @@ def _leaf_flow(p: Potential, sig: np.ndarray):
 def _leaf_stress(p: Potential, eps: np.ndarray):
     """Stress interval and slope of one element at strain rates ``eps``."""
     return p.stress(eps)
-
-
-def _stress_sup(e) -> float:
-    """Supremum of attainable stress of a subtree (inf when unbounded), kept by each node."""
-    return e.p.stress_sup() if isinstance(e, Leaf) else e._sup
 
 
 def _sum(parts):
@@ -232,7 +261,7 @@ def _stress(e, eps: np.ndarray):
         return _leaf_stress(e.p, eps)
     if isinstance(e, Parallel) or len(e._parts) == 1:
         return _sum(_stress(c, eps) for c in e._parts)
-    x, d = _root(lambda s: _flow(e, s)[1:], eps, _stress_sup(e))
+    x, d = _root(lambda s: _flow(e, s)[1:], eps, e._sup)
     return x, x, d
 
 
@@ -242,7 +271,7 @@ def _parallel_flow(node: Parallel, sig: np.ndarray):
     Stresses beyond the node's attainable supremum saturate to a +inf
     marker instead of failing.
     """
-    sat = sig > _stress_sup(node)
+    sat = sig > node._sup
     x, d = _root(lambda e: _stress(node, e)[1:], np.where(sat, 0.0, sig))
     x = np.where(sat, np.inf, x)
     return x, x, np.where(sat, np.inf, d)
@@ -351,28 +380,6 @@ def _root_scalar(fn, target, sup, rtol):
     raise NonConvergenceError(f"root solve: target {target!r} unresolved after {_MAX_ITER} steps")
 
 
-def _flow_f(e, sig: float):
-    """:func:`_flow` at one Python float, in Python floats."""
-    if isinstance(e, Leaf):
-        return e._float_flow(sig)
-    if isinstance(e, Serial) or len(e._parts) == 1:
-        return _sum(_flow_f(c, sig) for c in e._parts)
-    if sig > e._sup:  # saturated
-        return math.inf, math.inf, math.inf
-    x, d = _solve(lambda r: _stress_f(e, r), sig, math.inf)
-    return x, x, d
-
-
-def _stress_f(e, eps: float):
-    """:func:`_stress` at one Python float, in Python floats."""
-    if isinstance(e, Leaf):
-        return e._float_stress(eps)
-    if isinstance(e, Parallel) or len(e._parts) == 1:
-        return _sum(_stress_f(c, eps) for c in e._parts)
-    x, d = _solve(lambda s: _flow_f(e, s), eps, e._sup)
-    return x, x, d
-
-
 def _solve(fn, t, sup):
     """:func:`_root` at one float by :func:`_root_scalar`, on the upper end of ``fn``
     less its value at rest: ``x`` and dx/dt, 0 below rest and at the cap ``sup``."""
@@ -408,14 +415,14 @@ def strain_rate_of_stress(e: RheoExpr, sigma: float) -> SubdiffInterval:
     saturated interval with +inf ends.  Evaluated on Python floats.
     """
     _check_expr(e)
-    lo, hi, _ = _flow_f(e, _check_scalar_nonneg(sigma, "sigma"))
+    lo, hi, _ = e._float_flow(_check_scalar_nonneg(sigma, "sigma"))
     return SubdiffInterval(lo, hi)
 
 
 def stress_of_strain_rate(e: RheoExpr, eps: float) -> SubdiffInterval:
     """Stress response at strain-rate magnitude ``eps``, in Pa, on Python floats."""
     _check_expr(e)
-    lo, hi, _ = _stress_f(e, _check_scalar_nonneg(eps, "eps"))
+    lo, hi, _ = e._float_stress(_check_scalar_nonneg(eps, "eps"))
     return SubdiffInterval(lo, hi)
 
 
@@ -454,7 +461,7 @@ def mu_eff_rigorous(e: RheoExpr, eps: float, limit: bool = False) -> float:
         return stress_of_strain_rate(e, eps).midpoint / eps
     if not limit:
         raise InvalidInputError("mu_eff at eps = 0 requires limit=True")
-    _, rest, slope = _stress_f(e, 0.0)
+    _, rest, slope = e._float_stress(0.0)
     return math.inf if rest > 0 else slope
 
 

@@ -8,6 +8,7 @@ import itertools
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -82,7 +83,7 @@ def test_criterion_1_figure6_reproduction(tmp_path):
         assert rc == 0
         assert elapsed < 1.0, f"compare took {elapsed:.2f}s, budget 1s"
 
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         header = lines[0].split(",")
         rows = np.array([[float(t) for t in ln.split(",")] for ln in lines[1:]])
         assert rows.shape[0] == 200
@@ -287,7 +288,7 @@ def test_compare_numeric_exponent_matches_bisection_oracle(tmp_path):
     rc = cli.main(["compare", "--n-list", "3.5", "--d-dif", "2", "--d-dsl", "0.5",
                    "--eps-min", "1e-3", "--eps-max", "50", "--samples", "60", "--out", out])
     assert rc == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     header = lines[0].split(",")
     rows = np.array([[float(t) for t in ln.split(",")] for ln in lines[1:]])
     col = {name: rows[:, i] for i, name in enumerate(header)}

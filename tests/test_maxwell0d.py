@@ -75,12 +75,12 @@ def _straddles(m, x, t, dt):
 @contextlib.contextmanager
 def _flow_evaluations(m):
     """Count the flow evaluations of one step: one is a call of each float kernel the
-    step sums (one per flow of ``m._flows``, where the polyline elements are merged
+    step sums (one per part of ``m._parts``, where the polyline elements are merged
     into one).  The kernels are counted on their kinds and bound into ``m`` as a
     model binds them; a step evaluates its flow at least once."""
     calls = [0]
     with pytest.MonkeyPatch.context() as mp:
-        for kind in {type(p) for p in m._flows}:
+        for kind in {type(c.p) for c in m._parts}:
             def counted(self, bind=kind._float_flow):
                 kernel = bind(self)
 
@@ -91,9 +91,9 @@ def _flow_evaluations(m):
                 return flow
 
             mp.setattr(kind, "_float_flow", counted)
-        mp.setitem(vars(m), "_flow", MaxwellModel(m.E, m.elements)._flow)
-        yield lambda: calls[0] / len(m._flows)
-    assert calls[0] >= len(m._flows), "the step's flow evaluations went uncounted"
+        mp.setitem(vars(m), "_float_flow", MaxwellModel(m.E, m.elements)._float_flow)
+        yield lambda: calls[0] / len(m._parts)
+    assert calls[0] >= len(m._parts), "the step's flow evaluations went uncounted"
 
 
 def test_step_tolerance_is_relative_to_the_answer():
@@ -171,7 +171,7 @@ def test_step_is_exact_over_hundreds_of_decades(args):
     assert evaluations() <= 100
     assert x == 0.0 or (x > 0) == (trial > 0)
     x = abs(x)
-    cap = m._cap / m.E
+    cap = m._sup / m.E
     assert x <= min(t, cap)
     # a root below the normal floats, in strain or stress, only has to be bounded
     tiny = np.finfo(float).tiny * max(1.0, 1.0 / m.E)
@@ -390,7 +390,7 @@ def test_step_on_merged_polyline_elements():
     for elements in ([Dashpot(2.0), Huber(0.6, 1.5), PowerLaw(1.3, 3.5)],
                      [Dashpot(0.7), PowerLaw(0.9, 1.5), PerfectPlastic(0.5)]):
         m = MaxwellModel(10.0, elements)
-        assert len(m._flows) == 2 and m._cap == min(p.stress_sup() for p in elements)
+        assert len(m._parts) == 2 and m._sup == min(p.stress_sup() for p in elements)
         for _ in range(300):
             e_el, eps = rng.uniform(-0.1, 0.1), rng.uniform(-3.0, 3.0)
             dt = 10.0 ** rng.uniform(-3.0, 1.0)
@@ -399,8 +399,34 @@ def test_step_on_merged_polyline_elements():
         # past the cap the stress stops exactly there, after at most two evaluations
         for eps in (100.0, -100.0):
             with _flow_evaluations(m) as evaluations:
-                assert step(m, 0.0, eps, 0.1) == math.copysign(m._cap / m.E, eps)
+                assert step(m, 0.0, eps, 0.1) == math.copysign(m._sup / m.E, eps)
             assert evaluations() <= 2
+
+
+def test_model_flow_is_a_serial_nodes_flow():
+    """A model's flow is the Serial node of its elements, bit for bit, and has its stress
+    supremum: at stresses over 1e+-300, at the merged graph's vertices and past the cap.
+    Plastic elements alone make no Serial node, but a model whose step stops at the cap."""
+    rng = np.random.default_rng(89)
+    wide = (10.0 ** rng.uniform(-300, 300, 200)).tolist()
+    for elements in ([Dashpot(2.0), Huber(0.6, 1.5), PowerLaw(1.3, 3.5), PowerLaw(0.4, 1.5)],
+                     [Dashpot(0.7), PowerLaw(0.9, 1.5), PerfectPlastic(0.5)],
+                     [PowerLaw(1e-30, 40.0)], [Dashpot(9.42e20), PerfectPlastic(4.94e6)],
+                     [Huber(4.94e6, 1.1e21), PowerLaw(2.5e16, 0.3), Huber(1e-100, 1e150)]):
+        m, node = MaxwellModel(1.0, elements), Serial([Leaf(p) for p in elements])
+        assert m._sup == node._sup
+        sup = m._sup
+        vertices = [x for c in m._parts if c.p._graph for x, *_ in c.p._graph.T.pieces]
+        past = [math.nextafter(sup, math.inf), 2.0 * sup, 1.7976931348623157e308]
+        for s in [0.0, *vertices, *wide, *(past if sup < math.inf else [])]:
+            got, want = m._float_flow(s), node._float_flow(s)
+            assert list(map(float.hex, got)) == list(map(float.hex, want)), (elements, s)
+    plastic = [PerfectPlastic(0.5), PerfectPlastic(2.0)]
+    with pytest.raises(InvalidInputError):
+        Serial([Leaf(p) for p in plastic])
+    m = MaxwellModel(3.0, plastic)
+    for eps in (100.0, -100.0):
+        assert step(m, 0.0, eps, 0.1) == math.copysign(0.5 / 3.0, eps)
 
 
 def test_step_and_simulate_raise_nothing_under_any_error_state():

@@ -22,7 +22,7 @@ from rheokit.potentials import (
     sample_potential,
     value,
 )
-from rheokit.rheology import Leaf, _merged
+from rheokit.rheology import Leaf, _merged, stress_of_strain_rate
 
 CATALOG = [
     Dashpot(1.7),
@@ -87,6 +87,28 @@ def test_dvalue_intervals():
     assert boundary.lo == pytest.approx(1.0)
     assert math.isinf(boundary.hi)
     assert math.isinf(dvalue(QuadPlusBall(1.0, 1.0), 2.0).lo)
+
+
+def test_dvalue_is_the_leaf_stress_bit_for_bit():
+    """``dvalue`` is a one-leaf ``stress_of_strain_rate``, bit for bit, for every
+    kind: moduli over 1e+-150, power-law exponents 0.1 to 40, rates over 1e+-300."""
+    rng = np.random.default_rng(20261018)
+    grid = np.linspace(0.0, 2.0, 101)
+    sampled = Sampled(cc.SampledFunction.from_samples(grid, 0.3 * grid**2 + 0.1 * grid**3))
+    for i in range(2000):
+        d, a = 10.0 ** rng.uniform(-150, 150, 2)
+        r = 10.0 ** rng.uniform(-300, 300)
+        n = rng.uniform(0.1, 40.0)
+        cases = [(PowerLaw(d, n), r)]
+        if i % 10 == 0:
+            cases += [(p, r) for p in (Dashpot(d), PerfectPlastic(a), Huber(a, d),
+                                       QuadPlusBall(d, a), QuadPlusBall(0.0, a))]
+        if i % 100 == 0:
+            cases.append((sampled, rng.uniform(0.0, 2.0)))
+        for p, x in cases:
+            got, want = dvalue(p, x), stress_of_strain_rate(Leaf(p), x)
+            assert _bits([got.lo, got.hi]).tolist() == _bits([want.lo, want.hi]).tolist(), \
+                (p, x, got, want)
 
 
 def test_dvalue_monotone_in_rate():

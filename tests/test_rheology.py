@@ -683,22 +683,22 @@ def _agree(got, want, rtol=1e-13):
        rates=st.lists(st.floats(0.001, 100.0), min_size=1, max_size=3),
        stresses=st.lists(st.floats(0.001, 100.0), min_size=1, max_size=3))
 def test_scalar_path_is_the_array_path(tree, ks, kr, rates, stresses):
-    """``_stress_f`` and ``_flow_f`` on Python floats give the array walk's ``(lo, hi)``
+    """A node's float laws on Python floats give the array walk's ``(lo, hi)``
     to 1e-13, at rest, at caps, past saturation and at scales of 1e+-150.  A slope is
     the tangent at a finder's last probe, which lies within 1e-14 of the root but is not
     the same probe on both walks; so slopes are compared to 1e-9, where the array
     walk's slope is smooth: the same to 1e-9 a relative 1e-12 either side."""
     S, R = 10.0**ks, 10.0**kr
     tree = _rescaled(tree, S, R)
-    sup = rheology._stress_sup(tree)
+    sup = tree._sup
     eps = [0.0] + [e * R for e in rates]
     sig = [0.0] + [s * S for s in stresses] + ([0.5 * sup, sup, 2.0 * sup] if sup < math.inf else [])
-    for scalar, array, xs in ((rheology._stress_f, rheology._stress, eps),
-                              (rheology._flow_f, rheology._flow, sig)):
+    for scalar, array, xs in ((tree._float_stress, rheology._stress, eps),
+                              (tree._float_flow, rheology._flow, sig)):
         with np.errstate(all="ignore"):  # at each x, and a relative 1e-12 below and above it
             out = np.transpose(array(tree, np.outer([1.0, 1.0 - 1e-12, 1.0 + 1e-12], xs).ravel()))
         for x, w, below, above in zip(xs, *np.split(out, 3)):
-            got = scalar(tree, x)
+            got = scalar(x)
             assert all(type(g) is float for g in got), (x, got)
             assert _agree(got[:2], w[:2]), (x, got, w)
             if _agree(below[2:], above[2:], 1e-9):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,7 +114,7 @@ def test_parse_simulation_round_trip():
 
 
 def read_csv(path):
-    lines = open(path, "r", encoding="utf-8").read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")
     rows = np.array(
         [[math.inf if tok == "inf" else float(tok) for tok in ln.split(",")] for ln in lines[1:]]
@@ -173,7 +174,7 @@ def test_curve_deterministic_output(tmp_path):
     for name in ("a.csv", "b.csv"):
         out = str(tmp_path / name)
         assert cli.main(["curve", "--model", model, "--out", out]) == 0
-        outs.append(open(out, "rb").read())
+        outs.append(Path(out).read_bytes())
     assert outs[0] == outs[1]
     assert b"\r" not in outs[0]
 
@@ -265,7 +266,7 @@ def test_curve_rest_row_uses_limit(tmp_path):
     out = str(tmp_path / "b.csv")
     assert cli.main(["curve", "--model", model, "--eps-min", "0", "--eps-max", "2",
                      "--samples", "5", "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     first = lines[1].split(",")
     assert first[0] == "0"
     assert first[1] == "inf"  # yield offset at rest: no finite viscosity limit
@@ -303,6 +304,18 @@ def _nested(S, R):
             leaf({"kind": "powerlaw", "D": 1.2 * S / R ** 0.4, "n": 2.5}),
             leaf({"kind": "plastic", "sigma_a": 0.7 * S})]},
         leaf({"kind": "dashpot", "D": 1.3 * S / R})]}
+
+
+def _nested_parallel(S, R):
+    """A depth-2 tree, ``Parallel[Serial[Parallel[PowerLaw, plastic], dashpot], dashpot]``."""
+    leaf = lambda p: {"node": "leaf", "potential": p}  # noqa: E731
+    return {"node": "parallel", "children": [
+        {"node": "serial", "children": [
+            {"node": "parallel", "children": [
+                leaf({"kind": "powerlaw", "D": 0.9 * S / R ** (1 / 3.5), "n": 3.5}),
+                leaf({"kind": "plastic", "sigma_a": 1.4 * S})]},
+            leaf({"kind": "dashpot", "D": 0.8 * S / R})]},
+        leaf({"kind": "dashpot", "D": 0.15 * S / R})]}
 
 
 @pytest.mark.parametrize("S, R, eps_min", [(1.0, 1.0, 0.0), (1e7, 1e-14, 1e-16),
@@ -354,11 +367,35 @@ def test_array_path_csv_is_pinned(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED[name], name
 
 
+# SHA-256 of four outputs of the float path (64 rates with a rest row, on the two
+# depth-2 trees above at unit and geo scale), pinned before the tree nodes bound
+# their float laws.  Like the pins above, they read the platform's libm (``pow``,
+# ``log1p``, ``expm1``), so a machine whose libm rounds otherwise may need its own.
+_FLOAT_PINNED = {
+    ("serial", 1.0): "ef75671be4fc04fdeaecf06d89661c00b7be6f823134ed588dac053d4a2ce555",
+    ("serial", 1e7): "c7fce05a739f4708f5ccb7955b2c97125a7e7ec522ae55ad5d9978dd375ca947",
+    ("parallel", 1.0): "f5a732516b2afa1deb8ed5255edd7af8908d070f67a07e27d081db56229066ac",
+    ("parallel", 1e7): "bc94d2e175f7be3b274ecae079dbd677e3ab1b9eec7f73aafdf150e1d96fa73d",
+}
+
+
+@pytest.mark.parametrize("shape, S", list(_FLOAT_PINNED))
+def test_float_path_csv_is_pinned(tmp_path, monkeypatch, shape, S):
+    R = 1e-14 if S > 1 else 1.0
+    tree = (_nested if shape == "serial" else _nested_parallel)(S, R)
+    monkeypatch.setattr(cli, "stress_curve", None)  # the array path would fail
+    out = tmp_path / "curve.csv"
+    argv = ["curve", "--model", write_json(tmp_path, "n.json", tree), "--eps-min", "0",
+            "--eps-max", repr(7.0 * R), "--samples", "64"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _FLOAT_PINNED[shape, S]
+
+
 def test_equivalence_exit_and_report(tmp_path):
     out = str(tmp_path / "eq.txt")
     rc = cli.main(["equivalence", "--sigma-a", "1", "--d2", "1", "--d3", "1", "--out", out])
     assert rc == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     fields = dict(ln.split("=", 1) for ln in text.strip().splitlines())
     assert float(fields["sigma_a_tilde"]) == 2.0
     assert float(fields["D2_tilde"]) == 2.0
