@@ -228,8 +228,6 @@ def cmd_simulate(args) -> int:
     if args.dump_model:
         _write(args.out, _dump_json(dump_simulation(model, drive, e_el0)))
         return EXIT_OK
-    if not (args.dt > 0 and args.t_end >= args.dt):
-        raise InvalidInputError("need dt > 0 and t_end >= dt")
     ts = simulate(model, drive, args.dt, args.t_end, e_el0)
     _write(args.out, _csv(["t", "eps", "e_el", "sigma"], ts.columns))
     return EXIT_OK
@@ -248,7 +246,7 @@ def cmd_conjugate(args) -> int:
     sigma_max = args.sigma_max
     if sigma_max is None:
         sup = expr.p.stress_sup()
-        sigma_max = 2.0 * sup if sup < math.inf else 10.0
+        sigma_max = min(2.0 * sup, sys.float_info.max) if sup < math.inf else 10.0
     if not (0 < sigma_max < math.inf) or args.samples < 2:
         raise InvalidInputError("need 0 < --sigma-max < inf and --samples >= 2")
     s = np.linspace(0.0, sigma_max, int(args.samples))

@@ -23,6 +23,7 @@ simulation written out as CSV never imports numpy.
 from __future__ import annotations
 
 import math
+import sys
 from functools import cached_property
 
 from ._numpy import np
@@ -191,13 +192,17 @@ def simulate(
 
     The drive is sampled at the end of each step (implicit in time, like
     the stress solve).  A shortened final step lands exactly on
-    ``t_end`` when it is not a multiple of ``dt``.
+    ``t_end`` when it is not a multiple of ``dt``.  Non-finite times, and more steps
+    than a list can index, are input errors.
     """
-    if not (dt > 0):
-        raise InvalidInputError("dt must be > 0")
+    if not (0 < dt < math.inf and math.isfinite(t_end)):
+        raise InvalidInputError(f"dt must be finite and > 0 and t_end finite, got {dt}, {t_end}")
     if not (t_end >= dt):
         raise InvalidInputError("t_end must be at least dt")
-    n_full = int(math.floor(t_end / dt + 1e-12))
+    n = t_end / dt + 1e-12
+    if n > sys.maxsize:
+        raise InvalidInputError(f"t_end / dt = {n:.6g} steps, more than a list can index")
+    n_full = int(math.floor(n))
     steps = [dt] * n_full
     rem = t_end - n_full * dt
     if rem > 1e-12 * dt:

@@ -16,9 +16,10 @@ compliances across Serial, an inverse takes the reciprocal), for the
 Newton steps and for ``mu_eff_rigorous``'s exact limit at rest.
 Set-valued points are carried as :class:`SubdiffInterval`; saturation
 (stress beyond a composite's attainable range) is reported with a +inf
-marker, not an error.  ``stress_curve`` walks the tree over arrays; on
-Python floats (never importing numpy) every node binds its two laws once,
-when built, and the scalar API calls the root's; ``curve`` picks one.
+marker, not an error.  Every node binds its laws once, when built, by one
+rule: on numpy arrays (``stress_curve``) and on Python floats, never
+importing numpy (the scalar API); ``curve`` picks one.  It binds its graph
+features and polyline graph with them, so no evaluation walks the tree.
 
 The module also provides the closed-form and empirical effective
 viscosity family (min-formulas, harmonic-mean variants, diffusion +
@@ -75,9 +76,11 @@ class Leaf(Record):
     def __post_init__(self):
         if not isinstance(self.p, Potential):
             raise InvalidInputError(f"Leaf needs a Potential, got {self.p!r}")
-        p = self.p  # its float laws and stress supremum, bound once
-        self.__dict__.update(_float_flow=p._float_flow(), _float_stress=p._float_stress(),
-                             _sup=p.stress_sup())
+        p = self.p  # its laws, graph features, graph and stress supremum, bound once
+        self.__dict__.update(_flow=lambda sig: _leaf_flow(p, sig),
+                             _stress=lambda eps: _leaf_stress(p, eps),
+                             _float_flow=p._float_flow(), _float_stress=p._float_stress(),
+                             _feat=p._feat(), _graph=p._graph, _sup=p.stress_sup())
 
 
 class Parallel(Record):
@@ -110,7 +113,7 @@ class Serial(Record):
             raise InvalidInputError("Serial needs at least one child")
         for c in self.children:
             _check_expr(c)
-        if not any(_strict_unbounded(c) for c in self.children):
+        if not any(all(c._feat) for c in self.children):
             raise InvalidInputError(
                 "Serial node needs at least one child with a strictly "
                 "increasing, unbounded conjugate derivative (e.g. a dashpot "
@@ -127,44 +130,11 @@ def _check_expr(e):
         raise InvalidInputError(f"expected a RheoExpr node, got {e!r}")
 
 
-def _conj_feat(f: _Feat) -> _Feat:
-    return _Feat(f.nf, f.sv, f.ub, f.dom)
-
-
-def _sum_feats(fs) -> _Feat:
-    return _Feat(
-        all(f.sv for f in fs),
-        any(f.nf for f in fs),
-        all(f.dom for f in fs),
-        any(f.ub for f in fs),
-    )
-
-
-def _feat(e) -> _Feat:
-    if isinstance(e, Leaf):
-        return e.p._feat()
-    if isinstance(e, Parallel):
-        return _sum_feats([_feat(c) for c in e.children])
-    return _conj_feat(_sum_feats([_conj_feat(_feat(c)) for c in e.children]))
-
-
-def _strict_unbounded(e) -> bool:
-    f = _feat(e)
-    return f.sv and f.nf and f.dom and f.ub
-
-
-def _graph(e):
-    """The polyline graph a subtree evaluates as, or None."""
-    if isinstance(e, Leaf):
-        return e.p._graph
-    return _graph(e._parts[0]) if len(e._parts) == 1 else None
-
-
 def _merged(children, serial):
     """What a node evaluates: its graph children merged into one leaf, in
     place of the first; Parallel adds graphs at a common rate, Serial at a
     common stress."""
-    graphs = [_graph(c) for c in children]
+    graphs = [c._graph for c in children]
     found = [g for g in graphs if g is not None]
     if len(found) < 2:
         return children
@@ -175,30 +145,55 @@ def _merged(children, serial):
 
 
 def _bind(children, serial):
-    """A node's ``_parts`` (its children :func:`_merged`), stress supremum ``_sup`` and
-    float laws, bound once when it is built.  Parts in series add their rates, and the
-    least supremum bounds them; parts in parallel add their stresses and suprema.  The
-    other law inverts that sum by :func:`_solve`; a parallel flow saturates to +inf past
-    ``_sup``.  A lone part's laws are the node's."""
+    """A node's ``_parts`` (its children :func:`_merged`), stress supremum ``_sup``, graph
+    features ``_feat``, polyline ``_graph`` and laws, bound once when it is built: the
+    array laws ``_flow`` and ``_stress``, and the float laws ``_float_flow`` and
+    ``_float_stress``.  Parts in series add their rates, and the least supremum bounds
+    them; parts in parallel add their stresses and suprema.  The other law inverts that
+    sum (:func:`_array_inverse`, :func:`_float_inverse`); a parallel flow saturates to
+    +inf past ``_sup``.  A lone part's laws and graph are the node's.  Features add as
+    the potentials do in parallel, and as their conjugates do in series."""
     parts = _merged(children, serial)
     sup = (min if serial else sum)(c._sup for c in parts)
-    total = reduce(_plus, [c._float_flow if serial else c._float_stress for c in parts])
     cap, top = (sup, math.inf) if serial else (math.inf, sup)
-    if len(parts) == 1:
-        inverse = parts[0]._float_stress if serial else parts[0]._float_flow
-    else:
-        def inverse(t):
-            if t > top:  # saturated
-                return math.inf, math.inf, math.inf
-            x, d = _solve(total, t, cap)
-            return x, x, d
+    sv, nf, dom, ub = zip(*(c._feat for c in children))
+    one, other = (any, all) if serial else (all, any)
+    lone = len(parts) == 1
+    bound = {"_parts": parts, "_sup": sup, "_feat": _Feat(one(sv), other(nf), one(dom), other(ub)),
+             "_graph": parts[0]._graph if lone else None}
+    for flow, stress, inverse in (("_flow", "_stress", _array_inverse),
+                                  ("_float_flow", "_float_stress", _float_inverse)):
+        summed, inverted = (flow, stress) if serial else (stress, flow)
+        bound[summed] = total = reduce(_plus, [getattr(c, summed) for c in parts])
+        bound[inverted] = getattr(parts[0], inverted) if lone else inverse(total, cap, top)
+    return bound
 
-    flow, stress = (total, inverse) if serial else (inverse, total)
-    return {"_parts": parts, "_sup": sup, "_float_flow": flow, "_float_stress": stress}
+
+def _array_inverse(total, cap, top):
+    """The array law inverse to ``total``: :func:`_root` in ``[0, cap]``, +inf past ``top``."""
+    def inverse(t):
+        sat = t > top  # saturated
+        x, d = _root(lambda x: total(x)[1:], np.where(sat, 0.0, t), cap)
+        x = np.where(sat, np.inf, x)
+        return x, x, np.where(sat, np.inf, d)
+
+    return inverse
+
+
+def _float_inverse(total, cap, top):
+    """The float law inverse to ``total``: :func:`_solve` in ``[0, cap]``, +inf past ``top``."""
+    def inverse(t):
+        if t > top:  # saturated
+            return math.inf, math.inf, math.inf
+        x, d = _solve(total, t, cap)
+        return x, x, d
+
+    return inverse
 
 
 def _plus(f, g):
-    """The float law of two in sum: their ``(lo, hi, slope)`` added."""
+    """The law of two in sum, on Python floats or numpy arrays: their ``(lo, hi, slope)``
+    added, so a ``reduce`` over parts adds them left to right."""
     def law(x):
         a, b, c = f(x)
         u, v, w = g(x)
@@ -208,7 +203,7 @@ def _plus(f, g):
 
 
 def _depth(e, stress=True) -> int:
-    """How deeply the solves of ``_stress`` (``_flow`` if not ``stress``) nest."""
+    """How deeply the solves of the array law ``_stress`` (``_flow`` if not ``stress``) nest."""
     if isinstance(e, Leaf):
         return 0
     # a Serial node solves for its stress, a Parallel one for its rate, unless merged to one part
@@ -229,52 +224,6 @@ def _leaf_flow(p: Potential, sig: np.ndarray):
 def _leaf_stress(p: Potential, eps: np.ndarray):
     """Stress interval and slope of one element at strain rates ``eps``."""
     return p.stress(eps)
-
-
-def _sum(parts):
-    """Elementwise sum of (lo, hi, slope) triples."""
-    lo, hi, d = next(parts)
-    for clo, chi, cd in parts:
-        lo, hi, d = lo + clo, hi + chi, d + cd
-    return lo, hi, d
-
-
-def _flow(e, sig: np.ndarray):
-    """Strain-rate interval of a subtree at stress magnitudes ``sig``.
-
-    With the slope d(rate)/d(stress): compliances add across Serial.
-    """
-    if isinstance(e, Leaf):
-        return _leaf_flow(e.p, sig)
-    if isinstance(e, Serial) or len(e._parts) == 1:
-        return _sum(_flow(c, sig) for c in e._parts)
-    return _parallel_flow(e, sig)
-
-
-def _stress(e, eps: np.ndarray):
-    """Stress interval of a subtree at strain rates ``eps``.
-
-    With the slope d(stress)/d(rate): stiffnesses add across Parallel; a
-    Serial node inverts its summed flow and takes the reciprocal slope.
-    """
-    if isinstance(e, Leaf):
-        return _leaf_stress(e.p, eps)
-    if isinstance(e, Parallel) or len(e._parts) == 1:
-        return _sum(_stress(c, eps) for c in e._parts)
-    x, d = _root(lambda s: _flow(e, s)[1:], eps, e._sup)
-    return x, x, d
-
-
-def _parallel_flow(node: Parallel, sig: np.ndarray):
-    """Invert the summed stress of a Parallel node (generic path).
-
-    Stresses beyond the node's attainable supremum saturate to a +inf
-    marker instead of failing.
-    """
-    sat = sig > node._sup
-    x, d = _root(lambda e: _stress(node, e)[1:], np.where(sat, 0.0, sig))
-    x = np.where(sat, np.inf, x)
-    return x, x, np.where(sat, np.inf, d)
 
 
 def _root(fn, target, sup=math.inf):
@@ -433,7 +382,7 @@ def stress_curve(e: RheoExpr, eps) -> np.ndarray:
     if np.any(eps < 0) or not np.all(np.isfinite(eps)):
         raise InvalidInputError("strain rates must be finite and >= 0")
     with np.errstate(divide="ignore", over="ignore"):
-        lo, hi, _ = _stress(e, eps)
+        lo, hi, _ = e._stress(eps)
     return 0.5 * (lo + hi)
 
 
@@ -713,7 +662,7 @@ def serial_dif_dsl_stress(
                 f"closed mode covers n in {{1, 2, 3}}, got n = {n}"
             )
     elif mode == "numeric":
-        out = _stress(Serial([Leaf(Dashpot(D_dif)), Leaf(PowerLaw(D_dsl, n))]), eps)[1]
+        out = Serial([Leaf(Dashpot(D_dif)), Leaf(PowerLaw(D_dsl, n))])._stress(eps)[1]
     else:
         raise InvalidInputError(f"mode must be 'closed' or 'numeric', got {mode!r}")
     return float(out) if scalar_in else out

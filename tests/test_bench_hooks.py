@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from rheokit import maxwell0d
+from rheokit import maxwell0d, rheology
 from rheokit.potentials import Dashpot, PerfectPlastic, PowerLaw
+from rheokit.rheology import Leaf, Parallel, Serial, stress_curve
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -46,3 +47,22 @@ def test_simulate_calls_the_module_level_step_once_per_step(monkeypatch):
     ts = maxwell0d.simulate(m, maxwell0d.DriveProgram([(0.5, 1.0), (1.0, -1.0)]), 0.03, 1.0)
     assert len(calls) == len(ts) - 1 == 34
     assert calls == ts.e_el[:-1].tolist()  # each step starts from the row before
+
+
+def test_stress_curve_calls_the_module_level_leaf_kernels(monkeypatch):
+    """The ``rheology.leaf_calls`` hooks wrap the module's ``_leaf_flow`` and
+    ``_leaf_stress`` after the tree is built: a tree's bound laws must look them
+    up through the module when called, or the counts read 0."""
+    tree = Serial([Parallel([Leaf(PowerLaw(1.0, 2.5)), Leaf(PerfectPlastic(1.0))]),
+                   Leaf(Dashpot(1.0))])
+    calls = {}
+    for name in ("_leaf_flow", "_leaf_stress"):
+        kernel = getattr(rheology, name)
+
+        def counted(*args, name=name, kernel=kernel):
+            calls[name] = calls.get(name, 0) + 1
+            return kernel(*args)
+
+        monkeypatch.setattr(rheology, name, counted)
+    stress_curve(tree, [0.1, 1.0, 10.0])
+    assert calls.get("_leaf_flow", 0) > 0 and calls.get("_leaf_stress", 0) > 0, calls

@@ -15,7 +15,6 @@ from rheokit.rheology import (
     Parallel,
     Serial,
     ThreeElementParams,
-    _parallel_flow,
     harmonic_mean_linear,
     map_serial_parallel_params,
     mu_eff_curve,
@@ -69,6 +68,13 @@ def test_serial_needs_an_unbounded_strict_child():
         Serial([Parallel([L(PerfectPlastic(1.0)), L(Dashpot(1.0))]), L(PerfectPlastic(2.0))])
     with pytest.raises(InvalidInputError):
         Parallel([])
+    # nested Serial nodes: a strict child anywhere in a Serial child qualifies it
+    w, d, p = L(PowerLaw(1.0, 3.0)), L(Dashpot(1.0)), L(PerfectPlastic(1.0))
+    Serial([Serial([w, d]), p])
+    Serial([Parallel([Serial([w, p]), d]), L(PerfectPlastic(2.0))])
+    with pytest.raises(InvalidInputError):
+        # a dashpot in series with a plastic is capped at its yield stress: it does not qualify
+        Serial([Serial([d, p]), L(PerfectPlastic(2.0))])
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +163,8 @@ def random_plastic_tree(rng, depth=2, rich=False):
 def test_parallel_fast_path_matches_generic_solve():
     node = Parallel([L(PerfectPlastic(1.2)), L(Dashpot(0.7)), L(Dashpot(1.3))])
     sig = np.linspace(0.0, 6.0, 97)
-    lo_g, hi_g = _parallel_flow(node, sig)[:2]
+    # the generic root solve of the node's summed stress, against the exact float path
+    lo_g, hi_g = rheology._array_inverse(node._stress, math.inf, node._sup)(sig)[:2]
     lo_f = np.array([strain_rate_of_stress(node, s).lo for s in sig])
     assert np.max(np.abs(lo_g - lo_f)) <= 1e-10 * max(1.0, np.max(lo_f))
 
@@ -166,7 +173,7 @@ def test_parallel_flow_below_yield_is_exactly_zero():
     node = Parallel([L(PowerLaw(1.0, 2.5)), L(PerfectPlastic(1.0))])
     iv = strain_rate_of_stress(node, 0.5)
     assert iv.lo == iv.hi == 0.0
-    lo, hi = _parallel_flow(node, np.array([0.0, 0.5, 1.0]))[:2]
+    lo, hi = node._flow(np.array([0.0, 0.5, 1.0]))[:2]
     assert np.all(lo == 0.0) and np.all(hi == 0.0)
     # above yield the overstress drives the power law: (sig - 1)**2.5
     assert strain_rate_of_stress(node, 3.0).hi == pytest.approx(2.0**2.5, rel=1e-14)
@@ -693,10 +700,10 @@ def test_scalar_path_is_the_array_path(tree, ks, kr, rates, stresses):
     sup = tree._sup
     eps = [0.0] + [e * R for e in rates]
     sig = [0.0] + [s * S for s in stresses] + ([0.5 * sup, sup, 2.0 * sup] if sup < math.inf else [])
-    for scalar, array, xs in ((tree._float_stress, rheology._stress, eps),
-                              (tree._float_flow, rheology._flow, sig)):
+    for scalar, array, xs in ((tree._float_stress, tree._stress, eps),
+                              (tree._float_flow, tree._flow, sig)):
         with np.errstate(all="ignore"):  # at each x, and a relative 1e-12 below and above it
-            out = np.transpose(array(tree, np.outer([1.0, 1.0 - 1e-12, 1.0 + 1e-12], xs).ravel()))
+            out = np.transpose(array(np.outer([1.0, 1.0 - 1e-12, 1.0 + 1e-12], xs).ravel()))
         for x, w, below, above in zip(xs, *np.split(out, 3)):
             got = scalar(x)
             assert all(type(g) is float for g in got), (x, got)
@@ -722,10 +729,10 @@ def test_depth_counts_how_deeply_the_solves_nest(monkeypatch):
     monkeypatch.setattr(rheology, "_root", nested)
     trees = _SCALE_TREES + (_FOUR_LEVEL, _W, Parallel([_W, _P]), Serial([_W, _P]))
     for tree in trees:
-        for stress, walk in ((True, rheology._stress), (False, rheology._flow)):
+        for stress, walk in ((True, tree._stress), (False, tree._flow)):
             depth[1] = 0
             with np.errstate(all="ignore"):
-                walk(tree, np.array([0.7, 3.0]))
+                walk(np.array([0.7, 3.0]))
             assert depth[1] == rheology._depth(tree, stress), (tree, stress)
     assert [rheology._depth(t) for t in trees] == [2, 3, 2, 0, 0, 0, 1]
 

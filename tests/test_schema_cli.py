@@ -510,6 +510,24 @@ def test_conjugate_of_an_unrepresentable_power_law_exits_2(tmp_path):
                                f"10**{exponent}, which float64 cannot represent\n")
 
 
+def test_conjugate_default_range_holds_a_huge_yield_stress(tmp_path, capsys):
+    """With no --sigma-max the grid runs to twice the yield stress, capped at the
+    largest float, so a yield stress of 1e308 still gets a grid over [0, sup]."""
+    model = write_json(tmp_path, "p.json",
+                       {"node": "leaf", "potential": {"kind": "plastic", "sigma_a": 1e308}})
+    assert cli.main(["conjugate", "--model", model, "--samples", "5"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert float(rows[-1].split(",")[0]) == sys.float_info.max
+
+
+@pytest.mark.parametrize("dt, t_end", [("1e-300", "1"), ("1", "1e300"), ("0.5", "inf")])
+def test_simulate_step_counts_out_of_range_are_input_errors(tmp_path, capsys, dt, t_end):
+    """Too many steps for a list, or an infinite end time: exit 2, no traceback."""
+    model = write_json(tmp_path, "sim.json", RELAX_SIM)
+    assert cli.main(["simulate", "--model", model, "--dt", dt, "--t-end", t_end]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_conjugate_rejects_composites(tmp_path):
     model = write_json(tmp_path, "m.json", SERIAL_VP)
     assert cli.main(["conjugate", "--model", model]) == 2
