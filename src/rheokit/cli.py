@@ -95,12 +95,12 @@ def _dump_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _eps_grid(eps_min, eps_max, samples, floats=False):
+def _eps_grid(eps_min, eps_max, samples):
     if eps_min < 0 or not (eps_min < eps_max < math.inf) or samples < 2:
         raise InvalidInputError(
             "need --eps-min >= 0, --eps-min < --eps-max < inf and --samples >= 2"
         )
-    return (_linspace if floats else np.linspace)(eps_min, eps_max, int(samples))
+    return _linspace(eps_min, eps_max, int(samples))
 
 
 def _linspace(start, stop, num):
@@ -116,12 +116,11 @@ def cmd_curve(args) -> int:
     if args.dump_model:
         _write(args.out, _dump_json(dump_model(expr)))
         return EXIT_OK
-    floats = args.samples <= FLOAT_RATES and _depth(expr) <= FLOAT_DEPTH
-    eps = _eps_grid(args.eps_min, args.eps_max, args.samples, floats)
-    if floats:
+    eps = _eps_grid(args.eps_min, args.eps_max, args.samples)
+    if args.samples <= FLOAT_RATES and _depth(expr) <= FLOAT_DEPTH:
         sigma = [stress_of_strain_rate(expr, e).midpoint for e in eps]
     else:
-        eps, sigma = eps.tolist(), stress_curve(expr, eps).tolist()
+        sigma = stress_curve(expr, eps).tolist()
     mu = [s / e if e > 0 else mu_eff_rigorous(expr, 0.0, limit=True) for e, s in zip(eps, sigma)]
     _write(args.out, _csv(["eps", "mu_eff", "sigma"], [eps, mu, sigma]))
     return EXIT_OK
@@ -173,7 +172,7 @@ def cmd_compare(args) -> int:
         raise InvalidInputError("moduli must be positive")
     if args.eps_min <= 0:
         raise InvalidInputError("compare needs eps_min > 0")
-    eps = _eps_grid(args.eps_min, args.eps_max, args.samples)
+    eps = np.asarray(_eps_grid(args.eps_min, args.eps_max, args.samples))
     mus_rig, mus_emp, sig_rig, sig_emp = compare_columns(
         args.d_dif, args.d_dsl, n_list, eps
     )

@@ -7,10 +7,12 @@ built, its children with polyline stress laws (dashpot, plastic, Huber)
 merge into one exact polyline leaf, so a subtree of them alone is one
 closed form.  Elsewhere ``strain_rate_of_stress`` (rates summed across
 a Serial node) and ``stress_of_strain_rate`` (stresses summed across a
-Parallel node) invert each other by one monotone root finder, vectorized
-and scalar (the Maxwell step's): safeguarded Newton steps in
-log-log coordinates inside a bracket that bisects the ordered bits of
-the floats, so no solve depends on the unit scale.  Each node reports
+Parallel node) invert each other by one monotone root finder: on floats
+``_root_scalar`` (also the Maxwell step's), on arrays the same rules
+elementwise.  It takes safeguarded Newton steps in log-log coordinates
+inside a bracket that bisects the ordered bits of the floats, from a first
+probe just below a finite cap, else 1, so no solve depends on the unit
+scale.  Each node reports
 its tangent next to its value (stiffnesses add across Parallel,
 compliances across Serial, an inverse takes the reciprocal), for the
 Newton steps and for ``mu_eff_rigorous``'s exact limit at rest.
@@ -173,7 +175,7 @@ def _array_inverse(total, cap, top):
     """The array law inverse to ``total``: :func:`_root` in ``[0, cap]``, +inf past ``top``."""
     def inverse(t):
         sat = t > top  # saturated
-        x, d = _root(lambda x: total(x)[1:], np.where(sat, 0.0, t), cap)
+        x, d = _root(total, np.where(sat, 0.0, t), cap)
         x = np.where(sat, np.inf, x)
         return x, x, np.where(sat, np.inf, d)
 
@@ -226,64 +228,52 @@ def _leaf_stress(p: Potential, eps: np.ndarray):
     return p.stress(eps)
 
 
-def _root(fn, target, sup=math.inf):
-    """Smallest ``x`` in ``[0, sup]`` with ``fn(x)[0] >= target``, elementwise.
+def _root(fn, t, sup):
+    """:func:`_solve` on an array of targets ``t``: :func:`_root_scalar`, elementwise.
 
-    ``fn`` is nondecreasing and returns its value and slope.  Newton steps
-    solve ``log(fn(x) - fn(0)) = log(target - fn(0))`` against ``log(x)``,
-    which is blind to the unit scale and exact in one step for a power
-    law.  A step is taken only if it lands inside the bracket and is at
-    most half the step before last (rtsafe); otherwise the bracket is
-    bisected in the ordered int64 view of the floats, so 64 halvings span
-    [0, inf].  An entry stops only on a verified bracket, ``hi - lo <=
-    1e-14 * hi`` or adjacent floats, and returns ``hi``; a Newton step
-    shorter than that is pushed across the root to close the bracket.
-    Also returns dx/dtarget at the root, the reciprocal of the slope
-    there (0 where ``fn`` jumps past the target).
+    Each target takes the scalar finder's iterates from the same first probe, Newton
+    step, push, accept test and stop, in numpy's ``log1p`` and ``expm1``; a bisection
+    halves the bracket in the ordered int64 view of the floats (:func:`_mid`), and an
+    entry leaves the loop when its bracket closes.
     """
-    t = np.asarray(target, dtype=float)
     shape, t = t.shape, t.ravel()
-    x = np.zeros_like(t)
     with np.errstate(all="ignore"):
-        g0, d0 = (v[0] for v in fn(np.zeros(1)))
-        dxdt = np.where(t < g0, 0.0, 1.0 / d0)
+        _, g0, d0 = (v[0] for v in fn(np.zeros(1)))
+        x, dx = np.zeros_like(t), np.full_like(t, d0)
         idx = np.flatnonzero(t > g0)
-        if idx.size and sup < math.inf:
-            # not reached below the cap: the answer is the cap itself
-            cap = fn(np.array([np.nextafter(sup, 0.0)]))[0] < t[idx]
-            x[idx[cap]], dxdt[idx[cap]] = sup, 0.0
-            idx = idx[~cap]
-        t = t[idx]
-        lt = np.log(t - g0)
-        lo, hi = np.zeros_like(t), np.full_like(t, sup)
-        xc = np.full_like(t, min(1.0, 0.5 * sup))
-        s1 = s2 = np.full_like(t, np.inf)
+        tt = t[idx]
+        lo, hi = np.zeros_like(tt), np.full_like(tt, sup)
+        s1 = s2 = np.full_like(tt, np.inf)
+        xc = np.full(1, math.nextafter(sup, 0.0) if sup < math.inf else 1.0)  # one, shared
         for _ in range(_MAX_ITER):
             if not idx.size:
                 break
-            g, d = fn(xc)
-            below = g < t
-            lo = np.where(below, xc, lo)
-            hi = np.where(below, hi, xc)
-            ilo, ihi = lo.view(np.int64), hi.view(np.int64)
-            done = ((hi - lo <= _RTOL * hi) & (hi < np.inf)) | (ihi - ilo <= 1)
-            x[idx[done]] = hi[done]
-            dxdt[idx[done]] = 1.0 / d[done]
-            r = g - g0
-            xn = xc * np.exp((lt - np.log(r)) * r / (xc * d))
-            tiny = 0.5 * _RTOL * xc
-            xn = np.where(np.abs(xn - xc) < tiny, xc + np.where(below, tiny, -tiny), xn)
-            ok = (xn > lo) & (xn < hi) & (np.abs(np.log(xn / xc)) <= 0.5 * s2)
+            _, g, d = fn(xc)
+            r = g - tt
+            below = r < 0
+            lo, hi = np.where(below, xc, lo), np.where(below, hi, xc)
+            adjacent = hi.view(np.int64) - lo.view(np.int64) <= 1
+            done = ((hi - lo <= _RTOL * hi) & (hi < np.inf)) | adjacent
+            x[idx[done]], dx[idx[done]] = hi[done], np.broadcast_to(d, hi.shape)[done]
+            g = tt - g0 + r
+            u = np.log1p(-r / g) * g / (xc * d)  # log(xn / xc)
+            xn = xc + xc * np.expm1(u)
+            push = np.abs(xn - xc) < 0.5 * _RTOL * xc  # too short to cross the root
+            xn = np.where(push, xc + np.where(below, 0.5, -0.5) * _RTOL * xc, xn)
+            u = np.where(push, 0.5 * _RTOL, u)
+            ok = (lo < xn) & (xn < hi) & (np.abs(u) <= 0.5 * s2)
             xn = np.where(ok, xn, _mid(lo, hi))
-            s1, s2 = np.abs(np.log(xn / xc)), s1
-            keep = ~done
-            idx, t, lt, lo, hi, xc, s1, s2 = (a[keep] for a in (idx, t, lt, lo, hi, xn, s1, s2))
+            s1, s2 = np.abs(np.where(ok, u, np.log(xn / xc))), s1
+            if done.any():  # entries whose bracket closed leave the loop
+                idx, tt, lo, hi, xn, s1, s2 = (a[~done] for a in (idx, tt, lo, hi, xn, s1, s2))
+            xc = xn
+        dx = np.where((t < g0) | (x == sup), 0.0, 1.0 / dx)
     if idx.size:
         raise NonConvergenceError(
             f"root solve: {idx.size} targets unresolved after {_MAX_ITER} steps, "
-            f"first {float(t[0])!r}"
+            f"first {float(tt[0])!r}"
         )
-    return x.reshape(shape), dxdt.reshape(shape)
+    return x.reshape(shape), dx.reshape(shape)
 
 
 def _mid(lo, hi):
@@ -302,14 +292,22 @@ def _mid_scalar(lo, hi):
 
 
 def _root_scalar(fn, target, sup, rtol):
-    """Scalar :func:`_root` for a nondecreasing ``g`` with ``g(0) = 0``.
+    """Smallest ``x`` in ``[0, sup]`` where a nondecreasing ``g`` with ``g(0) = 0``
+    reaches ``target``, on Python floats.
 
-    ``fn(x)`` returns floats: the residual ``g(x) - target``, formed by the caller so
-    its sign holds where the two cancel, and ``g'(x)``.  Stops ``rtol`` wide.  Newton
-    steps ``x + x * expm1(log1p((t - g) / g) * g / (x * g'))`` are linear at the root.
-    The first probe, just below ``sup``, tests the cap; ``sup`` if never reached.
+    ``fn(x)`` returns the residual ``g(x) - target``, formed by the caller so its sign
+    holds where the two cancel, and ``g'(x)``.  The first probe is just below a finite
+    ``sup``, which tests the cap, else 1.  Newton steps solve ``log g = log target``
+    against ``log x``, which is blind to the unit scale and exact in one step for a
+    power law: ``x + x * expm1(log1p((t - g) / g) * g / (x * g'))``.  A step is taken
+    only if it lands inside the bracket and is at most half the step before last
+    (rtsafe); otherwise the bracket is bisected in the ordered bits of the floats, so
+    64 halvings span [0, inf].  A step shorter than ``rtol`` is pushed across the
+    root.  Stops on a bracket ``rtol`` wide or on adjacent floats, and returns its
+    upper end (``sup`` if never reached).
     """
-    lo, hi, x, s1, s2 = 0.0, sup, math.nextafter(sup, 0.0), math.inf, math.inf
+    lo, hi, s1, s2 = 0.0, sup, math.inf, math.inf
+    x = math.nextafter(sup, 0.0) if sup < math.inf else 1.0
     for _ in range(_MAX_ITER):
         r, d = fn(x)
         lo, hi = (x, hi) if r < 0 else (lo, x)
@@ -330,8 +328,9 @@ def _root_scalar(fn, target, sup, rtol):
 
 
 def _solve(fn, t, sup):
-    """:func:`_root` at one float by :func:`_root_scalar`, on the upper end of ``fn``
-    less its value at rest: ``x`` and dx/dt, 0 below rest and at the cap ``sup``."""
+    """The least ``x`` in ``[0, sup]`` where the upper end of the law ``fn`` reaches the
+    float ``t``, by :func:`_root_scalar` on ``fn`` less its value at rest, and dx/dt
+    there: 0 below rest and at the cap, else the reciprocal of the last slope read."""
     _, g0, d = fn(0.0)
     x = 0.0
     if t > g0:

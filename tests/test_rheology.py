@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rheokit.rheology as rheology
-from rheokit.errors import InvalidInputError, UnsupportedModeError
+from rheokit.errors import InvalidInputError, NonConvergenceError, UnsupportedModeError
 from rheokit.convex_core import SampledFunction
 from rheokit.potentials import Dashpot, Huber, PerfectPlastic, PowerLaw, Sampled
 from rheokit.rheology import (
@@ -75,6 +75,25 @@ def test_serial_needs_an_unbounded_strict_child():
     with pytest.raises(InvalidInputError):
         # a dashpot in series with a plastic is capped at its yield stress: it does not qualify
         Serial([Serial([d, p]), L(PerfectPlastic(2.0))])
+
+
+def test_input_checks():
+    with pytest.raises(InvalidInputError):
+        Serial([])
+    for bad in (Dashpot(1.0), "leaf", None):
+        with pytest.raises(InvalidInputError, match="expected a RheoExpr node"):
+            Parallel([L(Dashpot(1.0)), bad])
+    tree = Serial([L(Dashpot(1.0)), L(PowerLaw(1.0, 3.0))])
+    for rates in ([1.0, -1.0], [1.0, math.inf], [math.nan]):
+        with pytest.raises(InvalidInputError, match="strain rates"):
+            stress_curve(tree, rates)
+    for rates in ([1.0, 0.0], [-2.0]):
+        with pytest.raises(InvalidInputError, match="strictly positive"):
+            mu_eff_curve(tree, rates)
+    with pytest.raises(InvalidInputError):
+        strain_rate_of_stress(tree, -1.0)
+    with pytest.raises(InvalidInputError):
+        three_element_stress(ThreeElementParams(1.0, 1.0, 1.0), [0.5, -1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +243,8 @@ def test_stress_is_unit_scale_invariant(which, ks, kr, eps):
 
 
 def test_nested_tree_work_budget(monkeypatch):
-    """Three nested solves at 200 rates stay within a fixed leaf-call budget."""
+    """Three nested solves at 200 rates stay within a fixed leaf-call budget, at unit
+    scale and with stresses and rates scaled 300 decades apart."""
     calls = [0]
     for name in ("_leaf_flow", "_leaf_stress"):
         kernel = getattr(rheology, name)
@@ -234,12 +254,48 @@ def test_nested_tree_work_budget(monkeypatch):
             return kernel(*args)
 
         monkeypatch.setattr(rheology, name, counted)
+    for S, R in ((1.0, 1.0), (1e150, 1e-150), (1e-150, 1e150)):
+        calls[0] = 0
+        tree = _rescaled(_SCALE_TREES[1], S, R)
+        eps = np.linspace(0.01, 10.0, 200) * R
+        sig = stress_curve(tree, eps)
+        assert calls[0] <= 20_000, (S, R, calls[0])
+        for i in (0, 57, 199):
+            assert strain_rate_of_stress(tree, sig[i]).hi == pytest.approx(eps[i], rel=1e-12)
+
+
+def test_float_solves_without_a_cap_never_probe_the_largest_float(monkeypatch):
+    """With no cap the scalar finder starts at 1, not at ``nextafter(inf, 0)``, where
+    a Serial node's stress would run a whole inner solve.  Only a root past the float
+    range (a probe of 1 far above the stress scale can have one) is bracketed there."""
+    solves = []  # the probes of each solve with no cap
+    root = rheology._root_scalar
+
+    def recorded(fn, target, sup, rtol):
+        xs = []
+        if sup == math.inf:
+            solves.append(xs)
+        return root(lambda x: xs.append(x) or fn(x), target, sup, rtol)
+
+    monkeypatch.setattr(rheology, "_root_scalar", recorded)
+    for S, R in ((1.0, 1.0), (1e150, 1e-150), (1e-150, 1e150)):
+        solves.clear()
+        for tree in _SCALE_TREES:
+            tree = _rescaled(tree, S, R)
+            for e in (0.01, 0.7, 9.0):
+                strain_rate_of_stress(tree, stress_of_strain_rate(tree, e * R).hi)
+        assert solves and all(xs[0] == 1.0 for xs in solves)
+        if S == 1.0:
+            assert max(max(xs) for xs in solves) < 1e300
+
+
+def test_a_solve_out_of_steps_raises_a_typed_error(monkeypatch):
     tree = _SCALE_TREES[1]
-    eps = np.linspace(0.01, 10.0, 200)
-    sig = stress_curve(tree, eps)
-    assert calls[0] <= 20_000
-    for i in (0, 57, 199):
-        assert strain_rate_of_stress(tree, sig[i]).hi == pytest.approx(eps[i], rel=1e-12)
+    monkeypatch.setattr(rheology, "_MAX_ITER", 2)
+    with pytest.raises(NonConvergenceError, match="unresolved after 2 steps"):
+        stress_curve(tree, np.linspace(0.01, 10.0, 20))
+    with pytest.raises(NonConvergenceError, match="unresolved after 2 steps"):
+        stress_of_strain_rate(tree, 0.7)
 
 
 def test_mu_eff_limit_is_the_tangent_at_rest():

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import rheokit.cli as cli
+import rheokit.rheology as rheology
 from rheokit.errors import NonConvergenceError, SchemaError
-from rheokit.potentials import Dashpot, Huber, PerfectPlastic, PowerLaw
+from rheokit.convex_core import SampledFunction
+from rheokit.potentials import Dashpot, Huber, PerfectPlastic, PowerLaw, Sampled
 from rheokit.rheology import Leaf, Parallel, Serial, stress_curve
 from rheokit.schema import (
     dump_model,
@@ -87,6 +89,51 @@ def test_schema_errors_carry_paths():
                 ],
             }
         )
+
+
+_LEAF = {"node": "leaf", "potential": {"kind": "dashpot", "D": 1.0}}
+_BAD_MODELS = [
+    ([_LEAF], "<root>"),
+    ({"node": "leaf", "potential": {"kind": "dashpot", "D": "1"}}, "potential.D"),
+    ({"node": "leaf", "potential": {"kind": "powerlaw", "D": 1.0, "n": True}}, "potential.n"),
+    ({"node": "tree", "children": [_LEAF]}, "node"),
+    ({"node": "parallel", "children": [_LEAF, {"children": [_LEAF]}]}, "children[1].node"),
+    ({**_LEAF, "colour": "red"}, "colour"),
+    ({**_LEAF, "children": [_LEAF]}, "children"),
+    ({"node": "leaf"}, "potential"),
+    ({"node": "serial", "potential": _LEAF["potential"], "children": [_LEAF]}, "potential"),
+]
+_BAD_SIMULATIONS = [
+    ({**RELAX_SIM, "T": 300.0}, "T"),
+    ({**RELAX_SIM, "E": "1"}, "E"),
+    ({**RELAX_SIM, "drive": []}, "drive"),
+    ({**RELAX_SIM, "drive": [1.0]}, "drive[0]"),
+    ({**RELAX_SIM, "drive": [{"t_end": 1.0, "eps": 0.0, "rate": 1.0}]}, "drive[0].rate"),
+    ({**RELAX_SIM, "drive": [{"t_end": 1.0}]}, "drive[0].eps"),
+    ({**RELAX_SIM, "drive": [{"t_end": 1.0, "eps": "0"}]}, "drive[0].eps"),
+    ({**RELAX_SIM, "drive": [{"t_end": 2.0, "eps": 0.0}, {"t_end": 1.0, "eps": 0.0}]}, ""),
+    ({**RELAX_SIM, "e_el0": "1"}, "e_el0"),
+    ({**RELAX_SIM, "e_el0": False}, "e_el0"),
+]
+
+
+@pytest.mark.parametrize("command, doc, path", [("curve", *c) for c in _BAD_MODELS]
+                         + [("simulate", *c) for c in _BAD_SIMULATIONS])
+def test_bad_documents_name_their_field_and_exit_2(tmp_path, capsys, command, doc, path):
+    parse = parse_model if command == "curve" else parse_simulation
+    with pytest.raises(SchemaError) as err:
+        parse(doc)
+    assert err.value.path == path
+    assert cli.main([command, "--model", write_json(tmp_path, "bad.json", doc)]) == 2
+    assert f"input error: {path}" in capsys.readouterr().err
+
+
+def test_a_potential_with_no_document_form_does_not_dump():
+    grid = np.linspace(0.0, 2.0, 9)
+    leaf = Leaf(Sampled(SampledFunction.from_samples(grid, 0.5 * grid**2)))
+    with pytest.raises(SchemaError) as err:
+        dump_model(Parallel([Leaf(Dashpot(1.0)), leaf]))
+    assert err.value.path == "potential"
 
 
 def test_parse_potential_kinds():
@@ -343,8 +390,9 @@ def test_short_curves_on_floats_match_the_array_path(tmp_path, monkeypatch, S, R
         assert np.all((f == a) | (np.abs(f - a) <= 1e-13 * np.abs(a))), (f, a)
 
 
-# SHA-256 of two outputs of the array path, pinned when short curves moved to
-# floats: a 10,000-rate curve with a rest row, and the fig6 comparison.
+# SHA-256 of two outputs of the array path: a 10,000-rate curve with a rest row,
+# re-pinned when the array finder took the float finder's rules, and the fig6
+# comparison, pinned when short curves moved to floats.
 _WIDE_CURVE = {"node": "serial", "children": [
     {"node": "leaf", "potential": {"kind": "dashpot", "D": 1.3}},
     {"node": "leaf", "potential": {"kind": "powerlaw", "D": 0.8, "n": 3.5}},
@@ -352,7 +400,7 @@ _WIDE_CURVE = {"node": "serial", "children": [
         {"node": "leaf", "potential": {"kind": "plastic", "sigma_a": 0.6}},
         {"node": "leaf", "potential": {"kind": "dashpot", "D": 1.1}}]},
     {"node": "leaf", "potential": {"kind": "huber", "sigma_a": 1.7, "D": 0.9}}]}
-_PINNED = {"curve": "62df404c1a24037166e6d12517b4c4a455c8b6c921912c0ca2a3a0696814fe4a",
+_PINNED = {"curve": "62e5dbbae7389bc61c3703646dd55c638228d04bdf49ebed0b56e2393219542e",
            "compare": "56c44a7dd7189017bc6e9e0f64e8f4a58a7431bdcde3718305eaa1aba0ebb8b7"}
 
 
@@ -368,14 +416,15 @@ def test_array_path_csv_is_pinned(tmp_path):
 
 
 # SHA-256 of four outputs of the float path (64 rates with a rest row, on the two
-# depth-2 trees above at unit and geo scale), pinned before the tree nodes bound
-# their float laws.  Like the pins above, they read the platform's libm (``pow``,
-# ``log1p``, ``expm1``), so a machine whose libm rounds otherwise may need its own.
+# depth-2 trees above at unit and geo scale), re-pinned when a solve with no cap
+# first probed 1, not the largest float.  Like the pins above, they read the
+# platform's libm (``pow``, ``log1p``, ``expm1``), so a machine whose libm rounds
+# otherwise may need its own.
 _FLOAT_PINNED = {
-    ("serial", 1.0): "ef75671be4fc04fdeaecf06d89661c00b7be6f823134ed588dac053d4a2ce555",
-    ("serial", 1e7): "c7fce05a739f4708f5ccb7955b2c97125a7e7ec522ae55ad5d9978dd375ca947",
-    ("parallel", 1.0): "f5a732516b2afa1deb8ed5255edd7af8908d070f67a07e27d081db56229066ac",
-    ("parallel", 1e7): "bc94d2e175f7be3b274ecae079dbd677e3ab1b9eec7f73aafdf150e1d96fa73d",
+    ("serial", 1.0): "0ccd386bf47fdb1049396adda354ee094435b407554275a509e6ac5d2322b6d8",
+    ("serial", 1e7): "c8cdf5821de11c86f9809669e93cbb868516d105daecec4a80fbc68753049f8d",
+    ("parallel", 1.0): "9c5cff7618b24f663c6ee3c14c3592c8684d70a37ea3a81e90fb006f23e74a45",
+    ("parallel", 1e7): "463ebdba5a0f0b808ee4a36604d187747f154e83016ea0f38452ba7bfcea935a",
 }
 
 
@@ -558,6 +607,15 @@ def test_exit_codes(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "simulate", boom)
     assert cli.main(["simulate", "--model", model, "--dt", "0.1", "--t-end", "1"]) == 3
+
+
+def test_curve_out_of_solver_steps_exits_3(tmp_path, monkeypatch, capsys):
+    """A solve that runs out of steps exits 3 on the float path and the array path."""
+    model = write_json(tmp_path, "n.json", _nested_parallel(1.0, 1.0))
+    monkeypatch.setattr(rheology, "_MAX_ITER", 2)
+    for samples in ("8", "200"):
+        assert cli.main(["curve", "--model", model, "--samples", samples]) == 3
+        assert "solver error: root solve" in capsys.readouterr().err
 
 
 def test_console_entry_point(tmp_path):
