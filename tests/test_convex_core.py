@@ -1,21 +1,30 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rheokit
 from rheokit.convex_core import (
     SampledFunction,
     SubdiffInterval,
     _common_pair,
+    _conjugate_values_scan,
+    _conjugate_values_sweep,
+    _dual_cap,
     _dual_grid,
     fenchel_young_residual,
     inf_convolve_direct,
     inf_convolve_via_conjugate,
     legendre_transform,
     subdifferential,
+    uniform_grid,
     yosida,
 )
 from rheokit.errors import InvalidInputError, OutOfRangeError
@@ -49,6 +58,13 @@ def test_invalid_grids_rejected():
     # minimum not at 0
     with pytest.raises(InvalidInputError):
         SampledFunction.from_samples(np.linspace(0, 1, 3), np.array([1.0, 0.0, 1.0]))
+
+
+def test_uniform_grid_needs_a_finite_end_past_zero():
+    assert np.array_equal(uniform_grid(2.0, 3), [0.0, 1.0, 2.0])
+    for r_max, n in ((math.inf, 8), (math.nan, 8), (0.0, 8), (-1.0, 8), (1.0, 1)):
+        with pytest.raises(InvalidInputError):
+            uniform_grid(r_max, n)
 
 
 def test_finite_sup_detection():
@@ -103,6 +119,70 @@ def test_scan_and_sweep_agree(grid401):
         assert np.array_equal(np.isinf(a.values), np.isinf(b.values))
         fin = np.isfinite(a.values)
         assert np.max(np.abs(a.values[fin] - b.values[fin])) <= 1e-12 * scale
+
+
+def _sweep_walk(v, fv, s):
+    """The reference sweep: the argmax walked one dual point at a time, in floats."""
+    out = np.empty(s.size)
+    vl, fl = v.tolist(), fv.tolist()
+    j = 0
+    for k, sk in enumerate(s.tolist()):
+        while j + 1 < len(vl) and sk * vl[j + 1] - fl[j + 1] >= sk * vl[j] - fl[j]:
+            j += 1
+        out[k] = sk * vl[j] - fl[j]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 300),
+    uniform=st.booleans(),
+    r_exp=st.integers(-100, 100),
+    s_exp=st.integers(-100, 100),
+    cut=st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True)),
+    dual=st.sampled_from(["default", "linspace", "edge"]),
+)
+def test_sweep_is_the_walk_on_strictly_convex_samples_and_the_scan_on_linear_ones(
+    seed, n, uniform, r_exp, s_exp, cut, dual
+):
+    """Strictly convex samples: the sweep is the walk, bit for bit.  Linear and
+    piecewise-linear samples on nonuniform grids, whose slopes differ only by
+    roundoff: it is the exhaustive scan on every finite entry, with the same
+    finite support."""
+    rng = np.random.default_rng(seed)
+    r_max, s_max = 10.0**r_exp, 10.0**s_exp / 10.0**r_exp
+
+    def duals(f, edge):
+        if dual == "default":
+            return _dual_grid(f._slopes, _dual_cap(f))
+        if dual == "edge":
+            return edge
+        return np.linspace(0.0, 2.0 * s_max * rng.uniform(0.1, 1.0), int(rng.integers(1, 400)))
+
+    # strictly convex: slopes a fixed fraction apart, on a uniform or sorted-random grid,
+    # finite everywhere (a window with a cap) or with a +inf tail
+    gaps = np.full(n - 1, 1.0) if uniform else rng.uniform(0.2, 1.0, n - 1)
+    grid = np.concatenate(([0.0], np.cumsum(gaps))) * (r_max / max(1.0, gaps.sum()))
+    slopes = s_max * np.cumsum(rng.uniform(0.1, 1.0, n - 1)) / n
+    vals = np.concatenate(([0.0], np.cumsum(slopes * np.diff(grid))))
+    if cut is not None:
+        vals[max(1, int(cut * n)) :] = np.inf
+    f = SampledFunction.from_samples(grid, vals)
+    v, fv = f.grid[: f.finite_sup], f.values[: f.finite_sup]
+    s = duals(f, np.array([0.0, 1e300, 1.7e308]))
+    assert _conjugate_values_sweep(v, fv, s).tobytes() == _sweep_walk(v, fv, s).tobytes()
+
+    # one to three affine pieces, evaluated at random points: near-equal slopes
+    grid = np.concatenate(([0.0], np.sort(rng.uniform(0.0, r_max, n - 1))))
+    a = s_max * np.sort(rng.uniform(0.5, 3.0, int(rng.integers(1, 4))))
+    b = np.concatenate(([0.0], np.cumsum(np.diff(a) * np.sort(rng.uniform(0.0, r_max, a.size - 1)))))
+    f = SampledFunction.from_samples(grid, np.max(a[:, None] * grid - b[:, None], axis=0))
+    s = duals(f, np.concatenate(([0.0], a * (1.0 + 1e-12))))
+    scan, sweep = _conjugate_values_scan(grid, f.values, s), _conjugate_values_sweep(grid, f.values, s)
+    fin = np.isfinite(scan)
+    assert np.array_equal(np.isfinite(sweep), fin)
+    assert np.array_equal(sweep[fin], scan[fin])
 
 
 def test_biconjugation_exact_on_interior(grid401):
@@ -395,6 +475,50 @@ def test_exhaustive_kernels_run_in_bounded_memory():
     assert fs.grid.size > 2000
     assert scan_peak <= 4 * 2**20
     assert direct_peak <= 2 * 2**20
+
+
+def test_sweep_on_dual_points_packed_in_a_run_is_the_scan_in_bounded_memory():
+    # every dual point within 1e-9 of the slope of a linear sample: each one's
+    # window is the whole grid, and the windows together are 4M samples
+    grid = np.linspace(0.0, 1.0, 2048)
+    f = SampledFunction.from_samples(grid, 3.0 * grid)
+    dual = np.concatenate(([0.0], 3.0 * (1.0 + 1e-12 * np.arange(1, 2049))))
+    tracemalloc.start()
+    try:
+        sweep = legendre_transform(f, dual)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(sweep.values, legendre_transform(f, dual, method="scan").values)
+    assert peak <= 2**20
+
+
+_NO_NUMPY_MA_SCRIPT = """
+import sys
+import numpy as np
+import rheokit.convex_core as cc
+assert "numpy.ma" not in sys.modules
+grid = cc.uniform_grid(3.0, 2048)
+f = cc.SampledFunction.from_samples(grid, grid**1.7)
+g = cc.SampledFunction.from_samples(grid, np.where(grid < 2.0, 0.3 * grid + grid**2, np.inf))
+for fn in (f, g):
+    cc.legendre_transform(cc.legendre_transform(fn), fn.grid)
+cc.inf_convolve_via_conjugate(f, g)
+cc.yosida(f, 0.1)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_transforms_never_load_numpy_ma():
+    """The transforms, a biconjugate, the conjugate route of the infimal convolution
+    and the Moreau envelope, on 2048-point samples in a fresh interpreter, finish
+    without ``numpy.ma``, which takes milliseconds to import."""
+    src = str(Path(rheokit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_MA_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def _dual_grid_sequential(slopes, cap):
