@@ -10,7 +10,9 @@ rheokit conjugate   conjugate of a single potential
 
 Exit codes: 0 ok, 2 input/schema error, 3 solver/integrator failure,
 4 equivalence regression.  Output is deterministic: 17 significant
-digits, ``\\n`` line endings, ``inf`` as the literal token.
+digits, ``\\n`` line endings, ``inf`` as the literal token.  ``curve``
+walks its rate grid on Python floats, never importing numpy, when the
+tree is shallow and the grid short enough (``FLOAT_*``, ``WALK_RATES``).
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .rheology import (
     mu_eff_rigorous,
     serial_dif_dsl_stress,
     stress_curve,
-    stress_of_strain_rate,
     three_element_parallel_serial,
     three_element_serial_parallel,
 )
@@ -59,8 +60,9 @@ FIG6_PRESET = {
     "samples": 200,
 }
 
-# Curves of at most this many rates, solves nested at most this deep: floats, no numpy.
-FLOAT_RATES, FLOAT_DEPTH = 64, 2
+# `curve` walks its grid on floats, without numpy, up to FLOAT_RATES rates on trees whose
+# solves nest FLOAT_DEPTH deep, and up to WALK_RATES (below the cost of numpy) on shallower.
+FLOAT_RATES, FLOAT_DEPTH, WALK_RATES = 64, 2, 16_384
 
 
 def _fmt(x: float) -> str:
@@ -117,8 +119,9 @@ def cmd_curve(args) -> int:
         _write(args.out, _dump_json(dump_model(expr)))
         return EXIT_OK
     eps = _eps_grid(args.eps_min, args.eps_max, args.samples)
-    if args.samples <= FLOAT_RATES and _depth(expr) <= FLOAT_DEPTH:
-        sigma = [stress_of_strain_rate(expr, e).midpoint for e in eps]
+    depth = _depth(expr)
+    if depth <= FLOAT_DEPTH and args.samples <= (FLOAT_RATES if depth == FLOAT_DEPTH else WALK_RATES):
+        sigma = [0.5 * (lo + hi) for lo, hi, _ in expr._walk(eps)]
     else:
         sigma = stress_curve(expr, eps).tolist()
     mu = [s / e if e > 0 else mu_eff_rigorous(expr, 0.0, limit=True) for e, s in zip(eps, sigma)]

@@ -142,12 +142,14 @@ class SampledFunction(Record, eq=False):
         if finite[0] > finite.min() + 1e-12 * max(1.0, abs(float(finite[0]))):
             raise InvalidInputError("values[0] must be the minimum")
         if m >= 3:
-            # Chord defect in value units: robust on grids with nearly
-            # coincident points, where slope differences amplify roundoff.
+            # Chord defect in value units: robust on grids with nearly coincident points,
+            # where slope differences amplify roundoff.  Slack: values or grid end x slope,
+            # the terms a transform subtracts (s v - f) to form them.
             g = grid[:m]
             lam = (g[2:] - g[1:-1]) / (g[2:] - g[:-2])
             chord = lam * finite[:-2] + (1.0 - lam) * finite[2:]
-            scale = max(1.0, float(np.max(np.abs(finite))))
+            scale = max(1.0, float(np.max(np.abs(finite))),
+                        float(g[-1] * np.max(np.abs(np.diff(finite) / np.diff(g)))))
             if np.any(finite[1:-1] - chord > _CONVEXITY_TOL * scale):
                 raise InvalidInputError("values are not convex on the finite range")
         grid.setflags(write=False)
@@ -316,7 +318,7 @@ def legendre_transform(
         ``None`` uses the discrete slopes of ``f`` (exact transform,
         domain ``[0, right slope at r_max]``, plus one point past the
         last kink; see the module docstring).  An explicit array is used
-        as-is; it must start at 0 and be strictly increasing.
+        as-is; it must be finite, start at 0 and be strictly increasing.
     method : {"sweep", "scan"}
         "scan" is the exhaustive reference; "sweep" searches the slopes and
         equals it on every finite entry (to roundoff if gaps < 1e-9 r_max).
@@ -333,8 +335,8 @@ def legendre_transform(
         s = _dual_grid(f._slopes, _dual_cap(f))
     else:
         s = np.asarray(dual_grid, dtype=float)
-        if s.ndim != 1 or s.size == 0 or s[0] != 0.0:
-            raise InvalidInputError("dual grid must be 1-d and start at 0")
+        if s.ndim != 1 or s.size == 0 or s[0] != 0.0 or not np.all(np.isfinite(s)):
+            raise InvalidInputError("dual grid must be 1-d, finite and start at 0")
         if s.size > 1 and not np.all(np.diff(s) > 0.0):
             raise InvalidInputError("dual grid must be strictly increasing")
 

@@ -12,16 +12,17 @@ Parallel node) invert each other by one monotone root finder: on floats
 elementwise.  It takes safeguarded Newton steps in log-log coordinates
 inside a bracket that bisects the ordered bits of the floats, from a first
 probe just below a finite cap, else 1, so no solve depends on the unit
-scale.  Each node reports
-its tangent next to its value (stiffnesses add across Parallel,
-compliances across Serial, an inverse takes the reciprocal), for the
-Newton steps and for ``mu_eff_rigorous``'s exact limit at rest.
-Set-valued points are carried as :class:`SubdiffInterval`; saturation
-(stress beyond a composite's attainable range) is reported with a +inf
-marker, not an error.  Every node binds its laws once, when built, by one
-rule: on numpy arrays (``stress_curve``) and on Python floats, never
-importing numpy (the scalar API); ``curve`` picks one.  It binds its graph
-features and polyline graph with them, so no evaluation walks the tree.
+scale.  Each node reports its tangent next to its value (stiffnesses add
+across Parallel, compliances across Serial, an inverse takes the
+reciprocal), for the Newton steps and for ``mu_eff_rigorous``'s exact
+limit at rest.  Set-valued points are :class:`SubdiffInterval`; saturation
+(stress beyond a composite's attainable range) is a +inf marker, not an
+error.  Every node binds its laws, graph features and polyline graph once,
+when built: on numpy arrays (``stress_curve``), on Python floats, never
+importing numpy (the scalar API), and as a walk of the float stress along
+an ascending rate grid, where a root solve not nested in another starts
+from the last rate's lower bracket end and a log-log Newton step from its
+last probe.  ``curve`` walks short grids on shallow trees, else takes arrays.
 
 The module also provides the closed-form and empirical effective
 viscosity family (min-formulas, harmonic-mean variants, diffusion +
@@ -78,10 +79,11 @@ class Leaf(Record):
     def __post_init__(self):
         if not isinstance(self.p, Potential):
             raise InvalidInputError(f"Leaf needs a Potential, got {self.p!r}")
-        p = self.p  # its laws, graph features, graph and stress supremum, bound once
+        p = self.p  # its laws, walk, graph features, graph and stress supremum, bound once
         self.__dict__.update(_flow=lambda sig: _leaf_flow(p, sig),
                              _stress=lambda eps: _leaf_stress(p, eps),
-                             _float_flow=p._float_flow(), _float_stress=p._float_stress(),
+                             _float_flow=p._float_flow(), _float_stress=(fs := p._float_stress()),
+                             _walk=lambda eps: list(map(fs, eps)),
                              _feat=p._feat(), _graph=p._graph, _sup=p.stress_sup())
 
 
@@ -153,8 +155,9 @@ def _bind(children, serial):
     ``_float_stress``.  Parts in series add their rates, and the least supremum bounds
     them; parts in parallel add their stresses and suprema.  The other law inverts that
     sum (:func:`_array_inverse`, :func:`_float_inverse`); a parallel flow saturates to
-    +inf past ``_sup``.  A lone part's laws and graph are the node's.  Features add as
-    the potentials do in parallel, and as their conjugates do in series."""
+    +inf past ``_sup``.  ``_walk`` is ``_float_stress`` along an ascending grid.  A lone
+    part's laws, walk and graph are the node's.  Features add as the potentials do in
+    parallel, and as their conjugates do in series."""
     parts = _merged(children, serial)
     sup = (min if serial else sum)(c._sup for c in parts)
     cap, top = (sup, math.inf) if serial else (math.inf, sup)
@@ -168,6 +171,9 @@ def _bind(children, serial):
         summed, inverted = (flow, stress) if serial else (stress, flow)
         bound[summed] = total = reduce(_plus, [getattr(c, summed) for c in parts])
         bound[inverted] = getattr(parts[0], inverted) if lone else inverse(total, cap, top)
+    walks = [c._walk for c in parts]  # in parallel, a part's rows are a law on the grid index
+    bound["_walk"] = walks[0] if lone else _float_walk(total, cap) if serial else (
+        lambda ts: list(map(reduce(_plus, [w(ts).__getitem__ for w in walks]), range(len(ts)))))
     return bound
 
 
@@ -183,14 +189,53 @@ def _array_inverse(total, cap, top):
 
 
 def _float_inverse(total, cap, top):
-    """The float law inverse to ``total``: :func:`_solve` in ``[0, cap]``, +inf past ``top``."""
+    """The float law inverse to ``total``: the least ``x`` in ``[0, cap]`` where its upper
+    end reaches the float ``t``, by :func:`_root_scalar` on ``total`` less its value at
+    rest, and dx/dt there (0 below rest and at the cap, else the reciprocal of the last
+    slope read); +inf past ``top``."""
     def inverse(t):
         if t > top:  # saturated
             return math.inf, math.inf, math.inf
-        x, d = _solve(total, t, cap)
-        return x, x, d
+        _, g0, d = total(0.0)
+        x = 0.0
+        if t > g0:
+            def residual(x):
+                nonlocal d
+                _, g, d = total(x)
+                return g - t, d
+
+            x = _root_scalar(residual, t - g0, cap, _RTOL)
+        return x, x, 0.0 if t < g0 or x == cap else 1.0 / d if d else math.inf
 
     return inverse
+
+
+def _float_walk(total, cap):
+    """:func:`_float_inverse` in series along ascending targets.  A solve's bracket starts
+    at the last solve's final lower end, where ``total`` is below the last target and so
+    this one, its first probe a log-log Newton step from the last point read.  Once a
+    root sits at ``cap`` so do all later ones, and no root falls below the one before."""
+    def walk(ts):
+        _, g0, d = total(0.0)
+        rows, root, lo, x, g = [], 0.0, 0.0, 0.0, 0.0  # last point read: x, g(x) - g0, d
+
+        def residual(xn):
+            nonlocal lo, x, g, d
+            _, gx, d = total(xn)
+            x, g, lo = xn, gx - g0, xn if gx < t else lo
+            return gx - t, d
+
+        for t in ts:
+            if root < cap and t > g0:
+                try:  # none read yet (x = g = 0), a flat one, or a step past the floats
+                    probe = x * math.exp(math.log((t - g0) / g) * g / (x * d))
+                except (ArithmeticError, ValueError):
+                    probe = math.nan
+                root = max(root, _root_scalar(residual, t - g0, cap, _RTOL, lo, probe))
+            rows.append((root, root, 0.0 if t < g0 or root == cap else 1.0 / d if d else math.inf))
+        return rows
+
+    return walk
 
 
 def _plus(f, g):
@@ -229,7 +274,7 @@ def _leaf_stress(p: Potential, eps: np.ndarray):
 
 
 def _root(fn, t, sup):
-    """:func:`_solve` on an array of targets ``t``: :func:`_root_scalar`, elementwise.
+    """The solve of :func:`_float_inverse` on an array of targets ``t``, elementwise.
 
     Each target takes the scalar finder's iterates from the same first probe, Newton
     step, push, accept test and stop, in numpy's ``log1p`` and ``expm1``; a bisection
@@ -291,12 +336,13 @@ def _mid_scalar(lo, hi):
     return _F64.unpack(_I64.pack(ilo + (ihi - ilo) // 2))[0]
 
 
-def _root_scalar(fn, target, sup, rtol):
+def _root_scalar(fn, target, sup, rtol, lo=0.0, x=math.nan):
     """Smallest ``x`` in ``[0, sup]`` where a nondecreasing ``g`` with ``g(0) = 0``
     reaches ``target``, on Python floats.
 
     ``fn(x)`` returns the residual ``g(x) - target``, formed by the caller so its sign
-    holds where the two cancel, and ``g'(x)``.  The first probe is just below a finite
+    holds where the two cancel, and ``g'(x)``.  The bracket starts as ``[lo, sup]``, with
+    ``g(lo) < target``; the first probe is ``x`` if inside it, else just below a finite
     ``sup``, which tests the cap, else 1.  Newton steps solve ``log g = log target``
     against ``log x``, which is blind to the unit scale and exact in one step for a
     power law: ``x + x * expm1(log1p((t - g) / g) * g / (x * g'))``.  A step is taken
@@ -306,8 +352,9 @@ def _root_scalar(fn, target, sup, rtol):
     root.  Stops on a bracket ``rtol`` wide or on adjacent floats, and returns its
     upper end (``sup`` if never reached).
     """
-    lo, hi, s1, s2 = 0.0, sup, math.inf, math.inf
-    x = math.nextafter(sup, 0.0) if sup < math.inf else 1.0
+    hi, s1, s2 = sup, math.inf, math.inf
+    if not lo < x < sup:
+        x = math.nextafter(sup, 0.0) if sup < math.inf else 1.0
     for _ in range(_MAX_ITER):
         r, d = fn(x)
         lo, hi = (x, hi) if r < 0 else (lo, x)
@@ -325,22 +372,6 @@ def _root_scalar(fn, target, sup, rtol):
         xn = xn if ok else _mid_scalar(lo, hi)
         s1, s2, x = abs(u if ok else math.log(xn / x)), s1, xn
     raise NonConvergenceError(f"root solve: target {target!r} unresolved after {_MAX_ITER} steps")
-
-
-def _solve(fn, t, sup):
-    """The least ``x`` in ``[0, sup]`` where the upper end of the law ``fn`` reaches the
-    float ``t``, by :func:`_root_scalar` on ``fn`` less its value at rest, and dx/dt
-    there: 0 below rest and at the cap, else the reciprocal of the last slope read."""
-    _, g0, d = fn(0.0)
-    x = 0.0
-    if t > g0:
-        def residual(x):
-            nonlocal d
-            _, g, d = fn(x)
-            return g - t, d
-
-        x = _root_scalar(residual, t - g0, sup, _RTOL)
-    return x, 0.0 if t < g0 or x == sup else 1.0 / d if d else math.inf
 
 
 # ---------------------------------------------------------------------------

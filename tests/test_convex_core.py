@@ -228,6 +228,30 @@ def test_transform_rejects_bad_dual_grid(grid401):
         legendre_transform(f, method="nope")
 
 
+@pytest.mark.parametrize("method", ["sweep", "scan"])
+def test_transform_rejects_non_finite_dual_points(method):
+    """A dual point past the float range is an input error for either method, on a
+    window and on an input with a +inf tail, before any arithmetic runs."""
+    grid = np.linspace(0.0, 2.0, 5)
+    for vals in (grid**2, np.array([0.0, 0.5, 1.0, np.inf, np.inf])):
+        f = SampledFunction.from_samples(grid, vals)
+        for end in (np.inf, np.nan):
+            with pytest.raises(InvalidInputError, match="finite"):
+                legendre_transform(f, np.array([0.0, 1.0, end]), method=method)
+
+
+@pytest.mark.parametrize("method", ["sweep", "scan"])
+def test_transform_of_a_linear_sample_on_a_random_grid_is_convex(method):
+    """f = 3e5 v on ``[0] + sorted(uniform(0, 100, 299))``, numpy seeds 0-199: the
+    conjugate is 0 up to the slope, to roundoff of the terms ``s v`` (about 3e7), and
+    its convexity check allows for that roundoff."""
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        grid = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 100.0, 299))))
+        fs = legendre_transform(SampledFunction.from_samples(grid, 3e5 * grid), method=method)
+        assert np.max(np.abs(fs.values[: fs.finite_sup])) <= 1e-11 * 3e7, seed
+
+
 def test_transform_dual_grid_is_none_or_an_array(grid401):
     with pytest.raises(InvalidInputError):
         legendre_transform(half_square(grid401), 64)

@@ -23,7 +23,7 @@ from rheokit.maxwell0d import (
     step_explicit,
 )
 from rheokit.potentials import Dashpot, Huber, PerfectPlastic, PowerLaw
-from rheokit.rheology import Leaf, Serial, _root_scalar, stress_of_strain_rate
+from rheokit.rheology import Leaf, Serial, _root_scalar, stress_curve, stress_of_strain_rate
 
 
 def test_model_and_drive_validation():
@@ -603,3 +603,26 @@ def test_longer_or_deeper_curves_load_numpy(tmp_path):
         (_, loaded), = _fresh_runs([_curve_argv(tmp_path, name, doc, samples)])
         assert "numpy" in loaded, name
         assert len((tmp_path / f"{name}.csv").read_text().splitlines()) == samples + 1
+
+
+def test_wide_shallow_curves_never_load_numpy(tmp_path, monkeypatch):
+    """``curve`` at 10,000 rates walks a tree of solve depth 1 on floats, with a Serial
+    root or a Parallel one, in a fresh interpreter that never loads numpy.  A tree of
+    solve depth 2 at 10,000 rates, or of depth 1 past ``WALK_RATES``, still takes
+    ``stress_curve``."""
+    serial = {"node": "serial", "children": [
+        _W, {"node": "parallel", "children": [_P, _D]}, _D]}
+    parallel = {"node": "parallel", "children": [
+        {"node": "serial", "children": [_P, _W]}, {"node": "serial", "children": [_D, _W]}, _D]}
+    cases = [_curve_argv(tmp_path, name, doc, 10_000)
+             for name, doc in (("serial", serial), ("parallel", parallel))]
+    assert [loaded for _, loaded in _fresh_runs(cases)] == [[]] * 2
+    for name in ("serial", "parallel"):
+        assert len((tmp_path / f"{name}.csv").read_text().splitlines()) == 10_001
+    for name, doc, samples, array in (("deep", _depth2(1e7), 10_000, True),
+                                      ("walk", serial, cli.WALK_RATES, False),
+                                      ("past", serial, cli.WALK_RATES + 1, True)):
+        arrays = []
+        monkeypatch.setattr(cli, "stress_curve", lambda *a: arrays.append(1) or stress_curve(*a))
+        assert cli.main(_curve_argv(tmp_path, name, doc, samples)) == 0
+        assert arrays == [1] * array, name

@@ -768,6 +768,62 @@ def test_scalar_path_is_the_array_path(tree, ks, kr, rates, stresses):
                 assert _agree(got[2:], w[2:], 1e-9), (x, got, w)
 
 
+@st.composite
+def _shallow_trees(draw):
+    """Trees whose solves nest at most one deep: a Serial root over leaves and Parallel
+    nodes of polyline leaves (which merge into one), or a Parallel root over leaves and
+    Serial nodes of leaves.  Leaves are of unit order: dashpots, plastic caps, Huber,
+    and power laws with n in [1.2, 8]; each Serial node gets a dashpot or a power law."""
+    mod = lambda: 10.0 ** draw(st.floats(-1.0, 1.0))  # noqa: E731
+
+    def leaf(kinds):
+        kind = draw(st.sampled_from(kinds))
+        return (L(Dashpot(mod())) if kind == "D" else L(PerfectPlastic(mod())) if kind == "P"
+                else L(Huber(mod(), mod())) if kind == "H"
+                else L(PowerLaw(mod(), draw(st.floats(1.2, 8.0)))))
+
+    def serial(kid):
+        return Serial([kid() for _ in range(draw(st.integers(1, 3)))] + [leaf("DW")])
+
+    def graphs():
+        return Parallel([leaf("DPH") for _ in range(draw(st.integers(2, 3)))])
+
+    if draw(st.booleans()):
+        return serial(lambda: leaf("DPHW") if draw(st.booleans()) else graphs())
+    return Parallel([leaf("DPHW") if draw(st.booleans()) else serial(lambda: leaf("DPHW"))
+                     for _ in range(draw(st.integers(1, 3)))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=_shallow_trees(), ks=st.integers(-150, 150), kr=st.integers(-150, 150),
+       rates=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40),
+       samples=st.integers(2, 300))
+def test_walk_is_the_scalar_solve_along_a_grid(tree, ks, kr, rates, samples):
+    """A tree's walk along an ascending grid from 0 is ``stress_of_strain_rate``'s
+    midpoint to 1e-13 relative and never decreases, at scales of 1e+-150.  The walk of
+    a Serial root, or of each part of a Parallel one, is that node's float stress law
+    bit for bit at rest and at the node's cap.  The grids: sorted random rates, a linspace, and
+    clusters of rates 1e-14 apart, repeats included, around those rates and around
+    the rates where the root and its parts reach their caps."""
+    S, R = 10.0**ks, 10.0**kr
+    tree = _rescaled(tree, S, R)
+    assert rheology._depth(tree) <= 1
+    rates = [r * R for r in rates]
+    caps = [c._float_flow(c._sup)[0] for c in (tree, *tree._parts) if c._sup < math.inf]
+    near = [x * (1.0 + k * 1e-14) for x in rates + caps if 0.0 < x < math.inf
+            for k in (-2, -1, 0, 0, 1, 2)]
+    for eps in ([0.0] + sorted(rates), np.linspace(0.0, max(rates), samples).tolist(),
+                [0.0] + sorted(near)):
+        got = [0.5 * (lo + hi) for lo, hi, _ in tree._walk(eps)]
+        want = [stress_of_strain_rate(tree, e).midpoint for e in eps]
+        assert _agree(got, want), (got, want)
+        assert all(a <= b for a, b in zip(got, got[1:])), got
+        for node in tree._parts if isinstance(tree, Parallel) else (tree,):  # the solving nodes
+            for e, g, w in zip(eps, node._walk(eps), map(node._float_stress, eps)):
+                if e == 0.0 or w[1] == node._sup:
+                    assert [x.hex() for x in g[:2]] == [x.hex() for x in w[:2]], (e, g, w)
+
+
 def test_depth_counts_how_deeply_the_solves_nest(monkeypatch):
     """``_depth``, which picks the ``curve`` path, is the deepest nesting of ``_root``
     that the array walks ``_stress`` and ``_flow`` run."""

@@ -392,7 +392,8 @@ def test_short_curves_on_floats_match_the_array_path(tmp_path, monkeypatch, S, R
 
 # SHA-256 of two outputs of the array path: a 10,000-rate curve with a rest row,
 # re-pinned when the array finder took the float finder's rules, and the fig6
-# comparison, pinned when short curves moved to floats.
+# comparison, pinned when short curves moved to floats.  The curve's tree has solve
+# depth 1, so ``curve`` walks it on floats unless ``WALK_RATES`` is set below 10,000.
 _WIDE_CURVE = {"node": "serial", "children": [
     {"node": "leaf", "potential": {"kind": "dashpot", "D": 1.3}},
     {"node": "leaf", "potential": {"kind": "powerlaw", "D": 0.8, "n": 3.5}},
@@ -404,7 +405,8 @@ _PINNED = {"curve": "62e5dbbae7389bc61c3703646dd55c638228d04bdf49ebed0b56e239321
            "compare": "56c44a7dd7189017bc6e9e0f64e8f4a58a7431bdcde3718305eaa1aba0ebb8b7"}
 
 
-def test_array_path_csv_is_pinned(tmp_path):
+def test_array_path_csv_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "WALK_RATES", 0)
     model = write_json(tmp_path, "w.json", _WIDE_CURVE)
     runs = {"curve": ["curve", "--model", model, "--eps-min", "0", "--eps-max", "10",
                       "--samples", "10000"],
@@ -415,16 +417,42 @@ def test_array_path_csv_is_pinned(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED[name], name
 
 
+# SHA-256 of the same 10,000-rate curve walked on floats, pinned when ``curve`` took
+# the walk for trees of solve depth 1.
+_WALK_PINNED = "4bd280d06e7abbca54fe6ebf3fcabbc5e396f9e34a9fe9e5d944c66e63ac590f"
+
+
+def test_walk_csv_is_pinned_and_matches_the_array_path(tmp_path, monkeypatch):
+    """The walk's curve: its eps column is the array path's byte for byte, and its
+    viscosities and stresses agree with it to 1e-13 relative."""
+    argv = ["curve", "--model", write_json(tmp_path, "w.json", _WIDE_CURVE), "--eps-min", "0",
+            "--eps-max", "10", "--samples", "10000"]
+    monkeypatch.setattr(cli, "stress_curve", None)  # the array path would fail
+    assert cli.main(argv + ["--out", str(tmp_path / "walk.csv")]) == 0
+    assert hashlib.sha256((tmp_path / "walk.csv").read_bytes()).hexdigest() == _WALK_PINNED
+    monkeypatch.setattr(cli, "stress_curve", stress_curve)
+    monkeypatch.setattr(cli, "WALK_RATES", 0)
+    assert cli.main(argv + ["--out", str(tmp_path / "array.csv")]) == 0
+    (eps_w, *rest_w), (eps_a, *rest_a) = (
+        list(zip(*(ln.split(",") for ln in (tmp_path / f"{name}.csv").read_text().splitlines()[1:])))
+        for name in ("walk", "array"))
+    assert eps_w == eps_a and len(eps_w) == 10000
+    for w, a in zip(rest_w, rest_a):
+        w, a = np.array(w, dtype=float), np.array(a, dtype=float)
+        assert np.all((w == a) | (np.abs(w - a) <= 1e-13 * np.abs(a))), (w, a)
+
+
 # SHA-256 of four outputs of the float path (64 rates with a rest row, on the two
 # depth-2 trees above at unit and geo scale), re-pinned when a solve with no cap
-# first probed 1, not the largest float.  Like the pins above, they read the
+# first probed 1, not the largest float, and again when ``curve`` walked its grid,
+# each root solve continuing from the last.  Like the pins above, they read the
 # platform's libm (``pow``, ``log1p``, ``expm1``), so a machine whose libm rounds
 # otherwise may need its own.
 _FLOAT_PINNED = {
-    ("serial", 1.0): "0ccd386bf47fdb1049396adda354ee094435b407554275a509e6ac5d2322b6d8",
-    ("serial", 1e7): "c8cdf5821de11c86f9809669e93cbb868516d105daecec4a80fbc68753049f8d",
-    ("parallel", 1.0): "9c5cff7618b24f663c6ee3c14c3592c8684d70a37ea3a81e90fb006f23e74a45",
-    ("parallel", 1e7): "463ebdba5a0f0b808ee4a36604d187747f154e83016ea0f38452ba7bfcea935a",
+    ("serial", 1.0): "1c82e784c377c5e8593cd6ddd0e2fc9c28e7c826457fc2fc894c64ed4be5c73d",
+    ("serial", 1e7): "79fca7dc65b938fcff261a62e4697ddf11cada345c30585534b92c324698e908",
+    ("parallel", 1.0): "f46cbd255dd37d537bd0a2c235eaa5dfd7eba5eb3151a3886b6589d81ac26552",
+    ("parallel", 1e7): "eb7ee4368fade6247c30393d9a57628e434ca8e6e97691858984c2c7ba7f2045",
 }
 
 
