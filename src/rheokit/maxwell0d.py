@@ -29,7 +29,7 @@ from functools import cached_property
 from ._numpy import np
 from ._record import Record
 from .errors import InvalidInputError
-from .potentials import Potential
+from .potentials import Potential, _number
 from .rheology import Leaf, _bind, _root_scalar
 
 __all__ = [
@@ -51,9 +51,7 @@ class MaxwellModel(Record):
     elements: tuple
 
     def __init__(self, E: float, elements):
-        E = float(E)
-        if not (math.isfinite(E) and E > 0):
-            raise InvalidInputError(f"E must be positive, got {E}")
+        E = _number(E, "E")
         elements = tuple(elements)
         if not elements:
             raise InvalidInputError("MaxwellModel needs at least one element")
@@ -67,9 +65,9 @@ class MaxwellModel(Record):
 class DriveProgram(Record):
     """Piecewise-constant prescribed strain rate.
 
-    ``segments`` is a sequence of ``(t_end, eps)`` pairs with strictly
-    increasing end times; segment k applies on ``(t_end_{k-1}, t_end_k]``.
-    Beyond the last segment the rate is 0.
+    ``segments`` is a sequence of ``(t_end, eps)`` pairs of numbers with strictly
+    increasing end times, the last of which may be +inf; segment k applies on
+    ``(t_end_{k-1}, t_end_k]``.  Beyond the last segment the rate is 0.
     """
 
     segments: tuple
@@ -79,13 +77,10 @@ class DriveProgram(Record):
         prev = 0.0
         for item in segments:
             t_end, eps = item
-            t_end = float(t_end)
-            eps = float(eps)
+            t_end = math.inf if t_end == math.inf else _number(t_end, "segment end time", None)
             if not t_end > prev:
                 raise InvalidInputError("segment end times must be strictly increasing")
-            if not math.isfinite(eps):
-                raise InvalidInputError("segment rates must be finite")
-            segs.append((t_end, eps))
+            segs.append((t_end, _number(eps, "segment rate", None)))
             prev = t_end
         if not segs:
             raise InvalidInputError("DriveProgram needs at least one segment")

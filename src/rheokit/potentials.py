@@ -48,14 +48,34 @@ __all__ = [
 ]
 
 
-def _check_positive(**kwargs):
-    for name, x in kwargs.items():
-        try:
-            xf = float(x)
-        except (TypeError, ValueError):
-            raise InvalidInputError(f"{name} must be a number, got {x!r}") from None
-        if not (math.isfinite(xf) and xf > 0):
-            raise InvalidInputError(f"{name} must be a positive finite number, got {x!r}")
+def _number(x, name, rule="positive"):
+    """``x`` as a float if it is a number: not a bool, str or bytes, and converts to a finite
+    float; with ``rule`` "positive" (a modulus) also > 0, with "nonnegative" >= 0, with None
+    of any sign.  Else an :class:`InvalidInputError` naming ``name``, which does not echo a
+    number past the float range."""
+    big = False
+    try:
+        v = math.nan if isinstance(x, (bool, str, bytes)) else float(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        v, big = math.nan, isinstance(exc, OverflowError)
+    if math.isfinite(v) and (v > 0 or rule != "positive" and (v == 0 or rule is None)):
+        return v
+    kind = f"a {rule} finite number" if rule else "a finite number"
+    got = "a number past the float range" if big else repr(x)
+    raise InvalidInputError(f"{name} must be {kind}, got {got}")
+
+
+def _rates(x, name, positive=False):
+    """``x`` as a float array, and whether it came as a scalar, if it holds numbers (not
+    bools or strings) all finite and >= 0 (> 0 if ``positive``); else an
+    :class:`InvalidInputError` naming ``name``."""
+    a = np.asarray(x)
+    if a.dtype.kind in "iuf":
+        a = np.asarray(a, dtype=float)
+        if np.all(np.isfinite(a) & ((a > 0) if positive else (a >= 0))):
+            return a, a.ndim == 0
+    sign = "strictly positive" if positive else ">= 0"
+    raise InvalidInputError(f"{name} must be finite and {sign}")
 
 
 def _conjugate_modulus(kind, name, x, base, exp):
@@ -82,6 +102,14 @@ class Potential(Record):
 
     kind = None
     _graph = None
+    _nonneg = ()  # fields that may be 0
+
+    def __post_init__(self):
+        """Each field is a modulus, > 0 (>= 0 if in ``_nonneg``), stored as the float
+        that :func:`_number` returns."""
+        for f in self._fields:
+            rule = "nonnegative" if f in self._nonneg else "positive"
+            self.__dict__[f] = _number(self.__dict__[f], f, rule)
 
     def _float_flow(self, law=None):
         """The float kernel of ``flow`` (or ``law``): by default the numpy one, under errstate."""
@@ -137,6 +165,7 @@ class _Polyline(_GraphLaw):
     """A merged graph of the kinds below: one element standing for several."""
 
     _graph: _Graph
+    __post_init__ = Record.__post_init__  # a merged graph, its parts checked when built
 
 
 class Dashpot(_GraphLaw):
@@ -145,14 +174,11 @@ class Dashpot(_GraphLaw):
     D: float
     kind = "dashpot"
 
-    def __post_init__(self):
-        _check_positive(D=self.D)
-
     def value(self, r):
         return 0.5 * self.D * r**2
 
     def _pieces(self):
-        return ((0.0, 0.0, 1.0, float(self.D)),)
+        return ((0.0, 0.0, 1.0, self.D),)
 
     def conjugate(self):
         return Dashpot(_conjugate_modulus("Dashpot", "D", 1.0 / self.D, self.D, -1))
@@ -164,15 +190,12 @@ class PerfectPlastic(_GraphLaw):
     sigma_a: float
     kind = "plastic"
 
-    def __post_init__(self):
-        _check_positive(sigma_a=self.sigma_a)
-
     def value(self, r):
         return self.sigma_a * r
 
     def _pieces(self):
         # rigid: the vertical segment [0, a] at rest, then flat
-        return ((0.0, 0.0, 0.0, 1.0), (0.0, float(self.sigma_a), 1.0, 0.0))
+        return ((0.0, 0.0, 0.0, 1.0), (0.0, self.sigma_a, 1.0, 0.0))
 
     def conjugate(self):
         return QuadPlusBall(0.0, self.sigma_a)
@@ -208,26 +231,20 @@ class PowerLaw(Potential):
     n: float
     kind = "powerlaw"
 
-    def __post_init__(self):
-        _check_positive(D=self.D, n=self.n)
-
     def value(self, r):
         return self.n / (self.n + 1.0) * self.D * r ** (1.0 + 1.0 / self.n)
 
-    def stress(self, eps):
-        x = self.D * eps ** (1.0 / self.n)
-        return x, x, self.D / self.n * eps ** (1.0 / self.n - 1.0)
-
-    def flow(self, sig):
-        u = sig / self.D
-        x = u**self.n
-        return x, x, self.n / self.D * u ** (self.n - 1.0)
-
     def _float_flow(self):
-        return _power_kernel(float(self.D), 1.0, float(self.n), float(self.n / self.D))
+        return _power_kernel(self.D, 1.0, self.n, self.n / self.D)
 
     def _float_stress(self):
-        return _power_kernel(1.0, float(self.D), 1.0 / self.n, float(self.D / self.n))
+        return _power_kernel(1.0, self.D, 1.0 / self.n, self.D / self.n)
+
+    def stress(self, eps):
+        return self._float_stress()(eps)
+
+    def flow(self, sig):
+        return self._float_flow()(sig)
 
     def conjugate(self):
         # exponent 1+n, coefficient 1/((1+n) D**n)
@@ -250,11 +267,8 @@ class Huber(_GraphLaw):
     D: float
     kind = "huber"
 
-    def __post_init__(self):
-        _check_positive(sigma_a=self.sigma_a, D=self.D)
-
     def value(self, r):
-        a, d = float(self.sigma_a), float(self.D)
+        a, d = self.sigma_a, self.D
         try:
             off = 0.5 * a**2 / d
         except OverflowError:  # a**2 past the float range; the offset may not be
@@ -263,7 +277,7 @@ class Huber(_GraphLaw):
             return np.where(r <= a / d, 0.5 * d * r**2, a * r - off)
 
     def _pieces(self):
-        a, d = float(self.sigma_a), float(self.D)
+        a, d = self.sigma_a, self.D
         return ((0.0, 0.0, 1.0, d), (a / d, a, 1.0, 0.0))
 
     def conjugate(self):
@@ -281,16 +295,7 @@ class QuadPlusBall(_GraphLaw):
     Dinv_quad: float
     sigma_a: float
 
-    def __post_init__(self):
-        try:
-            q = float(self.Dinv_quad)
-        except (TypeError, ValueError):
-            raise InvalidInputError(
-                f"Dinv_quad must be a number, got {self.Dinv_quad!r}"
-            ) from None
-        if not (math.isfinite(q) and q >= 0):
-            raise InvalidInputError(f"Dinv_quad must be >= 0 and finite, got {q!r}")
-        _check_positive(sigma_a=self.sigma_a)
+    _nonneg = ("Dinv_quad",)
 
     def value(self, r):
         q = self.Dinv_quad  # a plain ball is 0 inside, also where r**2 overflows
@@ -298,7 +303,7 @@ class QuadPlusBall(_GraphLaw):
 
     def _pieces(self):
         # the normal cone at the support boundary is a vertical end ray
-        q, a = float(self.Dinv_quad), float(self.sigma_a)
+        q, a = self.Dinv_quad, self.sigma_a
         return ((0.0, 0.0, 1.0, q), (a, a * q, 0.0, 1.0))
 
     def conjugate(self):
@@ -361,13 +366,10 @@ class Sampled(Potential):
         return cc._dual_cap(self.f)
 
 
-def _magnitudes(p, r) -> np.ndarray:
+def _potential(p) -> Potential:
     if not isinstance(p, Potential):
         raise InvalidInputError(f"unknown potential {p!r}")
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise InvalidInputError("potential argument must be >= 0")
-    return r
+    return p
 
 
 def value(p: Potential, r):
@@ -376,9 +378,9 @@ def value(p: Potential, r):
     Evaluation past a finite support returns +inf, not an error.
     Accepts scalars or arrays.
     """
-    r = _magnitudes(p, r)
-    out = p.value(r)
-    return float(out) if r.ndim == 0 else out
+    r, scalar = _rates(r, "potential argument")
+    out = _potential(p).value(r)
+    return float(out) if scalar else out
 
 
 def dvalue(p: Potential, r: float) -> SubdiffInterval:
@@ -388,12 +390,7 @@ def dvalue(p: Potential, r: float) -> SubdiffInterval:
     reported as ``[0, sigma_a]``, and the normal cone at the support
     boundary of QuadPlusBall, reported with an upper end of +inf.
     """
-    if not isinstance(p, Potential):
-        raise InvalidInputError(f"unknown potential {p!r}")
-    r = float(r)
-    if r < 0:
-        raise InvalidInputError("potential argument must be >= 0")
-    lo, hi, _ = p._float_stress()(r)
+    lo, hi, _ = _potential(p)._float_stress()(_number(r, "potential argument", "nonnegative"))
     return SubdiffInterval(lo, hi)
 
 
@@ -406,9 +403,7 @@ def conjugate_analytic(p: Potential) -> Potential:
     Huber(a, D)       <-> QuadPlusBall(1/D, a)
     Sampled           ->  numeric transform fallback
     """
-    if not isinstance(p, Potential):
-        raise InvalidInputError(f"unknown potential {p!r}")
-    return p.conjugate()
+    return _potential(p).conjugate()
 
 
 def overstress_flow(D: float, n_exp: float, sigma_a: float, sigma: float) -> float:
@@ -418,9 +413,9 @@ def overstress_flow(D: float, n_exp: float, sigma_a: float, sigma: float) -> flo
     above it: the conjugate derivative of the rate-dependent-plasticity
     potential written as a flow function of the overstress.
     """
-    _check_positive(D=D, n_exp=n_exp)
-    if sigma_a < 0 or sigma < 0:
-        raise InvalidInputError("sigma_a and sigma must be >= 0")
+    D, n_exp = _number(D, "D"), _number(n_exp, "n_exp")
+    sigma_a = _number(sigma_a, "sigma_a", "nonnegative")
+    sigma = _number(sigma, "sigma", "nonnegative")
     if sigma <= sigma_a:
         return 0.0
     return (sigma - sigma_a) ** n_exp / D
@@ -432,21 +427,19 @@ def papanastasiou_stress(sigma_a: float, c: float, n_exp: float, eps: float) -> 
     Single-valued by design; at ``eps = 0`` the continuous limit
     ``sigma_a`` is returned.
     """
-    _check_positive(sigma_a=sigma_a, n_exp=n_exp)
-    if c < 0 or eps < 0:
-        raise InvalidInputError("c and eps must be >= 0")
+    sigma_a, n_exp = _number(sigma_a, "sigma_a"), _number(n_exp, "n_exp")
+    c, eps = _number(c, "c", "nonnegative"), _number(eps, "eps", "nonnegative")
     if eps == 0.0:
-        return float(sigma_a)
+        return sigma_a
     return sigma_a * (1.0 + c * eps**n_exp) ** (1.0 / n_exp)
 
 
 def casson_stress(sigma_a: float, c: float, eps: float) -> float:
     """Casson law ``sigma_a * (1 + c * eps)**(1/2)``; ``sigma_a`` at rest."""
-    _check_positive(sigma_a=sigma_a)
-    if c < 0 or eps < 0:
-        raise InvalidInputError("c and eps must be >= 0")
+    sigma_a = _number(sigma_a, "sigma_a")
+    c, eps = _number(c, "c", "nonnegative"), _number(eps, "eps", "nonnegative")
     if eps == 0.0:
-        return float(sigma_a)
+        return sigma_a
     return sigma_a * math.sqrt(1.0 + c * eps)
 
 

@@ -43,7 +43,8 @@ from ._numpy import np
 from ._record import Record
 from .convex_core import SubdiffInterval, _graph_sum
 from .errors import InvalidInputError, NonConvergenceError, UnsupportedModeError
-from .potentials import Dashpot, PerfectPlastic, Potential, PowerLaw, _Feat, _Polyline
+from .potentials import (Dashpot, PerfectPlastic, Potential, PowerLaw, _Feat, _Polyline, _number,
+                         _rates)
 
 __all__ = [
     "Leaf",
@@ -379,13 +380,6 @@ def _root_scalar(fn, target, sup, rtol, lo=0.0, x=math.nan):
 # ---------------------------------------------------------------------------
 
 
-def _check_scalar_nonneg(x, name):
-    x = float(x)
-    if not math.isfinite(x) or x < 0:
-        raise InvalidInputError(f"{name} must be finite and >= 0, got {x}")
-    return x
-
-
 def strain_rate_of_stress(e: RheoExpr, sigma: float) -> SubdiffInterval:
     """Strain-rate response at stress magnitude ``sigma``, in 1/s.
 
@@ -394,23 +388,21 @@ def strain_rate_of_stress(e: RheoExpr, sigma: float) -> SubdiffInterval:
     saturated interval with +inf ends.  Evaluated on Python floats.
     """
     _check_expr(e)
-    lo, hi, _ = e._float_flow(_check_scalar_nonneg(sigma, "sigma"))
+    lo, hi, _ = e._float_flow(_number(sigma, "sigma", "nonnegative"))
     return SubdiffInterval(lo, hi)
 
 
 def stress_of_strain_rate(e: RheoExpr, eps: float) -> SubdiffInterval:
     """Stress response at strain-rate magnitude ``eps``, in Pa, on Python floats."""
     _check_expr(e)
-    lo, hi, _ = e._float_stress(_check_scalar_nonneg(eps, "eps"))
+    lo, hi, _ = e._float_stress(_number(eps, "eps", "nonnegative"))
     return SubdiffInterval(lo, hi)
 
 
 def stress_curve(e: RheoExpr, eps) -> np.ndarray:
     """Stress (interval midpoints) over an array of strain rates."""
     _check_expr(e)
-    eps = np.asarray(eps, dtype=float)
-    if np.any(eps < 0) or not np.all(np.isfinite(eps)):
-        raise InvalidInputError("strain rates must be finite and >= 0")
+    eps, _ = _rates(eps, "strain rates")
     with np.errstate(divide="ignore", over="ignore"):
         lo, hi, _ = e._stress(eps)
     return 0.5 * (lo + hi)
@@ -418,9 +410,7 @@ def stress_curve(e: RheoExpr, eps) -> np.ndarray:
 
 def mu_eff_curve(e: RheoExpr, eps) -> np.ndarray:
     """Effective viscosity ``stress / eps`` over strictly positive rates."""
-    eps = np.asarray(eps, dtype=float)
-    if np.any(eps <= 0):
-        raise InvalidInputError("mu_eff_curve needs strictly positive rates")
+    eps, _ = _rates(eps, "strain rates", positive=True)
     return stress_curve(e, eps) / eps
 
 
@@ -435,7 +425,7 @@ def mu_eff_rigorous(e: RheoExpr, eps: float, limit: bool = False) -> float:
     compliances across Serial; +inf for a power law with n > 1).
     """
     _check_expr(e)
-    eps = _check_scalar_nonneg(eps, "eps")
+    eps = _number(eps, "eps", "nonnegative")
     if eps > 0:
         return stress_of_strain_rate(e, eps).midpoint / eps
     if not limit:
@@ -457,10 +447,7 @@ class ThreeElementParams(Record):
     D3: float
 
     def __post_init__(self):
-        for name in ("sigma_a", "D2", "D3"):
-            x = float(getattr(self, name))
-            if not (math.isfinite(x) and x > 0):
-                raise InvalidInputError(f"{name} must be positive, got {x}")
+        self.__dict__.update({f: _number(self.__dict__[f], f) for f in self._fields})
 
 
 def three_element_stress(p: ThreeElementParams, eps):
@@ -469,10 +456,7 @@ def three_element_stress(p: ThreeElementParams, eps):
     ``(D2 + D3) * eps`` below the switch rate ``sigma_a / D2``, and
     ``sigma_a + D3 * eps`` above it; continuous at the switch.
     """
-    scalar_in = np.isscalar(eps) or np.ndim(eps) == 0
-    eps = np.asarray(eps, dtype=float)
-    if np.any(eps < 0):
-        raise InvalidInputError("eps must be >= 0")
+    eps, scalar_in = _rates(eps, "eps")
     out = np.where(
         eps <= p.sigma_a / p.D2,
         (p.D2 + p.D3) * eps,
@@ -582,10 +566,7 @@ def mu_eff_formula(formula, params: Sequence, eps):
                 raise InvalidInputError(
                     f"{formula.name} parameters must be positive and finite, got {params!r}"
                 )
-    scalar_in = np.isscalar(eps) or np.ndim(eps) == 0
-    eps = np.asarray(eps, dtype=float)
-    if np.any(eps <= 0):
-        raise InvalidInputError("mu_eff_formula needs strictly positive eps")
+    eps, scalar_in = _rates(eps, "eps", positive=True)
 
     if formula is Formula.VP_MIN:
         sigma_a, d = params
@@ -649,13 +630,8 @@ def serial_dif_dsl_stress(
     root finder of the tree solves for any n > 0.  The two agree to 1e-12
     relative wherever the stress is a normal float.
     """
-    for name, x in (("D_dif", D_dif), ("D_dsl", D_dsl), ("n", n)):
-        if not (math.isfinite(float(x)) and float(x) > 0):
-            raise InvalidInputError(f"{name} must be positive and finite, got {x}")
-    scalar_in = np.isscalar(eps) or np.ndim(eps) == 0
-    eps = np.asarray(eps, dtype=float)
-    if np.any(eps < 0):
-        raise InvalidInputError("eps must be >= 0")
+    D_dif, D_dsl, n = _number(D_dif, "D_dif"), _number(D_dsl, "D_dsl"), _number(n, "n")
+    eps, scalar_in = _rates(eps, "eps")
 
     if mode == "closed":
         if n == 1:
@@ -700,9 +676,7 @@ def serial_dif_dsl_stress(
 
 def harmonic_mean_linear(D_list: Sequence[float]) -> float:
     """Modulus of serially arranged linear dashpots: ``1 / sum(1/D_i)``."""
-    ds = [float(d) for d in D_list]
+    ds = [_number(d, f"D_list[{i}]") for i, d in enumerate(D_list)]
     if not ds:
         raise InvalidInputError("harmonic_mean_linear needs a nonempty list")
-    if any(not math.isfinite(d) or d <= 0 for d in ds):
-        raise InvalidInputError("all moduli must be positive and finite")
     return 1.0 / sum(1.0 / d for d in ds)

@@ -13,16 +13,18 @@ Simulation document::
      "e_el0": 0.0}            # optional initial elastic strain
 
 Potential kinds: ``dashpot {D}``, ``plastic {sigma_a}``,
-``powerlaw {D, n}``, ``huber {sigma_a, D}``.  All moduli must be
-positive numbers.  Validation errors carry the JSON path of the
-offending field.
+``powerlaw {D, n}``, ``huber {sigma_a, D}``.  A number is a JSON number
+(not a boolean or a string) that converts to a finite float, so an integer
+past the float range is refused; moduli, ``E`` and ``t_end`` must also be
+> 0, while ``eps`` and ``e_el0`` may take any sign.  The rule is the
+library's (``potentials._number``).  Validation errors carry the JSON path
+of the offending field.
 """
 
 from __future__ import annotations
 
-import math
-
-from .errors import SchemaError
+from . import potentials
+from .errors import InvalidInputError, SchemaError
 from .maxwell0d import DriveProgram, MaxwellModel
 from .potentials import Potential
 from .rheology import Leaf, Parallel, RheoExpr, Serial
@@ -55,17 +57,16 @@ def _expect_object(doc, path):
     return doc
 
 
-def _positive_number(doc, key, path):
+def _number(doc, key, path, rule="positive"):
+    """The float at ``doc[key]`` under :func:`potentials._number`'s ``rule``; else a
+    :class:`SchemaError` at its path."""
     where = _at(path, key)
     if key not in doc:
         raise SchemaError(where, "missing required field")
-    val = doc[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise SchemaError(where, f"must be a number, got {val!r}")
-    val = float(val)
-    if not (math.isfinite(val) and val > 0):
-        raise SchemaError(where, f"must be a positive finite number, got {val}")
-    return val
+    try:
+        return potentials._number(doc[key], key, rule)
+    except InvalidInputError as exc:
+        raise SchemaError(where, str(exc).removeprefix(f"{key} ")) from None
 
 
 def parse_potential(doc, path: str = "potential") -> Potential:
@@ -80,7 +81,7 @@ def parse_potential(doc, path: str = "potential") -> Potential:
     extra = set(doc) - {"kind", *names}
     if extra:
         raise SchemaError(f"{path}.{sorted(extra)[0]}", f"unknown field for kind {kind!r}")
-    return _KINDS[kind](**{f: _positive_number(doc, f, path) for f in names})
+    return _KINDS[kind](**{f: _number(doc, f, path) for f in names})
 
 
 def parse_model(doc, path: str = "") -> RheoExpr:
@@ -130,7 +131,7 @@ def parse_simulation(doc):
     extra = set(doc) - {"E", "elements", "drive", "e_el0"}
     if extra:
         raise SchemaError(sorted(extra)[0], "unknown field")
-    e_mod = _positive_number(doc, "E", "")
+    e_mod = _number(doc, "E", "")
     elements = doc.get("elements")
     if not isinstance(elements, list) or not elements:
         raise SchemaError("elements", "must be a nonempty array")
@@ -144,22 +145,15 @@ def parse_simulation(doc):
         extra = set(seg) - {"t_end", "eps"}
         if extra:
             raise SchemaError(f"drive[{i}].{sorted(extra)[0]}", "unknown field")
-        t_end = _positive_number(seg, "t_end", f"drive[{i}]")
-        if "eps" not in seg:
-            raise SchemaError(f"drive[{i}].eps", "missing required field")
-        eps = seg["eps"]
-        if isinstance(eps, bool) or not isinstance(eps, (int, float)):
-            raise SchemaError(f"drive[{i}].eps", f"must be a number, got {eps!r}")
-        segments.append((t_end, float(eps)))
-    e_el0 = doc.get("e_el0", 0.0)
-    if isinstance(e_el0, bool) or not isinstance(e_el0, (int, float)):
-        raise SchemaError("e_el0", f"must be a number, got {e_el0!r}")
+        at = f"drive[{i}]"
+        segments.append((_number(seg, "t_end", at), _number(seg, "eps", at, None)))
+    e_el0 = _number(doc, "e_el0", "", None) if "e_el0" in doc else 0.0
     try:
         model = MaxwellModel(e_mod, pots)
         program = DriveProgram(segments)
     except Exception as exc:
         raise SchemaError("", str(exc)) from exc
-    return model, program, float(e_el0)
+    return model, program, e_el0
 
 
 def dump_simulation(model: MaxwellModel, drive: DriveProgram, e_el0: float = 0.0) -> dict:

@@ -8,7 +8,17 @@ from hypothesis import strategies as st
 import rheokit.rheology as rheology
 from rheokit.errors import InvalidInputError, NonConvergenceError, UnsupportedModeError
 from rheokit.convex_core import SampledFunction
-from rheokit.potentials import Dashpot, Huber, PerfectPlastic, PowerLaw, Sampled
+from rheokit.maxwell0d import DriveProgram, MaxwellModel
+from rheokit.potentials import (
+    Dashpot,
+    Huber,
+    PerfectPlastic,
+    PowerLaw,
+    QuadPlusBall,
+    Sampled,
+    dvalue,
+    value,
+)
 from rheokit.rheology import (
     Formula,
     Leaf,
@@ -94,6 +104,54 @@ def test_input_checks():
         strain_rate_of_stress(tree, -1.0)
     with pytest.raises(InvalidInputError):
         three_element_stress(ThreeElementParams(1.0, 1.0, 1.0), [0.5, -1.0])
+
+
+_CREEP = Serial([L(Dashpot(1.0)), L(PowerLaw(1.0, 3.0))])
+_NOT_NUMBERS = ("1.5", True, 10**400)
+# an entry point at one argument, the arguments it refuses, and for a constructor the
+# field that must hold a float after an int argument
+_ONE_RULE = {
+    "stress_curve": (lambda x: stress_curve(_CREEP, [1.0, x]), (math.nan, math.inf), None),
+    "mu_eff_curve": (lambda x: mu_eff_curve(_CREEP, [1.0, x]), (math.nan, math.inf), None),
+    "three_element_stress": (lambda x: three_element_stress(ThreeElementParams(1.0, 1.0, 1.0), x),
+                             (math.nan, math.inf), None),
+    "serial_dif_dsl_closed": (lambda x: serial_dif_dsl_stress(1.0, 1.0, 2.0, x),
+                              (math.nan, math.inf), None),
+    "serial_dif_dsl_numeric": (lambda x: serial_dif_dsl_stress(1.0, 1.0, 2.5, x, mode="numeric"),
+                               (math.nan, math.inf), None),
+    "mu_eff_formula": (lambda x: mu_eff_formula("vp_min", (1.0, 1.0), x), (math.nan, math.inf), None),
+    "value": (lambda x: value(Dashpot(1.0), x), (math.nan, math.inf), None),
+    "dvalue": (lambda x: dvalue(Dashpot(1.0), x), (math.nan, math.inf), None),
+    "stress_of_strain_rate": (lambda x: stress_of_strain_rate(_CREEP, x), (math.nan, math.inf), None),
+    "Dashpot": (Dashpot, _NOT_NUMBERS, "D"),
+    "PerfectPlastic": (PerfectPlastic, _NOT_NUMBERS, "sigma_a"),
+    "PowerLaw.D": (lambda x: PowerLaw(x, 3.0), _NOT_NUMBERS, "D"),
+    "PowerLaw.n": (lambda x: PowerLaw(1.0, x), _NOT_NUMBERS, "n"),
+    "Huber.sigma_a": (lambda x: Huber(x, 1.0), _NOT_NUMBERS, "sigma_a"),
+    "Huber.D": (lambda x: Huber(1.0, x), _NOT_NUMBERS, "D"),
+    "QuadPlusBall.Dinv_quad": (lambda x: QuadPlusBall(x, 1.0), _NOT_NUMBERS, "Dinv_quad"),
+    "QuadPlusBall.sigma_a": (lambda x: QuadPlusBall(0.0, x), _NOT_NUMBERS, "sigma_a"),
+    "ThreeElementParams": (lambda x: ThreeElementParams(1.0, x, 1.0), _NOT_NUMBERS, "D2"),
+    "MaxwellModel": (lambda x: MaxwellModel(x, [Dashpot(1.0)]), _NOT_NUMBERS, "E"),
+    "DriveProgram.t_end": (lambda x: DriveProgram([(x, 1.0)]), _NOT_NUMBERS, "segments"),
+    "DriveProgram.eps": (lambda x: DriveProgram([(1.0, x)]), _NOT_NUMBERS, "segments"),
+}
+
+
+@pytest.mark.parametrize("name", _ONE_RULE)
+def test_one_rule_for_rates_and_moduli(name):
+    """NaN and inf rates, and moduli that are strings, bools or integers past the float
+    range, are input errors at every entry point; the error never echoes hundreds of
+    digits, and a constructor stores the float of an int argument."""
+    call, refused, field = _ONE_RULE[name]
+    for x in refused:
+        with pytest.raises(InvalidInputError) as err:
+            call(x)
+        assert "0" * 20 not in str(err.value)
+    if field is not None:
+        got = getattr(call(2), field)
+        floats = [v for seg in got for v in seg] if field == "segments" else [got]
+        assert all(type(v) is float for v in floats) and 2.0 in floats
 
 
 # ---------------------------------------------------------------------------

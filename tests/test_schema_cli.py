@@ -115,10 +115,18 @@ _BAD_SIMULATIONS = [
     ({**RELAX_SIM, "e_el0": "1"}, "e_el0"),
     ({**RELAX_SIM, "e_el0": False}, "e_el0"),
 ]
+_HUGE = 10**400  # a JSON integer past the float range
+# after the lists above, so that their cases keep their test ids
+_HUGE_NUMBERS = [
+    ("curve", {"node": "leaf", "potential": {"kind": "dashpot", "D": _HUGE}}, "potential.D"),
+    ("simulate", {**RELAX_SIM, "E": _HUGE}, "E"),
+    ("simulate", {**RELAX_SIM, "drive": [{"t_end": 1.0, "eps": _HUGE}]}, "drive[0].eps"),
+    ("simulate", {**RELAX_SIM, "e_el0": _HUGE}, "e_el0"),
+]
 
 
 @pytest.mark.parametrize("command, doc, path", [("curve", *c) for c in _BAD_MODELS]
-                         + [("simulate", *c) for c in _BAD_SIMULATIONS])
+                         + [("simulate", *c) for c in _BAD_SIMULATIONS] + _HUGE_NUMBERS)
 def test_bad_documents_name_their_field_and_exit_2(tmp_path, capsys, command, doc, path):
     parse = parse_model if command == "curve" else parse_simulation
     with pytest.raises(SchemaError) as err:
@@ -126,6 +134,19 @@ def test_bad_documents_name_their_field_and_exit_2(tmp_path, capsys, command, do
     assert err.value.path == path
     assert cli.main([command, "--model", write_json(tmp_path, "bad.json", doc)]) == 2
     assert f"input error: {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, doc, path", _HUGE_NUMBERS)
+def test_numbers_past_the_float_range_are_not_echoed(tmp_path, capsys, command, doc, path):
+    """A 400-digit integer is refused at its path, and neither the error nor the
+    CLI's message repeats its digits."""
+    parse = parse_model if command == "curve" else parse_simulation
+    with pytest.raises(SchemaError) as err:
+        parse(doc)
+    assert str(err.value).startswith(f"{path}: must be a ")
+    assert str(err.value).endswith("finite number, got a number past the float range")
+    assert cli.main([command, "--model", write_json(tmp_path, "huge.json", doc)]) == 2
+    assert "0" * 20 not in capsys.readouterr().err
 
 
 def test_a_potential_with_no_document_form_does_not_dump():
