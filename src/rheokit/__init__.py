@@ -6,17 +6,7 @@ effective viscosities, and time-integrates the 0D generalized Maxwell
 rheology.
 """
 
-from .convex_core import (
-    SampledFunction,
-    SubdiffInterval,
-    fenchel_young_residual,
-    inf_convolve_direct,
-    inf_convolve_via_conjugate,
-    legendre_transform,
-    subdifferential,
-    uniform_grid,
-    yosida,
-)
+from ._graph import SubdiffInterval
 from .errors import (
     InvalidInputError,
     NonConvergenceError,
@@ -62,3 +52,16 @@ from .rheology import (
 )
 
 __version__ = "0.1.0"
+
+# The sampled transforms, imported on first use: no CLI command compiles convex_core.
+_CONVEX_CORE = {"SampledFunction", "fenchel_young_residual", "inf_convolve_direct",
+                "inf_convolve_via_conjugate", "legendre_transform", "subdifferential",
+                "uniform_grid", "yosida"}
+
+
+def __getattr__(name):
+    if name not in _CONVEX_CORE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import convex_core
+
+    return getattr(convex_core, name)

@@ -1,13 +1,18 @@
-"""numpy, imported on first attribute use, so start-up paths that never
-touch an array (``simulate``, ``--dump-model``) do not load it."""
+"""Modules imported on first attribute use: numpy, so start-up paths that never
+touch an array (``simulate``, ``--dump-model``) do not load it, and the sampled
+transforms of ``convex_core``, which no CLI command loads."""
+
+import importlib
 
 
-class _Numpy:
+class _Lazy:
+    def __init__(self, module):
+        self._module = module
+
     def __getattr__(self, name):
-        import numpy
-
-        value = self.__dict__[name] = getattr(numpy, name)  # later lookups skip this hook
+        module = importlib.import_module(self._module)
+        value = self.__dict__[name] = getattr(module, name)  # later lookups skip this hook
         return value
 
 
-np = _Numpy()
+np = _Lazy("numpy")

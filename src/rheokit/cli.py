@@ -12,7 +12,8 @@ Exit codes: 0 ok, 2 input/schema error, 3 solver/integrator failure,
 4 equivalence regression.  Output is deterministic: 17 significant
 digits, ``\\n`` line endings, ``inf`` as the literal token.  ``curve``
 walks its rate grid on Python floats, never importing numpy, when the
-tree is shallow and the grid short enough (``FLOAT_*``, ``WALK_RATES``).
+tree is shallow and the grid short enough (``FLOAT_*``, ``WALK_RATES``);
+``compare`` fills its columns on floats under the same ``WALK_RATES``.
 """
 
 from __future__ import annotations
@@ -30,12 +31,14 @@ from .errors import (
     UnsupportedModeError,
 )
 from .maxwell0d import simulate
-from .potentials import conjugate_analytic, value
+from .potentials import Dashpot, PowerLaw, conjugate_analytic, value
 from .rheology import (
     Formula,
     Leaf,
+    Serial,
     ThreeElementParams,
     _depth,
+    _dif_dsl_closed,
     map_serial_parallel_params,
     mu_eff_formula,
     mu_eff_rigorous,
@@ -61,7 +64,8 @@ FIG6_PRESET = {
 }
 
 # `curve` walks its grid on floats, without numpy, up to FLOAT_RATES rates on trees whose
-# solves nest FLOAT_DEPTH deep, and up to WALK_RATES (below the cost of numpy) on shallower.
+# solves nest FLOAT_DEPTH deep, and up to WALK_RATES (below the cost of numpy) on shallower;
+# `compare` fills its columns on floats up to WALK_RATES rows.
 FLOAT_RATES, FLOAT_DEPTH, WALK_RATES = 64, 2, 16_384
 
 
@@ -147,7 +151,10 @@ def _n_suffix(n) -> str:
 
 
 def compare_columns(d_dif, d_dsl, n_list, eps):
-    """Rigorous and harmonic-mean curves of the serial creep pair."""
+    """Rigorous and harmonic-mean curves of the serial creep pair, on a list of Python
+    floats ``eps`` without numpy (:func:`_float_columns`), else on arrays."""
+    if isinstance(eps, list):
+        return _float_columns(d_dif, d_dsl, n_list, eps)
     mus_rig, mus_emp, sig_rig, sig_emp = [], [], [], []
     for n in n_list:
         if math.isinf(n):
@@ -165,6 +172,28 @@ def compare_columns(d_dif, d_dsl, n_list, eps):
     return mus_rig, mus_emp, sig_rig, sig_emp
 
 
+def _float_columns(d_dif, d_dsl, n_list, eps):
+    """The columns of :func:`compare_columns` on Python floats: ``VP_MIN``, the closed form
+    of ``serial_dif_dsl_stress`` or the tree's walk, and ``EMP_DIF_DSL``, in the same
+    arithmetic (``math.sqrt`` where numpy takes ``** 0.5``)."""
+    mus_rig, mus_emp, sig_rig, sig_emp = [], [], [], []
+    for n in n_list:
+        if math.isinf(n):
+            sig = [e * min(d_dif, d_dsl / e) for e in eps]
+        elif n in (1, 2, 3):
+            sig = list(map(_dif_dsl_closed(d_dif, d_dsl, n), eps))
+        else:
+            tree = Serial([Leaf(Dashpot(d_dif)), Leaf(PowerLaw(d_dsl, n))])
+            sig = [hi for _, hi, _ in tree._walk(eps)]
+        p = 1.0 - 1.0 / n
+        mu_emp = [1.0 / (1.0 / d_dif + (math.sqrt(e) if p == 0.5 else e**p) / d_dsl) for e in eps]
+        mus_rig.append([s / e for s, e in zip(sig, eps)])
+        sig_rig.append(sig)
+        mus_emp.append(mu_emp)
+        sig_emp.append([m * e for m, e in zip(mu_emp, eps)])
+    return mus_rig, mus_emp, sig_rig, sig_emp
+
+
 def cmd_compare(args) -> int:
     # the fig6 preset is also the default; an explicit option overrides it
     for key, val in FIG6_PRESET.items():
@@ -175,16 +204,13 @@ def cmd_compare(args) -> int:
         raise InvalidInputError("moduli must be positive")
     if args.eps_min <= 0:
         raise InvalidInputError("compare needs eps_min > 0")
-    eps = np.asarray(_eps_grid(args.eps_min, args.eps_max, args.samples))
-    mus_rig, mus_emp, sig_rig, sig_emp = compare_columns(
-        args.d_dif, args.d_dsl, n_list, eps
-    )
-    header = ["eps"]
-    header += [f"mu_rig_{_n_suffix(n)}" for n in n_list]
-    header += [f"mu_emp_{_n_suffix(n)}" for n in n_list]
-    header += [f"sig_rig_{_n_suffix(n)}" for n in n_list]
-    header += [f"sig_emp_{_n_suffix(n)}" for n in n_list]
-    _write(args.out, _csv(header, [eps, *mus_rig, *mus_emp, *sig_rig, *sig_emp]))
+    eps = _eps_grid(args.eps_min, args.eps_max, args.samples)
+    if args.samples > WALK_RATES:
+        eps = np.asarray(eps)
+    columns = compare_columns(args.d_dif, args.d_dsl, n_list, eps)
+    header = [f"{name}_{_n_suffix(n)}" for name in ("mu_rig", "mu_emp", "sig_rig", "sig_emp")
+              for n in n_list]
+    _write(args.out, _csv(["eps", *header], [eps, *(c for group in columns for c in group)]))
     return EXIT_OK
 
 

@@ -140,9 +140,11 @@ def step(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
     ``cap / E`` when the stress stops at the cap.  The residual reads the
     model's float kernel: no numpy scalar and no floating-point error state.
     """
+    if not type(e_el) is type(eps) is type(dt) is float:  # floats skip the number rule
+        e_el, eps = _number(e_el, "e_el", None), _number(eps, "eps", None)
+        dt = _number(dt, "dt", None)
     if not (dt > 0):
         raise InvalidInputError("dt must be > 0")
-    e_el, eps, dt = float(e_el), float(eps), float(dt)
     if not (math.isfinite(e_el) and math.isfinite(eps)):
         raise InvalidInputError(f"e_el and eps must be finite, got {e_el}, {eps}")
     trial = e_el + dt * eps

@@ -24,11 +24,12 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from ._numpy import np
-from . import convex_core as cc
+from ._graph import SubdiffInterval, _Feat, _Graph
+from ._numpy import _Lazy, np
 from ._record import Record
-from .convex_core import SampledFunction, SubdiffInterval, _Feat, _Graph
 from .errors import InvalidInputError
+
+cc = _Lazy("rheokit.convex_core")  # imported at the Sampled kind's first use alone
 
 __all__ = [
     "Dashpot",
@@ -322,14 +323,14 @@ class Sampled(Potential):
     is affine past its last grid point, and the flow there is that bound.
     """
 
-    f: SampledFunction
+    f: cc.SampledFunction
 
     def __post_init__(self):
         f = self.f
-        if not isinstance(f, SampledFunction):
+        if not isinstance(f, cc.SampledFunction):
             raise InvalidInputError(f"Sampled needs a SampledFunction, got {f!r}")
         if f.values[0] != 0.0:
-            shifted = SampledFunction(f.grid, f.values - f.values[0], f.finite_sup)
+            shifted = cc.SampledFunction(f.grid, f.values - f.values[0], f.finite_sup)
             object.__setattr__(self, "f", shifted)
 
     @cached_property
@@ -418,7 +419,13 @@ def overstress_flow(D: float, n_exp: float, sigma_a: float, sigma: float) -> flo
     sigma = _number(sigma, "sigma", "nonnegative")
     if sigma <= sigma_a:
         return 0.0
-    return (sigma - sigma_a) ** n_exp / D
+    try:
+        return (sigma - sigma_a) ** n_exp / D
+    except OverflowError:  # the power past the float range, the rate maybe not: divide first
+        try:
+            return ((sigma - sigma_a) / D ** (1.0 / n_exp)) ** n_exp
+        except OverflowError:
+            return math.inf
 
 
 def papanastasiou_stress(sigma_a: float, c: float, n_exp: float, eps: float) -> float:
@@ -429,9 +436,12 @@ def papanastasiou_stress(sigma_a: float, c: float, n_exp: float, eps: float) -> 
     """
     sigma_a, n_exp = _number(sigma_a, "sigma_a"), _number(n_exp, "n_exp")
     c, eps = _number(c, "c", "nonnegative"), _number(eps, "eps", "nonnegative")
-    if eps == 0.0:
+    if eps == 0.0 or c == 0.0:
         return sigma_a
-    return sigma_a * (1.0 + c * eps**n_exp) ** (1.0 / n_exp)
+    try:
+        return sigma_a * (1.0 + c * eps**n_exp) ** (1.0 / n_exp)
+    except OverflowError:  # eps**n past the float range, so eps > 1: factor it out
+        return sigma_a * (eps * (eps**-n_exp + c) ** (1.0 / n_exp))
 
 
 def casson_stress(sigma_a: float, c: float, eps: float) -> float:
@@ -440,12 +450,13 @@ def casson_stress(sigma_a: float, c: float, eps: float) -> float:
     c, eps = _number(c, "c", "nonnegative"), _number(eps, "eps", "nonnegative")
     if eps == 0.0:
         return sigma_a
-    return sigma_a * math.sqrt(1.0 + c * eps)
+    t = c * eps  # +inf past the float range, where the stress may not be
+    return sigma_a * (math.sqrt(1.0 + t) if t < math.inf else math.sqrt(c) * math.sqrt(eps))
 
 
-def sample_potential(p: Potential, grid=None) -> SampledFunction:
+def sample_potential(p: Potential, grid=None) -> cc.SampledFunction:
     """Sample a catalog potential onto a grid (default uniform 2048 pts)."""
     if grid is None:
         grid = cc.uniform_grid()
     grid = np.asarray(grid, dtype=float)
-    return SampledFunction.from_samples(grid, value(p, grid))
+    return cc.SampledFunction.from_samples(grid, value(p, grid))

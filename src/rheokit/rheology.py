@@ -39,9 +39,9 @@ import struct
 from functools import reduce
 from typing import Sequence, Union
 
+from ._graph import SubdiffInterval, _graph_sum
 from ._numpy import np
 from ._record import Record
-from .convex_core import SubdiffInterval, _graph_sum
 from .errors import InvalidInputError, NonConvergenceError, UnsupportedModeError
 from .potentials import (Dashpot, PerfectPlastic, Potential, PowerLaw, _Feat, _Polyline, _number,
                          _rates)
@@ -558,14 +558,13 @@ def mu_eff_formula(formula, params: Sequence, eps):
             f"{formula.name} takes {_FORMULA_ARITY[formula]} parameters, got {len(params)}"
         )
     if formula is not Formula.EMP_HARMONIC_GENERAL:
-        # every modulus positive and finite; an exponent n may also be inf
-        has_n = formula in (Formula.HB_MIN, Formula.EMP_DIF_DSL)
-        for i, x in enumerate(params):
-            x = np.asarray(x, dtype=float)
-            if not np.all((x > 0) & (np.isfinite(x) | (has_n and i == 2))):
-                raise InvalidInputError(
-                    f"{formula.name} parameters must be positive and finite, got {params!r}"
-                )
+        # each modulus a positive number, the MULTI_ELEMENT lists arrays of them; n may be inf
+        lists = 2 if formula is Formula.MULTI_ELEMENT else 0
+        n_at = 2 if formula in (Formula.HB_MIN, Formula.EMP_DIF_DSL) else -1
+        params = tuple(
+            _rates(x, f"{formula.name} parameter {i}", positive=True)[0] if i < lists
+            else math.inf if i == n_at and isinstance(x, float) and x == math.inf
+            else _number(x, f"{formula.name} parameter {i}") for i, x in enumerate(params))
     eps, scalar_in = _rates(eps, "eps", positive=True)
 
     if formula is Formula.VP_MIN:
@@ -579,9 +578,7 @@ def mu_eff_formula(formula, params: Sequence, eps):
         out = np.minimum(sigma_a / eps, d2) + d3
     elif formula is Formula.MULTI_ELEMENT:
         sig_list, d2_list, d3 = params
-        sig_list = np.asarray(sig_list, dtype=float)
-        d2_list = np.asarray(d2_list, dtype=float)
-        if sig_list.size == 0 or sig_list.shape != d2_list.shape:
+        if sig_list.ndim != 1 or sig_list.size == 0 or sig_list.shape != d2_list.shape:
             raise InvalidInputError(
                 "MULTI_ELEMENT needs matching nonempty sigma_a and D2 lists"
             )
@@ -613,10 +610,6 @@ def mu_eff_formula(formula, params: Sequence, eps):
 # ---------------------------------------------------------------------------
 # Serial diffusion + dislocation creep
 # ---------------------------------------------------------------------------
-
-
-def _signed_cbrt(x):
-    return np.sign(x) * np.abs(x) ** (1.0 / 3.0)
 
 
 def serial_dif_dsl_stress(
@@ -657,8 +650,7 @@ def serial_dif_dsl_stress(
                     # cube roots, evaluated as e/(A^2 - A B + B^2) so the
                     # near-cancelling sum A + B never forms.
                     u1 = e / 2.0 + np.sqrt(e**2 / 4.0 + 1.0 / 27.0)
-                    a_ = _signed_cbrt(u1)
-                    b_ = _signed_cbrt(-(1.0 / 27.0) / u1)
+                    a_, b_ = u1 ** (1.0 / 3.0), -((1.0 / 27.0 / u1) ** (1.0 / 3.0))  # u1 > 0
                     y = e / (a_**2 - a_ * b_ + b_**2)
                 (m1, k1), (m2, k2) = np.frexp(D_dsl), np.frexp(q)
                 out = np.where(z < cut, D_dif * eps, np.where(
@@ -672,6 +664,40 @@ def serial_dif_dsl_stress(
     else:
         raise InvalidInputError(f"mode must be 'closed' or 'numeric', got {mode!r}")
     return float(out) if scalar_in else out
+
+
+def _dif_dsl_closed(D_dif, D_dsl, n):
+    """The closed mode of :func:`serial_dif_dsl_stress` for n in {1, 2, 3} as a kernel on one
+    Python float rate > 0: the same arithmetic on floats, never importing numpy, and
+    ``math.sqrt`` and products where numpy takes them for ``** 0.5`` and ``** 2``."""
+    if n == 1:
+        c = 1.0 / D_dif + 1.0 / D_dsl
+        return lambda eps: eps / c
+    cut, lz = math.log(1e-17), n * (math.log(D_dif) - math.log(D_dsl))
+    rho = D_dif / D_dsl
+    q = rho ** (1.0 / (n - 1.0))
+    (m1, k1), (m2, k2) = math.frexp(D_dsl), math.frexp(q)
+    root = math.sqrt if n == 2 else lambda x: x ** (1.0 / 3.0)
+
+    def kernel(eps):
+        z = (n - 1.0) * math.log(eps) + lz
+        if z < cut:  # the dashpot alone
+            return D_dif * eps
+        if z > -n * cut:  # the power law alone
+            return D_dsl * root(eps)
+        e = eps * rho * q
+        if n == 2:
+            y = e / (math.sqrt(0.25 + e) + 0.5)
+        else:
+            u1 = e / 2.0 + math.sqrt(e * e / 4.0 + 1.0 / 27.0)
+            a, b = u1 ** (1.0 / 3.0), -((1.0 / 27.0 / u1) ** (1.0 / 3.0))
+            y = e / (a * a - a * b + b * b)
+        try:
+            return math.ldexp(m1 / m2 * y, k1 - k2)
+        except OverflowError:  # past the float range, as np.ldexp
+            return math.inf
+
+    return kernel
 
 
 def harmonic_mean_linear(D_list: Sequence[float]) -> float:

@@ -502,13 +502,13 @@ def test_simulate_csv_is_pinned(tmp_path, n, kinds, scale):
 
 # Run in a fresh interpreter, where numpy is not loaded yet: calls
 # ``rheokit.cli.main`` on each argv list and prints, for each, how many scalar root
-# brackets it bisected and which of numpy, dataclasses and the inspect it loads
-# are loaded after it.
+# brackets it bisected and which of the named modules (by default numpy, dataclasses
+# and the inspect it loads) are loaded after it.
 _NO_NUMPY_SCRIPT = """
 import json, sys
 import rheokit
 def loaded():
-    return [name for name in ("numpy", "dataclasses", "inspect") if name in sys.modules]
+    return [name for name in json.loads(sys.argv[2]) if name in sys.modules]
 assert not loaded(), loaded()
 import rheokit.cli, rheokit.rheology as rheology
 mid, calls = rheology._mid_scalar, [0]
@@ -525,11 +525,12 @@ print(json.dumps(runs))
 """
 
 
-def _fresh_runs(cases):
-    """``[bisections, modules loaded]`` after each CLI case, in one fresh interpreter."""
+def _fresh_runs(cases, names=("numpy", "dataclasses", "inspect")):
+    """``[bisections, modules of names loaded]`` after each CLI case, in one fresh interpreter."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_SCRIPT, json.dumps(cases)],
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_SCRIPT, json.dumps(cases),
+                           json.dumps(list(names))],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -626,3 +627,35 @@ def test_wide_shallow_curves_never_load_numpy(tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "stress_curve", lambda *a: arrays.append(1) or stress_curve(*a))
         assert cli.main(_curve_argv(tmp_path, name, doc, samples)) == 0
         assert arrays == [1] * array, name
+
+
+def test_cli_commands_load_only_the_code_they_run(tmp_path):
+    """No CLI command compiles ``convex_core``'s transforms, and ``compare`` of at most
+    ``WALK_RATES`` rows never loads numpy: the fig6 preset, a 7,000-row geoscale
+    comparison whose n = 3.5 column is a tree walk, ``curve --dump-model``, a short
+    ``curve`` and a ``simulate``, in one fresh interpreter."""
+    geo, out = tmp_path / "geo.csv", str(tmp_path / "out.csv")
+    leaf = tmp_path / "leaf.json"
+    leaf.write_text(json.dumps(_D), encoding="utf-8")
+    (tmp_path / "sim").mkdir()
+    cases = [["compare", "--preset", "fig6", "--out", out],
+             ["compare", "--d-dif", "1e21", "--d-dsl", "1e9", "--n-list", "2,3,3.5,inf",
+              "--eps-min", "1e-18", "--eps-max", "1e-10", "--samples", "7000", "--out", str(geo)],
+             ["curve", "--model", str(leaf), "--dump-model", "--out", out],
+             _curve_argv(tmp_path, "short", _depth2(1e7), 64),
+             _simulate_argv(tmp_path / "sim", *_MIXES[0], "geo")]
+    runs = _fresh_runs(cases, ("numpy", "rheokit.convex_core"))
+    assert [loaded for _, loaded in runs] == [[]] * len(cases)
+    lines = geo.read_text().splitlines()
+    assert len(lines) == 7001 and lines[0].count("n3.5") == 4
+
+
+@pytest.mark.parametrize("args", [(0.0, 1.0, 10**400), (0.0, "1", 0.1), (0.0, 1.0, "0.1"),
+                                  (True, 1.0, 0.1), (0.0, 1.0, np.float64(np.inf))])
+def test_step_takes_numbers_by_the_number_rule(args):
+    """A ``step`` argument that is not a float passes the number rule: an integer past the
+    float range, a str, a bool or a non-finite numpy float is an input error."""
+    m = MaxwellModel(1.0, [Dashpot(1.0), PowerLaw(1.0, 3.0)])
+    with pytest.raises(InvalidInputError):
+        step(m, *args)
+    assert step(m, 0, 1, 1) == step(m, 0.0, 1.0, 1.0)  # ints are numbers

@@ -208,6 +208,19 @@ def test_overstress_flow():
         overstress_flow(1.0, 1.0, -1.0, 2.0)
 
 
+@pytest.mark.parametrize("law, args, expected", [
+    (overstress_flow, (1.0, 3.0, 0.0, 1e200), math.inf),
+    (overstress_flow, (1e300, 2.0, 0.0, 1e200), 1e100),
+    (papanastasiou_stress, (1.0, 1.0, 3.0, 1e200), 1e200),
+    (papanastasiou_stress, (1.0, 0.0, 3.0, 1e200), 1.0),
+    (casson_stress, (1e300, 1e300, 1e300), math.inf),
+    (casson_stress, (1e-10, 1e300, 1e300), 1e290)])
+def test_empirical_laws_past_the_float_range(law, args, expected):
+    """Where a power or product of the law passes the float range, the law returns its
+    value, +inf only where that value passes the float range too."""
+    assert law(*args) == pytest.approx(expected, rel=1e-14)
+
+
 def test_regularized_stress_laws():
     assert papanastasiou_stress(1.0, 1.0, 1.0, 3.0) == pytest.approx(4.0)
     assert casson_stress(1.0, 3.0, 1.0) == pytest.approx(2.0)

@@ -480,6 +480,16 @@ def test_formula_rejects_nonpositive_or_nonfinite_parameters():
         mu_eff_formula(Formula.HB_MIN, (math.inf, 1.0, 3.0), 2.0)
 
 
+@pytest.mark.parametrize("formula, params", [
+    ("vp_min", ("1", 1.0)), ("vp_min", (10**400, 1.0)), ("emp_dif_dsl", (1.0, 1.0, "inf")),
+    ("multi_element", (["1"], [1.0], 1.0)), ("multi_element", (1.0, 1.0, 1.0))])
+def test_formula_parameters_pass_the_number_rule(formula, params):
+    """A string, an integer past the float range, or a number where a list belongs is
+    an input error, not a bare TypeError, OverflowError or IndexError."""
+    with pytest.raises(InvalidInputError):
+        mu_eff_formula(formula, params, 1.0)
+
+
 def test_multi_element_reduces_to_three_element():
     eps = np.linspace(0.01, 5.0, 50)
     a = mu_eff_formula(Formula.MULTI_ELEMENT, ([1.3], [0.7], 0.4), eps)
@@ -557,6 +567,20 @@ def test_dif_dsl_closed_form_is_scale_free():
                 closed = serial_dif_dsl_stress(d_dif, d_dsl, n, eps)
                 numeric = serial_dif_dsl_stress(d_dif, d_dsl, n, eps, mode="numeric")
                 assert closed == pytest.approx(numeric, rel=1e-12, abs=0), (n, eps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.sampled_from([1.0, 2.0, 3.0]), kd=st.floats(-150, 150), ks=st.floats(-150, 150),
+       kr=st.lists(st.floats(-20, 20), min_size=1, max_size=40))
+def test_dif_dsl_float_kernel_is_the_closed_form(n, kd, ks, kr):
+    """The float kernel of the closed form, which ``compare`` maps over its rows, is the
+    array closed form to 1e-15 relative (numpy's vector ``pow`` and ``log`` may round
+    otherwise than libm by an ulp), over moduli of 1e±150 and rates of 1e±20."""
+    d_dif, d_dsl, eps = 10.0**kd, 10.0**ks, [10.0**k for k in kr]
+    kernel = rheology._dif_dsl_closed(d_dif, d_dsl, n)
+    closed = serial_dif_dsl_stress(d_dif, d_dsl, n, np.array(eps))
+    floats = np.array([kernel(e) for e in eps])
+    assert np.all(np.abs(floats - closed) <= 1e-15 * closed), (floats, closed)
 
 
 def test_dif_dsl_closed_form_over_the_whole_float_range():

@@ -463,6 +463,48 @@ def test_walk_csv_is_pinned_and_matches_the_array_path(tmp_path, monkeypatch):
         assert np.all((w == a) | (np.abs(w - a) <= 1e-13 * np.abs(a))), (w, a)
 
 
+# SHA-256 of ``compare --preset fig6`` filled on floats, pinned when ``compare`` took the
+# float path up to ``WALK_RATES`` rows.  Like the pins below, it reads the platform's libm.
+_COMPARE_FLOAT_PINNED = "6acd4d046e35d0dde8b90dadca4f45e9d035e7ee4d90b001238b056bae3acdd8"
+
+
+def test_compare_float_csv_is_pinned_and_matches_the_array_path(tmp_path, monkeypatch):
+    """The fig6 comparison on floats: pinned, its eps column the array path's byte for
+    byte, and its viscosities and stresses within 1e-13 relative of the array path's."""
+    argv = ["compare", "--preset", "fig6", "--out"]
+    for name in ("serial_dif_dsl_stress", "mu_eff_formula"):
+        monkeypatch.setattr(cli, name, None)  # the array path would fail
+    assert cli.main(argv + [str(tmp_path / "float.csv")]) == 0
+    assert hashlib.sha256((tmp_path / "float.csv").read_bytes()).hexdigest() == \
+        _COMPARE_FLOAT_PINNED
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "WALK_RATES", 0)
+    assert cli.main(argv + [str(tmp_path / "array.csv")]) == 0
+    (head_f, *rows_f), (head_a, *rows_a) = (
+        (tmp_path / f"{name}.csv").read_text().splitlines() for name in ("float", "array"))
+    (eps_f, *rest_f), (eps_a, *rest_a) = (list(zip(*(ln.split(",") for ln in rows)))
+                                          for rows in (rows_f, rows_a))
+    assert head_f == head_a and eps_f == eps_a and len(eps_f) == 200 and len(rest_f) == 12
+    for f, a in zip(rest_f, rest_a):
+        f, a = np.array(f, dtype=float), np.array(a, dtype=float)
+        assert np.all((f == a) | (np.abs(f - a) <= 1e-13 * np.abs(a))), (f, a)
+
+
+def test_compare_past_walk_rates_takes_the_array_path(tmp_path, monkeypatch):
+    """``compare`` fills its columns on floats up to ``WALK_RATES`` rows, as ``curve``
+    walks, and on arrays past it."""
+    calls = []
+    formula = cli.mu_eff_formula
+    monkeypatch.setattr(cli, "mu_eff_formula", lambda *a: calls.append(1) or formula(*a))
+    for samples, array in ((cli.WALK_RATES, False), (cli.WALK_RATES + 1, True)):
+        calls.clear()
+        out = tmp_path / f"{samples}.csv"
+        argv = ["compare", "--preset", "fig6", "--samples", str(samples), "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert bool(calls) == array, samples
+        assert len(out.read_text().splitlines()) == samples + 1
+
+
 # SHA-256 of four outputs of the float path (64 rates with a rest row, on the two
 # depth-2 trees above at unit and geo scale), re-pinned when a solve with no cap
 # first probed 1, not the largest float, and again when ``curve`` walked its grid,
