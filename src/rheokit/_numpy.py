@@ -9,9 +9,8 @@ class _Lazy:
     def __init__(self, module):
         self._module = module
 
-    def __getattr__(self, name):
-        module = importlib.import_module(self._module)
-        value = self.__dict__[name] = getattr(module, name)  # later lookups skip this hook
+    def __getattr__(self, name):  # later lookups find the value bound here and skip this hook
+        value = self.__dict__[name] = getattr(importlib.import_module(self._module), name)
         return value
 
 

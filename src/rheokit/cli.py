@@ -13,7 +13,8 @@ Exit codes: 0 ok, 2 input/schema error, 3 solver/integrator failure,
 digits, ``\\n`` line endings, ``inf`` as the literal token.  ``curve``
 walks its rate grid on Python floats, never importing numpy, when the
 tree is shallow and the grid short enough (``FLOAT_*``, ``WALK_RATES``);
-``compare`` fills its columns on floats under the same ``WALK_RATES``.
+``compare`` fills its columns on floats under the same ``WALK_RATES``,
+each column that walks a tree counting as one more walk.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .errors import (
     InvalidInputError,
     NonConvergenceError,
     SchemaError,
-    UnsupportedModeError,
 )
 from .maxwell0d import simulate
 from .potentials import Dashpot, PowerLaw, conjugate_analytic, value
@@ -65,7 +65,9 @@ FIG6_PRESET = {
 
 # `curve` walks its grid on floats, without numpy, up to FLOAT_RATES rates on trees whose
 # solves nest FLOAT_DEPTH deep, and up to WALK_RATES (below the cost of numpy) on shallower;
-# `compare` fills its columns on floats up to WALK_RATES rows.
+# `compare` fills its columns on floats while its rows, times one plus its walked columns
+# (n not in {1, 2, 3, inf}), are at most WALK_RATES: on floats each walked column costs about
+# what one walk of `curve` does, and the closed forms and empirical columns together one more.
 FLOAT_RATES, FLOAT_DEPTH, WALK_RATES = 64, 2, 16_384
 
 
@@ -151,46 +153,35 @@ def _n_suffix(n) -> str:
 
 
 def compare_columns(d_dif, d_dsl, n_list, eps):
-    """Rigorous and harmonic-mean curves of the serial creep pair, on a list of Python
-    floats ``eps`` without numpy (:func:`_float_columns`), else on arrays."""
-    if isinstance(eps, list):
-        return _float_columns(d_dif, d_dsl, n_list, eps)
+    """Rigorous and harmonic-mean curves of the serial creep pair, on an array of rates or
+    on a list of Python floats without numpy.  On floats ``VP_MIN`` and ``EMP_DIF_DSL`` are
+    the formulas' arithmetic (``math.sqrt`` where numpy takes ``** 0.5``), n in {1, 2, 3}
+    the float kernel of ``serial_dif_dsl_stress``'s closed form, other n the tree's walk."""
+    floats = isinstance(eps, list)
     mus_rig, mus_emp, sig_rig, sig_emp = [], [], [], []
     for n in n_list:
-        if math.isinf(n):
-            sig = eps * mu_eff_formula(Formula.VP_MIN, (d_dsl, d_dif), eps)
+        mode = "closed" if n in (1, 2, 3) else "numeric"
+        if not floats:
+            sig = (eps * mu_eff_formula(Formula.VP_MIN, (d_dsl, d_dif), eps) if math.isinf(n) else
+                   serial_dif_dsl_stress(d_dif, d_dsl, n, eps, mode=mode))
+            mu_emp = mu_eff_formula(Formula.EMP_DIF_DSL, (d_dif, d_dsl, n), eps)
+            mus_rig.append(sig / eps)
+            sig_emp.append(mu_emp * eps)
         else:
-            try:
-                sig = serial_dif_dsl_stress(d_dif, d_dsl, n, eps, mode="closed")
-            except UnsupportedModeError:
-                sig = serial_dif_dsl_stress(d_dif, d_dsl, n, eps, mode="numeric")
-        mu_emp = mu_eff_formula(Formula.EMP_DIF_DSL, (d_dif, d_dsl, n), eps)
-        mus_rig.append(sig / eps)
+            if math.isinf(n):
+                sig = [e * min(d_dif, d_dsl / e) for e in eps]
+            elif mode == "closed":
+                sig = list(map(_dif_dsl_closed(d_dif, d_dsl, n), eps))
+            else:
+                tree = Serial([Leaf(Dashpot(d_dif)), Leaf(PowerLaw(d_dsl, n))])
+                sig = [hi for _, hi, _ in tree._walk(eps)]
+            p = 1.0 - 1.0 / n
+            mu_emp = [1.0 / (1.0 / d_dif + (math.sqrt(e) if p == 0.5 else e**p) / d_dsl)
+                      for e in eps]
+            mus_rig.append([s / e for s, e in zip(sig, eps)])
+            sig_emp.append([m * e for m, e in zip(mu_emp, eps)])
         sig_rig.append(sig)
         mus_emp.append(mu_emp)
-        sig_emp.append(mu_emp * eps)
-    return mus_rig, mus_emp, sig_rig, sig_emp
-
-
-def _float_columns(d_dif, d_dsl, n_list, eps):
-    """The columns of :func:`compare_columns` on Python floats: ``VP_MIN``, the closed form
-    of ``serial_dif_dsl_stress`` or the tree's walk, and ``EMP_DIF_DSL``, in the same
-    arithmetic (``math.sqrt`` where numpy takes ``** 0.5``)."""
-    mus_rig, mus_emp, sig_rig, sig_emp = [], [], [], []
-    for n in n_list:
-        if math.isinf(n):
-            sig = [e * min(d_dif, d_dsl / e) for e in eps]
-        elif n in (1, 2, 3):
-            sig = list(map(_dif_dsl_closed(d_dif, d_dsl, n), eps))
-        else:
-            tree = Serial([Leaf(Dashpot(d_dif)), Leaf(PowerLaw(d_dsl, n))])
-            sig = [hi for _, hi, _ in tree._walk(eps)]
-        p = 1.0 - 1.0 / n
-        mu_emp = [1.0 / (1.0 / d_dif + (math.sqrt(e) if p == 0.5 else e**p) / d_dsl) for e in eps]
-        mus_rig.append([s / e for s, e in zip(sig, eps)])
-        sig_rig.append(sig)
-        mus_emp.append(mu_emp)
-        sig_emp.append([m * e for m, e in zip(mu_emp, eps)])
     return mus_rig, mus_emp, sig_rig, sig_emp
 
 
@@ -205,7 +196,7 @@ def cmd_compare(args) -> int:
     if args.eps_min <= 0:
         raise InvalidInputError("compare needs eps_min > 0")
     eps = _eps_grid(args.eps_min, args.eps_max, args.samples)
-    if args.samples > WALK_RATES:
+    if args.samples * (1 + sum(n not in (1, 2, 3, math.inf) for n in n_list)) > WALK_RATES:
         eps = np.asarray(eps)
     columns = compare_columns(args.d_dif, args.d_dsl, n_list, eps)
     header = [f"{name}_{_n_suffix(n)}" for name in ("mu_rig", "mu_emp", "sig_rig", "sig_emp")
@@ -341,9 +332,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except SchemaError as exc:
-        print(f"rheokit: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except InvalidInputError as exc:
         print(f"rheokit: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

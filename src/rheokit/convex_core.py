@@ -41,7 +41,7 @@ from __future__ import annotations
 from functools import cached_property
 
 # the polyline graphs live in _graph, which the element kinds import without this module
-from ._graph import _INF, SubdiffInterval, _Feat, _Graph, _dir_sum, _graph_sum  # noqa: F401
+from ._graph import _INF, SubdiffInterval, _Graph
 from ._numpy import np
 from ._record import Record
 from .errors import InvalidInputError, OutOfRangeError

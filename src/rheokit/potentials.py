@@ -136,7 +136,7 @@ class Potential(Record):
 class _GraphLaw(Potential):
     """A kind whose stress law is the polyline its ``_pieces`` declare; the
     kernels, graph features and stress supremum are read from that graph
-    (:class:`convex_core._Graph`), the flow from its transpose."""
+    (:class:`_graph._Graph`), the flow from its transpose."""
 
     @cached_property
     def _graph(self) -> _Graph:
@@ -439,9 +439,18 @@ def papanastasiou_stress(sigma_a: float, c: float, n_exp: float, eps: float) -> 
     if eps == 0.0 or c == 0.0:
         return sigma_a
     try:
-        return sigma_a * (1.0 + c * eps**n_exp) ** (1.0 / n_exp)
-    except OverflowError:  # eps**n past the float range, so eps > 1: factor it out
-        return sigma_a * (eps * (eps**-n_exp + c) ** (1.0 / n_exp))
+        out = sigma_a * (1.0 + c * eps**n_exp) ** (1.0 / n_exp)
+        if out < math.inf:
+            return out
+    except OverflowError:
+        pass
+    # a power or product past the float range, the stress maybe not: in logs, to about 1e-13
+    # relative, log(1 + t) = max(l, 0) + log1p(exp(-|l|)) from l = log t = log c + n log eps
+    lt = math.log(c) + n_exp * math.log(eps)
+    try:
+        return math.exp(math.log(sigma_a) + (max(lt, 0.0) + math.log1p(math.exp(-abs(lt)))) / n_exp)
+    except OverflowError:
+        return math.inf
 
 
 def casson_stress(sigma_a: float, c: float, eps: float) -> float:

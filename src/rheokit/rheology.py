@@ -552,19 +552,20 @@ def mu_eff_formula(formula, params: Sequence, eps):
             raise InvalidInputError(f"unknown formula id {formula!r}") from None
     if formula not in _FORMULA_ARITY:
         raise InvalidInputError(f"unknown formula id {formula!r}")
-    params = tuple(params)
+    params = list(params)
     if len(params) != _FORMULA_ARITY[formula]:
         raise InvalidInputError(
             f"{formula.name} takes {_FORMULA_ARITY[formula]} parameters, got {len(params)}"
         )
     if formula is not Formula.EMP_HARMONIC_GENERAL:
         # each modulus a positive number, the MULTI_ELEMENT lists arrays of them; n may be inf
-        lists = 2 if formula is Formula.MULTI_ELEMENT else 0
-        n_at = 2 if formula in (Formula.HB_MIN, Formula.EMP_DIF_DSL) else -1
-        params = tuple(
-            _rates(x, f"{formula.name} parameter {i}", positive=True)[0] if i < lists
-            else math.inf if i == n_at and isinstance(x, float) and x == math.inf
-            else _number(x, f"{formula.name} parameter {i}") for i, x in enumerate(params))
+        n_at = 2 if formula in (Formula.HB_MIN, Formula.EMP_DIF_DSL) else None
+        for i, x in enumerate(params):
+            name = f"{formula.name} parameter {i}"
+            if formula is Formula.MULTI_ELEMENT and i < 2:
+                params[i] = _rates(x, name, positive=True)[0]
+            elif not (i == n_at and isinstance(x, float) and x == math.inf):
+                params[i] = _number(x, name)
     eps, scalar_in = _rates(eps, "eps", positive=True)
 
     if formula is Formula.VP_MIN:
@@ -677,14 +678,13 @@ def _dif_dsl_closed(D_dif, D_dsl, n):
     rho = D_dif / D_dsl
     q = rho ** (1.0 / (n - 1.0))
     (m1, k1), (m2, k2) = math.frexp(D_dsl), math.frexp(q)
-    root = math.sqrt if n == 2 else lambda x: x ** (1.0 / 3.0)
 
     def kernel(eps):
         z = (n - 1.0) * math.log(eps) + lz
         if z < cut:  # the dashpot alone
             return D_dif * eps
         if z > -n * cut:  # the power law alone
-            return D_dsl * root(eps)
+            return D_dsl * (math.sqrt(eps) if n == 2 else eps ** (1.0 / 3.0))
         e = eps * rho * q
         if n == 2:
             y = e / (math.sqrt(0.25 + e) + 0.5)

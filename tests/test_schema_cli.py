@@ -492,16 +492,20 @@ def test_compare_float_csv_is_pinned_and_matches_the_array_path(tmp_path, monkey
 
 def test_compare_past_walk_rates_takes_the_array_path(tmp_path, monkeypatch):
     """``compare`` fills its columns on floats up to ``WALK_RATES`` rows, as ``curve``
-    walks, and on arrays past it."""
+    walks, and on arrays past it; each column that walks a tree counts one more walk."""
     calls = []
     formula = cli.mu_eff_formula
     monkeypatch.setattr(cli, "mu_eff_formula", lambda *a: calls.append(1) or formula(*a))
-    for samples, array in ((cli.WALK_RATES, False), (cli.WALK_RATES + 1, True)):
+    half = cli.WALK_RATES // 2
+    for n_list, samples, array in (("2,3,inf", cli.WALK_RATES, False),
+                                   ("2,3,inf", cli.WALK_RATES + 1, True),
+                                   ("2,3,3.5,inf", half, False), ("2,3,3.5,inf", half + 1, True)):
         calls.clear()
         out = tmp_path / f"{samples}.csv"
-        argv = ["compare", "--preset", "fig6", "--samples", str(samples), "--out", str(out)]
+        argv = ["compare", "--preset", "fig6", "--n-list", n_list, "--samples", str(samples),
+                "--out", str(out)]
         assert cli.main(argv) == 0
-        assert bool(calls) == array, samples
+        assert bool(calls) == array, (n_list, samples)
         assert len(out.read_text().splitlines()) == samples + 1
 
 
