@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
 
 from ._numpy import np
 from .errors import (
@@ -84,9 +85,9 @@ def _write(out_path, text: str) -> None:
 
 
 def _csv(header, columns) -> str:
-    row = ",".join(["%.17g"] * len(columns))
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     cols = [c.tolist() if hasattr(c, "tolist") else c for c in columns]  # arrays to floats
-    return "\n".join([",".join(header), *(row % r for r in zip(*cols))]) + "\n"
+    return ",".join(header) + "\n" + row * len(cols[0]) % tuple(chain.from_iterable(zip(*cols)))
 
 
 def _load_json(path):

@@ -7,17 +7,18 @@ of the elements' conjugate flow rates at the common stress:
 
     d(e_el)/dt = eps(t) - sum_i flow_i(E * e_el)
 
-Time stepping is backward Euler on the elements' own set-valued flow
-laws (``Potential.flow``), bound as a Serial node's parts, so the
-polyline ones (dashpot, plastic, Huber) merge into one graph.  Each step
-solves, on Python floats only, for the stress in ``[0, min(E |trial|,
-cap)]``, ``cap`` the tightest stress supremum of the elements (a plastic
-constraint ``|sigma| <= sigma_a``), with the tree solves' scale-free
-root finder.  A step that reaches the cap stops there with no clamp: the
-radial return map, the exact resolution of the differential inclusion
-for this scalar model.  :func:`simulate` collects its rows as Python
-floats and hands them to :class:`TimeSeries` as they are, so a
-simulation written out as CSV never imports numpy.
+Time stepping is backward Euler on the elements' own set-valued flow laws
+(``Potential.flow``), bound as a Serial node's parts, so the polyline ones
+(dashpot, plastic, Huber) merge into one graph.  Each step solves, on Python
+floats only, for the stress in ``[0, min(E |trial|, cap)]``, ``cap`` the
+tightest stress supremum of the elements (a plastic constraint ``|sigma| <=
+sigma_a``), with the tree solves' scale-free root finder: from just below that
+upper end, or in :func:`simulate` from a log-log Newton step off the last
+point the step before read.  A step that reaches the cap stops there with no
+clamp: the radial return map, the exact resolution of the differential
+inclusion for this scalar model.  :func:`simulate` collects its rows as Python
+floats and hands them to :class:`TimeSeries` as they are, so a simulation
+written out as CSV never imports numpy.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import cached_property
+from itertools import chain, repeat
 
 from ._numpy import np
 from ._record import Record
@@ -49,6 +51,7 @@ class MaxwellModel(Record):
 
     E: float
     elements: tuple
+    _last = (0.0, 0.0, 0.0)  # no point read (see step): not a field, and never written
 
     def __init__(self, E: float, elements):
         E = _number(E, "E")
@@ -73,10 +76,8 @@ class DriveProgram(Record):
     segments: tuple
 
     def __init__(self, segments):
-        segs = []
-        prev = 0.0
-        for item in segments:
-            t_end, eps = item
+        segs, prev = [], 0.0
+        for t_end, eps in segments:
             t_end = math.inf if t_end == math.inf else _number(t_end, "segment end time", None)
             if not t_end > prev:
                 raise InvalidInputError("segment end times must be strictly increasing")
@@ -91,10 +92,14 @@ class DriveProgram(Record):
         return cls([(math.inf, eps)])
 
     def rate_at(self, t: float) -> float:
-        for t_end, eps in self.segments:
-            if t <= t_end:
-                return eps
-        return 0.0
+        return next((eps for t_end, eps in self.segments if t <= t_end), 0.0)
+
+
+class _Run:  # a model as one run of simulate steps it, with the last point a step read
+    __slots__ = ("E", "_sup", "_float_flow", "_last")
+
+    def __init__(self, m):
+        self.E, self._sup, self._float_flow, self._last = m.E, m._sup, m._float_flow, m._last
 
 
 def _column(i):
@@ -134,11 +139,12 @@ class TimeSeries(Record, eq=False):
 def step(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
     """One backward-Euler step of the elastic strain.
 
-    Solves ``x = e_el + dt * (eps - sum_i flow_i(E x))``, signed like the
-    trial ``e_el + dt * eps``, for the stress ``E |x|`` with the tree
-    solves' finder ``rheology._root_scalar``, to ``1e-15`` of itself;
-    ``cap / E`` when the stress stops at the cap.  The residual reads the
-    model's float kernel: no numpy scalar and no floating-point error state.
+    Solves ``x = e_el + dt * (eps - sum_i flow_i(E x))``, signed like the trial
+    ``e_el + dt * eps``, for the stress ``E |x|`` with the tree solves' finder
+    ``rheology._root_scalar``, to ``1e-15`` of itself; ``cap / E`` when the stress
+    stops at the cap.  The residual reads the model's float kernel: no numpy scalar
+    and no floating-point error state.  The first probe is just below ``min(E t, cap)``,
+    or in :func:`simulate` a log-log Newton step off the last point the step before read.
     """
     if not type(e_el) is type(eps) is type(dt) is float:  # floats skip the number rule
         e_el, eps = _number(e_el, "e_el", None), _number(eps, "eps", None)
@@ -150,14 +156,22 @@ def step(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
     trial = e_el + dt * eps
     t = abs(trial)
     E, flow, compliance = model.E, model._float_flow, 1.0 / model.E
+    x, f, d = model._last  # stress, flow and slope last read
+    try:  # none read (0, 0, 0), a flat one, or a step past the floats: the cap probe
+        probe = x * math.exp(math.log(t / (g := x / E + dt * f)) * g / (x * (compliance + dt * d)))
+    except (ArithmeticError, ValueError):
+        probe = math.nan
 
     def residual(s):
-        _, f, d = flow(s)
+        nonlocal x, f, d
+        x, (_, f, d) = s, flow(s)
         return s / E - t + dt * f, compliance + dt * d
 
-    s = _root_scalar(residual, t, min(E * t, model._sup), _STEP_RTOL)
-    x = min(s / E, t)
-    return x if trial >= 0 else -x
+    s = _root_scalar(residual, t, min(E * t, model._sup), _STEP_RTOL, 0.0, probe)
+    if type(model) is _Run:
+        model._last = x, f, d
+    e = min(s / E, t)  # the strain magnitude
+    return e if trial >= 0 else -e
 
 
 def step_explicit(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
@@ -187,10 +201,10 @@ def simulate(
 ) -> TimeSeries:
     """Integrate from ``t = 0`` to ``t_end``; one recorded row per step.
 
-    The drive is sampled at the end of each step (implicit in time, like
-    the stress solve).  A shortened final step lands exactly on
-    ``t_end`` when it is not a multiple of ``dt``.  Non-finite times, and more steps
-    than a list can index, are input errors.
+    The drive is sampled at the end of each step (implicit in time, like the stress
+    solve).  A shortened final step lands exactly on ``t_end`` when it is not a multiple
+    of ``dt``.  Each step but the first starts from the last point the one before read
+    (:func:`step`).  Non-finite times, and more steps than a list can index, are input errors.
     """
     if not (0 < dt < math.inf and math.isfinite(t_end)):
         raise InvalidInputError(f"dt must be finite and > 0 and t_end finite, got {dt}, {t_end}")
@@ -199,18 +213,17 @@ def simulate(
     n = t_end / dt + 1e-12
     if n > sys.maxsize:
         raise InvalidInputError(f"t_end / dt = {n:.6g} steps, more than a list can index")
-    n_full = int(math.floor(n))
-    steps = [dt] * n_full
+    n_full = math.floor(n)
     rem = t_end - n_full * dt
-    if rem > 1e-12 * dt:
-        steps.append(rem)
-
-    e, now = float(e_el0), 0.0
-    t, eps_col, e_col = [now], [drive.rate_at(now)], [e]
-    for h in steps:
+    segs, k = (*drive.segments, (math.inf, 0.0)), 0  # a cursor: the times only grow
+    run, e, now = _Run(model), float(e_el0), 0.0
+    t, eps_col, e_col = [now], [segs[0][1]], [e]
+    for h in chain(repeat(dt, n_full), (rem,) if rem > 1e-12 * dt else ()):
         now += h
-        rate = drive.rate_at(now)
-        e = step(model, e, rate, h)
+        while now > segs[k][0]:
+            k += 1
+        rate = segs[k][1]
+        e = step(run, e, rate, h)
         t.append(now)
         eps_col.append(rate)
         e_col.append(e)

@@ -202,22 +202,33 @@ class PerfectPlastic(_GraphLaw):
         return QuadPlusBall(0.0, self.sigma_a)
 
 
-def _power_kernel(a, b, p, c):
+def _power_kernel(a, b, p, c, arrays=False):
     """A power law either way: ``v -> (x, x, c * u**(p - 1))``, ``u = v / a``, ``x = b * u**p``
-    (``a`` or ``b`` of 1 moves no bit); +inf where ** overflows or raises 0 to a power < 0."""
-    q = p - 1.0
+    (``a`` or ``b`` of 1 moves no bit), ``(u * b**(1/p))**p`` where ``u**p`` overflows; +inf where
+    that overflows or ** raises 0 to a power < 0.  On Python floats, or numpy's, with no warning."""
+    q, r = p - 1.0, 1.0 / p
+    def on_arrays(v):
+        with np.errstate(all="ignore"):
+            u = np.divide(v, a)
+            x = b * (w := u**p)
+            if np.any(past := (w == math.inf) & (u < math.inf)):
+                x = np.where(past, (u * b**r) ** p, x)[()]
+            return x, x, c * u**q
     def kernel(v):
         u = v / a
         try:
             x = b * u**p
-        except ArithmeticError:
-            x = math.inf
+        except OverflowError:  # u**p past the floats, b * u**p maybe not
+            try:
+                x = (u * b**r) ** p
+            except OverflowError:
+                x = math.inf
         try:
             return x, x, c * u**q
         except ArithmeticError:
             return x, x, c * math.inf
 
-    return kernel
+    return on_arrays if arrays else kernel
 
 
 class PowerLaw(Potential):
@@ -235,17 +246,17 @@ class PowerLaw(Potential):
     def value(self, r):
         return self.n / (self.n + 1.0) * self.D * r ** (1.0 + 1.0 / self.n)
 
-    def _float_flow(self):
-        return _power_kernel(self.D, 1.0, self.n, self.n / self.D)
+    def _float_flow(self, arrays=False):
+        return _power_kernel(self.D, 1.0, self.n, self.n / self.D, arrays)
 
-    def _float_stress(self):
-        return _power_kernel(1.0, self.D, 1.0 / self.n, self.D / self.n)
+    def _float_stress(self, arrays=False):
+        return _power_kernel(1.0, self.D, 1.0 / self.n, self.D / self.n, arrays)
 
     def stress(self, eps):
-        return self._float_stress()(eps)
+        return self._float_stress(type(eps) is not float)(eps)
 
     def flow(self, sig):
-        return self._float_flow()(sig)
+        return self._float_flow(type(sig) is not float)(sig)
 
     def conjugate(self):
         # exponent 1+n, coefficient 1/((1+n) D**n)
@@ -419,13 +430,15 @@ def overstress_flow(D: float, n_exp: float, sigma_a: float, sigma: float) -> flo
     sigma = _number(sigma, "sigma", "nonnegative")
     if sigma <= sigma_a:
         return 0.0
+    x = sigma - sigma_a
     try:
-        return (sigma - sigma_a) ** n_exp / D
-    except OverflowError:  # the power past the float range, the rate maybe not: divide first
-        try:
-            return ((sigma - sigma_a) / D ** (1.0 / n_exp)) ** n_exp
-        except OverflowError:
-            return math.inf
+        w = x**n_exp
+    except OverflowError:
+        w = math.inf
+    try:  # the power past the float range or under it, the rate maybe not: divide first
+        return w / D if 0.0 < w < math.inf else (x / D ** (1.0 / n_exp)) ** n_exp
+    except OverflowError:
+        return math.inf
 
 
 def papanastasiou_stress(sigma_a: float, c: float, n_exp: float, eps: float) -> float:

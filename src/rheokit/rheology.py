@@ -353,20 +353,23 @@ def _root_scalar(fn, target, sup, rtol, lo=0.0, x=math.nan):
     root.  Stops on a bracket ``rtol`` wide or on adjacent floats, and returns its
     upper end (``sup`` if never reached).
     """
-    hi, s1, s2 = sup, math.inf, math.inf
+    hi, s1, s2, half = sup, math.inf, math.inf, 0.5 * rtol
     if not lo < x < sup:
         x = math.nextafter(sup, 0.0) if sup < math.inf else 1.0
     for _ in range(_MAX_ITER):
         r, d = fn(x)
-        lo, hi = (x, hi) if r < 0 else (lo, x)
+        if r < 0:
+            lo = x
+        else:
+            hi = x
         if (hi - lo <= rtol * hi and hi < math.inf) or math.nextafter(lo, hi) >= hi:
             return hi
         try:  # a step through 0 or +inf raises, and bisects
             g = target + r
             u = math.log1p(-r / g) * g / (x * d)  # log(xn / x)
             xn = x + x * math.expm1(u)
-            if abs(xn - x) < 0.5 * rtol * x:  # too short to cross the root: push it across
-                xn, u = x + (0.5 if r < 0 else -0.5) * rtol * x, 0.5 * rtol
+            if abs(xn - x) < half * x:  # too short to cross the root: push it across
+                xn, u = x + (half if r < 0 else -half) * x, half
             ok = lo < xn < hi and abs(u) <= 0.5 * s2
         except (ArithmeticError, ValueError):
             ok = False

@@ -225,6 +225,35 @@ def test_empirical_laws_past_the_float_range(law, args, expected):
     assert law(*args) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("args, expected", [
+    ((1e-300, 3.0, 0.0, 1e-200), 1e-300), ((1e-250, 2.0, 0.0, 1e-170), 1e-90),
+    ((1e200, 2.0, 0.0, 1e-200), 0.0), ((1.0, 3.0, 0.0, 1e-200), 0.0)])
+def test_overstress_flow_under_the_float_range(args, expected):
+    """Where the power of the overstress falls under the floats, the rate divides first,
+    so it is 0 only where the rate is under the floats too."""
+    assert overstress_flow(*args) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_power_law_past_the_float_range():
+    """``PowerLaw(1e-300, 0.5)`` at rate 1e200: ``eps**2`` passes the float range and
+    the stress 1e100 does not.  The float laws, ``dvalue`` and the numpy kernel on
+    scalars and arrays give it, the numpy one with no warning; +inf only where the
+    stress passes the float range too; the float and numpy kernels agree bit for bit
+    across the hand-over."""
+    p = PowerLaw(1e-300, 0.5)
+    assert stress_of_strain_rate(Leaf(p), 1e200).hi == pytest.approx(1e100, rel=1e-15)
+    assert dvalue(p, 1e200).lo == pytest.approx(1e100, rel=1e-15)
+    with np.errstate(all="raise"):
+        lo, hi, d = p.stress(np.array([1e200, 1e300, 1e-300, 0.0, np.inf]))
+    assert lo.tolist() == hi.tolist()
+    assert hi == pytest.approx([1e100, 1e300, 0.0, 0.0, np.inf], rel=1e-15)
+    assert p._float_stress()(1e304)[0] == pytest.approx(1e308, rel=1e-15)
+    assert p._float_stress()(1e305)[0] == PowerLaw(1e10, 0.5)._float_stress()(1e200)[0] == math.inf
+    around = np.geomspace(1e150, 1e308, 64)
+    for law in (p, PowerLaw(1e-30, 0.3), PowerLaw(2.5e16, 0.7)):
+        _float_kernel_is_the_flow(law, around)
+
+
 def test_regularized_stress_laws():
     assert papanastasiou_stress(1.0, 1.0, 1.0, 3.0) == pytest.approx(4.0)
     assert casson_stress(1.0, 3.0, 1.0) == pytest.approx(2.0)
