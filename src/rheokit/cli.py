@@ -20,6 +20,7 @@ each column that walks a tree counting as one more walk.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -342,4 +343,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Console script and ``python -m rheokit``: exit with ``main()``'s code.  Every exit (a
+    code, ``SystemExit``, a traceback) freezes the heap first, so teardown leaves it to the OS
+    uncollected; atexit handlers and stream flushes still run.  ``main()`` never freezes."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()

@@ -22,6 +22,7 @@ only their stress law's graph and read their kernels from it.
 from __future__ import annotations
 
 import math
+import sys
 from functools import cached_property
 
 from ._graph import SubdiffInterval, _Feat, _Graph
@@ -204,8 +205,9 @@ class PerfectPlastic(_GraphLaw):
 
 def _power_kernel(a, b, p, c, arrays=False):
     """A power law either way: ``v -> (x, x, c * u**(p - 1))``, ``u = v / a``, ``x = b * u**p``
-    (``a`` or ``b`` of 1 moves no bit), ``(u * b**(1/p))**p`` where ``u**p`` overflows; +inf where
-    that overflows or ** raises 0 to a power < 0.  On Python floats, or numpy's, with no warning."""
+    (``a`` or ``b`` of 1 moves no bit), ``(u * b**(1/p))**p`` where ``u**p`` overflows, and the
+    slope ``p * x / v`` (``c = p * b / a``) where ``u**(p - 1)`` does; +inf where those overflow or
+    ** raises 0 to a power < 0.  On Python floats, or numpy's, with no warning."""
     q, r = p - 1.0, 1.0 / p
     def on_arrays(v):
         with np.errstate(all="ignore"):
@@ -213,7 +215,10 @@ def _power_kernel(a, b, p, c, arrays=False):
             x = b * (w := u**p)
             if np.any(past := (w == math.inf) & (u < math.inf)):
                 x = np.where(past, (u * b**r) ** p, x)[()]
-            return x, x, c * u**q
+            s = c * (g := u**q)
+            if np.any(past := (g == math.inf) & (0.0 < u) & (u < math.inf)):
+                s = np.where(past, x / v * p, s)[()]
+            return x, x, s
     def kernel(v):
         u = v / a
         try:
@@ -225,7 +230,9 @@ def _power_kernel(a, b, p, c, arrays=False):
                 x = math.inf
         try:
             return x, x, c * u**q
-        except ArithmeticError:
+        except OverflowError:  # u**q past the floats, the slope c * u**q = p * x / v maybe not
+            return x, x, x / v * p
+        except ZeroDivisionError:
             return x, x, c * math.inf
 
     return on_arrays if arrays else kernel
@@ -435,8 +442,8 @@ def overstress_flow(D: float, n_exp: float, sigma_a: float, sigma: float) -> flo
         w = x**n_exp
     except OverflowError:
         w = math.inf
-    try:  # the power past the float range or under it, the rate maybe not: divide first
-        return w / D if 0.0 < w < math.inf else (x / D ** (1.0 / n_exp)) ** n_exp
+    try:  # the power past the float range or under its normals, the rate maybe not: divide first
+        return w / D if sys.float_info.min <= w < math.inf else (x / D ** (1.0 / n_exp)) ** n_exp
     except OverflowError:
         return math.inf
 

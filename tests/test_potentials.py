@@ -227,10 +227,12 @@ def test_empirical_laws_past_the_float_range(law, args, expected):
 
 @pytest.mark.parametrize("args, expected", [
     ((1e-300, 3.0, 0.0, 1e-200), 1e-300), ((1e-250, 2.0, 0.0, 1e-170), 1e-90),
-    ((1e200, 2.0, 0.0, 1e-200), 0.0), ((1.0, 3.0, 0.0, 1e-200), 0.0)])
+    ((1e200, 2.0, 0.0, 1e-200), 0.0), ((1.0, 3.0, 0.0, 1e-200), 0.0),
+    ((1e-300, 3.0, 0.0, 1e-106), 1e-18)])
 def test_overstress_flow_under_the_float_range(args, expected):
-    """Where the power of the overstress falls under the floats, the rate divides first,
-    so it is 0 only where the rate is under the floats too."""
+    """Where the power of the overstress falls under the normal floats (to 0, or to a
+    subnormal with a few digits), the rate divides first, so it is 0 only where the rate
+    is under the floats too."""
     assert overstress_flow(*args) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
@@ -252,6 +254,22 @@ def test_power_law_past_the_float_range():
     around = np.geomspace(1e150, 1e308, 64)
     for law in (p, PowerLaw(1e-30, 0.3), PowerLaw(2.5e16, 0.7)):
         _float_kernel_is_the_flow(law, around)
+
+
+@pytest.mark.parametrize("law, side, v", [
+    (PowerLaw(1e-300, 0.25), "stress", 1e110), (PowerLaw(1e-300, 0.25), "stress", 1e150),
+    (PowerLaw(1e-20, 40.0), "stress", 5e-324), (PowerLaw(1e20, 0.025), "flow", 1e-300)])
+def test_power_law_slope_past_the_float_range(law, side, v):
+    """Where ``u**(p - 1)`` passes the float range and the slope ``c * u**(p - 1)`` does
+    not, both kernels give the slope as ``p * x / v`` (x the value at v), finite and
+    bit for bit alike, on a float, a numpy scalar and an array."""
+    p = 1.0 / law.n if side == "stress" else law.n
+    x, _, slope = getattr(law, f"_float_{side}")()(v)
+    assert math.isfinite(slope) and slope == pytest.approx(p * x / v, rel=1e-14, abs=0)
+    on_arrays = getattr(law, f"_float_{side}")(True)
+    with np.errstate(all="raise"):
+        for arg in (np.float64(v), np.array([v, 0.0, 1.0])):
+            assert _bits(on_arrays(arg)[2]).ravel()[0] == _bits(slope)
 
 
 def test_regularized_stress_laws():

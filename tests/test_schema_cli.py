@@ -722,3 +722,57 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "eps,mu_eff,sigma"
+
+
+def _python(*args):
+    """``python *args`` on this tree's sources, standard streams captured as bytes."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env)
+
+
+_ATEXIT_FREEZE = """\
+import atexit, gc, sys
+import rheokit.cli as cli
+atexit.register(lambda: sys.stderr.write(f"atexit frozen={gc.get_freeze_count() > 0}\\n"))
+how, sys.argv[1:] = sys.argv[1], sys.argv[2:]
+if how == "raise":
+    cli.main = lambda: 1 / 0
+if how == "main":
+    sys.exit(cli.main())
+cli.entry()
+"""
+
+
+@pytest.mark.parametrize("how, argv, code", [
+    ("entry", ["equivalence", "--sigma-a", "1", "--d2", "1", "--d3", "1"], 0),
+    ("entry", ["curve", "--no-such-option"], 2),
+    ("raise", [], 1),
+    ("main", ["equivalence", "--sigma-a", "1", "--d2", "1", "--d3", "1"], 0)])
+def test_entry_freezes_the_heap_and_still_runs_atexit(how, argv, code):
+    """``entry()`` freezes the heap on every exit: a returned code, argparse's own
+    ``SystemExit`` and a traceback; an atexit handler registered before it still runs,
+    and sees the frozen heap.  ``main()`` leaves it collectable."""
+    proc = _python("-c", _ATEXIT_FREEZE, how, *argv)
+    assert proc.returncode == code, proc.stderr
+    frozen = f"atexit frozen={how != 'main'}\n".encode()
+    assert proc.stderr.endswith(frozen), proc.stderr
+    assert (b"ZeroDivisionError" in proc.stderr) == (how == "raise")
+
+
+def test_python_m_rheokit_writes_what_main_writes(tmp_path, capsys):
+    """On the frozen exit path every byte still reaches a pipe: ``compare`` at 7,000 rates
+    on stdout is ``main()``'s file, and the 400-digit ``D`` exits 2 with ``main()``'s one
+    stderr line and no traceback."""
+    argv = ["compare", "--preset", "fig6", "--samples", "7000"]
+    proc = _python("-m", "rheokit", *argv)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert cli.main([*argv, "--out", str(tmp_path / "fig6.csv")]) == 0
+    assert proc.stdout == (tmp_path / "fig6.csv").read_bytes()
+    assert proc.stdout.count(b"\n") == 7001
+    huge = write_json(tmp_path, "huge.json", _HUGE_NUMBERS[0][1])
+    proc = _python("-m", "rheokit", "curve", "--model", huge)
+    assert cli.main(["curve", "--model", huge]) == 2
+    err = capsys.readouterr().err
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", err)
+    assert err.count("\n") == 1 and "Traceback" not in err
