@@ -24,6 +24,7 @@ import gc
 import json
 import math
 import sys
+from bisect import bisect_right
 from itertools import chain
 
 from ._numpy import np
@@ -86,9 +87,17 @@ def _write(out_path, text: str) -> None:
 
 
 def _csv(header, columns) -> str:
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    """Rows of equal-length columns.  One may be a tuple of ``(value, count)`` runs: each
+    run's value is formatted once, into the row template that its rows share."""
+    fields = ["%.17g"] * len(columns)
     cols = [c.tolist() if hasattr(c, "tolist") else c for c in columns]  # arrays to floats
-    return ",".join(header) + "\n" + row * len(cols[0]) % tuple(chain.from_iterable(zip(*cols)))
+    k = next((i for i, c in enumerate(cols) if type(c) is tuple), None)
+    if k is None:
+        rows = (",".join(fields) + "\n") * len(cols[0])
+    else:
+        rows = "".join((",".join([*fields[:k], "%.17g" % v, *fields[k + 1:]]) + "\n") * n
+                       for v, n in cols.pop(k))
+    return ",".join(header) + "\n" + rows % tuple(chain.from_iterable(zip(*cols)))
 
 
 def _load_json(path):
@@ -249,8 +258,11 @@ def cmd_simulate(args) -> int:
     if args.dump_model:
         _write(args.out, _dump_json(dump_simulation(model, drive, e_el0)))
         return EXIT_OK
-    ts = simulate(model, drive, args.dt, args.t_end, e_el0)
-    _write(args.out, _csv(["t", "eps", "e_el", "sigma"], ts.columns))
+    t, _, e_el, sigma = simulate(model, drive, args.dt, args.t_end, e_el0).columns
+    segs = (*drive.segments, (math.inf, 0.0))  # rows past the last segment read 0
+    ends = [bisect_right(t, t_end) for t_end, _ in segs]  # rows up to each segment's end
+    rates = tuple((eps, hi - lo) for (_, eps), lo, hi in zip(segs, [0, *ends], ends))
+    _write(args.out, _csv(["t", "eps", "e_el", "sigma"], [t, rates, e_el, sigma]))
     return EXIT_OK
 
 

@@ -14,7 +14,9 @@ floats only, for the stress in ``[0, min(E |trial|, cap)]``, ``cap`` the
 tightest stress supremum of the elements (a plastic constraint ``|sigma| <=
 sigma_a``), with the tree solves' scale-free root finder: from just below that
 upper end, or in :func:`simulate` from a log-log Newton step off the last
-point the step before read.  A step that reaches the cap stops there with no
+point the step before read.  A run binds the step and its residual once, over
+the run's state (that point, the target, the step length), so a step builds no
+closure and reads no attribute of the model.  A step that reaches the cap stops there with no
 clamp: the radial return map, the exact resolution of the differential
 inclusion for this scalar model.  :func:`simulate` collects its rows as Python
 floats and hands them to :class:`TimeSeries` as they are, so a simulation
@@ -51,7 +53,6 @@ class MaxwellModel(Record):
 
     E: float
     elements: tuple
-    _last = (0.0, 0.0, 0.0)  # no point read (see step): not a field, and never written
 
     def __init__(self, E: float, elements):
         E = _number(E, "E")
@@ -95,11 +96,30 @@ class DriveProgram(Record):
         return next((eps for t_end, eps in self.segments if t <= t_end), 0.0)
 
 
-class _Run:  # a model as one run of simulate steps it, with the last point a step read
-    __slots__ = ("E", "_sup", "_float_flow", "_last")
+class _Run:  # a model's step bound once, over cells of the run's state: no reference cycle
+    __slots__ = ("step",)
 
     def __init__(self, m):
-        self.E, self._sup, self._float_flow, self._last = m.E, m._sup, m._float_flow, m._last
+        E, sup, flow, c = m.E, m._sup, m._float_flow, 1.0 / m.E  # c: the compliance
+        x = f = d = t = h = 0.0  # the last point read (stress, flow, slope), target, step
+
+        def residual(s):
+            nonlocal x, f, d
+            x, (_, f, d) = s, flow(s)
+            return s / E - t + h * f, c + h * d
+
+        def step(e_el, eps, dt):
+            nonlocal t, h
+            trial = e_el + dt * eps
+            t, h = abs(trial), dt
+            try:  # none read, a flat one, or a step past the floats: the cap probe
+                probe = x * math.exp(math.log(t / (g := x / E + h * f)) * g / (x * (c + h * d)))
+            except (ArithmeticError, ValueError):
+                probe = math.nan
+            e = min(_root_scalar(residual, t, min(E * t, sup), _STEP_RTOL, 0.0, probe) / E, t)
+            return e if trial >= 0 else -e
+
+        self.step = step
 
 
 def _column(i):
@@ -143,8 +163,10 @@ def step(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
     ``e_el + dt * eps``, for the stress ``E |x|`` with the tree solves' finder
     ``rheology._root_scalar``, to ``1e-15`` of itself; ``cap / E`` when the stress
     stops at the cap.  The residual reads the model's float kernel: no numpy scalar
-    and no floating-point error state.  The first probe is just below ``min(E t, cap)``,
-    or in :func:`simulate` a log-log Newton step off the last point the step before read.
+    and no floating-point error state.  Every step runs on a run's step, bound once
+    with the model's laws: a model gets a fresh run each call, so its first probe is just
+    below ``min(E t, cap)`` and it keeps no history; :func:`simulate` steps one run, each
+    step starting from a log-log Newton step off the last point the step before read.
     """
     if not type(e_el) is type(eps) is type(dt) is float:  # floats skip the number rule
         e_el, eps = _number(e_el, "e_el", None), _number(eps, "eps", None)
@@ -153,25 +175,7 @@ def step(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
         raise InvalidInputError("dt must be > 0")
     if not (math.isfinite(e_el) and math.isfinite(eps)):
         raise InvalidInputError(f"e_el and eps must be finite, got {e_el}, {eps}")
-    trial = e_el + dt * eps
-    t = abs(trial)
-    E, flow, compliance = model.E, model._float_flow, 1.0 / model.E
-    x, f, d = model._last  # stress, flow and slope last read
-    try:  # none read (0, 0, 0), a flat one, or a step past the floats: the cap probe
-        probe = x * math.exp(math.log(t / (g := x / E + dt * f)) * g / (x * (compliance + dt * d)))
-    except (ArithmeticError, ValueError):
-        probe = math.nan
-
-    def residual(s):
-        nonlocal x, f, d
-        x, (_, f, d) = s, flow(s)
-        return s / E - t + dt * f, compliance + dt * d
-
-    s = _root_scalar(residual, t, min(E * t, model._sup), _STEP_RTOL, 0.0, probe)
-    if type(model) is _Run:
-        model._last = x, f, d
-    e = min(s / E, t)  # the strain magnitude
-    return e if trial >= 0 else -e
+    return (model if type(model) is _Run else _Run(model)).step(e_el, eps, dt)
 
 
 def step_explicit(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
