@@ -41,7 +41,6 @@ __all__ = [
     "DriveProgram",
     "TimeSeries",
     "step",
-    "step_explicit",
     "simulate",
 ]
 
@@ -163,10 +162,10 @@ def step(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
     ``e_el + dt * eps``, for the stress ``E |x|`` with the tree solves' finder
     ``rheology._root_scalar``, to ``1e-15`` of itself; ``cap / E`` when the stress
     stops at the cap.  The residual reads the model's float kernel: no numpy scalar
-    and no floating-point error state.  Every step runs on a run's step, bound once
-    with the model's laws: a model gets a fresh run each call, so its first probe is just
-    below ``min(E t, cap)`` and it keeps no history; :func:`simulate` steps one run, each
-    step starting from a log-log Newton step off the last point the step before read.
+    and no floating-point error state.  A run (``_Run``) binds the step once to the model's
+    laws: a model gets a fresh run each call, so its first probe is just below ``min(E t,
+    cap)`` and it keeps no history; :func:`simulate` steps one run, each step but the first
+    starting from a log-log Newton step off the last point the step before read.
     """
     if not type(e_el) is type(eps) is type(dt) is float:  # floats skip the number rule
         e_el, eps = _number(e_el, "e_el", None), _number(eps, "eps", None)
@@ -178,24 +177,6 @@ def step(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
     return (model if type(model) is _Run else _Run(model)).step(e_el, eps, dt)
 
 
-def step_explicit(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
-    """Forward-Euler step, for cross-checks at small dt only.
-
-    Conditionally stable; the implicit :func:`step` is the reference.
-    The flow is the least rate each element allows at the current stress,
-    read at most at the cap, and a clamp onto the cap keeps the stress
-    admissible.
-    """
-    if not (dt > 0):
-        raise InvalidInputError("dt must be > 0")
-    sig = model.E * float(e_el)
-    rate = model._float_flow(min(abs(sig), model._sup))[0]
-    flow = rate if sig > 0 else (-rate if sig < 0 else 0.0)
-    x = float(e_el) + dt * (float(eps) - flow)
-    bound = model._sup / model.E
-    return min(max(x, -bound), bound)
-
-
 def simulate(
     model: MaxwellModel,
     drive: DriveProgram,
@@ -205,10 +186,12 @@ def simulate(
 ) -> TimeSeries:
     """Integrate from ``t = 0`` to ``t_end``; one recorded row per step.
 
-    The drive is sampled at the end of each step (implicit in time, like the stress
-    solve).  A shortened final step lands exactly on ``t_end`` when it is not a multiple
-    of ``dt``.  Each step but the first starts from the last point the one before read
-    (:func:`step`).  Non-finite times, and more steps than a list can index, are input errors.
+    Row k is at ``k * dt``, a product that no sum drifts from, and the last row at ``t_end``
+    exactly: after ``n`` steps of ``dt`` comes a short last step of ``t_end - n * dt`` if that
+    is over ``1e-12 * dt``, else the last of the ``n`` steps ends there.  The drive is sampled
+    at each row's time (implicit in time, like the stress solve).  Each step but the first
+    starts from the last point the one before read (:func:`step`).  Non-finite times, and
+    more steps than a list can index, are input errors.
     """
     if not (0 < dt < math.inf and math.isfinite(t_end)):
         raise InvalidInputError(f"dt must be finite and > 0 and t_end finite, got {dt}, {t_end}")
@@ -220,10 +203,10 @@ def simulate(
     n_full = math.floor(n)
     rem = t_end - n_full * dt
     segs, k = (*drive.segments, (math.inf, 0.0)), 0  # a cursor: the times only grow
-    run, e, now = _Run(model), float(e_el0), 0.0
-    t, eps_col, e_col = [now], [segs[0][1]], [e]
-    for h in chain(repeat(dt, n_full), (rem,) if rem > 1e-12 * dt else ()):
-        now += h
+    run, e, steps = _Run(model), float(e_el0), n_full + (rem > 1e-12 * dt)
+    t, eps_col, e_col = [0.0], [segs[0][1]], [e]
+    for now, h in zip(chain((i * dt for i in range(1, steps)), (t_end,)),
+                      chain(repeat(dt, n_full), (rem,))):
         while now > segs[k][0]:
             k += 1
         rate = segs[k][1]

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import json
 import math
@@ -20,10 +21,10 @@ from rheokit.maxwell0d import (
     TimeSeries,
     simulate,
     step,
-    step_explicit,
 )
 from rheokit.potentials import Dashpot, Huber, PerfectPlastic, PowerLaw
 from rheokit.rheology import Leaf, Serial, _root_scalar, stress_curve, stress_of_strain_rate
+from rheokit.schema import parse_simulation
 
 
 def test_model_and_drive_validation():
@@ -278,6 +279,24 @@ def test_piecewise_drive_and_partial_final_step():
     assert 0 < k < len(ts) - 1
 
 
+def step_explicit(model, e_el, eps, dt):
+    """Forward-Euler step, a cross-check of :func:`step` at small dt only.
+
+    Conditionally stable; the implicit :func:`step` is the reference.
+    The flow is the least rate each element allows at the current stress,
+    read at most at the cap, and a clamp onto the cap keeps the stress
+    admissible.
+    """
+    if not (dt > 0):
+        raise InvalidInputError("dt must be > 0")
+    sig = model.E * float(e_el)
+    rate = model._float_flow(min(abs(sig), model._sup))[0]
+    flow = rate if sig > 0 else (-rate if sig < 0 else 0.0)
+    x = float(e_el) + dt * (float(eps) - flow)
+    bound = model._sup / model.E
+    return min(max(x, -bound), bound)
+
+
 def test_explicit_euler_cross_check():
     # both schemes converge to the same trajectory as dt -> 0
     m = MaxwellModel(1.0, [Dashpot(1.0), Huber(0.8, 2.0)])
@@ -455,18 +474,21 @@ def test_step_and_simulate_raise_nothing_under_any_error_state():
 # point the step before read: 117 to 467 of the 501 rows moved, every row
 # checked to straddle its own backward-Euler root from the row before, by at
 # most 3.6e-15 (n = 2.5), 3.1e-15 (3.5), 2.7e-15 (4.5) and 1.7e-15 (1.5) of
-# max |sigma|, over both scales.
+# max |sigma|, over both scales.  The unit-scale pins were re-pinned when row k
+# came to be at ``k * dt`` and the last row at ``t_end`` exactly, not a running
+# sum past it: 484 of the 501 times moved, by at most 6.6e-15 relative, and the
+# last row now reads the drive's last rate (-1.2, not 0) and steps on it.
 _MIXES = ((2.5, ("dashpot", "powerlaw", "huber")), (3.5, ("powerlaw", "huber", "dashpot")),
           (4.5, ("dashpot", "powerlaw", "huber")), (1.5, ("dashpot", "powerlaw", "plastic")))
 _SCALES = {"unit": (1.0, 1.0, 1.0), "geo": (1e7, 1e-14, 3e-4)}  # stress, rate, strain
 _GOLDEN = {
-    (2.5, "unit"): "92a4fc6e0efbc688708383de3cc410383b40dbc51438d437d3869c89be580a2b",
+    (2.5, "unit"): "d76879f66e7ba015cc397ca55fb45f5fc52741f290d0e8de9424d4f7dbd25455",
     (2.5, "geo"): "b23b81af8f469cdac96d5012cfcf36ad9c4231e706fd6d65740e0dc9ea07bb53",
-    (3.5, "unit"): "63642bcf5811c908d2ee59db27a1bcb53257271776b902208ebfc9af15732a81",
+    (3.5, "unit"): "c202bca2f1bf38f281165285f4f3fea59770057e65849543aee18bebd478bacf",
     (3.5, "geo"): "c58e65f43857515e2e8012b453d76d91e2a3730e84b3f925f49624aca50f9d12",
-    (4.5, "unit"): "2ef455a424c60cc7911ba548c33adf4afeb05af3470e44a26484c042c76ab6db",
+    (4.5, "unit"): "6f25dcde5e38ce0824cb54cd91f28b0e5c31cf551540bc02a1c9d619ecb7a64a",
     (4.5, "geo"): "4b89fe7d127205946905c5d1d1f1d3b2fd48fe134cbd6049984509f91541c5e7",
-    (1.5, "unit"): "57b1b7630d0b8dd7ceb3ad1444c078b0c42156552f55637a6a21b470b34da9a8",
+    (1.5, "unit"): "f4088ae1946cf807fac661f7a71d9bcee125acaeb38d73f1ffb90e0df59d06de",
     (1.5, "geo"): "6d14c6155d21678df23f2ba84c8d700eeb83c39286a2b75e7eebb1868ab5a8b0",
 }
 
@@ -752,3 +774,66 @@ def test_simulate_reads_the_drive_at_each_step_end():
         t, eps = ts.columns[:2]
         assert eps == [drive.rate_at(x) for x in t]
     assert simulate(m, drive, 0.25, 1.5).columns[1] == [1.0, 1.0, 1.0, 0.0, -2.0, 0.0, 0.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, 1e3), st.integers(1, 400), st.sampled_from((1.0, 1.0, 0.97, 1.013)))
+def test_simulate_rows_are_at_k_dt_and_the_last_at_t_end(t_end, steps, stretch):
+    """Row k is at ``k * dt`` and the last row at ``t_end`` exactly, where a running sum of
+    the steps overshoots about half the time; so the last row reads the rate of a drive
+    that ends at ``t_end``, not the 0 past it.  Step lengths are ``dt`` and a short last
+    step, as before."""
+    drive = DriveProgram([(0.4 * t_end, 1.2), (0.6 * t_end, 0.0), (t_end, -1.2)])
+    dt = t_end / steps * stretch
+    assume(dt <= t_end)
+    t, eps, _, _ = simulate(MaxwellModel(1.0, [Dashpot(1.3), PowerLaw(0.7, 2.5)]),
+                            drive, dt, t_end).columns
+    assert t[:-1] == [k * dt for k in range(len(t) - 1)]
+    assert t[-1] == t_end and eps[-1] == drive.rate_at(t_end) == -1.2
+    assert stretch != 1.0 or len(t) == steps + 1
+
+
+@pytest.mark.parametrize("segments, dt, t_end, e_el0", [
+    ([(0.3, 1.0), (0.5, -0.0), (0.7, 0.0), (1.0, -2.0)], 0.05, 1.0, 0.0),  # -0 next to 0
+    ([(0.5, 1.0), (0.75, 0.0), (1.0, -2.0)], 0.125, 1.0, 0.0),  # rows on segment ends
+    ([(0.5, 1.0), (1.2, -0.5)], 0.1, 1.23, 0.0),  # a short last step past the drive
+    ([(0.3, -0.0), (0.6, 2.0)], 0.0074, 1.5, 0.2),  # past the last segment, e_el0 != 0
+    ([(10.0, 0.7)], 0.01, 0.5, -0.1),  # one segment, longer than the run
+])
+def test_simulate_csv_is_the_generic_writers_bytes(tmp_path, segments, dt, t_end, e_el0):
+    """``rheokit simulate`` writes its rate column as one run per drive segment; its bytes
+    are ``_csv`` of the ``simulate`` columns, the sign of a -0 rate included."""
+    doc = {"E": 2.0, "elements": [{"kind": "dashpot", "D": 1.0},
+                                  {"kind": "powerlaw", "D": 1.0, "n": 3.0},
+                                  {"kind": "plastic", "sigma_a": 0.6}],
+           "drive": [{"t_end": a, "eps": b} for a, b in segments], "e_el0": e_el0}
+    model, out = tmp_path / "model.json", tmp_path / "out.csv"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["simulate", "--model", str(model), "--dt", repr(dt), "--t-end", repr(t_end)]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    m, drive, x0 = parse_simulation(doc)
+    ts = simulate(m, drive, dt, t_end, x0)
+    text = out.read_text(encoding="utf-8")
+    assert text == cli._csv(["t", "eps", "e_el", "sigma"], ts.columns)
+    rates = [row.split(",")[1] for row in text.splitlines()[1:]]
+    assert rates == ["%.17g" % e for e in ts.columns[1]]
+    assert {"%.17g" % b for _, b in segments if b == 0} <= set(rates)  # "-0" and "0" alike
+
+
+def test_a_simulate_leaves_no_reference_cycle_and_step_keeps_its_bits():
+    """A run's step closes over cells, not over the run, so ``simulate`` leaves nothing for
+    the cycle collector; ``step`` on a model, which runs on a fresh run each call, gives
+    the bits it gave when it evaluated on the model itself."""
+    m = MaxwellModel(2.0, [Dashpot(1.0), PowerLaw(1.0, 3.0), Huber(0.8, 1.5)])
+    drive = DriveProgram([(0.5, 1.0), (0.8, 0.0), (1.3, -1.0)])
+    gc.collect()
+    gc.disable()
+    try:
+        simulate(m, drive, 0.01, 1.3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    args = [(0.0, 1.0, 0.03), (0.3, -1.0, 0.01), (-0.2, 0.0, 0.5), (0.1, 2.0, 1e-6)]
+    assert [step(m, *a).hex() for a in args] == [
+        "0x1.bec38defb1b79p-6", "0x1.1da8da90f499cp-2", "-0x1.30abe5f919134p-4",
+        "0x1.999b56d7e5eafp-4"]
