@@ -16,9 +16,10 @@ sigma_a``), with the tree solves' scale-free root finder: from just below that
 upper end, or in :func:`simulate` from a log-log Newton step off the last
 point the step before read.  A run binds the step and its residual once, over
 the run's state (that point, the target, the step length), so a step builds no
-closure and reads no attribute of the model.  A step that reaches the cap stops there with no
-clamp: the radial return map, the exact resolution of the differential
-inclusion for this scalar model.  :func:`simulate` collects its rows as Python
+closure and reads no attribute of the model.  A step that reaches the cap
+stops there with no clamp: the radial return map, the exact resolution of the
+differential inclusion for this scalar model.  :func:`simulate` puts row k at
+``k * dt`` and its last row at ``t_end`` exactly, collects the rows as Python
 floats and hands them to :class:`TimeSeries` as they are, so a simulation
 written out as CSV never imports numpy.
 """
@@ -205,7 +206,7 @@ def simulate(
     segs, k = (*drive.segments, (math.inf, 0.0)), 0  # a cursor: the times only grow
     run, e, steps = _Run(model), float(e_el0), n_full + (rem > 1e-12 * dt)
     t, eps_col, e_col = [0.0], [segs[0][1]], [e]
-    for now, h in zip(chain((i * dt for i in range(1, steps)), (t_end,)),
+    for now, h in zip(chain(map(float(dt).__mul__, range(1, steps)), (float(t_end),)),
                       chain(repeat(dt, n_full), (rem,))):
         while now > segs[k][0]:
             k += 1

@@ -793,6 +793,15 @@ def test_simulate_rows_are_at_k_dt_and_the_last_at_t_end(t_end, steps, stretch):
     assert stretch != 1.0 or len(t) == steps + 1
 
 
+def test_simulate_rows_are_python_floats_for_any_number_type():
+    """Integer and numpy ``dt`` and ``t_end`` give rows of Python floats, as floats do."""
+    m = MaxwellModel(1.0, [Dashpot(1.0)])
+    for dt, t_end in ((1, 5), (np.float64(0.5), 2), (0.5, np.float64(2.0))):
+        ts = simulate(m, DriveProgram([(5, 1)]), dt, t_end)
+        assert {type(x) for column in ts.columns for x in column} == {float}
+        assert ts.columns[0] == [k * float(dt) for k in range(len(ts))]
+
+
 @pytest.mark.parametrize("segments, dt, t_end, e_el0", [
     ([(0.3, 1.0), (0.5, -0.0), (0.7, 0.0), (1.0, -2.0)], 0.05, 1.0, 0.0),  # -0 next to 0
     ([(0.5, 1.0), (0.75, 0.0), (1.0, -2.0)], 0.125, 1.0, 0.0),  # rows on segment ends
