@@ -18,11 +18,11 @@ reciprocal), for the Newton steps and for ``mu_eff_rigorous``'s exact
 limit at rest.  Set-valued points are :class:`SubdiffInterval`; saturation
 (stress beyond a composite's attainable range) is a +inf marker, not an
 error.  Every node binds its laws, graph features and polyline graph once,
-when built: on numpy arrays (``stress_curve``), on Python floats, never
-importing numpy (the scalar API), and as a walk of the float stress along
-an ascending rate grid, where a root solve not nested in another starts
-from the last rate's lower bracket end and a log-log Newton step from its
-last probe.  ``curve`` walks short grids on shallow trees, else takes arrays.
+when built: on numpy arrays (``stress_curve``), and on Python floats, never
+importing numpy, with one inverse: a walk along ascending targets, each root
+solve after the first starting from the last one's lower bracket end and a
+log-log Newton step from its last probe.  The scalar API and nested solves
+walk one target; ``curve`` walks short grids on shallow trees, else arrays.
 
 The module also provides the closed-form and empirical effective
 viscosity family (min-formulas, harmonic-mean variants, diffusion +
@@ -156,9 +156,9 @@ def _bind(children, serial):
     ``_float_stress``.  Parts in series add their rates, and the least supremum bounds
     them; parts in parallel add their stresses and suprema.  The other law inverts that
     sum (:func:`_array_inverse`, :func:`_float_inverse`); a parallel flow saturates to
-    +inf past ``_sup``.  ``_walk`` is ``_float_stress`` along an ascending grid.  A lone
-    part's laws, walk and graph are the node's.  Features add as the potentials do in
-    parallel, and as their conjugates do in series."""
+    +inf past ``_sup``.  ``_walk`` is ``_float_stress`` along an ascending grid, in series
+    the inverse's :func:`_float_walk`.  A lone part's laws, walk and graph are the node's.
+    Features add as the potentials do in parallel, and as their conjugates do in series."""
     parts = _merged(children, serial)
     sup = (min if serial else sum)(c._sup for c in parts)
     cap, top = (sup, math.inf) if serial else (math.inf, sup)
@@ -173,7 +173,7 @@ def _bind(children, serial):
         bound[summed] = total = reduce(_plus, [getattr(c, summed) for c in parts])
         bound[inverted] = getattr(parts[0], inverted) if lone else inverse(total, cap, top)
     walks = [c._walk for c in parts]  # in parallel, a part's rows are a law on the grid index
-    bound["_walk"] = walks[0] if lone else _float_walk(total, cap) if serial else (
+    bound["_walk"] = walks[0] if lone else _float_walk(total, cap, top) if serial else (
         lambda ts: list(map(reduce(_plus, [w(ts).__getitem__ for w in walks]), range(len(ts)))))
     return bound
 
@@ -190,32 +190,19 @@ def _array_inverse(total, cap, top):
 
 
 def _float_inverse(total, cap, top):
-    """The float law inverse to ``total``: the least ``x`` in ``[0, cap]`` where its upper
-    end reaches the float ``t``, by :func:`_root_scalar` on ``total`` less its value at
-    rest, and dx/dt there (0 below rest and at the cap, else the reciprocal of the last
-    slope read); +inf past ``top``."""
-    def inverse(t):
-        if t > top:  # saturated
-            return math.inf, math.inf, math.inf
-        _, g0, d = total(0.0)
-        x = 0.0
-        if t > g0:
-            def residual(x):
-                nonlocal d
-                _, g, d = total(x)
-                return g - t, d
-
-            x = _root_scalar(residual, t - g0, cap, _RTOL)
-        return x, x, 0.0 if t < g0 or x == cap else 1.0 / d if d else math.inf
-
-    return inverse
+    """The float law inverse to ``total``: a :func:`_float_walk` of one target."""
+    walk = _float_walk(total, cap, top)
+    return lambda t: walk((t,))[0]
 
 
-def _float_walk(total, cap):
-    """:func:`_float_inverse` in series along ascending targets.  A solve's bracket starts
-    at the last solve's final lower end, where ``total`` is below the last target and so
-    this one, its first probe a log-log Newton step from the last point read.  Once a
-    root sits at ``cap`` so do all later ones, and no root falls below the one before."""
+def _float_walk(total, cap, top):
+    """The float law inverse to ``total`` along ascending targets: per target ``t`` a row
+    ``(x, x, dx/dt)``, ``x`` the least in ``[0, cap]`` where the upper end of ``total``
+    reaches ``t`` (:func:`_root_scalar` on ``total`` less its value at rest), dx/dt 0
+    below rest and at the cap, else the reciprocal of the last slope read; +inf past
+    ``top``.  The first solve starts cold; each later one's bracket at the last one's
+    final lower end, below the last target and so this one, its first probe a log-log
+    Newton step from the last point read.  No root falls below the one before."""
     def walk(ts):
         _, g0, d = total(0.0)
         rows, root, lo, x, g = [], 0.0, 0.0, 0.0, 0.0  # last point read: x, g(x) - g0, d
@@ -227,9 +214,12 @@ def _float_walk(total, cap):
             return gx - t, d
 
         for t in ts:
+            if t > top:  # saturated
+                rows.append((math.inf, math.inf, math.inf))
+                continue
             if root < cap and t > g0:
-                try:  # none read yet (x = g = 0), a flat one, or a step past the floats
-                    probe = x * math.exp(math.log((t - g0) / g) * g / (x * d))
+                try:  # g = 0 (none read): start cold; a flat slope or step past the floats raises
+                    probe = x * math.exp(math.log((t - g0) / g) * g / (x * d)) if g else math.nan
                 except (ArithmeticError, ValueError):
                     probe = math.nan
                 root = max(root, _root_scalar(residual, t - g0, cap, _RTOL, lo, probe))

@@ -1,4 +1,10 @@
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,11 +335,11 @@ def test_float_solves_without_a_cap_never_probe_the_largest_float(monkeypatch):
     solves = []  # the probes of each solve with no cap
     root = rheology._root_scalar
 
-    def recorded(fn, target, sup, rtol):
+    def recorded(fn, target, sup, rtol, *start):
         xs = []
         if sup == math.inf:
             solves.append(xs)
-        return root(lambda x: xs.append(x) or fn(x), target, sup, rtol)
+        return root(lambda x: xs.append(x) or fn(x), target, sup, rtol, *start)
 
     monkeypatch.setattr(rheology, "_root_scalar", recorded)
     for S, R in ((1.0, 1.0), (1e150, 1e-150), (1e-150, 1e150)):
@@ -952,3 +958,64 @@ def test_scalar_parallel_flow_solves_the_overstress(monkeypatch):
             calls[0] = 0
             rate = strain_rate_of_stress(node, sig * S).hi
             assert rate == pytest.approx((sig - 1.0) ** 2.5, rel=1e-14) and calls[0] <= 5, (S, sig)
+
+
+# SHA-256 of the scalar API's outputs, each as ``float.hex`` (both ends of an interval):
+# ``stress_of_strain_rate`` at three rates, ``strain_rate_of_stress`` at three stresses
+# (the last past every finite supremum) and ``mu_eff_rigorous(..., limit=True)``, on
+# ``_SCALE_TREES`` and ``_SATURATING`` at three unit scales.  Pinned before the scalar
+# solve became a one-target walk, which kept every bit.  Like the CSV pins in
+# ``test_schema_cli.py``, they read the platform's libm (``pow``, ``log1p``, ``expm1``).
+_SCALAR_PINNED = {
+    (1.0, 1.0): "547b465d00e8c2184a7fea9e8ea5e8731f0c860c2d6b790e2ac3661618b70732",
+    (1e150, 1e-150): "f669c02c3d05e517276760b8dc775f6326ea4ea2f8049a6a73488508f6bd442f",
+    (1e-150, 1e150): "f9b7d8a5284c356c80fd60ddd43e2046182165aee83fecba5524439622d78c8c",
+}
+_SATURATING = Parallel([Serial([_P, _W]), L(Huber(1.0, 1.0))])  # every part's stress capped
+
+
+def _scalar_outputs(tree, S, R):
+    out = [stress_of_strain_rate(tree, e * R) for e in (0.01, 0.7, 9.0)]
+    out += [strain_rate_of_stress(tree, s * S) for s in (0.3, 2.0, 40.0)]
+    return [x.hex() for iv in out for x in (iv.lo, iv.hi)] + [
+        mu_eff_rigorous(tree, 0.0, limit=True).hex()]
+
+
+@pytest.mark.parametrize("S, R", list(_SCALAR_PINNED))
+def test_scalar_api_bits_are_pinned(S, R):
+    """The scalar API's bits on three trees whose solves nest two and three deep and on a
+    Parallel node with every part capped, whose flow is +inf past its supremum of 2S."""
+    trees = [_rescaled(t, S, R) for t in _SCALE_TREES + (_SATURATING,)]
+    assert trees[-1]._sup == 2.0 * S
+    iv = strain_rate_of_stress(trees[-1], 40.0 * S)
+    assert iv.lo == iv.hi == math.inf
+    got = " ".join(x for t in trees for x in _scalar_outputs(t, S, R))
+    assert hashlib.sha256(got.encode()).hexdigest() == _SCALAR_PINNED[S, R]
+
+
+_SCALAR_SCRIPT = """
+import json, sys
+from rheokit import (Dashpot, Huber, Leaf as L, Parallel, PerfectPlastic, PowerLaw, Serial,
+                     mu_eff_rigorous, strain_rate_of_stress, stress_of_strain_rate)
+P, W = L(PerfectPlastic(1.0)), L(PowerLaw(1.0, 3.0))
+depth2 = Serial([Parallel([L(PowerLaw(0.8, 2.5)), L(PerfectPlastic(0.6))]), L(Dashpot(1.3)),
+                 L(Huber(2.0, 0.7))])
+saturating = Parallel([Serial([P, W]), L(Huber(1.0, 1.0))])  # its flow nests two solves
+for tree in (depth2, saturating):
+    for x in (0.0, 0.7, 9.0):
+        stress_of_strain_rate(tree, x), strain_rate_of_stress(tree, x)
+    mu_eff_rigorous(tree, 0.0, limit=True), mu_eff_rigorous(tree, 0.7)
+print(json.dumps([strain_rate_of_stress(saturating, 9.0).lo, "numpy" in sys.modules]))
+"""
+
+
+def test_scalar_api_never_loads_numpy():
+    """The scalar API on a tree whose stress solves nest two deep, and on a Parallel node
+    whose flow nests two solves and saturates, runs in a fresh interpreter without numpy."""
+    src = str(Path(rheology.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _SCALAR_SCRIPT], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [math.inf, False]
+    assert rheology._depth(_SCALE_TREES[0]) == rheology._depth(_SATURATING, stress=False) == 2
