@@ -34,7 +34,7 @@ from .errors import (
     SchemaError,
 )
 from .maxwell0d import simulate
-from .potentials import Dashpot, PowerLaw, conjugate_analytic, value
+from .potentials import Dashpot, PowerLaw, _number, conjugate_analytic, value
 from .rheology import (
     Formula,
     Leaf,
@@ -202,8 +202,7 @@ def cmd_compare(args) -> int:
         if getattr(args, key) is None:
             setattr(args, key, val)
     n_list = _parse_n_list(args.n_list)
-    if not (args.d_dif > 0 and args.d_dsl > 0):
-        raise InvalidInputError("moduli must be positive")
+    args.d_dif, args.d_dsl = _number(args.d_dif, "--d-dif"), _number(args.d_dsl, "--d-dsl")
     if args.eps_min <= 0:
         raise InvalidInputError("compare needs eps_min > 0")
     eps = _eps_grid(args.eps_min, args.eps_max, args.samples)

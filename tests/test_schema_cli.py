@@ -274,6 +274,25 @@ def test_compare_rejects_bad_n(tmp_path):
         assert cli.main(["compare", f"--n-list={bad}"]) == 2
 
 
+@pytest.mark.parametrize("n_list", ["2,inf", "2.5"])
+@pytest.mark.parametrize("samples", [3, cli.WALK_RATES + 1])  # the float and array paths
+@pytest.mark.parametrize("option, value, got", [("--d-dif", "inf", "inf"),
+                                                ("--d-dsl", "1e400", "inf"),
+                                                ("--d-dif", "nan", "nan"),
+                                                ("--d-dsl", "-1", "-1.0")])
+def test_compare_checks_its_moduli_with_the_number_rule(tmp_path, capsys, n_list, samples,
+                                                        option, value, got):
+    """An infinite, overflowing, NaN or negative modulus exits 2 with the number rule's one
+    message, naming the option, whatever the exponents and on either side of ``WALK_RATES``."""
+    out = tmp_path / "out.csv"
+    argv = ["compare", "--n-list", n_list, "--samples", str(samples), option, value,
+            "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"rheokit: input error: {option} must be a positive finite number, got {got}\n"
+    assert not out.exists()
+
+
 def test_compare_accepts_any_positive_exponent(tmp_path):
     out = str(tmp_path / "n.csv")
     assert cli.main(["compare", "--n-list", "7,3.5,inf", "--samples", "20", "--out", out]) == 0
