@@ -40,8 +40,8 @@ from __future__ import annotations
 
 from functools import cached_property
 
-# the polyline graphs live in _graph, which the element kinds import without this module
-from ._graph import _INF, SubdiffInterval, _Graph
+# SubdiffInterval lives in _graph, which the element kinds import without this module
+from ._graph import _INF, SubdiffInterval
 from ._numpy import np
 from ._record import Record
 from .errors import InvalidInputError, OutOfRangeError

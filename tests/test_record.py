@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from rheokit.convex_core import SampledFunction, SubdiffInterval, _Graph
+from rheokit._graph import _Graph
+from rheokit.convex_core import SampledFunction, SubdiffInterval
 from rheokit.errors import InvalidInputError
 from rheokit.maxwell0d import DriveProgram, MaxwellModel, TimeSeries
 from rheokit.potentials import (
