@@ -11,8 +11,8 @@ rheokit conjugate   conjugate of a single potential
 Exit codes: 0 ok, 2 input/schema error, 3 solver/integrator failure,
 4 equivalence regression.  Output is deterministic: 17 significant
 digits, ``\\n`` line endings, ``inf`` as the literal token.  ``curve``
-walks its rate grid on Python floats, never importing numpy, when the
-tree is shallow and the grid short enough (``FLOAT_*``, ``WALK_RATES``);
+walks its rate grid on Python floats, never importing numpy, up to
+``FLOAT_RATES`` rates, or ``WALK_RATES`` on a tree whose solves do not nest;
 ``compare`` fills its columns on floats under the same ``WALK_RATES``,
 each column that walks a tree counting as one more walk.
 """
@@ -57,21 +57,12 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_EQUIVALENCE = 4
 
-FIG6_PRESET = {
-    "d_dif": 1.0,
-    "d_dsl": 1.0,
-    "n_list": "2,3,inf",
-    "eps_min": 3.4 / 200.0,
-    "eps_max": 3.4,
-    "samples": 200,
-}
-
-# `curve` walks its grid on floats, without numpy, up to FLOAT_RATES rates on trees whose
-# solves nest FLOAT_DEPTH deep, and up to WALK_RATES (below the cost of numpy) on shallower;
-# `compare` fills its columns on floats while its rows, times one plus its walked columns
-# (n not in {1, 2, 3, inf}), are at most WALK_RATES: on floats each walked column costs about
-# what one walk of `curve` does, and the closed forms and empirical columns together one more.
-FLOAT_RATES, FLOAT_DEPTH, WALK_RATES = 64, 2, 16_384
+# `curve` walks its grid on floats, without numpy, up to WALK_RATES rates (below the cost of
+# numpy) on trees whose solves do not nest, and up to FLOAT_RATES on others; `compare` fills
+# its columns on floats while its rows, times one plus its walked columns (n not in {1, 2, 3,
+# inf}), are at most WALK_RATES: on floats each walked column costs about what one walk of
+# `curve` does, and the closed forms and empirical columns together one more.
+FLOAT_RATES, WALK_RATES = 64, 16_384
 
 
 def _fmt(x: float) -> str:
@@ -136,8 +127,7 @@ def cmd_curve(args) -> int:
         _write(args.out, _dump_json(dump_model(expr)))
         return EXIT_OK
     eps = _eps_grid(args.eps_min, args.eps_max, args.samples)
-    depth = _depth(expr)
-    if depth <= FLOAT_DEPTH and args.samples <= (FLOAT_RATES if depth == FLOAT_DEPTH else WALK_RATES):
+    if args.samples <= (WALK_RATES if _depth(expr) <= 1 else FLOAT_RATES):
         sigma = [0.5 * (lo + hi) for lo, hi, _ in expr._walk(eps)]
     else:
         sigma = stress_curve(expr, eps).tolist()
@@ -197,10 +187,6 @@ def compare_columns(d_dif, d_dsl, n_list, eps):
 
 
 def cmd_compare(args) -> int:
-    # the fig6 preset is also the default; an explicit option overrides it
-    for key, val in FIG6_PRESET.items():
-        if getattr(args, key) is None:
-            setattr(args, key, val)
     n_list = _parse_n_list(args.n_list)
     args.d_dif, args.d_dsl = _number(args.d_dif, "--d-dif"), _number(args.d_dsl, "--d-dsl")
     if args.eps_min <= 0:
@@ -234,9 +220,8 @@ def equivalence_report(sigma_a, d2, d3, n_grid=1000):
 
 
 def cmd_equivalence(args) -> int:
-    if not (args.sigma_a > 0 and args.d2 > 0 and args.d3 > 0):
-        raise InvalidInputError("sigma_a, d2, d3 must be positive")
-    tilde, dev, tol, emp = equivalence_report(args.sigma_a, args.d2, args.d3)
+    tilde, dev, tol, emp = equivalence_report(_number(args.sigma_a, "--sigma-a"),
+                                              _number(args.d2, "--d2"), _number(args.d3, "--d3"))
     ok = dev < tol
     lines = [
         f"sigma_a_tilde={_fmt(tilde.sigma_a)}",
@@ -304,14 +289,14 @@ def _build_parser() -> argparse.ArgumentParser:
     curve.set_defaults(fn=cmd_curve)
 
     comp = sub.add_parser("compare", help="rigorous vs harmonic-mean serial creep")
-    comp.add_argument("--preset", choices=["fig6"], default=None)
-    comp.add_argument("--d-dif", dest="d_dif", type=float, default=None)
-    comp.add_argument("--d-dsl", dest="d_dsl", type=float, default=None)
-    comp.add_argument("--n-list", dest="n_list", default=None,
+    comp.add_argument("--preset", choices=["fig6"], default=None, help="fig6: the defaults")
+    comp.add_argument("--d-dif", dest="d_dif", type=float, default=1.0)
+    comp.add_argument("--d-dsl", dest="d_dsl", type=float, default=1.0)
+    comp.add_argument("--n-list", dest="n_list", default="2,3,inf",
                       help="creep exponents, each > 0 or inf (default 2,3,inf)")
-    comp.add_argument("--eps-min", dest="eps_min", type=float, default=None)
-    comp.add_argument("--eps-max", dest="eps_max", type=float, default=None)
-    comp.add_argument("--samples", type=int, default=None)
+    comp.add_argument("--eps-min", dest="eps_min", type=float, default=3.4 / 200.0)
+    comp.add_argument("--eps-max", dest="eps_max", type=float, default=3.4)
+    comp.add_argument("--samples", type=int, default=200)
     comp.add_argument("--out", default=None)
     comp.set_defaults(fn=cmd_compare)
 

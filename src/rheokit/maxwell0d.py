@@ -13,7 +13,7 @@ Time stepping is backward Euler on the elements' own set-valued flow laws
 floats only, for the stress in ``[0, min(E |trial|, cap)]``, ``cap`` the
 tightest stress supremum of the elements (a plastic constraint ``|sigma| <=
 sigma_a``), with the tree solves' scale-free root finder: from just below that
-upper end, or in :func:`simulate` from a log-log Newton step off the last
+upper end, or in :func:`simulate` from the finder's warm start off the last
 point the step before read.  A run binds the step and its residual once, over
 the run's state (that point, the target, the step length), so a step builds no
 closure and reads no attribute of the model.  A step that reaches the cap
@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import sys
 from functools import cached_property
-from itertools import chain, repeat
 
 from ._numpy import np
 from ._record import Record
@@ -112,11 +111,8 @@ class _Run:  # a model's step bound once, over cells of the run's state: no refe
             nonlocal t, h
             trial = e_el + dt * eps
             t, h = abs(trial), dt
-            try:  # none read, a flat one, or a step past the floats: the cap probe
-                probe = x * math.exp(math.log(t / (g := x / E + h * f)) * g / (x * (c + h * d)))
-            except (ArithmeticError, ValueError):
-                probe = math.nan
-            e = min(_root_scalar(residual, t, min(E * t, sup), _STEP_RTOL, 0.0, probe) / E, t)
+            e = min(_root_scalar(residual, t, min(E * t, sup), _STEP_RTOL, 0.0,
+                                 x, x / E + h * f, c + h * d) / E, t)
             return e if trial >= 0 else -e
 
         self.step = step
@@ -166,7 +162,7 @@ def step(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
     and no floating-point error state.  A run (``_Run``) binds the step once to the model's
     laws: a model gets a fresh run each call, so its first probe is just below ``min(E t,
     cap)`` and it keeps no history; :func:`simulate` steps one run, each step but the first
-    starting from a log-log Newton step off the last point the step before read.
+    handing the finder the last point the step before read, for its warm start.
     """
     if not type(e_el) is type(eps) is type(dt) is float:  # floats skip the number rule
         e_el, eps = _number(e_el, "e_el", None), _number(eps, "eps", None)
@@ -203,14 +199,15 @@ def simulate(
         raise InvalidInputError(f"t_end / dt = {n:.6g} steps, more than a list can index")
     n_full = math.floor(n)
     rem = t_end - n_full * dt
-    segs, k = (*drive.segments, (math.inf, 0.0)), 0  # a cursor: the times only grow
+    segs, j = (*drive.segments, (math.inf, 0.0)), 0  # a cursor: the times only grow
     run, e, steps = _Run(model), float(e_el0), n_full + (rem > 1e-12 * dt)
-    t, eps_col, e_col = [0.0], [segs[0][1]], [e]
-    for now, h in zip(chain(map(float(dt).__mul__, range(1, steps)), (float(t_end),)),
-                      chain(repeat(dt, n_full), (rem,))):
-        while now > segs[k][0]:
-            k += 1
-        rate = segs[k][1]
+    t, eps_col, e_col, fdt = [0.0], [segs[0][1]], [e], float(dt)
+    for k in range(1, steps + 1):
+        now = k * fdt if k < steps else float(t_end)
+        h = dt if k <= n_full else rem
+        while now > segs[j][0]:
+            j += 1
+        rate = segs[j][1]
         e = step(run, e, rate, h)
         t.append(now)
         eps_col.append(rate)

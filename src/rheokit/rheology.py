@@ -22,7 +22,7 @@ when built: on numpy arrays (``stress_curve``), and on Python floats, never
 importing numpy, with one inverse: a walk along ascending targets, each root
 solve after the first starting from the last one's lower bracket end and a
 log-log Newton step from its last probe.  The scalar API and nested solves
-walk one target; ``curve`` walks short grids on shallow trees, else arrays.
+walk one target; ``curve`` walks any grid not too long for the tree's depth.
 
 The module also provides the closed-form and empirical effective
 viscosity family (min-formulas, harmonic-mean variants, diffusion +
@@ -200,9 +200,9 @@ def _float_walk(total, cap, top):
     ``(x, x, dx/dt)``, ``x`` the least in ``[0, cap]`` where the upper end of ``total``
     reaches ``t`` (:func:`_root_scalar` on ``total`` less its value at rest), dx/dt 0
     below rest and at the cap, else the reciprocal of the last slope read; +inf past
-    ``top``.  The first solve starts cold; each later one's bracket at the last one's
-    final lower end, below the last target and so this one, its first probe a log-log
-    Newton step from the last point read.  No root falls below the one before."""
+    ``top``.  Each solve's bracket starts at the last one's final lower end, below the
+    last target and so this one, and it starts warm from the last point read (the first
+    cold).  No root falls below the one before."""
     def walk(ts):
         _, g0, d = total(0.0)
         rows, root, lo, x, g = [], 0.0, 0.0, 0.0, 0.0  # last point read: x, g(x) - g0, d
@@ -218,11 +218,7 @@ def _float_walk(total, cap, top):
                 rows.append((math.inf, math.inf, math.inf))
                 continue
             if root < cap and t > g0:
-                try:  # g = 0 (none read): start cold; a flat slope or step past the floats raises
-                    probe = x * math.exp(math.log((t - g0) / g) * g / (x * d)) if g else math.nan
-                except (ArithmeticError, ValueError):
-                    probe = math.nan
-                root = max(root, _root_scalar(residual, t - g0, cap, _RTOL, lo, probe))
+                root = max(root, _root_scalar(residual, t - g0, cap, _RTOL, lo, x, g, d))
             rows.append((root, root, 0.0 if t < g0 or root == cap else 1.0 / d if d else math.inf))
         return rows
 
@@ -327,14 +323,16 @@ def _mid_scalar(lo, hi):
     return _F64.unpack(_I64.pack(ilo + (ihi - ilo) // 2))[0]
 
 
-def _root_scalar(fn, target, sup, rtol, lo=0.0, x=math.nan):
+def _root_scalar(fn, target, sup, rtol, lo=0.0, x=0.0, g=0.0, d=0.0):
     """Smallest ``x`` in ``[0, sup]`` where a nondecreasing ``g`` with ``g(0) = 0``
     reaches ``target``, on Python floats.
 
     ``fn(x)`` returns the residual ``g(x) - target``, formed by the caller so its sign
     holds where the two cancel, and ``g'(x)``.  The bracket starts as ``[lo, sup]``, with
-    ``g(lo) < target``; the first probe is ``x`` if inside it, else just below a finite
-    ``sup``, which tests the cap, else 1.  Newton steps solve ``log g = log target``
+    ``g(lo) < target``.  The first probe is the warm start from the last point the caller
+    read, ``(x, g(x), g'(x)) = (x, g, d)``: the log-log Newton step ``x * exp(log(target
+    / g) * g / (x * d))`` if inside the bracket; else (g = 0: none read) just below a
+    finite ``sup``, which tests the cap, else 1.  Newton steps solve ``log g = log target``
     against ``log x``, which is blind to the unit scale and exact in one step for a
     power law: ``x + x * expm1(log1p((t - g) / g) * g / (x * g'))``.  A step is taken
     only if it lands inside the bracket and is at most half the step before last
@@ -344,6 +342,10 @@ def _root_scalar(fn, target, sup, rtol, lo=0.0, x=math.nan):
     upper end (``sup`` if never reached).
     """
     hi, s1, s2, half = sup, math.inf, math.inf, 0.5 * rtol
+    try:  # g = 0 (none read): start cold; a flat slope or a step past the floats raises
+        x = x * math.exp(math.log(target / g) * g / (x * d)) if g else math.nan
+    except (ArithmeticError, ValueError):
+        x = math.nan
     if not lo < x < sup:
         x = math.nextafter(sup, 0.0) if sup < math.inf else 1.0
     for _ in range(_MAX_ITER):

@@ -621,16 +621,29 @@ def test_simulate_and_dump_model_never_load_numpy(tmp_path):
 
 
 def test_longer_or_deeper_curves_load_numpy(tmp_path):
-    """A ``curve`` of 65 rates, or one on a tree whose solves nest three deep, is
-    evaluated as arrays, and so loads numpy; each runs in its own interpreter."""
+    """A ``curve`` of 65 rates on a tree whose solves nest two, three or four deep is
+    evaluated as arrays, and so loads numpy; each runs in its own interpreter.  At 64
+    rates the trees of solve depth three and four walk on floats and never load it."""
     depth3 = {"node": "serial", "children": [
         {"node": "parallel", "children": [
             {"node": "serial", "children": [
                 {"node": "parallel", "children": [_D, _P]}, _W]}, _P, _D]}, _W]}
-    for name, doc, samples in (("long", _depth2(1e7), 65), ("deep", depth3, 4)):
-        (_, loaded), = _fresh_runs([_curve_argv(tmp_path, name, doc, samples)])
+    depth4 = _W  # Parallel[., PowerLaw(1.5, 2), plastic(0.5)], then Serial[., PowerLaw(0.7, 4)]
+    for _ in range(2):
+        depth4 = {"node": "serial", "children": [
+            {"node": "parallel", "children": [
+                depth4, {"node": "leaf", "potential": {"kind": "powerlaw", "D": 1.5, "n": 2.0}},
+                {"node": "leaf", "potential": {"kind": "plastic", "sigma_a": 0.5}}]},
+            {"node": "leaf", "potential": {"kind": "powerlaw", "D": 0.7, "n": 4.0}}]}
+    walked = _fresh_runs([_curve_argv(tmp_path, f"{name}-64", doc, 64)
+                          for name, doc in (("deep", depth3), ("deeper", depth4))])
+    assert [loaded for _, loaded in walked] == [[]] * 2
+    for name in ("deep", "deeper"):
+        assert len((tmp_path / f"{name}-64.csv").read_text().splitlines()) == 65
+    for name, doc in (("long", _depth2(1e7)), ("deep", depth3), ("deeper", depth4)):
+        (_, loaded), = _fresh_runs([_curve_argv(tmp_path, name, doc, 65)])
         assert "numpy" in loaded, name
-        assert len((tmp_path / f"{name}.csv").read_text().splitlines()) == samples + 1
+        assert len((tmp_path / f"{name}.csv").read_text().splitlines()) == 66
 
 
 def test_wide_shallow_curves_never_load_numpy(tmp_path, monkeypatch):

@@ -408,8 +408,8 @@ def _nested_parallel(S, R):
 @pytest.mark.parametrize("S, R, eps_min", [(1.0, 1.0, 0.0), (1e7, 1e-14, 1e-16),
                                            (1e-150, 1e150, 0.0)])
 def test_short_curves_on_floats_match_the_array_path(tmp_path, monkeypatch, S, R, eps_min):
-    """A grid of at most ``FLOAT_RATES`` rates on a tree whose solves nest at most
-    ``FLOAT_DEPTH`` deep runs on floats: its eps column is the array path's byte for
+    """A grid of at most ``FLOAT_RATES`` rates on a tree whose solves nest two deep
+    runs on floats: its eps column is the array path's byte for
     byte, its viscosities and stresses agree with it to 1e-13 relative."""
     model = write_json(tmp_path, "n.json", _nested(S, R))
     argv = ["curve", "--model", model, "--eps-min", repr(eps_min), "--eps-max", repr(7.0 * R),
@@ -428,6 +428,42 @@ def test_short_curves_on_floats_match_the_array_path(tmp_path, monkeypatch, S, R
     for f, a in zip(rest_f, rest_a):
         f, a = np.array(f, dtype=float), np.array(a, dtype=float)
         assert np.all((f == a) | (np.abs(f - a) <= 1e-13 * np.abs(a))), (f, a)
+
+
+def _deep_trees(S, R):
+    """Trees whose solves nest three and four deep, stresses scaled by ``S``, rates by ``R``:
+    ``Serial[Parallel[Serial[Parallel[D, P], W], P, D], W]``, and a chain that wraps
+    ``Parallel[., PowerLaw(1.5, 2), plastic(0.5)]`` and then ``Serial[., PowerLaw(0.7, 4)]``
+    twice around W."""
+    power = lambda D, n: Leaf(PowerLaw(D * S / R ** (1.0 / n), n))  # noqa: E731
+    D, P, W = Leaf(Dashpot(S / R)), Leaf(PerfectPlastic(S)), power(1.0, 3.0)
+    chain = W
+    for _ in range(2):
+        chain = Serial([Parallel([chain, power(1.5, 2.0), Leaf(PerfectPlastic(0.5 * S))]),
+                        power(0.7, 4.0)])
+    return Serial([Parallel([Serial([Parallel([D, P]), W]), P, D]), W]), chain
+
+
+@pytest.mark.parametrize("S, R", [(1.0, 1.0), (1e150, 1.0), (1e-150, 1.0), (1.0, 1e150),
+                                  (1.0, 1e-150), (1e150, 1e-150)])
+def test_deep_curves_walk_and_match_the_array_path(tmp_path, monkeypatch, S, R):
+    """``curve`` walks trees of solve depth 3 and 4 on floats at ``FLOAT_RATES`` rates, and
+    its stresses and viscosities agree with ``stress_curve`` to 1e-13 relative, at unit
+    scale and with the stresses or the rates scaled by 1e+-150.  (With both far at once,
+    stresses at 1e-150 and rates at 1e150, the array path takes minutes on the chain.)"""
+    arrays = []
+    monkeypatch.setattr(cli, "stress_curve", lambda *a: arrays.append(1) or stress_curve(*a))
+    for depth, tree in zip((3, 4), _deep_trees(S, R)):
+        assert rheology._depth(tree) == depth
+        model, out = write_json(tmp_path, "deep.json", dump_model(tree)), tmp_path / "deep.csv"
+        assert cli.main(["curve", "--model", model, "--eps-min", "0", "--eps-max", repr(7.0 * R),
+                         "--samples", str(cli.FLOAT_RATES), "--out", str(out)]) == 0
+        eps, mu, sigma = np.loadtxt(out, delimiter=",", skiprows=1).T
+        want = stress_curve(tree, eps)
+        assert len(eps) == 64 and np.all(sigma[1:] > 0), depth
+        for got, ref in ((sigma, want), (mu[1:], want[1:] / eps[1:])):
+            assert np.all((got == ref) | (np.abs(got - ref) <= 1e-13 * np.abs(ref))), depth
+    assert not arrays  # both curves walked
 
 
 # SHA-256 of two outputs of the array path: a 10,000-rate curve with a rest row,
@@ -572,6 +608,22 @@ def test_equivalence_vanishing_d3():
     _, dev, tol, emp = cli.equivalence_report(1.0, 1.0, 1e-12)
     assert dev < tol
     assert emp[1.0] < 1e-9
+
+
+@pytest.mark.parametrize("option", ["--sigma-a", "--d2", "--d3"])
+@pytest.mark.parametrize("value, got", [("nan", "nan"), ("inf", "inf"), ("1e400", "inf"),
+                                        ("-1", "-1.0")])
+def test_equivalence_checks_its_parameters_with_the_number_rule(tmp_path, capsys, option,
+                                                                value, got):
+    """A NaN, infinite, overflowing or negative parameter exits 2 with the number rule's one
+    message, naming the option, and writes no report."""
+    out = tmp_path / "eq.txt"
+    argv = ["equivalence", "--sigma-a", "1", "--d2", "1", "--d3", "1", option, value,
+            "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"rheokit: input error: {option} must be a positive finite number, got {got}\n"
+    assert not out.exists()
 
 
 def test_simulate_relaxation(tmp_path):
