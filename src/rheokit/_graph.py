@@ -21,8 +21,9 @@ from .errors import InvalidInputError
 class SubdiffInterval(Record):
     """Closed interval ``[lo, hi]`` of a set-valued scalar subdifferential.
 
-    ``lo == hi`` at differentiable points; ``hi = inf`` marks a normal
-    cone at a support boundary (or saturation in composite solves).
+    ``lo == hi`` at differentiable points; ``hi = inf`` marks a normal cone at a support
+    boundary (or saturation in composite solves).  ``midpoint`` is ``lo`` there, else half
+    of each end added, so it stays finite up to the largest float.
     """
 
     lo: float
@@ -36,7 +37,7 @@ class SubdiffInterval(Record):
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        return self.lo if self.lo == self.hi else 0.5 * self.lo + 0.5 * self.hi
 
 
 # Features of a derivative graph: single-valued (no vertical piece), no flat,

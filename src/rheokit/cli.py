@@ -128,7 +128,7 @@ def cmd_curve(args) -> int:
         return EXIT_OK
     eps = _eps_grid(args.eps_min, args.eps_max, args.samples)
     if args.samples <= (WALK_RATES if _depth(expr) <= 1 else FLOAT_RATES):
-        sigma = [0.5 * (lo + hi) for lo, hi, _ in expr._walk(eps)]
+        sigma = [lo if lo == hi else 0.5 * lo + 0.5 * hi for lo, hi, _ in expr._walk(eps)]
     else:
         sigma = stress_curve(expr, eps).tolist()
     mu = [s / e if e > 0 else mu_eff_rigorous(expr, 0.0, limit=True) for e, s in zip(eps, sigma)]

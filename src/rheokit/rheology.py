@@ -19,10 +19,10 @@ limit at rest.  Set-valued points are :class:`SubdiffInterval`; saturation
 (stress beyond a composite's attainable range) is a +inf marker, not an
 error.  Every node binds its laws, graph features and polyline graph once,
 when built: on numpy arrays (``stress_curve``), and on Python floats, never
-importing numpy, with one inverse: a walk along ascending targets, each root
-solve after the first starting from the last one's lower bracket end and a
-log-log Newton step from its last probe.  The scalar API and nested solves
-walk one target; ``curve`` walks any grid not too long for the tree's depth.
+importing numpy, as one walk along ascending targets per inverting node: it
+reads the node's law at rest once, and starts each root solve after the first
+from the last one's lower bracket end and a log-log Newton step.  Scalar calls
+and nested solves walk one target, ``curve`` a grid short enough for its depth.
 
 The module also provides the closed-form and empirical effective
 viscosity family (min-formulas, harmonic-mean variants, diffusion +
@@ -36,7 +36,7 @@ from __future__ import annotations
 import enum
 import math
 import struct
-from functools import reduce
+from functools import cache, reduce
 from typing import Sequence, Union
 
 from ._graph import SubdiffInterval, _graph_sum
@@ -152,30 +152,32 @@ def _merged(children, serial):
 def _bind(children, serial):
     """A node's ``_parts`` (its children :func:`_merged`), stress supremum ``_sup``, graph
     features ``_feat``, polyline ``_graph`` and laws, bound once when it is built: the
-    array laws ``_flow`` and ``_stress``, and the float laws ``_float_flow`` and
-    ``_float_stress``.  Parts in series add their rates, and the least supremum bounds
-    them; parts in parallel add their stresses and suprema.  The other law inverts that
-    sum (:func:`_array_inverse`, :func:`_float_inverse`); a parallel flow saturates to
-    +inf past ``_sup``.  ``_walk`` is ``_float_stress`` along an ascending grid, in series
-    the inverse's :func:`_float_walk`.  A lone part's laws, walk and graph are the node's.
-    Features add as the potentials do in parallel, and as their conjugates do in series."""
+    array laws ``_flow`` and ``_stress``, the float laws ``_float_flow`` and
+    ``_float_stress``, and ``_walk``, the float stress along an ascending grid.  Parts in
+    series add their rates, and the least supremum bounds them; parts in parallel add their
+    stresses and suprema.  The other law inverts that sum (:func:`_array_inverse`; on floats
+    a one-target walk of the node's one :func:`_float_walk`, in series its ``_walk``); a
+    parallel flow saturates to +inf past ``_sup``.  A lone part's laws, walk and graph are
+    the node's.  Features add as the potentials do in parallel, and as their conjugates do
+    in series."""
     parts = _merged(children, serial)
     sup = (min if serial else sum)(c._sup for c in parts)
     cap, top = (sup, math.inf) if serial else (math.inf, sup)
     sv, nf, dom, ub = zip(*(c._feat for c in children))
     one, other = (any, all) if serial else (all, any)
-    lone = len(parts) == 1
-    bound = {"_parts": parts, "_sup": sup, "_feat": _Feat(one(sv), other(nf), one(dom), other(ub)),
-             "_graph": parts[0]._graph if lone else None}
-    for flow, stress, inverse in (("_flow", "_stress", _array_inverse),
-                                  ("_float_flow", "_float_stress", _float_inverse)):
-        summed, inverted = (flow, stress) if serial else (stress, flow)
-        bound[summed] = total = reduce(_plus, [getattr(c, summed) for c in parts])
-        bound[inverted] = getattr(parts[0], inverted) if lone else inverse(total, cap, top)
-    walks = [c._walk for c in parts]  # in parallel, a part's rows are a law on the grid index
-    bound["_walk"] = walks[0] if lone else _float_walk(total, cap, top) if serial else (
+    bound = {"_parts": parts, "_sup": sup, "_feat": _Feat(one(sv), other(nf), one(dom), other(ub))}
+    if len(parts) == 1:
+        laws = ("_flow", "_stress", "_float_flow", "_float_stress", "_walk", "_graph")
+        return bound | {k: getattr(parts[0], k) for k in laws}
+    summed, inverted = ("_flow", "_stress") if serial else ("_stress", "_flow")
+    bound[summed] = total = reduce(_plus, [getattr(c, summed) for c in parts])
+    bound[inverted] = _array_inverse(total, cap, top)
+    bound["_float" + summed] = total = reduce(_plus, [getattr(c, "_float" + summed) for c in parts])
+    walk, walks = _float_walk(total, cap, top), [c._walk for c in parts]
+    bound["_float" + inverted] = lambda t: walk((t,))[0]
+    bound["_walk"] = walk if serial else (  # in parallel, a part's rows are a law on the grid index
         lambda ts: list(map(reduce(_plus, [w(ts).__getitem__ for w in walks]), range(len(ts)))))
-    return bound
+    return bound | {"_graph": None}
 
 
 def _array_inverse(total, cap, top):
@@ -189,22 +191,18 @@ def _array_inverse(total, cap, top):
     return inverse
 
 
-def _float_inverse(total, cap, top):
-    """The float law inverse to ``total``: a :func:`_float_walk` of one target."""
-    walk = _float_walk(total, cap, top)
-    return lambda t: walk((t,))[0]
-
-
 def _float_walk(total, cap, top):
     """The float law inverse to ``total`` along ascending targets: per target ``t`` a row
     ``(x, x, dx/dt)``, ``x`` the least in ``[0, cap]`` where the upper end of ``total``
     reaches ``t`` (:func:`_root_scalar` on ``total`` less its value at rest), dx/dt 0
     below rest and at the cap, else the reciprocal of the last slope read; +inf past
-    ``top``.  Each solve's bracket starts at the last one's final lower end, below the
-    last target and so this one, and it starts warm from the last point read (the first
-    cold).  No root falls below the one before."""
+    ``top``.  Each walk starts at rest, read once.  Each solve's bracket starts at the last
+    one's final lower end, below the last target and so this one, and it starts warm from
+    the last point read (the first cold).  No root falls below the one before."""
+    at_rest = cache(lambda: total(0.0))  # at the first walk, so binding evaluates nothing
+
     def walk(ts):
-        _, g0, d = total(0.0)
+        _, g0, d = at_rest()
         rows, root, lo, x, g = [], 0.0, 0.0, 0.0, 0.0  # last point read: x, g(x) - g0, d
 
         def residual(xn):
@@ -261,7 +259,7 @@ def _leaf_stress(p: Potential, eps: np.ndarray):
 
 
 def _root(fn, t, sup):
-    """The solve of :func:`_float_inverse` on an array of targets ``t``, elementwise.
+    """The solve of :func:`_float_walk` on an array of targets ``t``, elementwise.
 
     Each target takes the scalar finder's iterates from the same first probe, Newton
     step, push, accept test and stop, in numpy's ``log1p`` and ``expm1``; a bisection
@@ -400,7 +398,7 @@ def stress_curve(e: RheoExpr, eps) -> np.ndarray:
     eps, _ = _rates(eps, "strain rates")
     with np.errstate(divide="ignore", over="ignore"):
         lo, hi, _ = e._stress(eps)
-    return 0.5 * (lo + hi)
+    return np.where(lo == hi, lo, 0.5 * lo + 0.5 * hi)[()]  # [()]: a 0-d array as a scalar
 
 
 def mu_eff_curve(e: RheoExpr, eps) -> np.ndarray:

@@ -328,6 +328,52 @@ def test_nested_tree_work_budget(monkeypatch):
             assert strain_rate_of_stress(tree, sig[i]).hi == pytest.approx(eps[i], rel=1e-12)
 
 
+def _counted_deep_trees():
+    """The depth-3 tree of :data:`_SCALE_TREES` and a depth-4 chain (``Parallel[.,
+    PowerLaw(1.5, 2), plastic(0.5)]`` then ``Serial[., PowerLaw(0.7, 4)]``, twice around W),
+    built fresh from leaves whose float kernels count their calls before any parent binds."""
+    calls = [0]
+
+    def leaf(p):
+        e = L(p)
+        for name in ("_float_flow", "_float_stress"):
+            def law(x, f=getattr(e, name)):
+                calls[0] += 1
+                return f(x)
+
+            e.__dict__[name] = law
+        return e
+
+    D, P, W = leaf(Dashpot(1.0)), leaf(PerfectPlastic(1.0)), leaf(PowerLaw(1.0, 3.0))
+    chain = leaf(PowerLaw(1.0, 3.0))
+    for _ in range(2):
+        chain = Serial([Parallel([chain, leaf(PowerLaw(1.5, 2.0)), leaf(PerfectPlastic(0.5))]),
+                        leaf(PowerLaw(0.7, 4.0))])
+    return calls, Serial([Parallel([Serial([Parallel([D, P]), W]), P, D]), W]), chain
+
+
+def test_deep_float_solves_read_each_law_at_rest_once():
+    """Each inverting node reads its summed law at rest once, at its first walk, and binds
+    one float walk, whose one-target form is its scalar inverse.  So the leaf float-kernel
+    calls of a 64-rate walk over [0, 10] and of a scalar stress solve stay within budget on
+    trees whose solves nest three and four deep (8,882, 69,164 and 1,822 calls when every
+    inverse read its rest point on each call); a repeated solve reads no rest point."""
+    grid = np.linspace(0.0, 10.0, 64).tolist()
+    calls, tree, _ = _counted_deep_trees()
+    assert rheology._depth(tree) == 3 and calls[0] == 0  # building evaluates nothing
+    tree._walk(grid)
+    assert calls[0] <= 6_890, calls[0]
+    calls, _, chain = _counted_deep_trees()
+    assert rheology._depth(chain) == 4 and calls[0] == 0
+    chain._walk(grid)
+    assert calls[0] <= 46_096, calls[0]
+    calls, _, chain = _counted_deep_trees()
+    for budget in (1_217, 1_210):  # the first solve reads every node's rest point: 7 calls
+        calls[0] = 0
+        stress_of_strain_rate(chain, 0.7)
+        assert calls[0] <= budget, calls[0]
+
+
 def test_float_solves_without_a_cap_never_probe_the_largest_float(monkeypatch):
     """With no cap the scalar finder starts at 1, not at ``nextafter(inf, 0)``, where
     a Serial node's stress would run a whole inner solve.  Only a root past the float
@@ -374,6 +420,26 @@ def test_mu_eff_limit_is_the_tangent_at_rest():
     rigid = Serial([Parallel([L(Dashpot(1.0)), L(PerfectPlastic(1.0))]), L(Dashpot(4.0))])
     assert mu_eff_rigorous(rigid, 0.0, limit=True) == 4.0
     assert math.isinf(mu_eff_rigorous(Serial([_W, L(PowerLaw(2.0, 2.0))]), 0.0, limit=True))
+
+
+def test_midpoints_stay_finite_up_to_the_largest_float():
+    """A midpoint is finite wherever both ends are, up to the largest float: the scalar
+    API's, ``mu_eff_rigorous``'s and ``stress_curve``'s (with no overflow warning).  It is
+    ``lo`` at a point, subnormals included, and ``0.5 * (lo + hi)`` wherever that is a
+    normal float."""
+    big = L(Dashpot(1e300))
+    assert stress_of_strain_rate(big, 1.5e8).midpoint == 1e300 * 1.5e8 == 1.5e308
+    assert mu_eff_rigorous(big, 1.5e8) == pytest.approx(1e300, rel=1e-15)
+    assert stress_curve(big, [0.0, 1e8, 1.5e8]).tolist() == [0.0, 1e300 * 1e8, 1e300 * 1.5e8]
+    assert mu_eff_curve(big, [1e8, 1.5e8]) == pytest.approx([1e300, 1e300], rel=1e-15)
+    interval = rheology.SubdiffInterval
+    assert interval(1.7e308, math.inf).midpoint == math.inf
+    assert interval(1.5e308, 1.7976931348623157e308).midpoint == pytest.approx(1.64884656743e308)
+    for x in (5e-324, 1e-310, 1.7976931348623157e308):
+        assert interval(x, x).midpoint == x
+    rng = np.random.default_rng(26)
+    for lo, hi in np.sort(10.0 ** rng.uniform(-300.0, 300.0, (2_000, 2)), axis=1).tolist():
+        assert interval(lo, hi).midpoint == 0.5 * (lo + hi)
 
 
 def test_bounded_rate_sampled_element_in_series():
@@ -910,6 +976,25 @@ def test_walk_is_the_scalar_solve_along_a_grid(tree, ks, kr, rates, samples):
             for e, g, w in zip(eps, node._walk(eps), map(node._float_stress, eps)):
                 if e == 0.0 or w[1] == node._sup:
                     assert [x.hex() for x in g[:2]] == [x.hex() for x in w[:2]], (e, g, w)
+
+
+@settings(max_examples=25, deadline=None)
+@given(tree=_mixed_trees(), ks=st.integers(-150, 150), kr=st.integers(-150, 150),
+       first=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8),
+       second=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8))
+def test_a_walk_carries_no_state_into_the_next(tree, ks, kr, first, second):
+    """A node walked twice, on two different grids, and then solved on floats gives a
+    freshly built copy's rows and values bit for bit: the rest point each inverting node
+    reads at its first walk is the only thing kept, and it is the same at every walk."""
+    S, R = 10.0**ks, 10.0**kr
+    grids = [[0.0] + sorted(r * R for r in rates) for rates in (first, second)]
+    tree = _rescaled(tree, S, R)
+    bits = lambda rows: [[x.hex() for x in row] for row in rows]  # noqa: E731
+    for eps in grids:
+        assert bits(tree._walk(eps)) == bits(_rescaled(tree, 1.0, 1.0)._walk(eps))
+    for law, xs in (("_float_stress", grids[1]), ("_float_flow", [r * S for r in first])):
+        want = [getattr(_rescaled(tree, 1.0, 1.0), law)(x) for x in xs]
+        assert bits(map(getattr(tree, law), xs)) == bits(want)
 
 
 def test_depth_counts_how_deeply_the_solves_nest(monkeypatch):

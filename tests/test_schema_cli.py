@@ -466,6 +466,23 @@ def test_deep_curves_walk_and_match_the_array_path(tmp_path, monkeypatch, S, R):
     assert not arrays  # both curves walked
 
 
+@pytest.mark.parametrize("walk_rates", [cli.WALK_RATES, 1])
+def test_curve_prints_stresses_past_half_the_largest_float(tmp_path, monkeypatch, walk_rates):
+    """A dashpot of 1e300 at rates up to 1.5e8 has stresses up to 1.5e308, past half the
+    largest float: ``curve`` prints them and their viscosity, walked on floats and on
+    arrays, with no ``inf`` anywhere."""
+    monkeypatch.setattr(cli, "WALK_RATES", walk_rates)
+    model = write_json(tmp_path, "big.json",
+                       {"node": "leaf", "potential": {"kind": "dashpot", "D": 1e300}})
+    out = tmp_path / "big.csv"
+    assert cli.main(["curve", "--model", model, "--eps-min", "0", "--eps-max", "1.5e8",
+                     "--samples", "4", "--out", str(out)]) == 0
+    assert "inf" not in out.read_text()
+    eps, mu, sigma = np.loadtxt(out, delimiter=",", skiprows=1).T
+    assert sigma.tolist() == [1e300 * e for e in eps.tolist()]
+    assert mu == pytest.approx([1e300] * 4, rel=1e-15)
+
+
 # SHA-256 of two outputs of the array path: a 10,000-rate curve with a rest row,
 # re-pinned when the array finder took the float finder's rules, and the fig6
 # comparison, pinned when short curves moved to floats.  The curve's tree has solve
