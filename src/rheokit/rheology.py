@@ -19,10 +19,11 @@ limit at rest.  Set-valued points are :class:`SubdiffInterval`; saturation
 (stress beyond a composite's attainable range) is a +inf marker, not an
 error.  Every node binds its laws, graph features and polyline graph once,
 when built: on numpy arrays (``stress_curve``), and on Python floats, never
-importing numpy, as one walk along ascending targets per inverting node: it
-reads the node's law at rest once, and starts each root solve after the first
-from the last one's lower bracket end and a log-log Newton step.  Scalar calls
-and nested solves walk one target, ``curve`` a grid short enough for its depth.
+importing numpy, as one walk along ascending targets per inverting node, which
+starts each root solve after the first from the last one's lower bracket end
+and a log-log Newton step.  Scalar calls and nested solves walk one target,
+``curve`` a grid short enough for its depth.  On either path an inverting node
+reads its summed law at rest once, at its first solve, not when built.
 
 The module also provides the closed-form and empirical effective
 viscosity family (min-formulas, harmonic-mean variants, diffusion +
@@ -181,10 +182,16 @@ def _bind(children, serial):
 
 
 def _array_inverse(total, cap, top):
-    """The array law inverse to ``total``: :func:`_root` in ``[0, cap]``, +inf past ``top``."""
+    """The array law inverse to ``total``: :func:`_root` in ``[0, cap]``, +inf past ``top``,
+    from the value and slope of ``total`` at rest, read once, as :func:`_float_walk` does."""
+    @cache
+    def at_rest():  # at the first call, so binding evaluates nothing
+        with np.errstate(all="ignore"):
+            return [v[0] for v in total(np.zeros(1))[1:]]
+
     def inverse(t):
         sat = t > top  # saturated
-        x, d = _root(total, np.where(sat, 0.0, t), cap)
+        x, d = _root(total, np.where(sat, 0.0, t), cap, *at_rest())
         x = np.where(sat, np.inf, x)
         return x, x, np.where(sat, np.inf, d)
 
@@ -258,8 +265,9 @@ def _leaf_stress(p: Potential, eps: np.ndarray):
     return p.stress(eps)
 
 
-def _root(fn, t, sup):
-    """The solve of :func:`_float_walk` on an array of targets ``t``, elementwise.
+def _root(fn, t, sup, g0, d0):
+    """The solve of :func:`_float_walk` on an array of targets ``t``, elementwise, from the
+    caller's value ``g0`` and slope ``d0`` of ``fn`` at rest; a target up to ``g0`` has root 0.
 
     Each target takes the scalar finder's iterates from the same first probe, Newton
     step, push, accept test and stop, in numpy's ``log1p`` and ``expm1``; a bisection
@@ -268,7 +276,6 @@ def _root(fn, t, sup):
     """
     shape, t = t.shape, t.ravel()
     with np.errstate(all="ignore"):
-        _, g0, d0 = (v[0] for v in fn(np.zeros(1)))
         x, dx = np.zeros_like(t), np.full_like(t, d0)
         idx = np.flatnonzero(t > g0)
         tt = t[idx]
@@ -450,11 +457,8 @@ def three_element_stress(p: ThreeElementParams, eps):
     ``sigma_a + D3 * eps`` above it; continuous at the switch.
     """
     eps, scalar_in = _rates(eps, "eps")
-    out = np.where(
-        eps <= p.sigma_a / p.D2,
-        (p.D2 + p.D3) * eps,
-        p.sigma_a + p.D3 * eps,
-    )
+    with np.errstate(over="ignore"):  # a stress past the float range is inf
+        out = np.where(eps <= p.sigma_a / p.D2, (p.D2 + p.D3) * eps, p.sigma_a + p.D3 * eps)
     return float(out) if scalar_in else out
 
 
@@ -470,22 +474,14 @@ def map_serial_parallel_params(sigma_a: float, D2: float, D3: float) -> ThreeEle
 
 def three_element_parallel_serial(p: ThreeElementParams) -> RheoExpr:
     """Tree of the parallel-serial variant: (plastic [] dashpot) + dashpot."""
-    return Parallel(
-        [
-            Serial([Leaf(PerfectPlastic(p.sigma_a)), Leaf(Dashpot(p.D2))]),
-            Leaf(Dashpot(p.D3)),
-        ]
-    )
+    return Parallel([Serial([Leaf(PerfectPlastic(p.sigma_a)), Leaf(Dashpot(p.D2))]),
+                     Leaf(Dashpot(p.D3))])
 
 
 def three_element_serial_parallel(p: ThreeElementParams) -> RheoExpr:
     """Tree of the serial-parallel variant: (plastic + dashpot) [] dashpot."""
-    return Serial(
-        [
-            Parallel([Leaf(PerfectPlastic(p.sigma_a)), Leaf(Dashpot(p.D3))]),
-            Leaf(Dashpot(p.D2)),
-        ]
-    )
+    return Serial([Parallel([Leaf(PerfectPlastic(p.sigma_a)), Leaf(Dashpot(p.D3))]),
+                   Leaf(Dashpot(p.D2))])
 
 
 # ---------------------------------------------------------------------------
@@ -561,36 +557,7 @@ def mu_eff_formula(formula, params: Sequence, eps):
                 params[i] = _number(x, name)
     eps, scalar_in = _rates(eps, "eps", positive=True)
 
-    if formula is Formula.VP_MIN:
-        sigma_a, d = params
-        out = np.minimum(d, sigma_a / eps)
-    elif formula is Formula.BINGHAM_SUM:
-        sigma_a, d = params
-        out = d + sigma_a / eps
-    elif formula is Formula.THREE_ELEMENT:
-        sigma_a, d2, d3 = params
-        out = np.minimum(sigma_a / eps, d2) + d3
-    elif formula is Formula.MULTI_ELEMENT:
-        sig_list, d2_list, d3 = params
-        if sig_list.ndim != 1 or sig_list.size == 0 or sig_list.shape != d2_list.shape:
-            raise InvalidInputError(
-                "MULTI_ELEMENT needs matching nonempty sigma_a and D2 lists"
-            )
-        out = np.minimum(sig_list[:, None] / eps[None, ...].reshape(1, -1), d2_list[:, None])
-        out = out.sum(axis=0).reshape(eps.shape) + d3
-    elif formula is Formula.EMP_VAR1:
-        sigma_a, d2, d3 = params
-        out = 1.0 / (eps / sigma_a + 1.0 / d2) + d3
-    elif formula is Formula.EMP_VAR2:
-        sigma_a, d2, d3 = params
-        out = 1.0 / (1.0 / (sigma_a / eps + d3) + 1.0 / d2)
-    elif formula is Formula.HB_MIN:
-        sigma_a, d, n = params
-        out = np.minimum(sigma_a / eps, d / eps ** (1.0 - 1.0 / n))
-    elif formula is Formula.EMP_DIF_DSL:
-        d_dif, d_dsl, n = params
-        out = 1.0 / (1.0 / d_dif + eps ** (1.0 - 1.0 / n) / d_dsl)
-    else:  # EMP_HARMONIC_GENERAL
+    if formula is Formula.EMP_HARMONIC_GENERAL:  # warns: 1/mu past the float range loses mu
         (mus,) = params
         if not mus:
             raise InvalidInputError("EMP_HARMONIC_GENERAL needs at least one viscosity")
@@ -598,6 +565,35 @@ def mu_eff_formula(formula, params: Sequence, eps):
         for mu in mus:
             inv = inv + 1.0 / np.asarray(mu(eps), dtype=float)
         out = 1.0 / inv
+    with np.errstate(over="ignore"):  # a term past the float range is inf; its min or sum is right
+        if formula is Formula.VP_MIN:
+            sigma_a, d = params
+            out = np.minimum(d, sigma_a / eps)
+        elif formula is Formula.BINGHAM_SUM:
+            sigma_a, d = params
+            out = d + sigma_a / eps
+        elif formula is Formula.THREE_ELEMENT:
+            sigma_a, d2, d3 = params
+            out = np.minimum(sigma_a / eps, d2) + d3
+        elif formula is Formula.MULTI_ELEMENT:
+            sig_list, d2_list, d3 = params
+            if sig_list.ndim != 1 or sig_list.size == 0 or sig_list.shape != d2_list.shape:
+                raise InvalidInputError(
+                    "MULTI_ELEMENT needs matching nonempty sigma_a and D2 lists")
+            out = np.minimum(sig_list[:, None] / eps[None, ...].reshape(1, -1), d2_list[:, None])
+            out = out.sum(axis=0).reshape(eps.shape) + d3
+        elif formula is Formula.EMP_VAR1:
+            sigma_a, d2, d3 = params
+            out = 1.0 / (eps / sigma_a + 1.0 / d2) + d3
+        elif formula is Formula.EMP_VAR2:
+            sigma_a, d2, d3 = params
+            out = 1.0 / (1.0 / (sigma_a / eps + d3) + 1.0 / d2)
+        elif formula is Formula.HB_MIN:
+            sigma_a, d, n = params
+            out = np.minimum(sigma_a / eps, d / eps ** (1.0 - 1.0 / n))
+        elif formula is Formula.EMP_DIF_DSL:
+            d_dif, d_dsl, n = params
+            out = 1.0 / (1.0 / d_dif + eps ** (1.0 - 1.0 / n) / d_dsl)
     return float(out) if scalar_in else out
 
 
@@ -622,7 +618,8 @@ def serial_dif_dsl_stress(
 
     if mode == "closed":
         if n == 1:
-            out = eps / (1.0 / D_dif + 1.0 / D_dsl)
+            with np.errstate(over="ignore"):  # a stress past the float range is inf, as below
+                out = eps / (1.0 / D_dif + 1.0 / D_dsl)
         elif n in (2, 3):
             # Dimensionless: sigma = S y with S = D_dsl / q and
             # q = (D_dif / D_dsl)**(1/(n-1)) turns the equation into
@@ -694,8 +691,11 @@ def _dif_dsl_closed(D_dif, D_dsl, n):
 
 
 def harmonic_mean_linear(D_list: Sequence[float]) -> float:
-    """Modulus of serially arranged linear dashpots: ``1 / sum(1/D_i)``."""
+    """Modulus of serially arranged linear dashpots: ``1 / sum(1/D_i)``, as ``m / sum(m/D_i)``
+    with ``m`` the largest power of two up to the least ``D_i``, so no term overflows and a
+    subnormal modulus is kept; where the terms are normal floats the bits are the same."""
     ds = [_number(d, f"D_list[{i}]") for i, d in enumerate(D_list)]
     if not ds:
         raise InvalidInputError("harmonic_mean_linear needs a nonempty list")
-    return 1.0 / sum(1.0 / d for d in ds)
+    m = math.ldexp(0.5, math.frexp(min(ds))[1])
+    return m / sum(m / d for d in ds)

@@ -374,6 +374,47 @@ def test_deep_float_solves_read_each_law_at_rest_once():
         assert calls[0] <= budget, calls[0]
 
 
+def test_deep_array_solves_read_each_law_at_rest_once(monkeypatch):
+    """Each node's array inverse reads its summed law at rest once, at its first call, and
+    hands it to ``_root``, which evaluates its law only at its probes.  So building a tree
+    makes no array leaf call, the array leaf calls of a ``stress_curve`` over [0, 10] stay
+    within budget on trees whose solves nest three and four deep (1,956 and 7,366 calls at
+    64 rates, 3,854 and 10,394 at 1,024, when ``_root`` read its rest point on each call),
+    and a repeated curve reads no rest point at all."""
+    calls, rest = [0], [0]  # array leaf calls, and those at a one-entry rest point
+    for name in ("_leaf_flow", "_leaf_stress"):
+        kernel = getattr(rheology, name)
+
+        def counted(p, x, kernel=kernel):
+            calls[0] += 1
+            rest[0] += x.shape == (1,) and x[0] == 0.0
+            return kernel(p, x)
+
+        monkeypatch.setattr(rheology, name, counted)
+    root, at_zero = rheology._root, [0]
+
+    def probed(fn, *args):  # ``_root``, counting its law's evaluations at rest
+        def law(x):
+            at_zero[0] += not x.any()
+            return fn(x)
+
+        return root(law, *args)
+
+    monkeypatch.setattr(rheology, "_root", probed)
+    for n, budgets in ((64, (1_606, 4_465)), (1_024, (3_184, 6_188))):
+        calls[0] = 0
+        _, *trees = _counted_deep_trees()
+        assert calls[0] == 0  # building evaluates nothing
+        for tree, budget in zip(trees, budgets):
+            calls[0] = 0
+            stress_curve(tree, np.linspace(0.0, 10.0, n))
+            assert calls[0] <= budget, (n, calls[0])
+            rest[0] = 0
+            stress_curve(tree, np.linspace(0.0, 10.0, n))
+            assert rest[0] == 0, (n, rest[0])
+    assert at_zero[0] == 0
+
+
 def test_float_solves_without_a_cap_never_probe_the_largest_float(monkeypatch):
     """With no cap the scalar finder starts at 1, not at ``nextafter(inf, 0)``, where
     a Serial node's stress would run a whole inner solve.  Only a root past the float
@@ -709,6 +750,35 @@ def test_harmonic_mean_linear():
         harmonic_mean_linear([1.0, -2.0])
 
 
+def test_closed_forms_past_the_float_range_keep_their_value_and_do_not_warn():
+    """Closed forms whose terms overflow where their value is right give it with no numpy
+    warning (an error under the test settings): a term past the float range is inf, and
+    the min, sum or reciprocal that takes it is right.  ``harmonic_mean_linear`` keeps a
+    subnormal modulus whose reciprocal overflows, and in the normal range it has the bits
+    of ``1 / sum(1 / D_i)``."""
+    cases = [
+        (mu_eff_formula("vp_min", (1e300, 1e-300), 1e-300), 1e-300),
+        (mu_eff_formula("bingham_sum", (1e300, 1e-300), 1e-300), math.inf),
+        (mu_eff_formula("three_element", (1e300, 1e-300, 1e-300), 1e-300), 2e-300),
+        (mu_eff_formula("multi_element", ([1e300], [1e-300], 1e-300), 1e-300), 2e-300),
+        (mu_eff_formula("emp_var1", (1e-300, 1e-300, 1e-300), 1e300), 1e-300),
+        (mu_eff_formula("emp_var2", (1e300, 1e-300, 1e-300), 1e-300), 1e-300),
+        (mu_eff_formula("hb_min", (1e300, 1e-300, 2.0), 1e-300), 1e-150),
+        (mu_eff_formula("emp_dif_dsl", (1e300, 1e-300, 2.0), 1e300), 0.0),
+        (serial_dif_dsl_stress(1e150, 1e150, 1, 1e300), math.inf),
+        (three_element_stress(ThreeElementParams(1, 1e-300, 1e300), 1e300), math.inf),
+        (harmonic_mean_linear([5e-324, 1.0]), 5e-324),
+        (harmonic_mean_linear([1e-310, 1e-310]), 5e-311),
+        (harmonic_mean_linear([1.7976931348623157e308]), 1.7976931348623157e308),
+    ]
+    for i, (got, want) in enumerate(cases):
+        assert got == want or abs(got - want) <= 1e-12 * want, (i, got, want)
+    rng = np.random.default_rng(27)
+    for _ in range(2_000):
+        ds = (10.0 ** rng.uniform(-150.0, 150.0, int(rng.integers(1, 6)))).tolist()
+        assert harmonic_mean_linear(ds) == 1.0 / sum(1.0 / d for d in ds), ds
+
+
 def test_shear_thinning_of_plastic_dashpot_models():
     rng = np.random.default_rng(11)
     eps = np.linspace(0.02, 10.0, 200)
@@ -995,6 +1065,25 @@ def test_a_walk_carries_no_state_into_the_next(tree, ks, kr, first, second):
     for law, xs in (("_float_stress", grids[1]), ("_float_flow", [r * S for r in first])):
         want = [getattr(_rescaled(tree, 1.0, 1.0), law)(x) for x in xs]
         assert bits(map(getattr(tree, law), xs)) == bits(want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(tree=_mixed_trees(), ks=st.integers(-150, 150), kr=st.integers(-150, 150),
+       first=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8),
+       second=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8))
+def test_an_array_solve_carries_no_state_into_the_next(tree, ks, kr, first, second):
+    """A node's array laws over two different grids give a freshly built copy's rows bit for
+    bit: the rest point each array inverse reads at its first call is the only thing kept,
+    and it is the same at every call."""
+    S, R = 10.0**ks, 10.0**kr
+    tree = _rescaled(tree, S, R)
+    bits = lambda rows: [np.asarray(v, dtype=float).tobytes() for v in rows]  # noqa: E731
+    with np.errstate(all="ignore"):
+        for law, scale in (("_stress", R), ("_flow", S)):
+            for xs in (first, second):
+                x = np.array([0.0] + xs) * scale
+                want = getattr(_rescaled(tree, 1.0, 1.0), law)(x)
+                assert bits(getattr(tree, law)(x)) == bits(want), (law, x)
 
 
 def test_depth_counts_how_deeply_the_solves_nest(monkeypatch):

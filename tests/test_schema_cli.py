@@ -311,6 +311,19 @@ def test_compare_far_from_unit_moduli(tmp_path):
     assert np.all(np.isfinite(rows))
 
 
+def test_compare_past_the_float_range_warns_on_neither_path(tmp_path, monkeypatch):
+    """Moduli and rates 600 decades apart, where ``VP_MIN``'s ``D_dsl / eps`` overflows: on
+    arrays (past ``WALK_RATES``) as on floats, compare prints no numpy warning (an error
+    under the test settings), and the two paths agree."""
+    argv = ["compare", "--d-dsl", "1e300", "--eps-min", "1e-300", "--eps-max", "1e-299",
+            "--samples", "200", "--out"]
+    assert cli.main(argv + [str(tmp_path / "float.csv")]) == 0
+    monkeypatch.setattr(cli, "WALK_RATES", 0)
+    assert cli.main(argv + [str(tmp_path / "array.csv")]) == 0
+    (_, f), (_, a) = (read_csv(str(tmp_path / f"{name}.csv")) for name in ("float", "array"))
+    assert np.all((f == a) | (np.abs(f - a) <= 1e-13 * np.abs(a)))
+
+
 def _per_cell_csv(header, columns):
     """The one-format-call-per-cell CSV writer, kept as the byte reference."""
     def fmt(x):
