@@ -13,8 +13,7 @@ Exit codes: 0 ok, 2 input/schema error, 3 solver/integrator failure,
 digits, ``\\n`` line endings, ``inf`` as the literal token.  ``curve``
 walks its rate grid on Python floats, never importing numpy, up to
 ``FLOAT_RATES`` rates, or ``WALK_RATES`` on a tree whose solves do not nest;
-``compare`` fills its columns on floats under the same ``WALK_RATES``,
-each column that walks a tree counting as one more walk.
+``compare`` fills every column on floats at any size and never imports numpy.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from .rheology import (
     map_serial_parallel_params,
     mu_eff_formula,
     mu_eff_rigorous,
-    serial_dif_dsl_stress,
+    serial_dif_dsl_stress,  # unused: perfbench's closed-form hook patches this name here
     stress_curve,
     three_element_parallel_serial,
     three_element_serial_parallel,
@@ -58,11 +57,9 @@ EXIT_SOLVER = 3
 EXIT_EQUIVALENCE = 4
 
 # `curve` walks its grid on floats, without numpy, up to WALK_RATES rates (below the cost of
-# numpy) on trees whose solves do not nest, and up to FLOAT_RATES on others; `compare` fills
-# its columns on floats while its rows, times one plus its walked columns (n not in {1, 2, 3,
-# inf}), are at most WALK_RATES: on floats each walked column costs about what one walk of
-# `curve` does, and the closed forms and empirical columns together one more.
-FLOAT_RATES, WALK_RATES = 64, 16_384
+# numpy) on trees whose solves do not nest, and up to FLOAT_RATES on others: below the
+# crossover measured on trees of solve depth 2 to 6, as a walk's cost per rate grows with depth.
+FLOAT_RATES, WALK_RATES = 256, 16_384
 
 
 def _fmt(x: float) -> str:
@@ -154,35 +151,26 @@ def _n_suffix(n) -> str:
 
 
 def compare_columns(d_dif, d_dsl, n_list, eps):
-    """Rigorous and harmonic-mean curves of the serial creep pair, on an array of rates or
-    on a list of Python floats without numpy.  On floats ``VP_MIN`` and ``EMP_DIF_DSL`` are
-    the formulas' arithmetic (``math.sqrt`` where numpy takes ``** 0.5``), n in {1, 2, 3}
-    the float kernel of ``serial_dif_dsl_stress``'s closed form, other n the tree's walk."""
-    floats = isinstance(eps, list)
+    """Rigorous and harmonic-mean curves of the serial creep pair on a list of Python float
+    rates, without numpy.  ``VP_MIN`` and ``EMP_DIF_DSL`` are the formulas' arithmetic
+    (``math.sqrt`` where numpy takes ``** 0.5``), n in {1, 2, 3} the float kernel of
+    ``serial_dif_dsl_stress``'s closed form, other n the tree's walk."""
     mus_rig, mus_emp, sig_rig, sig_emp = [], [], [], []
     for n in n_list:
-        mode = "closed" if n in (1, 2, 3) else "numeric"
-        if not floats:
-            sig = (eps * mu_eff_formula(Formula.VP_MIN, (d_dsl, d_dif), eps) if math.isinf(n) else
-                   serial_dif_dsl_stress(d_dif, d_dsl, n, eps, mode=mode))
-            mu_emp = mu_eff_formula(Formula.EMP_DIF_DSL, (d_dif, d_dsl, n), eps)
-            mus_rig.append(sig / eps)
-            sig_emp.append(mu_emp * eps)
+        if math.isinf(n):
+            sig = [e * min(d_dif, d_dsl / e) for e in eps]
+        elif n in (1, 2, 3):
+            sig = list(map(_dif_dsl_closed(d_dif, d_dsl, n), eps))
         else:
-            if math.isinf(n):
-                sig = [e * min(d_dif, d_dsl / e) for e in eps]
-            elif mode == "closed":
-                sig = list(map(_dif_dsl_closed(d_dif, d_dsl, n), eps))
-            else:
-                tree = Serial([Leaf(Dashpot(d_dif)), Leaf(PowerLaw(d_dsl, n))])
-                sig = [hi for _, hi, _ in tree._walk(eps)]
-            p = 1.0 - 1.0 / n
-            mu_emp = [1.0 / (1.0 / d_dif + (math.sqrt(e) if p == 0.5 else e**p) / d_dsl)
-                      for e in eps]
-            mus_rig.append([s / e for s, e in zip(sig, eps)])
-            sig_emp.append([m * e for m, e in zip(mu_emp, eps)])
-        sig_rig.append(sig)
+            tree = Serial([Leaf(Dashpot(d_dif)), Leaf(PowerLaw(d_dsl, n))])
+            sig = [hi for _, hi, _ in tree._walk(eps)]
+        p = 1.0 - 1.0 / n
+        mu_emp = [1.0 / (1.0 / d_dif + (math.sqrt(e) if p == 0.5 else e**p) / d_dsl)
+                  for e in eps]
+        mus_rig.append([s / e for s, e in zip(sig, eps)])
         mus_emp.append(mu_emp)
+        sig_rig.append(sig)
+        sig_emp.append([m * e for m, e in zip(mu_emp, eps)])
     return mus_rig, mus_emp, sig_rig, sig_emp
 
 
@@ -192,8 +180,6 @@ def cmd_compare(args) -> int:
     if args.eps_min <= 0:
         raise InvalidInputError("compare needs eps_min > 0")
     eps = _eps_grid(args.eps_min, args.eps_max, args.samples)
-    if args.samples * (1 + sum(n not in (1, 2, 3, math.inf) for n in n_list)) > WALK_RATES:
-        eps = np.asarray(eps)
     columns = compare_columns(args.d_dif, args.d_dsl, n_list, eps)
     header = [f"{name}_{_n_suffix(n)}" for name in ("mu_rig", "mu_emp", "sig_rig", "sig_emp")
               for n in n_list]

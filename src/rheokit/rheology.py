@@ -557,14 +557,15 @@ def mu_eff_formula(formula, params: Sequence, eps):
                 params[i] = _number(x, name)
     eps, scalar_in = _rates(eps, "eps", positive=True)
 
-    if formula is Formula.EMP_HARMONIC_GENERAL:  # warns: 1/mu past the float range loses mu
+    if formula is Formula.EMP_HARMONIC_GENERAL:
         (mus,) = params
         if not mus:
             raise InvalidInputError("EMP_HARMONIC_GENERAL needs at least one viscosity")
-        inv = np.zeros_like(eps)
-        for mu in mus:
-            inv = inv + 1.0 / np.asarray(mu(eps), dtype=float)
-        out = 1.0 / inv
+        mus = [np.asarray(mu(eps), dtype=float) for mu in mus]
+        # m / sum(m / mu_i), m the largest power of two up to the least mu_i at each rate, as
+        # harmonic_mean_linear: no term overflows, and where every 1/mu_i is normal, same bits
+        m = np.ldexp(0.5, np.frexp(reduce(np.minimum, mus))[1])
+        out = m / sum((m / mu for mu in mus), np.zeros_like(eps))
     with np.errstate(over="ignore"):  # a term past the float range is inf; its min or sum is right
         if formula is Formula.VP_MIN:
             sigma_a, d = params

@@ -621,9 +621,10 @@ def test_simulate_and_dump_model_never_load_numpy(tmp_path):
 
 
 def test_longer_or_deeper_curves_load_numpy(tmp_path):
-    """A ``curve`` of 65 rates on a tree whose solves nest two, three or four deep is
-    evaluated as arrays, and so loads numpy; each runs in its own interpreter.  At 64
-    rates the trees of solve depth three and four walk on floats and never load it."""
+    """A ``curve`` of ``FLOAT_RATES`` + 1 rates on a tree whose solves nest two, three or
+    four deep is evaluated as arrays, and so loads numpy; each runs in its own interpreter.
+    At ``FLOAT_RATES`` rates the trees of solve depth three and four walk on floats and
+    never load it."""
     depth3 = {"node": "serial", "children": [
         {"node": "parallel", "children": [
             {"node": "serial", "children": [
@@ -635,15 +636,16 @@ def test_longer_or_deeper_curves_load_numpy(tmp_path):
                 depth4, {"node": "leaf", "potential": {"kind": "powerlaw", "D": 1.5, "n": 2.0}},
                 {"node": "leaf", "potential": {"kind": "plastic", "sigma_a": 0.5}}]},
             {"node": "leaf", "potential": {"kind": "powerlaw", "D": 0.7, "n": 4.0}}]}
-    walked = _fresh_runs([_curve_argv(tmp_path, f"{name}-64", doc, 64)
+    rates = cli.FLOAT_RATES
+    walked = _fresh_runs([_curve_argv(tmp_path, f"{name}-walk", doc, rates)
                           for name, doc in (("deep", depth3), ("deeper", depth4))])
     assert [loaded for _, loaded in walked] == [[]] * 2
     for name in ("deep", "deeper"):
-        assert len((tmp_path / f"{name}-64.csv").read_text().splitlines()) == 65
+        assert len((tmp_path / f"{name}-walk.csv").read_text().splitlines()) == rates + 1
     for name, doc in (("long", _depth2(1e7)), ("deep", depth3), ("deeper", depth4)):
-        (_, loaded), = _fresh_runs([_curve_argv(tmp_path, name, doc, 65)])
+        (_, loaded), = _fresh_runs([_curve_argv(tmp_path, name, doc, rates + 1)])
         assert "numpy" in loaded, name
-        assert len((tmp_path / f"{name}.csv").read_text().splitlines()) == 66
+        assert len((tmp_path / f"{name}.csv").read_text().splitlines()) == rates + 2
 
 
 def test_wide_shallow_curves_never_load_numpy(tmp_path, monkeypatch):
@@ -670,17 +672,20 @@ def test_wide_shallow_curves_never_load_numpy(tmp_path, monkeypatch):
 
 
 def test_cli_commands_load_only_the_code_they_run(tmp_path):
-    """No CLI command compiles ``convex_core``'s transforms, and ``compare`` of at most
-    ``WALK_RATES`` rows never loads numpy: the fig6 preset, a 7,000-row geoscale
-    comparison whose n = 3.5 column is a tree walk, ``curve --dump-model``, a short
-    ``curve`` and a ``simulate``, in one fresh interpreter."""
-    geo, out = tmp_path / "geo.csv", str(tmp_path / "out.csv")
+    """No CLI command compiles ``convex_core``'s transforms, and ``compare`` never loads
+    numpy, whatever its size: the fig6 preset, a 7,000-row geoscale comparison whose
+    n = 3.5 column is a tree walk, the same exponents and the fig6 ones at 16,385 rows (past
+    ``WALK_RATES``), ``curve --dump-model``, a short ``curve`` and a ``simulate``, in one fresh
+    interpreter."""
+    geo, wide, out = tmp_path / "geo.csv", tmp_path / "wide.csv", str(tmp_path / "out.csv")
     leaf = tmp_path / "leaf.json"
     leaf.write_text(json.dumps(_D), encoding="utf-8")
     (tmp_path / "sim").mkdir()
     cases = [["compare", "--preset", "fig6", "--out", out],
              ["compare", "--d-dif", "1e21", "--d-dsl", "1e9", "--n-list", "2,3,3.5,inf",
               "--eps-min", "1e-18", "--eps-max", "1e-10", "--samples", "7000", "--out", str(geo)],
+             ["compare", "--n-list", "2,3,3.5,inf", "--samples", "16385", "--out", str(wide)],
+             ["compare", "--preset", "fig6", "--samples", "16385", "--out", out],
              ["curve", "--model", str(leaf), "--dump-model", "--out", out],
              _curve_argv(tmp_path, "short", _depth2(1e7), 64),
              _simulate_argv(tmp_path / "sim", *_MIXES[0], "geo")]
@@ -688,6 +693,7 @@ def test_cli_commands_load_only_the_code_they_run(tmp_path):
     assert [loaded for _, loaded in runs] == [[]] * len(cases)
     lines = geo.read_text().splitlines()
     assert len(lines) == 7001 and lines[0].count("n3.5") == 4
+    assert len(wide.read_text().splitlines()) == 16386
 
 
 @pytest.mark.parametrize("args", [(0.0, 1.0, 10**400), (0.0, "1", 0.1), (0.0, 1.0, "0.1"),

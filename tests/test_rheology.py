@@ -779,6 +779,26 @@ def test_closed_forms_past_the_float_range_keep_their_value_and_do_not_warn():
         assert harmonic_mean_linear(ds) == 1.0 / sum(1.0 / d for d in ds), ds
 
 
+def test_emp_harmonic_general_keeps_a_subnormal_viscosity():
+    """``EMP_HARMONIC_GENERAL`` scales the viscosities at each rate as ``harmonic_mean_linear``
+    scales its moduli: a subnormal viscosity next to 1.0 gives the subnormal, with no numpy
+    warning, and where every ``1 / mu_i`` is a normal float (viscosities over 1e+-150) the
+    bits are those of ``1 / sum(1 / mu_i)``."""
+    mus = [lambda e: 5e-324 + 0 * e, lambda e: 1.0 + 0 * e]
+    assert mu_eff_formula("emp_harmonic_general", (mus,), 1.0) == 5e-324
+    got = mu_eff_formula("emp_harmonic_general", ([lambda e: 1e-310 / e, lambda e: 3.0],),
+                         [1.0, 2.0, 4.0])
+    assert got.tolist() == [1e-310, 5e-311, 2.5e-311]
+    rng = np.random.default_rng(28)
+    eps = np.linspace(0.5, 4.0, 8)
+    for _ in range(500):
+        table = 10.0 ** rng.uniform(-150.0, 150.0, (int(rng.integers(1, 6)), eps.size))
+        mus = [lambda e, row=row: row * e for row in table]
+        want = 1.0 / sum((1.0 / (row * eps) for row in table), np.zeros_like(eps))
+        got = mu_eff_formula(Formula.EMP_HARMONIC_GENERAL, (mus,), eps)
+        assert got.tobytes() == want.tobytes(), table
+
+
 def test_shear_thinning_of_plastic_dashpot_models():
     rng = np.random.default_rng(11)
     eps = np.linspace(0.02, 10.0, 200)

@@ -14,7 +14,15 @@ import rheokit.rheology as rheology
 from rheokit.errors import NonConvergenceError, SchemaError
 from rheokit.convex_core import SampledFunction
 from rheokit.potentials import Dashpot, Huber, PerfectPlastic, PowerLaw, Sampled
-from rheokit.rheology import Leaf, Parallel, Serial, stress_curve
+from rheokit.rheology import (
+    Formula,
+    Leaf,
+    Parallel,
+    Serial,
+    mu_eff_formula,
+    serial_dif_dsl_stress,
+    stress_curve,
+)
 from rheokit.schema import (
     dump_model,
     dump_simulation,
@@ -275,7 +283,7 @@ def test_compare_rejects_bad_n(tmp_path):
 
 
 @pytest.mark.parametrize("n_list", ["2,inf", "2.5"])
-@pytest.mark.parametrize("samples", [3, cli.WALK_RATES + 1])  # the float and array paths
+@pytest.mark.parametrize("samples", [3, cli.WALK_RATES + 1])
 @pytest.mark.parametrize("option, value, got", [("--d-dif", "inf", "inf"),
                                                 ("--d-dsl", "1e400", "inf"),
                                                 ("--d-dif", "nan", "nan"),
@@ -283,7 +291,7 @@ def test_compare_rejects_bad_n(tmp_path):
 def test_compare_checks_its_moduli_with_the_number_rule(tmp_path, capsys, n_list, samples,
                                                         option, value, got):
     """An infinite, overflowing, NaN or negative modulus exits 2 with the number rule's one
-    message, naming the option, whatever the exponents and on either side of ``WALK_RATES``."""
+    message, naming the option, whatever the exponents and the grid's size."""
     out = tmp_path / "out.csv"
     argv = ["compare", "--n-list", n_list, "--samples", str(samples), option, value,
             "--out", str(out)]
@@ -311,17 +319,44 @@ def test_compare_far_from_unit_moduli(tmp_path):
     assert np.all(np.isfinite(rows))
 
 
-def test_compare_past_the_float_range_warns_on_neither_path(tmp_path, monkeypatch):
-    """Moduli and rates 600 decades apart, where ``VP_MIN``'s ``D_dsl / eps`` overflows: on
-    arrays (past ``WALK_RATES``) as on floats, compare prints no numpy warning (an error
-    under the test settings), and the two paths agree."""
-    argv = ["compare", "--d-dsl", "1e300", "--eps-min", "1e-300", "--eps-max", "1e-299",
-            "--samples", "200", "--out"]
-    assert cli.main(argv + [str(tmp_path / "float.csv")]) == 0
-    monkeypatch.setattr(cli, "WALK_RATES", 0)
-    assert cli.main(argv + [str(tmp_path / "array.csv")]) == 0
-    (_, f), (_, a) = (read_csv(str(tmp_path / f"{name}.csv")) for name in ("float", "array"))
-    assert np.all((f == a) | (np.abs(f - a) <= 1e-13 * np.abs(a)))
+def _compare_on_arrays(d_dif=1.0, d_dsl=1.0, n_list=(2.0, 3.0, math.inf), eps_min=3.4 / 200.0,
+                       eps_max=3.4, samples=200):
+    """``compare``'s CSV built from the library's array forms on its grid, the fig6 values
+    unless given: ``serial_dif_dsl_stress`` (closed for n in {1, 2, 3}, else numeric),
+    ``VP_MIN`` for n = inf and ``EMP_DIF_DSL``.  The reference for the float columns."""
+    eps = np.linspace(eps_min, eps_max, samples)
+    sig_rig = [eps * mu_eff_formula(Formula.VP_MIN, (d_dsl, d_dif), eps) if math.isinf(n) else
+               serial_dif_dsl_stress(d_dif, d_dsl, n, eps,
+                                     mode="closed" if n in (1, 2, 3) else "numeric")
+               for n in n_list]
+    mu_emp = [mu_eff_formula(Formula.EMP_DIF_DSL, (d_dif, d_dsl, n), eps) for n in n_list]
+    header = [f"{name}_{cli._n_suffix(n)}" for name in ("mu_rig", "mu_emp", "sig_rig", "sig_emp")
+              for n in n_list]
+    return cli._csv(["eps", *header], [eps, *(s / eps for s in sig_rig), *mu_emp, *sig_rig,
+                                       *(m * eps for m in mu_emp)])
+
+
+def _assert_csv_agrees(got, want):
+    """Two CSV texts with one header and one eps column, byte for byte, and every other
+    column within 1e-13 relative."""
+    (head_g, *rows_g), (head_w, *rows_w) = got.splitlines(), want.splitlines()
+    (eps_g, *rest_g), (eps_w, *rest_w) = (list(zip(*(ln.split(",") for ln in rows)))
+                                          for rows in (rows_g, rows_w))
+    assert head_g == head_w and eps_g == eps_w and len(rest_g) == len(rest_w)
+    for g, w in zip(rest_g, rest_w):
+        g, w = np.array(g, dtype=float), np.array(w, dtype=float)
+        assert np.all((g == w) | (np.abs(g - w) <= 1e-13 * np.abs(w))), (g, w)
+
+
+def test_compare_past_the_float_range_warns_on_neither_path(tmp_path):
+    """Moduli and rates 600 decades apart, where ``VP_MIN``'s ``D_dsl / eps`` overflows:
+    neither compare's float columns nor the library's array forms on the same grid give a
+    numpy warning (an error under the test settings), and the two agree."""
+    out = tmp_path / "float.csv"
+    assert cli.main(["compare", "--d-dsl", "1e300", "--eps-min", "1e-300", "--eps-max",
+                     "1e-299", "--samples", "200", "--out", str(out)]) == 0
+    _assert_csv_agrees(out.read_text(), _compare_on_arrays(d_dsl=1e300, eps_min=1e-300,
+                                                           eps_max=1e-299))
 
 
 def _per_cell_csv(header, columns):
@@ -424,20 +459,20 @@ def test_short_curves_on_floats_match_the_array_path(tmp_path, monkeypatch, S, R
     """A grid of at most ``FLOAT_RATES`` rates on a tree whose solves nest two deep
     runs on floats: its eps column is the array path's byte for
     byte, its viscosities and stresses agree with it to 1e-13 relative."""
-    model = write_json(tmp_path, "n.json", _nested(S, R))
+    model, rates = write_json(tmp_path, "n.json", _nested(S, R)), cli.FLOAT_RATES
     argv = ["curve", "--model", model, "--eps-min", repr(eps_min), "--eps-max", repr(7.0 * R),
-            "--samples", str(cli.FLOAT_RATES)]
+            "--samples", str(rates)]
     arrays = []
     monkeypatch.setattr(cli, "stress_curve", lambda *a: arrays.append(1) or stress_curve(*a))
     columns = []
-    for rates in (cli.FLOAT_RATES, 0):  # the float path, then the array path
-        monkeypatch.setattr(cli, "FLOAT_RATES", rates)
-        out = tmp_path / f"{rates}.csv"
+    for cut in (rates, 0):  # the float path, then the array path
+        monkeypatch.setattr(cli, "FLOAT_RATES", cut)
+        out = tmp_path / f"{cut}.csv"
         assert cli.main(argv + ["--out", str(out)]) == 0
         columns.append(list(zip(*(ln.split(",") for ln in out.read_text().splitlines()[1:]))))
     assert len(arrays) == 1  # only the second run took the array path
     (eps_f, *rest_f), (eps_a, *rest_a) = columns
-    assert eps_f == eps_a and len(eps_f) == 64
+    assert eps_f == eps_a and len(eps_f) == rates
     for f, a in zip(rest_f, rest_a):
         f, a = np.array(f, dtype=float), np.array(a, dtype=float)
         assert np.all((f == a) | (np.abs(f - a) <= 1e-13 * np.abs(a))), (f, a)
@@ -460,17 +495,18 @@ def _deep_trees(S, R):
 @pytest.mark.parametrize("S, R", [(1.0, 1.0), (1e150, 1.0), (1e-150, 1.0), (1.0, 1e150),
                                   (1.0, 1e-150), (1e150, 1e-150)])
 def test_deep_curves_walk_and_match_the_array_path(tmp_path, monkeypatch, S, R):
-    """``curve`` walks trees of solve depth 3 and 4 on floats at ``FLOAT_RATES`` rates, and
-    its stresses and viscosities agree with ``stress_curve`` to 1e-13 relative, at unit
-    scale and with the stresses or the rates scaled by 1e+-150.  (With both far at once,
-    stresses at 1e-150 and rates at 1e150, the array path takes minutes on the chain.)"""
+    """``curve`` walks trees of solve depth 3 and 4 on floats at 64 rates (at most
+    ``FLOAT_RATES``; the array reference at far scales is slow past that), and its stresses
+    and viscosities agree with ``stress_curve`` to 1e-13 relative, at unit scale and with
+    the stresses or the rates scaled by 1e+-150.  (With both far at once, stresses at
+    1e-150 and rates at 1e150, the array path takes minutes on the chain.)"""
     arrays = []
     monkeypatch.setattr(cli, "stress_curve", lambda *a: arrays.append(1) or stress_curve(*a))
     for depth, tree in zip((3, 4), _deep_trees(S, R)):
         assert rheology._depth(tree) == depth
         model, out = write_json(tmp_path, "deep.json", dump_model(tree)), tmp_path / "deep.csv"
         assert cli.main(["curve", "--model", model, "--eps-min", "0", "--eps-max", repr(7.0 * R),
-                         "--samples", str(cli.FLOAT_RATES), "--out", str(out)]) == 0
+                         "--samples", "64", "--out", str(out)]) == 0
         eps, mu, sigma = np.loadtxt(out, delimiter=",", skiprows=1).T
         want = stress_curve(tree, eps)
         assert len(eps) == 64 and np.all(sigma[1:] > 0), depth
@@ -512,15 +548,15 @@ _PINNED = {"curve": "62e5dbbae7389bc61c3703646dd55c638228d04bdf49ebed0b56e239321
 
 
 def test_array_path_csv_is_pinned(tmp_path, monkeypatch):
+    """The curve through ``stress_curve``, and the fig6 comparison from the library's array
+    forms (``compare`` itself fills its columns on floats)."""
     monkeypatch.setattr(cli, "WALK_RATES", 0)
-    model = write_json(tmp_path, "w.json", _WIDE_CURVE)
-    runs = {"curve": ["curve", "--model", model, "--eps-min", "0", "--eps-max", "10",
-                      "--samples", "10000"],
-            "compare": ["compare", "--preset", "fig6"]}
-    for name, argv in runs.items():
-        out = tmp_path / f"{name}.csv"
-        assert cli.main(argv + ["--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED[name], name
+    out = tmp_path / "curve.csv"
+    assert cli.main(["curve", "--model", write_json(tmp_path, "w.json", _WIDE_CURVE),
+                     "--eps-min", "0", "--eps-max", "10", "--samples", "10000",
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED["curve"]
+    assert hashlib.sha256(_compare_on_arrays().encode()).hexdigest() == _PINNED["compare"]
 
 
 # SHA-256 of the same 10,000-rate curve walked on floats, pinned when ``curve`` took
@@ -554,44 +590,33 @@ _COMPARE_FLOAT_PINNED = "6acd4d046e35d0dde8b90dadca4f45e9d035e7ee4d90b001238b056
 
 
 def test_compare_float_csv_is_pinned_and_matches_the_array_path(tmp_path, monkeypatch):
-    """The fig6 comparison on floats: pinned, its eps column the array path's byte for
-    byte, and its viscosities and stresses within 1e-13 relative of the array path's."""
-    argv = ["compare", "--preset", "fig6", "--out"]
+    """The fig6 comparison on floats: pinned, its eps column that of the library's array
+    forms byte for byte, and its viscosities and stresses within 1e-13 relative of theirs."""
     for name in ("serial_dif_dsl_stress", "mu_eff_formula"):
-        monkeypatch.setattr(cli, name, None)  # the array path would fail
-    assert cli.main(argv + [str(tmp_path / "float.csv")]) == 0
-    assert hashlib.sha256((tmp_path / "float.csv").read_bytes()).hexdigest() == \
-        _COMPARE_FLOAT_PINNED
-    monkeypatch.undo()
-    monkeypatch.setattr(cli, "WALK_RATES", 0)
-    assert cli.main(argv + [str(tmp_path / "array.csv")]) == 0
-    (head_f, *rows_f), (head_a, *rows_a) = (
-        (tmp_path / f"{name}.csv").read_text().splitlines() for name in ("float", "array"))
-    (eps_f, *rest_f), (eps_a, *rest_a) = (list(zip(*(ln.split(",") for ln in rows)))
-                                          for rows in (rows_f, rows_a))
-    assert head_f == head_a and eps_f == eps_a and len(eps_f) == 200 and len(rest_f) == 12
-    for f, a in zip(rest_f, rest_a):
-        f, a = np.array(f, dtype=float), np.array(a, dtype=float)
-        assert np.all((f == a) | (np.abs(f - a) <= 1e-13 * np.abs(a))), (f, a)
+        monkeypatch.setattr(cli, name, None)  # an array formula would fail
+    out = tmp_path / "float.csv"
+    assert cli.main(["compare", "--preset", "fig6", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _COMPARE_FLOAT_PINNED
+    assert len(out.read_text().splitlines()) == 201
+    _assert_csv_agrees(out.read_text(), _compare_on_arrays())
 
 
-def test_compare_past_walk_rates_takes_the_array_path(tmp_path, monkeypatch):
-    """``compare`` fills its columns on floats up to ``WALK_RATES`` rows, as ``curve``
-    walks, and on arrays past it; each column that walks a tree counts one more walk."""
-    calls = []
-    formula = cli.mu_eff_formula
-    monkeypatch.setattr(cli, "mu_eff_formula", lambda *a: calls.append(1) or formula(*a))
+def test_compare_fills_its_columns_on_floats_at_any_size(tmp_path, monkeypatch):
+    """``compare`` fills every column on floats, with or without walked columns (n not in
+    {1, 2, 3, inf}), up to ``WALK_RATES`` rows times one plus those columns and past it,
+    and agrees with the library's array forms to 1e-13 relative."""
+    for name in ("serial_dif_dsl_stress", "mu_eff_formula"):
+        monkeypatch.setattr(cli, name, None)  # an array formula would fail
     half = cli.WALK_RATES // 2
-    for n_list, samples, array in (("2,3,inf", cli.WALK_RATES, False),
-                                   ("2,3,inf", cli.WALK_RATES + 1, True),
-                                   ("2,3,3.5,inf", half, False), ("2,3,3.5,inf", half + 1, True)):
-        calls.clear()
+    for n_list, samples in (("2,3,inf", cli.WALK_RATES), ("2,3,inf", cli.WALK_RATES + 1),
+                            ("2,3,3.5,inf", half), ("2,3,3.5,inf", half + 1)):
         out = tmp_path / f"{samples}.csv"
         argv = ["compare", "--preset", "fig6", "--n-list", n_list, "--samples", str(samples),
                 "--out", str(out)]
-        assert cli.main(argv) == 0
-        assert bool(calls) == array, (n_list, samples)
+        assert cli.main(argv) == 0, (n_list, samples)
         assert len(out.read_text().splitlines()) == samples + 1
+        _assert_csv_agrees(out.read_text(), _compare_on_arrays(
+            n_list=[float(n) for n in n_list.split(",")], samples=samples))
 
 
 # SHA-256 of four outputs of the float path (64 rates with a rest row, on the two
