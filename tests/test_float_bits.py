@@ -1,0 +1,176 @@
+"""Every bit of the float path, hashed on seeded random trees and Maxwell runs.
+
+For each stress/rate scale, seeded trees whose float solves nest 0 to 3 deep, over every
+element kind, give their ``_walk`` rows along an ascending grid from rest, and
+``stress_of_strain_rate`` and ``strain_rate_of_stress`` at three points each; seeded
+element lists give the rows of a 200-step ``simulate`` run.  A SHA-256 over ``float.hex``
+of all of them (a typed error by its name) is pinned, as is the number of trees skipped:
+a tree whose outputs take more than ``_BUDGET`` leaf float-kernel calls, counted on a copy
+of it whose leaves count their calls, is left out.  Like the CSV pins in
+``test_schema_cli.py``, the hashes read the platform's libm (``pow``, ``log1p``, ``expm1``).
+"""
+
+import hashlib
+import random
+
+import numpy as np
+import pytest
+
+from rheokit.convex_core import SampledFunction
+from rheokit.errors import NonConvergenceError
+from rheokit.maxwell0d import DriveProgram, MaxwellModel, simulate
+from rheokit.potentials import Dashpot, Huber, PerfectPlastic, PowerLaw, QuadPlusBall, Sampled
+from rheokit.rheology import (Leaf, Parallel, Serial, _depth, strain_rate_of_stress,
+                              stress_of_strain_rate)
+
+_BUDGET = 20_000
+_TREES = 15  # per solve depth 0-3, at each scale
+_RUNS = 10  # simulate runs, at each scale
+_KINDS = "DPWHQS"  # dashpot, plastic, power law, Huber, QuadPlusBall, Sampled
+
+# (stress scale, rate scale): (SHA-256, trees skipped), taken while each float solve ran
+# through one shared interpreted finder, before it was generated per node
+_FLOAT_BITS_PINNED = {
+    (1.0, 1.0): ("87db90fc9720602c73ac4164f0bca35918164ccb26e3d8b3f7bd78ca3d0d06b2", 2),
+    (1e3, 1e-3): ("e252d94dba64b0dcfb41379f585fffd1156b62ceae47fbf9ba6b8f05533eb829", 2),
+    (1e7, 1e-14): ("acba5e62030f07e77936b51a97f5f682398ff2e059b8a8989baa50b131e88250", 5),
+    (1e150, 1e-150): ("4573a08cf982cc09117bd038dcc07c3ed565c24d3fc435d0d5fcf43e36c0fcb0", 5),
+}
+
+
+class _OverBudget(Exception):
+    pass
+
+
+def _element(rng, kind, S, R):
+    """One element of ``kind`` with unit-order moduli, its stresses scaled by ``S`` and its
+    rates by ``R``."""
+    mod = lambda: 10.0 ** rng.uniform(-1.0, 1.0)  # noqa: E731
+    if kind == "D":
+        return Dashpot(mod() * S / R)
+    if kind == "P":
+        return PerfectPlastic(mod() * S)
+    if kind == "W":
+        n = rng.choice((1.5, 2.5, 3.5, 4.5, rng.uniform(1.2, 6.0)))
+        return PowerLaw(mod() * S / R ** (1.0 / n), n)
+    if kind == "H":
+        return Huber(mod() * S, mod() * S / R)
+    if kind == "Q":  # a stress law up to a largest rate, where it turns vertical
+        return QuadPlusBall(mod() * S / R, mod() * R)
+    u = np.linspace(0.0, 10.0, 17)
+    return Sampled(SampledFunction.from_samples(u * R, (0.3 * u**2 + 0.1 * u**3) * mod() * S * R))
+
+
+def _recipe(rng, depth, S, R):
+    """A tree as nested ``(kind, children)`` with its elements, ``depth`` levels deep."""
+    if depth == 0:
+        kind = rng.choice(_KINDS[:5] if rng.random() < 0.9 else _KINDS)
+        return ("leaf", _element(rng, kind, S, R))
+    kids = [_recipe(rng, depth - 1 if i == 0 else rng.randint(0, depth - 1), S, R)
+            for i in range(rng.randint(2, 3))]
+    if rng.random() < 0.5:
+        return ("parallel", kids)
+    return ("serial", kids + [("leaf", _element(rng, rng.choice("DW"), S, R))])
+
+
+def _build(recipe, calls=None):
+    """The tree of ``recipe``; with ``calls``, its leaves count their float-kernel calls in
+    ``calls[0]`` before any parent binds them, and raise :class:`_OverBudget` past it."""
+    kind, body = recipe
+    if kind == "parallel":
+        return Parallel([_build(r, calls) for r in body])
+    if kind == "serial":
+        return Serial([_build(r, calls) for r in body])
+    leaf = Leaf(body)
+    if calls is not None:
+        def counted(f):
+            def law(x):
+                calls[0] += 1
+                if calls[0] > _BUDGET:
+                    raise _OverBudget
+                return f(x)
+
+            return law
+
+        flow, stress = counted(leaf._float_flow), counted(leaf._float_stress)
+        leaf.__dict__.update(_float_flow=flow, _float_stress=stress,
+                             _walk=lambda eps: list(map(stress, eps)))
+    return leaf
+
+
+def _hex(rows):
+    return [x.hex() for row in rows for x in row]
+
+
+def _outputs(tree, grid, rates, stresses):
+    out = []
+    for f, xs in ((tree._walk, [grid]), (lambda x: [_iv(stress_of_strain_rate(tree, x))], rates),
+                  (lambda x: [_iv(strain_rate_of_stress(tree, x))], stresses)):
+        for x in xs:
+            try:
+                out += _hex(f(x))
+            except NonConvergenceError as exc:
+                out.append(type(exc).__name__)
+    return out
+
+
+def _iv(iv):
+    return (iv.lo, iv.hi)
+
+
+def _trees(S, R, seed):
+    """``_TREES`` recipes of each solve depth 0-3, with a grid, three rates and three
+    stresses each."""
+    rng, want, got = random.Random(seed), {d: _TREES for d in range(4)}, []
+    while any(want.values()):
+        recipe = _recipe(rng, rng.randint(0, 4), S, R)
+        d = _depth(_build(recipe))
+        if want.get(d, 0):
+            want[d] -= 1
+            grid = [0.0] + sorted(rng.uniform(1e-3, 10.0) * R for _ in range(12))
+            got.append((recipe, grid, [x * R for x in (0.05, 1.0, 7.0)],
+                        [x * S for x in (0.05, 1.0, 7.0)]))
+    return got
+
+
+def _runs(S, R, seed):
+    """``_RUNS`` 200-step load/hold/reverse runs on random element lists, as rows."""
+    rng, out = random.Random(seed), []
+    for _ in range(_RUNS):
+        kinds = [rng.choice(_KINDS[:5] if rng.random() < 0.9 else _KINDS)
+                 for _ in range(rng.randint(1, 4))]
+        E = 10.0 ** rng.uniform(-1.0, 1.0) * S
+        m = MaxwellModel(E, [_element(rng, k, S, R) for k in kinds])
+        dt, rate = rng.uniform(0.01, 0.1) / R, rng.uniform(0.2, 5.0) * R
+        drive = DriveProgram([(70 * dt, rate), (130 * dt, 0.0), (float("inf"), -rate)])
+        try:
+            out += _hex(zip(*simulate(m, drive, dt, 200 * dt).columns))
+        except NonConvergenceError as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+def _float_bits(S, R):
+    """The SHA-256 and the number of trees skipped at the scale ``(S, R)``."""
+    seed = list(_FLOAT_BITS_PINNED).index((S, R))
+    h, skipped = hashlib.sha256(), 0
+    with np.errstate(all="ignore"):  # Sampled's float kernels set their own state
+        for recipe, *args in _trees(S, R, 2900 + seed):
+            try:
+                counted = _outputs(_build(recipe, [0]), *args)
+            except _OverBudget:
+                skipped += 1
+                continue
+            plain = _outputs(_build(recipe), *args)
+            assert plain == counted
+            h.update(" ".join(plain).encode() + b"\n")
+        h.update(" ".join(_runs(S, R, 2950 + seed)).encode())
+    return h.hexdigest(), skipped
+
+
+@pytest.mark.parametrize("S, R", list(_FLOAT_BITS_PINNED))
+def test_float_path_bits_are_pinned(S, R):
+    """The float path's bits on random trees and Maxwell runs, and the trees skipped, are
+    those pinned; each tree's outputs are the same bits on a copy that calls every leaf's
+    float kernels through a counting wrapper."""
+    assert _float_bits(S, R) == _FLOAT_BITS_PINNED[S, R]
