@@ -80,19 +80,11 @@ class _Graph(Record):
                 rows.append((x, y, dx, dy, dy / dx, ps[k + 1][1] if flat else None, lo))
         return rows, [r[0] for r in rows[1:]]
 
-    def _at(self, x: float, rest=True):
-        """:meth:`__call__` at a Python float, in Python floats; ``rest`` by default, as a flow."""
-        rows, starts = self._rows
-        x0, y0, dx, dy, s, cap, lo = rows[bisect_right(starts, x)]
-        y = y0 + (x - x0) * dy / dx if dy else y0
-        if cap is not None and not y < cap:
-            y, s = cap, 0.0
-        return (lo, lo if rest and not x else y, _INF) if x == x0 and lo < y0 else (y, y, s)
-
     def __call__(self, x, rest=False):
-        """``(lo, hi, slope)`` at ``x >= 0``; ``rest`` reads only ``lo`` at ``x = 0``."""
+        """``(lo, hi, slope)`` at ``x >= 0``; ``rest`` reads only ``lo`` at ``x = 0``.  At a scalar,
+        Python floats; the kinds' float kernels run the rows as source (``potentials._GRAPH``)."""
         if not isinstance(x, np.ndarray):
-            return self._at(float(x), rest)
+            return tuple(map(float, self(np.asarray(float(x)), rest)))
         for k, (x0, y0, dx, dy, s, cap, _) in enumerate(self._rows[0]):
             v, ds = y0, s  # a constant stays a scalar until the end
             if dy:  # y0 + (x - x0) * dy / dx, less the exact identities

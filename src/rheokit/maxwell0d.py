@@ -14,9 +14,9 @@ floats only, for the stress in ``[0, min(E |trial|, cap)]``, ``cap`` the
 tightest stress supremum of the elements (a plastic constraint ``|sigma| <=
 sigma_a``), with the tree solves' scale-free root finder: from just below that
 upper end, or in :func:`simulate` from the finder's warm start off the last
-point the step before read.  A run binds the step and its residual once, over
-the run's state (that point, the target, the step length), so a step builds no
-closure and reads no attribute of the model.  A step that reaches the cap
+point the step before read.  A run's step is one function generated from the
+finder's template with the parts' kernels inlined, over cells of the run's
+state, so a step builds no closure and reads no attribute of the model.  A step that reaches the cap
 stops there with no clamp: the radial return map, the exact resolution of the
 differential inclusion for this scalar model.  :func:`simulate` puts row k at
 ``k * dt`` and its last row at ``t_end`` exactly, collects the rows as Python
@@ -34,7 +34,7 @@ from ._numpy import np
 from ._record import Record
 from .errors import InvalidInputError
 from .potentials import Potential, _number
-from .rheology import Leaf, _bind, _root_scalar
+from .rheology import Leaf, _bind, _generate
 
 __all__ = [
     "MaxwellModel",
@@ -95,27 +95,30 @@ class DriveProgram(Record):
         return next((eps for t_end, eps in self.segments if t <= t_end), 0.0)
 
 
-class _Run:  # a model's step bound once, over cells of the run's state: no reference cycle
+# A run's step, from the tree solves' finder: for the stress in ``[0, min(E |trial|, cap)]``, warm
+# from the last point the step before read, kept in cells (stress ``x``, flow ``f``, slope ``d``).
+_STEP = """\
+def make(E, sup, c, rtol, CELLS):
+    half, x, f, d = 0.5 * rtol, 0.0, 0.0, 0.0
+    def step(e_el, eps, h):
+        nonlocal x, f, d
+        trial = e_el + h * eps
+        t = target = abs(trial)
+        cap, lo, g, dr = min(E * t, sup), 0.0, x / E + h * f, c + h * d
+        FINDER
+        e = min(hi / E, t)
+        return e if trial >= 0 else -e
+    return step
+"""
+
+
+class _Run:  # a model's step generated once, over cells of the run's state: no reference cycle
     __slots__ = ("step",)
 
     def __init__(self, m):
-        E, sup, flow, c = m.E, m._sup, m._float_flow, 1.0 / m.E  # c: the compliance
-        x = f = d = t = h = 0.0  # the last point read (stress, flow, slope), target, step
-
-        def residual(s):
-            nonlocal x, f, d
-            x, (_, f, d) = s, flow(s)
-            return s / E - t + h * f, c + h * d
-
-        def step(e_el, eps, dt):
-            nonlocal t, h
-            trial = e_el + dt * eps
-            t, h = abs(trial), dt
-            e = min(_root_scalar(residual, t, min(E * t, sup), _STEP_RTOL, 0.0,
-                                 x, x / E + h * f, c + h * d) / E, t)
-            return e if trial >= 0 else -e
-
-        self.step = step
+        flow, residual = m._float_flow, "f, d = SUM_H, SUM_D\nr, dr = x / E - t + h * f, c + h * d"
+        self.step = _generate("solve maxwell", _STEP, residual, getattr(flow, "_laws", (flow,)),
+                              m.E, m._sup, 1.0 / m.E, _STEP_RTOL)  # a sum keeps its parts' laws
 
 
 def _column(i):
@@ -157,11 +160,11 @@ def step(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
 
     Solves ``x = e_el + dt * (eps - sum_i flow_i(E x))``, signed like the trial
     ``e_el + dt * eps``, for the stress ``E |x|`` with the tree solves' finder
-    ``rheology._root_scalar``, to ``1e-15`` of itself; ``cap / E`` when the stress
-    stops at the cap.  The residual reads the model's float kernel: no numpy scalar
-    and no floating-point error state.  A run (``_Run``) binds the step once to the model's
-    laws: a model gets a fresh run each call, so its first probe is just below ``min(E t,
-    cap)`` and it keeps no history; :func:`simulate` steps one run, each step but the first
+    ``rheology._FINDER``, to ``1e-15`` of itself; ``cap / E`` when the stress
+    stops at the cap.  The residual reads the model's float kernels: no numpy scalar
+    and no floating-point error state.  A run (``_Run``) generates the step once from the
+    model's laws: a model gets a fresh run each call, so its first probe is just below ``min(E
+    t, cap)`` and it keeps no history; :func:`simulate` steps one run, each step but the first
     handing the finder the last point the step before read, for its warm start.
     """
     if not type(e_el) is type(eps) is type(dt) is float:  # floats skip the number rule

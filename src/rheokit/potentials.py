@@ -16,7 +16,9 @@ Sampled(f)             grid data, numeric fallbacks
 
 Each kind subclasses :class:`Potential` and carries its own laws.  The
 polyline kinds (Dashpot, PerfectPlastic, Huber, QuadPlusBall) declare
-only their stress law's graph and read their kernels from it.
+only their stress law's graph and read their kernels from it.  The float
+kernels of the polyline and power-law kinds are snippets of source,
+``_GRAPH`` and ``_POWER``, that the generated float solves inline.
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ class Potential(Record):
     float64 array or numpy scalar they return ``(lo, hi, slope)``, the
     ends of the set-valued derivative and the slope of the upper end, +inf
     at a jump.  Callers set ``np.errstate``.  ``_float_flow()``, ``_float_stress()``:
-    each on one Python float, in Python floats, bit for bit, +inf on overflow, no raise.
+    each on one Python float, in Python floats, bit for bit, +inf on overflow, no raise;
+    one that carries ``_inline`` (:class:`_Kernel`) runs inline in a generated solve.
     ``kind`` names the element in model documents (None: not representable);
     ``_graph`` is the stress law as a polyline, None where it is not one.
     """
@@ -150,17 +153,47 @@ class _GraphLaw(Potential):
         return self._graph.T(sig, rest=True)  # zero rate at zero stress
 
     def _float_flow(self):
-        return self._graph.T._at  # with rest, as flow
+        return _Kernel(_GRAPH, *self._graph.T._rows, True)  # with rest, as flow
 
     def _float_stress(self):
-        at = self._graph._at
-        return lambda r: at(r, False)
+        return _Kernel(_GRAPH, *self._graph._rows, False)
 
     def _feat(self):
         return self._graph.feat
 
     def stress_sup(self):
         return self._graph.sup
+
+
+class _Kernel:
+    """A float kernel given as a snippet ``spec = (kind, cell names, source)`` over ``cells``: a
+    generated solve inlines it (``_inline``), and a call runs it as a law of one part, generated
+    at the first call.  From ``x`` part ``i`` sets its law's ends ``l{i}, h{i}`` and slope ``d{i}``."""
+
+    __slots__ = ("_inline", "_law")
+
+    def __init__(self, spec, *cells):
+        self._inline, self._law = (spec, cells), None
+
+    def __call__(self, x):
+        if self._law is None:
+            from .rheology import _LAW, _generate
+            self._law = _generate("law", _LAW, "", [self])
+        return self._law(x)
+
+
+# The graph's rows at ``x`` (:meth:`_graph._Graph._rows`): ``y0 + (x - x0) * dy / dx``, capped at
+# the level of a flat it runs into, and at a jump its ends, the lower one at rest if ``rest``.
+_GRAPH = ("graph", "rows starts rest", """\
+x0, y0, dx, dy, d{i}, k, l{i} = rows{i}[bisect_right(starts{i}, x)]
+h{i} = y0 + (x - x0) * dy / dx if dy else y0
+if k is not None and not h{i} < k:
+    h{i}, d{i} = k, 0.0
+if x == x0 and l{i} < y0:
+    h{i}, d{i} = l{i} if rest{i} and not x else h{i}, inf
+else:
+    l{i} = h{i}
+""")
 
 
 class _Polyline(_GraphLaw):
@@ -203,11 +236,31 @@ class PerfectPlastic(_GraphLaw):
         return QuadPlusBall(0.0, self.sigma_a)
 
 
+_POWER = ("powerlaw", "a b p q r c", """\
+w = x / a{i}
+try:
+    h{i} = b{i} * w**p{i}
+except OverflowError:  # w**p past the floats, b * w**p maybe not
+    try:
+        h{i} = (w * b{i}**r{i}) ** p{i}
+    except OverflowError:
+        h{i} = inf
+try:
+    d{i} = c{i} * w**q{i}
+except OverflowError:  # w**q past the floats, the slope c * w**q = p * h / x maybe not
+    d{i} = h{i} / x * p{i}
+except ZeroDivisionError:
+    d{i} = c{i} * inf
+l{i} = h{i}
+""")
+
+
 def _power_kernel(a, b, p, c, arrays=False):
     """A power law either way: ``v -> (x, x, c * u**(p - 1))``, ``u = v / a``, ``x = b * u**p``
     (``a`` or ``b`` of 1 moves no bit), ``(u * b**(1/p))**p`` where ``u**p`` overflows, and the
     slope ``p * x / v`` (``c = p * b / a``) where ``u**(p - 1)`` does; +inf where those overflow or
-    ** raises 0 to a power < 0.  On Python floats, or numpy's, with no warning."""
+    ** raises 0 to a power < 0.  On Python floats as the snippet :data:`_POWER`, or on numpy's,
+    with no warning."""
     q, r = p - 1.0, 1.0 / p
     def on_arrays(v):
         with np.errstate(all="ignore"):
@@ -219,23 +272,8 @@ def _power_kernel(a, b, p, c, arrays=False):
             if np.any(past := (g == math.inf) & (0.0 < u) & (u < math.inf)):
                 s = np.where(past, x / v * p, s)[()]
             return x, x, s
-    def kernel(v):
-        u = v / a
-        try:
-            x = b * u**p
-        except OverflowError:  # u**p past the floats, b * u**p maybe not
-            try:
-                x = (u * b**r) ** p
-            except OverflowError:
-                x = math.inf
-        try:
-            return x, x, c * u**q
-        except OverflowError:  # u**q past the floats, the slope c * u**q = p * x / v maybe not
-            return x, x, x / v * p
-        except ZeroDivisionError:
-            return x, x, c * math.inf
 
-    return on_arrays if arrays else kernel
+    return on_arrays if arrays else _Kernel(_POWER, a, b, p, q, r, c)
 
 
 class PowerLaw(Potential):

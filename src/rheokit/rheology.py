@@ -8,7 +8,7 @@ merge into one exact polyline leaf, so a subtree of them alone is one
 closed form.  Elsewhere ``strain_rate_of_stress`` (rates summed across
 a Serial node) and ``stress_of_strain_rate`` (stresses summed across a
 Parallel node) invert each other by one monotone root finder: on floats
-``_root_scalar`` (also the Maxwell step's), on arrays the same rules
+the template ``_FINDER`` (also the Maxwell step's), on arrays the same rules
 elementwise.  It takes safeguarded Newton steps in log-log coordinates
 inside a bracket that bisects the ordered bits of the floats, from a first
 probe just below a finite cap, else 1, so no solve depends on the unit
@@ -19,11 +19,12 @@ limit at rest.  Set-valued points are :class:`SubdiffInterval`; saturation
 (stress beyond a composite's attainable range) is a +inf marker, not an
 error.  Every node binds its laws, graph features and polyline graph once,
 when built: on numpy arrays (``stress_curve``), and on Python floats, never
-importing numpy, as one walk along ascending targets per inverting node, which
-starts each root solve after the first from the last one's lower bracket end
-and a log-log Newton step.  Scalar calls and nested solves walk one target,
-``curve`` a grid short enough for its depth.  On either path an inverting node
-reads its summed law at rest once, at its first solve, not when built.
+importing numpy, as a walk along ascending targets per inverting node, each
+solve after the first from the last one's lower end and a log-log Newton step,
+and its one-target entry, for scalar calls and nested solves.  The walk is one
+function generated at the first solve, polyline and power-law parts inlined
+from their kinds' snippets, and compiled once per shape (``_generate``).  On
+either path an inverting node reads its summed law at rest once.
 
 The module also provides the closed-form and empirical effective
 viscosity family (min-formulas, harmonic-mean variants, diffusion +
@@ -36,8 +37,11 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 import struct
+from bisect import bisect_right  # noqa: F401, and the math names below: read by generated code
 from functools import cache, reduce
+from math import exp, expm1, inf, log, log1p, nan, nextafter  # noqa: F401
 from typing import Sequence, Union
 
 from ._graph import SubdiffInterval, _graph_sum
@@ -157,9 +161,9 @@ def _bind(children, serial):
     ``_float_stress``, and ``_walk``, the float stress along an ascending grid.  Parts in
     series add their rates, and the least supremum bounds them; parts in parallel add their
     stresses and suprema.  The other law inverts that sum (:func:`_array_inverse`; on floats
-    a one-target walk of the node's one :func:`_float_walk`, in series its ``_walk``); a
-    parallel flow saturates to +inf past ``_sup``.  A lone part's laws, walk and graph are
-    the node's.  Features add as the potentials do in parallel, and as their conjugates do
+    :data:`_WALK`'s one-target entry, in series also ``_walk``); a parallel flow saturates to
+    +inf past ``_sup``.  The float laws are generated at their first call.  A lone part's laws,
+    walk and graph are the node's.  Features add as the potentials do in parallel, and as their conjugates do
     in series."""
     parts = _merged(children, serial)
     sup = (min if serial else sum)(c._sup for c in parts)
@@ -173,17 +177,22 @@ def _bind(children, serial):
     summed, inverted = ("_flow", "_stress") if serial else ("_stress", "_flow")
     bound[summed] = total = reduce(_plus, [getattr(c, summed) for c in parts])
     bound[inverted] = _array_inverse(total, cap, top)
-    bound["_float" + summed] = total = reduce(_plus, [getattr(c, "_float" + summed) for c in parts])
-    walk, walks = _float_walk(total, cap, top), [c._walk for c in parts]
-    bound["_float" + inverted] = lambda t: walk((t,))[0]
-    bound["_walk"] = walk if serial else (  # in parallel, a part's rows are a law on the grid index
-        lambda ts: list(map(reduce(_plus, [w(ts).__getitem__ for w in walks]), range(len(ts)))))
+    laws, walks = [getattr(c, "_float" + summed) for c in parts], [c._walk for c in parts]
+    made = cache(lambda: _generate("solve " + ("serial" if serial else "parallel"), _WALK,
+                                   "gx, dr = SUM_H, SUM_D\ng, r = gx - g0, gx - t",
+                                   laws, top, cap, _RTOL))
+    law = cache(lambda: _generate("law", _LAW, "", laws))  # each generated at its first call
+    bound["_float" + summed] = total = lambda x: law()(x)
+    bound["_float" + inverted] = inverse = lambda t: made()[1](t)
+    total._laws, total._resolve, inverse._resolve = laws, law, lambda: made()[1]
+    bound["_walk"] = (lambda ts: made()[0](ts)) if serial else lambda ts: list(map(  # in parallel,
+        _generate("law", _LAW, "", [w(ts).__getitem__ for w in walks]), range(len(ts))))  # by row
     return bound | {"_graph": None}
 
 
 def _array_inverse(total, cap, top):
     """The array law inverse to ``total``: :func:`_root` in ``[0, cap]``, +inf past ``top``,
-    from the value and slope of ``total`` at rest, read once, as :func:`_float_walk` does."""
+    from the value and slope of ``total`` at rest, read once, as a float walk reads its own."""
     @cache
     def at_rest():  # at the first call, so binding evaluates nothing
         with np.errstate(all="ignore"):
@@ -198,41 +207,9 @@ def _array_inverse(total, cap, top):
     return inverse
 
 
-def _float_walk(total, cap, top):
-    """The float law inverse to ``total`` along ascending targets: per target ``t`` a row
-    ``(x, x, dx/dt)``, ``x`` the least in ``[0, cap]`` where the upper end of ``total``
-    reaches ``t`` (:func:`_root_scalar` on ``total`` less its value at rest), dx/dt 0
-    below rest and at the cap, else the reciprocal of the last slope read; +inf past
-    ``top``.  Each walk starts at rest, read once.  Each solve's bracket starts at the last
-    one's final lower end, below the last target and so this one, and it starts warm from
-    the last point read (the first cold).  No root falls below the one before."""
-    at_rest = cache(lambda: total(0.0))  # at the first walk, so binding evaluates nothing
-
-    def walk(ts):
-        _, g0, d = at_rest()
-        rows, root, lo, x, g = [], 0.0, 0.0, 0.0, 0.0  # last point read: x, g(x) - g0, d
-
-        def residual(xn):
-            nonlocal lo, x, g, d
-            _, gx, d = total(xn)
-            x, g, lo = xn, gx - g0, xn if gx < t else lo
-            return gx - t, d
-
-        for t in ts:
-            if t > top:  # saturated
-                rows.append((math.inf, math.inf, math.inf))
-                continue
-            if root < cap and t > g0:
-                root = max(root, _root_scalar(residual, t - g0, cap, _RTOL, lo, x, g, d))
-            rows.append((root, root, 0.0 if t < g0 or root == cap else 1.0 / d if d else math.inf))
-        return rows
-
-    return walk
-
-
 def _plus(f, g):
-    """The law of two in sum, on Python floats or numpy arrays: their ``(lo, hi, slope)``
-    added, so a ``reduce`` over parts adds them left to right."""
+    """The law of two in sum on numpy arrays: their ``(lo, hi, slope)`` added, so a
+    ``reduce`` over parts adds them left to right."""
     def law(x):
         a, b, c = f(x)
         u, v, w = g(x)
@@ -266,7 +243,7 @@ def _leaf_stress(p: Potential, eps: np.ndarray):
 
 
 def _root(fn, t, sup, g0, d0):
-    """The solve of :func:`_float_walk` on an array of targets ``t``, elementwise, from the
+    """The solve of a float walk (:data:`_WALK`) on an array of targets ``t``, elementwise, from the
     caller's value ``g0`` and slope ``d0`` of ``fn`` at rest; a target up to ``g0`` has root 0.
 
     Each target takes the scalar finder's iterates from the same first probe, Newton
@@ -328,51 +305,110 @@ def _mid_scalar(lo, hi):
     return _F64.unpack(_I64.pack(ilo + (ihi - ilo) // 2))[0]
 
 
-def _root_scalar(fn, target, sup, rtol, lo=0.0, x=0.0, g=0.0, d=0.0):
-    """Smallest ``x`` in ``[0, sup]`` where a nondecreasing ``g`` with ``g(0) = 0``
-    reaches ``target``, on Python floats.
-
-    ``fn(x)`` returns the residual ``g(x) - target``, formed by the caller so its sign
-    holds where the two cancel, and ``g'(x)``.  The bracket starts as ``[lo, sup]``, with
-    ``g(lo) < target``.  The first probe is the warm start from the last point the caller
-    read, ``(x, g(x), g'(x)) = (x, g, d)``: the log-log Newton step ``x * exp(log(target
-    / g) * g / (x * d))`` if inside the bracket; else (g = 0: none read) just below a
-    finite ``sup``, which tests the cap, else 1.  Newton steps solve ``log g = log target``
-    against ``log x``, which is blind to the unit scale and exact in one step for a
-    power law: ``x + x * expm1(log1p((t - g) / g) * g / (x * g'))``.  A step is taken
-    only if it lands inside the bracket and is at most half the step before last
-    (rtsafe); otherwise the bracket is bisected in the ordered bits of the floats, so
-    64 halvings span [0, inf].  A step shorter than ``rtol`` is pushed across the
-    root.  Stops on a bracket ``rtol`` wide or on adjacent floats, and returns its
-    upper end (``sup`` if never reached).
-    """
-    hi, s1, s2, half = sup, math.inf, math.inf, 0.5 * rtol
-    try:  # g = 0 (none read): start cold; a flat slope or a step past the floats raises
-        x = x * math.exp(math.log(target / g) * g / (x * d)) if g else math.nan
+# The float finder: ``hi`` ends as the least ``x`` in ``[lo, cap]`` where a nondecreasing ``g``,
+# ``g(lo) < target``, reaches ``target`` (``cap`` if never), from RESIDUAL: ``r = g(x) - target``,
+# formed so its sign holds where the two cancel, and ``dr = g'(x)``.  The first probe is the
+# log-log Newton step from the last point read, ``(x, g, dr)``, if inside the bracket, else (none
+# read: g = 0) just below a finite cap, else 1.  Newton steps in log-log are blind to the unit
+# scale and exact in one step for a power law; one is taken only inside the bracket and at most
+# half the one before last (rtsafe), else the bracket is bisected in the ordered bits of the
+# floats, so 64 halvings span [0, inf].  It stops on a bracket ``rtol`` wide or adjacent floats.
+_FINDER = """\
+hi, s1, s2 = cap, inf, inf
+try:  # g = 0 (none read): start cold; a flat slope or a step past the floats raises
+    x = x * exp(log(target / g) * g / (x * dr)) if g else nan
+except (ArithmeticError, ValueError):
+    x = nan
+if not lo < x < cap:
+    x = nextafter(cap, 0.0) if cap < inf else 1.0
+for _ in range(_MAX_ITER):
+    PARTS
+    RESIDUAL
+    if r < 0:
+        lo = x
+    else:
+        hi = x
+    if (hi - lo <= rtol * hi and hi < inf) or nextafter(lo, hi) >= hi:
+        break
+    try:  # a step through 0 or +inf raises, and bisects
+        gt = target + r
+        u = log1p(-r / gt) * gt / (x * dr)  # log(xn / x)
+        xn = x + x * expm1(u)
+        if abs(xn - x) < half * x:  # too short to cross the root: push it across
+            xn, u = x + (half if r < 0 else -half) * x, half
+        ok = lo < xn < hi and abs(u) <= 0.5 * s2
     except (ArithmeticError, ValueError):
-        x = math.nan
-    if not lo < x < sup:
-        x = math.nextafter(sup, 0.0) if sup < math.inf else 1.0
-    for _ in range(_MAX_ITER):
-        r, d = fn(x)
-        if r < 0:
-            lo = x
-        else:
-            hi = x
-        if (hi - lo <= rtol * hi and hi < math.inf) or math.nextafter(lo, hi) >= hi:
-            return hi
-        try:  # a step through 0 or +inf raises, and bisects
-            g = target + r
-            u = math.log1p(-r / g) * g / (x * d)  # log(xn / x)
-            xn = x + x * math.expm1(u)
-            if abs(xn - x) < half * x:  # too short to cross the root: push it across
-                xn, u = x + (half if r < 0 else -half) * x, half
-            ok = lo < xn < hi and abs(u) <= 0.5 * s2
-        except (ArithmeticError, ValueError):
-            ok = False
-        xn = xn if ok else _mid_scalar(lo, hi)
-        s1, s2, x = abs(u if ok else math.log(xn / x)), s1, xn
-    raise NonConvergenceError(f"root solve: target {target!r} unresolved after {_MAX_ITER} steps")
+        ok = False
+    xn = xn if ok else _mid_scalar(lo, hi)
+    s1, s2, x = abs(u if ok else log(xn / x)), s1, xn
+else:
+    raise NonConvergenceError(
+        f"root solve: target {target!r} unresolved after {_MAX_ITER} steps")
+"""
+
+# An inverting node's float walk along ascending targets and its one-target inverse: per target
+# a row ``(x, x, dx/dt)`` of the summed law less its value at rest, read once; dx/dt 0 below rest
+# and at the cap, else 1 / the last slope read; +inf past ``top``.  A walk starts each solve from
+# the last one's lower end and last point read, so no root falls below the one before.
+_WALK = """\
+def make(top, cap, rtol, CELLS):
+    half, x = 0.5 * rtol, 0.0
+    PARTS
+    g0, dr0 = SUM_H, SUM_D
+    def walk(ts):
+        rows, root, lo, x, g, dr = [], 0.0, 0.0, 0.0, 0.0, dr0
+        for t in ts:
+            TARGET
+            rows.append(row)
+        return rows
+    def inverse(t):
+        root, lo, x, g, dr = 0.0, 0.0, 0.0, 0.0, dr0
+        TARGET
+        return row
+    return walk, inverse
+"""
+_TARGET = """\
+if t > top:  # saturated
+    row = (inf, inf, inf)
+else:
+    if root < cap and t > g0:
+        target = t - g0
+        FINDER
+        root = max(root, hi)
+    row = (root, root, 0.0 if t < g0 or root == cap else 1.0 / dr if dr else inf)
+"""
+_LAW = ("def make(CELLS):\n    def law(x):\n        PARTS\n"  # a node's summed law, a lone kernel
+        "        return SUM_L, SUM_H, SUM_D\n    return law\n")
+_CALL = ("call", "law", "l{i}, h{i}, d{i} = law{i}(x)\n")  # a part that is not inlined
+_MADE = {}  # the generated factories, by shape
+
+
+def _fill(src, slots):
+    """``src`` with each slot's name replaced by its text, filled in turn, at the name's indent."""
+    return re.sub(r"( *)\b([A-Z][A-Z_]+)\b", lambda m: m[1] + _fill(slots[m[2]], slots).rstrip(
+        "\n").replace("\n", "\n" + m[1]) if m[2] in slots else m[0], src)
+
+
+def _generate(node, frame, residual, laws, *cells):
+    """What ``frame``'s ``make`` returns over ``cells`` and parts of ``laws``: one that carries
+    ``_inline`` (its kind's snippet and cells) inline, any other called.  Part ``i`` sets ``l{i},
+    h{i}, d{i}`` at ``x``, added left to right in ``SUM_L``, ``SUM_H``, ``SUM_D``.  The source of
+    a shape (``node`` and the parts' kinds) is compiled at its first use, kept, and registered
+    with ``linecache``; it reads ``_MAX_ITER`` and ``_mid_scalar`` here at each call."""
+    specs = [getattr(f, "_inline", None) or (_CALL, (getattr(f, "_resolve", lambda: f)(),))
+             for f in laws]
+    key, n = (node, *(kind for (kind, _, _), _ in specs)), range(len(specs))
+    if key not in _MADE:
+        import linecache
+        names = ", ".join(c + str(i) for i in n for c in specs[i][0][1].split())
+        sums = {"SUM_" + v.upper(): " + ".join(v + str(i) for i in n) for v in "lhd"}
+        src = _fill(frame, {"PARTS": "".join(specs[i][0][2].format(i=i) for i in n), "CELLS": names,
+                            "RESIDUAL": residual, "TARGET": _TARGET, "FINDER": _FINDER, **sums})
+        name = f"<rheokit {node}: {'+'.join(key[1:])}>"
+        linecache.cache[name] = len(src), None, src.splitlines(True), name
+        exec(compile(src, name, "exec"), globals(), made := {})
+        _MADE[key] = made["make"]
+    return _MADE[key](*cells, *(v for _, values in specs for v in values))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rheokit.cli as cli
-from rheokit.errors import InvalidInputError
+from rheokit.errors import InvalidInputError, NonConvergenceError
 from rheokit.maxwell0d import (
     DriveProgram,
     MaxwellModel,
@@ -23,7 +23,8 @@ from rheokit.maxwell0d import (
     step,
 )
 from rheokit.potentials import Dashpot, Huber, PerfectPlastic, PowerLaw
-from rheokit.rheology import Leaf, Serial, _root_scalar, stress_curve, stress_of_strain_rate
+from rheokit.rheology import (_MAX_ITER, Leaf, Serial, _mid_scalar, stress_curve,
+                               stress_of_strain_rate)
 from rheokit.schema import parse_simulation
 
 
@@ -383,6 +384,53 @@ def test_step_is_the_tree_stress_of_a_spring_turned_dashpot(sig_scale, rate_scal
             sig = math.copysign(stress_of_strain_rate(tree, abs(trial) / dt).hi, trial)
             tol = 1e-13 * abs(sig) + 1e-15 * E * abs(trial)
             assert abs(E * step(m, e_el, eps, dt) - sig) <= tol
+
+
+def _root_scalar(fn, target, sup, rtol, lo=0.0, x=0.0, g=0.0, d=0.0):
+    """Smallest ``x`` in ``[0, sup]`` where a nondecreasing ``g`` with ``g(0) = 0``
+    reaches ``target``, on Python floats.
+
+    ``fn(x)`` returns the residual ``g(x) - target``, formed by the caller so its sign
+    holds where the two cancel, and ``g'(x)``.  The bracket starts as ``[lo, sup]``, with
+    ``g(lo) < target``.  The first probe is the warm start from the last point the caller
+    read, ``(x, g(x), g'(x)) = (x, g, d)``: the log-log Newton step ``x * exp(log(target
+    / g) * g / (x * d))`` if inside the bracket; else (g = 0: none read) just below a
+    finite ``sup``, which tests the cap, else 1.  Newton steps solve ``log g = log target``
+    against ``log x``, which is blind to the unit scale and exact in one step for a
+    power law: ``x + x * expm1(log1p((t - g) / g) * g / (x * g'))``.  A step is taken
+    only if it lands inside the bracket and is at most half the step before last
+    (rtsafe); otherwise the bracket is bisected in the ordered bits of the floats, so
+    64 halvings span [0, inf].  A step shorter than ``rtol`` is pushed across the
+    root.  Stops on a bracket ``rtol`` wide or on adjacent floats, and returns its
+    upper end (``sup`` if never reached).
+    """
+    hi, s1, s2, half = sup, math.inf, math.inf, 0.5 * rtol
+    try:  # g = 0 (none read): start cold; a flat slope or a step past the floats raises
+        x = x * math.exp(math.log(target / g) * g / (x * d)) if g else math.nan
+    except (ArithmeticError, ValueError):
+        x = math.nan
+    if not lo < x < sup:
+        x = math.nextafter(sup, 0.0) if sup < math.inf else 1.0
+    for _ in range(_MAX_ITER):
+        r, d = fn(x)
+        if r < 0:
+            lo = x
+        else:
+            hi = x
+        if (hi - lo <= rtol * hi and hi < math.inf) or math.nextafter(lo, hi) >= hi:
+            return hi
+        try:  # a step through 0 or +inf raises, and bisects
+            g = target + r
+            u = math.log1p(-r / g) * g / (x * d)  # log(xn / x)
+            xn = x + x * math.expm1(u)
+            if abs(xn - x) < half * x:  # too short to cross the root: push it across
+                xn, u = x + (half if r < 0 else -half) * x, half
+            ok = lo < xn < hi and abs(u) <= 0.5 * s2
+        except (ArithmeticError, ValueError):
+            ok = False
+        xn = xn if ok else _mid_scalar(lo, hi)
+        s1, s2, x = abs(u if ok else math.log(xn / x)), s1, xn
+    raise NonConvergenceError(f"root solve: target {target!r} unresolved after {_MAX_ITER} steps")
 
 
 def _reference_step(m, e_el, eps, dt):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import rheokit.rheology as rheology
 from rheokit.errors import InvalidInputError, NonConvergenceError, UnsupportedModeError
 from rheokit.convex_core import SampledFunction
-from rheokit.maxwell0d import DriveProgram, MaxwellModel
+from rheokit.maxwell0d import DriveProgram, MaxwellModel, step
 from rheokit.potentials import (
     Dashpot,
     Huber,
@@ -415,26 +416,47 @@ def test_deep_array_solves_read_each_law_at_rest_once(monkeypatch):
     assert at_zero[0] == 0
 
 
-def test_float_solves_without_a_cap_never_probe_the_largest_float(monkeypatch):
+def _probed(e, solves, stack=None):
+    """A copy of ``e`` whose parts every generated solve calls, none inlined: each leaf's and
+    node's float laws are replaced by recorders before a parent binds them.  A call of a
+    node's inverse is one solve; if it probed, its cap (+inf for a Parallel node) and its
+    probes go to ``solves``: the points at which the laws of the node's own parts were read
+    during it, once each, less the rest point that the first solve reads."""
+    stack = [] if stack is None else stack
+    c = L(e.p) if isinstance(e, Leaf) else type(e)([_probed(k, solves, stack) for k in e.children])
+    solving = len(getattr(c, "_parts", ())) > 1 and (
+        "_float_stress" if isinstance(c, Serial) else "_float_flow")
+    for name in ("_float_flow", "_float_stress"):
+        def law(x, f=getattr(c, name), solves_here=name == solving, c=c):
+            if stack and any(c is p for p in stack[-1][0]._parts):
+                probes = stack[-1][1]  # a part of the node solving: read at one of its probes
+                if x and probes[-1:] != [x]:
+                    probes.append(x)
+            if not solves_here:
+                return f(x)
+            stack.append((c, []))
+            try:
+                return f(x)
+            finally:
+                _, probes = stack.pop()
+                if probes:
+                    solves.append((c._sup if isinstance(c, Serial) else math.inf, probes))
+
+        c.__dict__[name] = law
+    return c
+
+
+def test_float_solves_without_a_cap_never_probe_the_largest_float():
     """With no cap the scalar finder starts at 1, not at ``nextafter(inf, 0)``, where
     a Serial node's stress would run a whole inner solve.  Only a root past the float
     range (a probe of 1 far above the stress scale can have one) is bracketed there."""
-    solves = []  # the probes of each solve with no cap
-    root = rheology._root_scalar
-
-    def recorded(fn, target, sup, rtol, *start):
-        xs = []
-        if sup == math.inf:
-            solves.append(xs)
-        return root(lambda x: xs.append(x) or fn(x), target, sup, rtol, *start)
-
-    monkeypatch.setattr(rheology, "_root_scalar", recorded)
     for S, R in ((1.0, 1.0), (1e150, 1e-150), (1e-150, 1e150)):
-        solves.clear()
+        recorded = []  # the cap and probes of each solve
         for tree in _SCALE_TREES:
-            tree = _rescaled(tree, S, R)
+            tree = _probed(_rescaled(tree, S, R), recorded)
             for e in (0.01, 0.7, 9.0):
                 strain_rate_of_stress(tree, stress_of_strain_rate(tree, e * R).hi)
+        solves = [xs for sup, xs in recorded if sup == math.inf]  # the probes of each with no cap
         assert solves and all(xs[0] == 1.0 for xs in solves)
         if S == 1.0:
             assert max(max(xs) for xs in solves) < 1e300
@@ -447,6 +469,29 @@ def test_a_solve_out_of_steps_raises_a_typed_error(monkeypatch):
         stress_curve(tree, np.linspace(0.01, 10.0, 20))
     with pytest.raises(NonConvergenceError, match="unresolved after 2 steps"):
         stress_of_strain_rate(tree, 0.7)
+
+
+def test_a_generated_solve_shows_its_source_in_a_traceback(monkeypatch):
+    """Each generated solve is registered with ``linecache`` under a name of its shape, so a
+    traceback through it shows the source line: the typed error of a solve out of steps, and
+    an error that a part it calls raises."""
+    def text(exc):
+        return "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+
+    monkeypatch.setattr(rheology, "_MAX_ITER", 2)
+    with pytest.raises(NonConvergenceError) as out:
+        Serial([L(Dashpot(1.3)), L(PowerLaw(0.8, 3.5))])._walk([0.5])
+    assert 'File "<rheokit solve serial: graph+powerlaw>", line ' in text(out.value)
+    assert "    raise NonConvergenceError(" in text(out.value)
+    with pytest.raises(NonConvergenceError) as out:
+        step(MaxwellModel(1.0, [Dashpot(1.3), PowerLaw(0.7, 2.5)]), 0.0, 1.0, 0.1)
+    assert 'File "<rheokit solve maxwell: graph+powerlaw>", line ' in text(out.value)
+    broken = L(PowerLaw(1.0, 2.0))
+    broken.__dict__["_float_flow"] = lambda x: 1.0 / (x - x)  # a part that raises when called
+    with pytest.raises(ZeroDivisionError) as out:
+        stress_of_strain_rate(Serial([L(Dashpot(1.0)), broken]), 0.5)
+    assert 'File "<rheokit solve serial: graph+call>", line ' in text(out.value)
+    assert "l1, h1, d1 = law1(x)" in text(out.value)
 
 
 def test_mu_eff_limit_is_the_tangent_at_rest():
@@ -1131,27 +1176,18 @@ def test_depth_counts_how_deeply_the_solves_nest(monkeypatch):
     assert [rheology._depth(t) for t in trees] == [2, 3, 2, 0, 0, 0, 1]
 
 
-def test_scalar_parallel_flow_solves_the_overstress(monkeypatch):
+def test_scalar_parallel_flow_solves_the_overstress():
     """Above a yield offset a Parallel node's flow is the power law of the overstress.
     The scalar solve is taken against the stress at rest, where that law is exact in
     one Newton step, so it evaluates the node at most five times at any unit scale."""
-    calls = [0]
-    root = rheology._root_scalar
-
-    def counted(fn, *args):
-        def f(x):
-            calls[0] += 1
-            return fn(x)
-
-        return root(f, *args)
-
-    monkeypatch.setattr(rheology, "_root_scalar", counted)
     for S in (1e-150, 1.0, 1e150):
         node = Parallel([L(PowerLaw(S, 2.5)), L(PerfectPlastic(S))])
         for sig in (1.5, 3.0, 50.0):
-            calls[0] = 0
-            rate = strain_rate_of_stress(node, sig * S).hi
-            assert rate == pytest.approx((sig - 1.0) ** 2.5, rel=1e-14) and calls[0] <= 5, (S, sig)
+            solves = []
+            rate = strain_rate_of_stress(_probed(node, solves), sig * S).hi
+            (_, probes), = solves
+            assert rate == pytest.approx((sig - 1.0) ** 2.5, rel=1e-14) and len(probes) <= 5, (
+                S, sig)
 
 
 # SHA-256 of the scalar API's outputs, each as ``float.hex`` (both ends of an interval):
