@@ -117,8 +117,8 @@ class _Run:  # a model's step generated once, over cells of the run's state: no 
 
     def __init__(self, m):
         flow, residual = m._float_flow, "f, d = SUM_H, SUM_D\nr, dr = x / E - t + h * f, c + h * d"
-        self.step = _generate("solve maxwell", _STEP, residual, getattr(flow, "_laws", (flow,)),
-                              m.E, m._sup, 1.0 / m.E, _STEP_RTOL)  # a sum keeps its parts' laws
+        self.step = _generate("step maxwell", _STEP, {"RESIDUAL": residual}, getattr(
+            flow, "_laws", (flow,)), m.E, m._sup, 1.0 / m.E, _STEP_RTOL)  # a sum keeps its parts' laws
 
 
 def _column(i):

@@ -178,7 +178,7 @@ class _Kernel:
     def __call__(self, x):
         if self._law is None:
             from .rheology import _LAW, _generate
-            self._law = _generate("law", _LAW, "", [self])
+            self._law = _generate("law", _LAW, {}, [self])
         return self._law(x)
 
 

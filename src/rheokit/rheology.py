@@ -39,9 +39,10 @@ import enum
 import math
 import re
 import struct
-from bisect import bisect_right  # noqa: F401, and the math names below: read by generated code
+import sys
+from bisect import bisect_right
 from functools import cache, reduce
-from math import exp, expm1, inf, log, log1p, nan, nextafter  # noqa: F401
+from types import SimpleNamespace
 from typing import Sequence, Union
 
 from ._graph import SubdiffInterval, _graph_sum
@@ -161,7 +162,7 @@ def _bind(children, serial):
     ``_float_stress``, and ``_walk``, the float stress along an ascending grid.  Parts in
     series add their rates, and the least supremum bounds them; parts in parallel add their
     stresses and suprema.  The other law inverts that sum (:func:`_array_inverse`; on floats
-    :data:`_WALK`'s one-target entry, in series also ``_walk``); a parallel flow saturates to
+    :data:`_INVERSE`, in series also ``_walk``, :data:`_WALK`); a parallel flow saturates to
     +inf past ``_sup``.  The float laws are generated at their first call.  A lone part's laws,
     walk and graph are the node's.  Features add as the potentials do in parallel, and as their conjugates do
     in series."""
@@ -178,15 +179,16 @@ def _bind(children, serial):
     bound[summed] = total = reduce(_plus, [getattr(c, summed) for c in parts])
     bound[inverted] = _array_inverse(total, cap, top)
     laws, walks = [getattr(c, "_float" + summed) for c in parts], [c._walk for c in parts]
-    made = cache(lambda: _generate("solve " + ("serial" if serial else "parallel"), _WALK,
-                                   "gx, dr = SUM_H, SUM_D\ng, r = gx - g0, gx - t",
-                                   laws, top, cap, _RTOL))
-    law = cache(lambda: _generate("law", _LAW, "", laws))  # each generated at its first call
+    rest, node = [], "serial" if serial else "parallel"  # rest: read once, by the first unit made
+    walk, inverse = (cache(lambda e=e, slots=slots: _generate(
+        f"{e} {node}", _SOLVE, slots, laws, top, cap, _RTOL, rest))
+        for e, slots in (("walk", _WALK), ("inverse", _INVERSE)))
+    law = cache(lambda: _generate("law", _LAW, {}, laws))  # each generated at its first call
     bound["_float" + summed] = total = lambda x: law()(x)
-    bound["_float" + inverted] = inverse = lambda t: made()[1](t)
-    total._laws, total._resolve, inverse._resolve = laws, law, lambda: made()[1]
-    bound["_walk"] = (lambda ts: made()[0](ts)) if serial else lambda ts: list(map(  # in parallel,
-        _generate("law", _LAW, "", [w(ts).__getitem__ for w in walks]), range(len(ts))))  # by row
+    bound["_float" + inverted] = one = lambda t: inverse()(t)
+    total._laws, total._resolve, one._resolve = laws, law, inverse
+    bound["_walk"] = (lambda ts: walk()(ts)) if serial else lambda ts: list(map(  # in parallel,
+        _generate("law", _LAW, {}, [w(ts).__getitem__ for w in walks]), range(len(ts))))  # by row
     return bound | {"_graph": None}
 
 
@@ -321,7 +323,7 @@ except (ArithmeticError, ValueError):
     x = nan
 if not lo < x < cap:
     x = nextafter(cap, 0.0) if cap < inf else 1.0
-for _ in range(_MAX_ITER):
+for _ in range(rheology._MAX_ITER):
     PARTS
     RESIDUAL
     if r < 0:
@@ -339,34 +341,42 @@ for _ in range(_MAX_ITER):
         ok = lo < xn < hi and abs(u) <= 0.5 * s2
     except (ArithmeticError, ValueError):
         ok = False
-    xn = xn if ok else _mid_scalar(lo, hi)
+    xn = xn if ok else rheology._mid_scalar(lo, hi)
     s1, s2, x = abs(u if ok else log(xn / x)), s1, xn
 else:
     raise NonConvergenceError(
-        f"root solve: target {target!r} unresolved after {_MAX_ITER} steps")
+        f"root solve: target {target!r} unresolved after {rheology._MAX_ITER} steps")
 """
 
-# An inverting node's float walk along ascending targets and its one-target inverse: per target
-# a row ``(x, x, dx/dt)`` of the summed law less its value at rest, read once; dx/dt 0 below rest
-# and at the cap, else 1 / the last slope read; +inf past ``top``.  A walk starts each solve from
-# the last one's lower end and last point read, so no root falls below the one before.
-_WALK = """\
-def make(top, cap, rtol, CELLS):
+# An inverting node's float walk along ascending targets, and its one-target inverse, each a
+# unit of its own: per target a row ``(x, x, dx/dt)`` of the summed law less its value at rest,
+# read once for the node by the first unit made; dx/dt 0 below rest and at the cap, else 1 / the
+# last slope read; +inf past ``top``.  A walk starts each solve from the last one's lower end and
+# last point read, so no root falls below the one before.
+_SOLVE = """\
+def make(top, cap, rtol, rest, CELLS):
     half, x = 0.5 * rtol, 0.0
-    PARTS
-    g0, dr0 = SUM_H, SUM_D
-    def walk(ts):
-        rows, root, lo, x, g, dr = [], 0.0, 0.0, 0.0, 0.0, dr0
-        for t in ts:
-            TARGET
-            rows.append(row)
-        return rows
-    def inverse(t):
-        root, lo, x, g, dr = 0.0, 0.0, 0.0, 0.0, dr0
-        TARGET
-        return row
-    return walk, inverse
+    if not rest:  # (two threads may both read it: the same values)
+        PARTS
+        rest.append((SUM_H, SUM_D))
+    g0, dr0 = rest[0]
+    ENTRY
+    return solve
 """
+_WALK = {"ENTRY": """\
+def solve(ts):
+    rows, root, lo, x, g, dr = [], 0.0, 0.0, 0.0, 0.0, dr0
+    for t in ts:
+        TARGET
+        rows.append(row)
+    return rows
+""", "RESIDUAL": "gx, dr = SUM_H, SUM_D\ng, r = gx - g0, gx - t"}
+_INVERSE = _WALK | {"ENTRY": """\
+def solve(t):
+    root, lo, x, g, dr = 0.0, 0.0, 0.0, 0.0, dr0
+    TARGET
+    return row
+"""}
 _TARGET = """\
 if t > top:  # saturated
     row = (inf, inf, inf)
@@ -389,25 +399,30 @@ def _fill(src, slots):
         "\n").replace("\n", "\n" + m[1]) if m[2] in slots else m[0], src)
 
 
-def _generate(node, frame, residual, laws, *cells):
+def _generate(node, frame, slots, laws, *cells):
     """What ``frame``'s ``make`` returns over ``cells`` and parts of ``laws``: one that carries
     ``_inline`` (its kind's snippet and cells) inline, any other called.  Part ``i`` sets ``l{i},
-    h{i}, d{i}`` at ``x``, added left to right in ``SUM_L``, ``SUM_H``, ``SUM_D``.  The source of
-    a shape (``node`` and the parts' kinds) is compiled at its first use, kept, and registered
-    with ``linecache``; it reads ``_MAX_ITER`` and ``_mid_scalar`` here at each call."""
+    h{i}, d{i}`` at ``x``, added left to right in ``SUM_L``, ``SUM_H``, ``SUM_D``; ``slots`` fill
+    the frame's others.  The source of a shape (``node`` and the parts' kinds) is compiled at its
+    first use and kept; it reads ``_MAX_ITER`` and ``_mid_scalar`` here at each call.  It is
+    registered with ``linecache`` at once where that is loaded, else through its unit's
+    ``__loader__``, which a traceback asks, so generating imports nothing and writes no file."""
     specs = [getattr(f, "_inline", None) or (_CALL, (getattr(f, "_resolve", lambda: f)(),))
              for f in laws]
     key, n = (node, *(kind for (kind, _, _), _ in specs)), range(len(specs))
     if key not in _MADE:
-        import linecache
         names = ", ".join(c + str(i) for i in n for c in specs[i][0][1].split())
         sums = {"SUM_" + v.upper(): " + ".join(v + str(i) for i in n) for v in "lhd"}
         src = _fill(frame, {"PARTS": "".join(specs[i][0][2].format(i=i) for i in n), "CELLS": names,
-                            "RESIDUAL": residual, "TARGET": _TARGET, "FINDER": _FINDER, **sums})
-        name = f"<rheokit {node}: {'+'.join(key[1:])}>"
-        linecache.cache[name] = len(src), None, src.splitlines(True), name
-        exec(compile(src, name, "exec"), globals(), made := {})
-        _MADE[key] = made["make"]
+                            "TARGET": _TARGET, "FINDER": _FINDER, **sums, **slots})
+        name = f"rheokit {node}: {'+'.join(key[1:])}"  # not "<...>", which linecache would not ask
+        getattr(sys.modules.get("linecache"), "cache", {})[name] = (
+            len(src), None, src.splitlines(True), name)
+        space = {**vars(math), "bisect_right": bisect_right, "rheology": sys.modules[__name__],
+                 "NonConvergenceError": NonConvergenceError, "__name__": name, "__spec__": None,
+                 "__loader__": SimpleNamespace(get_source=lambda _: src)}
+        exec(compile(src, name, "exec"), space)
+        _MADE[key] = space["make"]
     return _MADE[key](*cells, *(v for _, values in specs for v in values))
 
 

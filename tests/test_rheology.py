@@ -471,26 +471,49 @@ def test_a_solve_out_of_steps_raises_a_typed_error(monkeypatch):
         stress_of_strain_rate(tree, 0.7)
 
 
+_LAZY_SOURCE_SCRIPT = """
+import sys
+import rheokit.rheology as rheology
+from rheokit import Dashpot, Leaf, PowerLaw, Serial
+rheology._MAX_ITER = 2
+try:
+    Serial([Leaf(Dashpot(1.3)), Leaf(PowerLaw(0.8, 3.5))])._walk([0.5])
+except rheology.NonConvergenceError:
+    print("linecache" in sys.modules)
+    import traceback
+    print(traceback.format_exc())
+"""
+
+
 def test_a_generated_solve_shows_its_source_in_a_traceback(monkeypatch):
     """Each generated solve is registered with ``linecache`` under a name of its shape, so a
     traceback through it shows the source line: the typed error of a solve out of steps, and
-    an error that a part it calls raises."""
+    an error that a part it calls raises.  In a fresh interpreter, where generating a solve
+    loads no ``linecache``, the traceback module finds the source through the unit's loader."""
     def text(exc):
         return "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+
+    src = str(Path(rheology.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SOURCE_SCRIPT], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.stdout.startswith("False\n"), proc.stdout + proc.stderr
+    assert 'File "rheokit walk serial: graph+powerlaw", line ' in proc.stdout
+    assert "    raise NonConvergenceError(" in proc.stdout
 
     monkeypatch.setattr(rheology, "_MAX_ITER", 2)
     with pytest.raises(NonConvergenceError) as out:
         Serial([L(Dashpot(1.3)), L(PowerLaw(0.8, 3.5))])._walk([0.5])
-    assert 'File "<rheokit solve serial: graph+powerlaw>", line ' in text(out.value)
+    assert 'File "rheokit walk serial: graph+powerlaw", line ' in text(out.value)
     assert "    raise NonConvergenceError(" in text(out.value)
     with pytest.raises(NonConvergenceError) as out:
         step(MaxwellModel(1.0, [Dashpot(1.3), PowerLaw(0.7, 2.5)]), 0.0, 1.0, 0.1)
-    assert 'File "<rheokit solve maxwell: graph+powerlaw>", line ' in text(out.value)
+    assert 'File "rheokit step maxwell: graph+powerlaw", line ' in text(out.value)
     broken = L(PowerLaw(1.0, 2.0))
     broken.__dict__["_float_flow"] = lambda x: 1.0 / (x - x)  # a part that raises when called
     with pytest.raises(ZeroDivisionError) as out:
         stress_of_strain_rate(Serial([L(Dashpot(1.0)), broken]), 0.5)
-    assert 'File "<rheokit solve serial: graph+call>", line ' in text(out.value)
+    assert 'File "rheokit inverse serial: graph+call", line ' in text(out.value)
     assert "l1, h1, d1 = law1(x)" in text(out.value)
 
 
