@@ -16,12 +16,12 @@ sigma_a``), with the tree solves' scale-free root finder: from just below that
 upper end, or in :func:`simulate` from the finder's warm start off the last
 point the step before read.  A run's step is one function generated from the
 finder's template with the parts' kernels inlined, over cells of the run's
-state, so a step builds no closure and reads no attribute of the model.  A step that reaches the cap
-stops there with no clamp: the radial return map, the exact resolution of the
-differential inclusion for this scalar model.  :func:`simulate` puts row k at
-``k * dt`` and its last row at ``t_end`` exactly, collects the rows as Python
-floats and hands them to :class:`TimeSeries` as they are, so a simulation
-written out as CSV never imports numpy.
+state, so a step builds no closure and reads no attribute of the model.  A
+step that reaches the cap stops there with no clamp: the radial return map, the
+exact resolution of the differential inclusion for this scalar model.
+:func:`simulate` puts row k at ``k * dt`` and its last row at ``t_end`` exactly,
+collects the rows as Python floats and hands them to :class:`TimeSeries` as
+they are, so a simulation written out as CSV never imports numpy.
 """
 
 from __future__ import annotations
@@ -117,8 +117,9 @@ class _Run:  # a model's step generated once, over cells of the run's state: no 
 
     def __init__(self, m):
         flow, residual = m._float_flow, "f, d = SUM_H, SUM_D\nr, dr = x / E - t + h * f, c + h * d"
-        self.step = _generate("step maxwell", _STEP, {"RESIDUAL": residual}, getattr(
-            flow, "_laws", (flow,)), m.E, m._sup, 1.0 / m.E, _STEP_RTOL)  # a sum keeps its parts' laws
+        laws = getattr(flow, "_laws", (flow,))  # a sum keeps its parts' laws
+        self.step = _generate("step maxwell", _STEP, {"RESIDUAL": residual}, laws,
+                              m.E, m._sup, 1.0 / m.E, _STEP_RTOL)
 
 
 def _column(i):

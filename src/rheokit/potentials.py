@@ -168,7 +168,8 @@ class _GraphLaw(Potential):
 class _Kernel:
     """A float kernel given as a snippet ``spec = (kind, cell names, source)`` over ``cells``: a
     generated solve inlines it (``_inline``), and a call runs it as a law of one part, generated
-    at the first call.  From ``x`` part ``i`` sets its law's ends ``l{i}, h{i}`` and slope ``d{i}``."""
+    at the first call.  From ``x`` part ``i`` sets its law's ends ``l{i}, h{i}`` and slope
+    ``d{i}``."""
 
     __slots__ = ("_inline", "_law")
 

@@ -21,8 +21,8 @@ error.  Every node binds its laws, graph features and polyline graph once,
 when built: on numpy arrays (``stress_curve``), and on Python floats, never
 importing numpy, as a walk along ascending targets per inverting node, each
 solve after the first from the last one's lower end and a log-log Newton step,
-and its one-target entry, for scalar calls and nested solves.  The walk is one
-function generated at the first solve, polyline and power-law parts inlined
+and its one-target inverse, for scalar calls and nested solves.  Each is one
+function generated at its first call, polyline and power-law parts inlined
 from their kinds' snippets, and compiled once per shape (``_generate``).  On
 either path an inverting node reads its summed law at rest once.
 
@@ -163,9 +163,9 @@ def _bind(children, serial):
     series add their rates, and the least supremum bounds them; parts in parallel add their
     stresses and suprema.  The other law inverts that sum (:func:`_array_inverse`; on floats
     :data:`_INVERSE`, in series also ``_walk``, :data:`_WALK`); a parallel flow saturates to
-    +inf past ``_sup``.  The float laws are generated at their first call.  A lone part's laws,
-    walk and graph are the node's.  Features add as the potentials do in parallel, and as their conjugates do
-    in series."""
+    +inf past ``_sup``.  The float laws are generated at their first call.  A lone part's
+    laws, walk and graph are the node's.  Features add as the potentials do in parallel, and
+    as their conjugates do in series."""
     parts = _merged(children, serial)
     sup = (min if serial else sum)(c._sup for c in parts)
     cap, top = (sup, math.inf) if serial else (math.inf, sup)
