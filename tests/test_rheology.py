@@ -471,6 +471,22 @@ def test_a_solve_out_of_steps_raises_a_typed_error(monkeypatch):
         stress_of_strain_rate(tree, 0.7)
 
 
+def test_solves_are_generated_at_the_first_solve_once_per_shape(monkeypatch):
+    """Building a node compiles nothing; its first walk compiles its walk's shape and its first
+    scalar solve its inverse's, once each for every node of that shape, whose parameters are
+    the generated function's cells; a Maxwell run's step is one more shape."""
+    monkeypatch.setattr(rheology, "_MADE", {})
+    trees = [Serial([L(Dashpot(d)), L(PowerLaw(0.8, 3.5))]) for d in (1.3, 2.6)]
+    assert rheology._MADE == {}
+    rows = [t._walk([0.0, 0.5, 2.0]) for t in trees]
+    assert list(rheology._MADE) == [("walk serial", "graph", "powerlaw")] and rows[0] != rows[1]
+    want = [r[2][1] for r in rows]  # a walk stops in its own bracket: equal to 1e-13
+    assert [stress_of_strain_rate(t, 2.0).hi for t in trees] == pytest.approx(want, rel=1e-13)
+    assert len(rheology._MADE) == 2 and ("inverse serial", "graph", "powerlaw") in rheology._MADE
+    step(MaxwellModel(1.0, [Dashpot(1.3), PowerLaw(0.8, 3.5)]), 0.0, 1.0, 0.1)
+    assert ("step maxwell", "graph", "powerlaw") in rheology._MADE and len(rheology._MADE) == 3
+
+
 _LAZY_SOURCE_SCRIPT = """
 import sys
 import rheokit.rheology as rheology
