@@ -112,14 +112,10 @@ def make(E, sup, c, rtol, CELLS):
 """
 
 
-class _Run:  # a model's step generated once, over cells of the run's state: no reference cycle
-    __slots__ = ("step",)
-
-    def __init__(self, m):
-        flow, residual = m._float_flow, "f, d = SUM_H, SUM_D\nr, dr = x / E - t + h * f, c + h * d"
-        laws = getattr(flow, "_laws", (flow,))  # a sum keeps its parts' laws
-        self.step = _generate("step maxwell", _STEP, {"RESIDUAL": residual}, laws,
-                              m.E, m._sup, 1.0 / m.E, _STEP_RTOL)
+def _run(m):  # a model's step, over cells of the run's state: no reference cycle
+    flow, residual = m._float_flow, "f, d = SUM_H, SUM_D\nr, dr = x / E - t + h * f, c + h * d"
+    return _generate("step maxwell", _STEP, {"RESIDUAL": residual}, getattr(flow, "_laws", (flow,)),
+                     m.E, m._sup, 1.0 / m.E, _STEP_RTOL)  # a sum keeps its parts' laws
 
 
 def _column(i):
@@ -163,7 +159,7 @@ def step(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
     ``e_el + dt * eps``, for the stress ``E |x|`` with the tree solves' finder
     ``rheology._FINDER``, to ``1e-15`` of itself; ``cap / E`` when the stress
     stops at the cap.  The residual reads the model's float kernels: no numpy scalar
-    and no floating-point error state.  A run (``_Run``) generates the step once from the
+    and no floating-point error state.  A run (``_run``) is the step generated once from the
     model's laws: a model gets a fresh run each call, so its first probe is just below ``min(E
     t, cap)`` and it keeps no history; :func:`simulate` steps one run, each step but the first
     handing the finder the last point the step before read, for its warm start.
@@ -175,7 +171,7 @@ def step(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
         raise InvalidInputError("dt must be > 0")
     if not (math.isfinite(e_el) and math.isfinite(eps)):
         raise InvalidInputError(f"e_el and eps must be finite, got {e_el}, {eps}")
-    return (model if type(model) is _Run else _Run(model)).step(e_el, eps, dt)
+    return (_run(model) if isinstance(model, MaxwellModel) else model)(e_el, eps, dt)
 
 
 def simulate(
@@ -204,7 +200,7 @@ def simulate(
     n_full = math.floor(n)
     rem = t_end - n_full * dt
     segs, j = (*drive.segments, (math.inf, 0.0)), 0  # a cursor: the times only grow
-    run, e, steps = _Run(model), float(e_el0), n_full + (rem > 1e-12 * dt)
+    run, e, steps = _run(model), float(e_el0), n_full + (rem > 1e-12 * dt)
     t, eps_col, e_col, fdt = [0.0], [segs[0][1]], [e], float(dt)
     for k in range(1, steps + 1):
         now = k * fdt if k < steps else float(t_end)

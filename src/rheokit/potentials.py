@@ -33,6 +33,7 @@ from ._record import Record
 from .errors import InvalidInputError
 
 cc = _Lazy("rheokit.convex_core")  # imported at the Sampled kind's first use alone
+rh = _Lazy("rheokit.rheology")  # which generates the float laws, and imports this module
 
 __all__ = [
     "Dashpot",
@@ -100,7 +101,7 @@ class Potential(Record):
     ends of the set-valued derivative and the slope of the upper end, +inf
     at a jump.  Callers set ``np.errstate``.  ``_float_flow()``, ``_float_stress()``:
     each on one Python float, in Python floats, bit for bit, +inf on overflow, no raise;
-    one that carries ``_inline`` (:class:`_Kernel`) runs inline in a generated solve.
+    one that carries a snippet (:class:`_Law`) runs inline in a generated solve.
     ``kind`` names the element in model documents (None: not representable);
     ``_graph`` is the stress law as a polyline, None where it is not one.
     """
@@ -116,17 +117,23 @@ class Potential(Record):
             rule = "nonnegative" if f in self._nonneg else "positive"
             self.__dict__[f] = _number(self.__dict__[f], f, rule)
 
-    def _float_flow(self, law=None):
-        """The float kernel of ``flow`` (or ``law``): by default the numpy one, under errstate."""
-        law = law or self.flow
-        def kernel(x):
-            with np.errstate(all="ignore"):
-                return tuple(map(float, law(np.float64(x))))
-
-        return kernel
+    def _float_flow(self):
+        return self._floats[0]
 
     def _float_stress(self):
-        return Potential._float_flow(self, self.stress)
+        return self._floats[1]
+
+    @cached_property
+    def _floats(self):
+        """The float kernels of ``flow`` and ``stress``, made once; by default numpy's."""
+        def kernel(law):
+            def on_float(x):
+                with np.errstate(all="ignore"):
+                    return tuple(map(float, law(np.float64(x))))
+
+            return on_float
+
+        return kernel(self.flow), kernel(self.stress)
 
     def _feat(self) -> _Feat:
         """Graph features; by default a strictly increasing, unbounded law."""
@@ -152,11 +159,10 @@ class _GraphLaw(Potential):
     def flow(self, sig):
         return self._graph.T(sig, rest=True)  # zero rate at zero stress
 
-    def _float_flow(self):
-        return _Kernel(_GRAPH, *self._graph.T._rows, True)  # with rest, as flow
-
-    def _float_stress(self):
-        return _Kernel(_GRAPH, *self._graph._rows, False)
+    @cached_property
+    def _floats(self):  # the flow with rest, as ``flow``, and the stress
+        g = self._graph
+        return _Law(inline=(_GRAPH, (*g.T._rows, True))), _Law(inline=(_GRAPH, (*g._rows, False)))
 
     def _feat(self):
         return self._graph.feat
@@ -165,22 +171,21 @@ class _GraphLaw(Potential):
         return self._graph.sup
 
 
-class _Kernel:
-    """A float kernel given as a snippet ``spec = (kind, cell names, source)`` over ``cells``: a
-    generated solve inlines it (``_inline``), and a call runs it as a law of one part, generated
-    at the first call.  From ``x`` part ``i`` sets its law's ends ``l{i}, h{i}`` and slope
-    ``d{i}``."""
+class _Law:
+    """A float law that runs ``_law``, a function made at the first call by ``make(self)`` and kept.
+    A generated solve calls that function, or inlines a law that carries a snippet over its cells,
+    ``_inline = ((kind, cell names, source), cells)``: from ``x`` part ``i`` sets its ends ``l{i},
+    h{i}`` and slope ``d{i}``.  With no ``make``, ``_law`` is the snippet alone, generated."""
 
-    __slots__ = ("_inline", "_law")
-
-    def __init__(self, spec, *cells):
-        self._inline, self._law = (spec, cells), None
+    def __init__(self, make=None, inline=None):
+        self._make, self._inline = make, inline
 
     def __call__(self, x):
-        if self._law is None:
-            from .rheology import _LAW, _generate
-            self._law = _generate("law", _LAW, {}, [self])
         return self._law(x)
+
+    @cached_property
+    def _law(self):
+        return self._make(self) if self._make else rh._generate("law", rh._LAW, {}, [self])
 
 
 # The graph's rows at ``x`` (:meth:`_graph._Graph._rows`): ``y0 + (x - x0) * dy / dx``, capped at
@@ -256,12 +261,12 @@ l{i} = h{i}
 """)
 
 
-def _power_kernel(a, b, p, c, arrays=False):
+def _power_kernel(a, b, p, c):
     """A power law either way: ``v -> (x, x, c * u**(p - 1))``, ``u = v / a``, ``x = b * u**p``
     (``a`` or ``b`` of 1 moves no bit), ``(u * b**(1/p))**p`` where ``u**p`` overflows, and the
     slope ``p * x / v`` (``c = p * b / a``) where ``u**(p - 1)`` does; +inf where those overflow or
-    ** raises 0 to a power < 0.  On Python floats as the snippet :data:`_POWER`, or on numpy's,
-    with no warning."""
+    ** raises 0 to a power < 0.  The pair of it on numpy's floats, with no warning, and on Python
+    floats, the snippet :data:`_POWER`."""
     q, r = p - 1.0, 1.0 / p
     def on_arrays(v):
         with np.errstate(all="ignore"):
@@ -274,7 +279,7 @@ def _power_kernel(a, b, p, c, arrays=False):
                 s = np.where(past, x / v * p, s)[()]
             return x, x, s
 
-    return on_arrays if arrays else _Kernel(_POWER, a, b, p, q, r, c)
+    return on_arrays, _Law(inline=(_POWER, (a, b, p, q, r, c)))
 
 
 class PowerLaw(Potential):
@@ -292,17 +297,22 @@ class PowerLaw(Potential):
     def value(self, r):
         return self.n / (self.n + 1.0) * self.D * r ** (1.0 + 1.0 / self.n)
 
+    @cached_property
+    def _laws(self):  # its flow and stress, each (on numpy's floats, on Python's), made once
+        return (_power_kernel(self.D, 1.0, self.n, self.n / self.D),
+                _power_kernel(1.0, self.D, 1.0 / self.n, self.D / self.n))
+
     def _float_flow(self, arrays=False):
-        return _power_kernel(self.D, 1.0, self.n, self.n / self.D, arrays)
+        return self._laws[0][not arrays]
 
     def _float_stress(self, arrays=False):
-        return _power_kernel(1.0, self.D, 1.0 / self.n, self.D / self.n, arrays)
+        return self._laws[1][not arrays]
 
     def stress(self, eps):
-        return self._float_stress(type(eps) is not float)(eps)
+        return self._laws[1][type(eps) is float](eps)
 
     def flow(self, sig):
-        return self._float_flow(type(sig) is not float)(sig)
+        return self._laws[0][type(sig) is float](sig)
 
     def conjugate(self):
         # exponent 1+n, coefficient 1/((1+n) D**n)

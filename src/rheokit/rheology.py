@@ -49,8 +49,8 @@ from ._graph import SubdiffInterval, _graph_sum
 from ._numpy import np
 from ._record import Record
 from .errors import InvalidInputError, NonConvergenceError, UnsupportedModeError
-from .potentials import (Dashpot, PerfectPlastic, Potential, PowerLaw, _Feat, _Polyline, _number,
-                         _rates)
+from .potentials import (Dashpot, PerfectPlastic, Potential, PowerLaw, _Feat, _Law, _Polyline,
+                         _number, _rates)
 
 __all__ = [
     "Leaf",
@@ -90,7 +90,7 @@ class Leaf(Record):
         self.__dict__.update(_flow=lambda sig: _leaf_flow(p, sig),
                              _stress=lambda eps: _leaf_stress(p, eps),
                              _float_flow=p._float_flow(), _float_stress=(fs := p._float_stress()),
-                             _walk=lambda eps: list(map(fs, eps)),
+                             _walk=lambda eps: list(map(getattr(fs, "_law", fs), eps)),
                              _feat=p._feat(), _graph=p._graph, _sup=p.stress_sup())
 
 
@@ -163,9 +163,9 @@ def _bind(children, serial):
     series add their rates, and the least supremum bounds them; parts in parallel add their
     stresses and suprema.  The other law inverts that sum (:func:`_array_inverse`; on floats
     :data:`_INVERSE`, in series also ``_walk``, :data:`_WALK`); a parallel flow saturates to
-    +inf past ``_sup``.  The float laws are generated at their first call.  A lone part's
-    laws, walk and graph are the node's.  Features add as the potentials do in parallel, and
-    as their conjugates do in series."""
+    +inf past ``_sup``.  The float laws are each a :class:`_Law`, generated at its first call.  A
+    lone part's laws, walk and graph are the node's.  Features add as the potentials do in
+    parallel, and as their conjugates do in series."""
     parts = _merged(children, serial)
     sup = (min if serial else sum)(c._sup for c in parts)
     cap, top = (sup, math.inf) if serial else (math.inf, sup)
@@ -178,18 +178,18 @@ def _bind(children, serial):
     summed, inverted = ("_flow", "_stress") if serial else ("_stress", "_flow")
     bound[summed] = total = reduce(_plus, [getattr(c, summed) for c in parts])
     bound[inverted] = _array_inverse(total, cap, top)
-    laws, walks = [getattr(c, "_float" + summed) for c in parts], [c._walk for c in parts]
-    rest, node = [], "serial" if serial else "parallel"  # rest: read once, by the first unit made
-    walk, inverse = (cache(lambda e=e, slots=slots: _generate(
-        f"{e} {node}", _SOLVE, slots, laws, top, cap, _RTOL, rest))
+    laws, node = [getattr(c, "_float" + summed) for c in parts], "serial" if serial else "parallel"
+    total = _Law(lambda _: _generate("law", _LAW, {}, laws))
+    total._laws = laws  # its parts' laws, which a Maxwell step inlines
+    rest = cache(lambda: total(0.0)[1:])  # read once, at the first solve
+    walk, one = (_Law(lambda _, e=e, slots=slots: _generate(
+        f"{e} {node}", _SOLVE, slots, laws, top, cap, _RTOL, *rest()))
         for e, slots in (("walk", _WALK), ("inverse", _INVERSE)))
-    law = cache(lambda: _generate("law", _LAW, {}, laws))  # each generated at its first call
-    bound["_float" + summed] = total = lambda x: law()(x)
-    bound["_float" + inverted] = one = lambda t: inverse()(t)
-    total._laws, total._resolve, one._resolve = laws, law, inverse
-    bound["_walk"] = (lambda ts: walk()(ts)) if serial else lambda ts: list(map(  # in parallel,
-        _generate("law", _LAW, {}, [w(ts).__getitem__ for w in walks]), range(len(ts))))  # by row
-    return bound | {"_graph": None}
+    if not serial:  # its parts' walks, added row by row
+        walks = [c._walk for c in parts]
+        rows = _Law(lambda _: _generate("law", _LAW, {}, [_ROW] * len(walks)))
+        walk = lambda ts: list(map(rows._law, zip(*[w(ts) for w in walks])))
+    return bound | {"_float" + summed: total, "_float" + inverted: one, "_walk": walk, "_graph": None}
 
 
 def _array_inverse(total, cap, top):
@@ -349,17 +349,13 @@ else:
 """
 
 # An inverting node's float walk along ascending targets, and its one-target inverse, each a
-# unit of its own: per target a row ``(x, x, dx/dt)`` of the summed law less its value at rest,
-# read once for the node by the first unit made; dx/dt 0 below rest and at the cap, else 1 / the
+# unit of its own: per target a row ``(x, x, dx/dt)`` of the summed law less ``g0``, its value at
+# rest (slope ``dr0``), which the node reads once; dx/dt 0 below rest and at the cap, else 1 / the
 # last slope read; +inf past ``top``.  A walk starts each solve from the last one's lower end and
 # last point read, so no root falls below the one before.
 _SOLVE = """\
-def make(top, cap, rtol, rest, CELLS):
-    half, x = 0.5 * rtol, 0.0
-    if not rest:  # (two threads may both read it: the same values)
-        PARTS
-        rest.append((SUM_H, SUM_D))
-    g0, dr0 = rest[0]
+def make(top, cap, rtol, g0, dr0, CELLS):
+    half = 0.5 * rtol
     ENTRY
     return solve
 """
@@ -390,6 +386,7 @@ else:
 _LAW = ("def make(CELLS):\n    def law(x):\n        PARTS\n"  # a node's summed law, a lone kernel
         "        return SUM_L, SUM_H, SUM_D\n    return law\n")
 _CALL = ("call", "law", "l{i}, h{i}, d{i} = law{i}(x)\n")  # a part that is not inlined
+_ROW = _Law(inline=(("row", "", "l{i}, h{i}, d{i} = x[{i}]\n"), ()))  # part i's row of a walk
 _MADE = {}  # the generated factories, by shape
 
 
@@ -400,15 +397,13 @@ def _fill(src, slots):
 
 
 def _generate(node, frame, slots, laws, *cells):
-    """What ``frame``'s ``make`` returns over ``cells`` and parts of ``laws``: one that carries
-    ``_inline`` (its kind's snippet and cells) inline, any other called.  Part ``i`` sets ``l{i},
-    h{i}, d{i}`` at ``x``, added left to right in ``SUM_L``, ``SUM_H``, ``SUM_D``; ``slots`` fill
-    the frame's others.  The source of a shape (``node`` and the parts' kinds) is compiled at its
-    first use and kept; it reads ``_MAX_ITER`` and ``_mid_scalar`` here at each call.  It is
-    registered with ``linecache`` at once where that is loaded, else through its unit's
-    ``__loader__``, which a traceback asks, so generating imports nothing and writes no file."""
-    specs = [getattr(f, "_inline", None) or (_CALL, (getattr(f, "_resolve", lambda: f)(),))
-             for f in laws]
+    """What ``frame``'s ``make`` returns over ``cells`` and parts of ``laws``, each inlined from
+    its snippet or else called.  Part ``i`` sets ``l{i}, h{i}, d{i}`` at ``x``, added left to
+    right in ``SUM_L``, ``SUM_H``, ``SUM_D``; ``slots`` fill the frame's others.  The source of a
+    shape (``node`` and the parts' kinds) is compiled at its first use and kept, and its unit's
+    ``__loader__`` gives it to a traceback.  It reads ``_MAX_ITER`` and ``_mid_scalar`` here at
+    each call."""
+    specs = [getattr(f, "_inline", None) or (_CALL, (getattr(f, "_law", f),)) for f in laws]
     key, n = (node, *(kind for (kind, _, _), _ in specs)), range(len(specs))
     if key not in _MADE:
         names = ", ".join(c + str(i) for i in n for c in specs[i][0][1].split())
@@ -416,8 +411,6 @@ def _generate(node, frame, slots, laws, *cells):
         src = _fill(frame, {"PARTS": "".join(specs[i][0][2].format(i=i) for i in n), "CELLS": names,
                             "TARGET": _TARGET, "FINDER": _FINDER, **sums, **slots})
         name = f"rheokit {node}: {'+'.join(key[1:])}"  # not "<...>", which linecache would not ask
-        getattr(sys.modules.get("linecache"), "cache", {})[name] = (
-            len(src), None, src.splitlines(True), name)
         space = {**vars(math), "bisect_right": bisect_right, "rheology": sys.modules[__name__],
                  "NonConvergenceError": NonConvergenceError, "__name__": name, "__spec__": None,
                  "__loader__": SimpleNamespace(get_source=lambda _: src)}

@@ -472,19 +472,21 @@ def test_a_solve_out_of_steps_raises_a_typed_error(monkeypatch):
 
 
 def test_solves_are_generated_at_the_first_solve_once_per_shape(monkeypatch):
-    """Building a node compiles nothing; its first walk compiles its walk's shape and its first
-    scalar solve its inverse's, once each for every node of that shape, whose parameters are
-    the generated function's cells; a Maxwell run's step is one more shape."""
+    """Building a node compiles nothing; its first walk compiles its summed law's shape (read
+    once, at rest) and its walk's, and its first scalar solve its inverse's, once each for every
+    node of that shape, whose parameters are the generated function's cells; a Maxwell run's
+    step is one more shape."""
     monkeypatch.setattr(rheology, "_MADE", {})
     trees = [Serial([L(Dashpot(d)), L(PowerLaw(0.8, 3.5))]) for d in (1.3, 2.6)]
     assert rheology._MADE == {}
     rows = [t._walk([0.0, 0.5, 2.0]) for t in trees]
-    assert list(rheology._MADE) == [("walk serial", "graph", "powerlaw")] and rows[0] != rows[1]
+    made = [("law", "graph", "powerlaw"), ("walk serial", "graph", "powerlaw")]
+    assert list(rheology._MADE) == made and rows[0] != rows[1]
     want = [r[2][1] for r in rows]  # a walk stops in its own bracket: equal to 1e-13
     assert [stress_of_strain_rate(t, 2.0).hi for t in trees] == pytest.approx(want, rel=1e-13)
-    assert len(rheology._MADE) == 2 and ("inverse serial", "graph", "powerlaw") in rheology._MADE
+    assert list(rheology._MADE) == [*made, ("inverse serial", "graph", "powerlaw")]
     step(MaxwellModel(1.0, [Dashpot(1.3), PowerLaw(0.8, 3.5)]), 0.0, 1.0, 0.1)
-    assert ("step maxwell", "graph", "powerlaw") in rheology._MADE and len(rheology._MADE) == 3
+    assert ("step maxwell", "graph", "powerlaw") in rheology._MADE and len(rheology._MADE) == 4
 
 
 _LAZY_SOURCE_SCRIPT = """
@@ -502,10 +504,10 @@ except rheology.NonConvergenceError:
 
 
 def test_a_generated_solve_shows_its_source_in_a_traceback(monkeypatch):
-    """Each generated solve is registered with ``linecache`` under a name of its shape, so a
-    traceback through it shows the source line: the typed error of a solve out of steps, and
-    an error that a part it calls raises.  In a fresh interpreter, where generating a solve
-    loads no ``linecache``, the traceback module finds the source through the unit's loader."""
+    """Each generated solve is named by its shape and gives its source through its unit's
+    loader, so a traceback through it shows the source line: the typed error of a solve out of
+    steps, and an error that a part it calls raises.  Generating a solve loads no
+    ``linecache``: in a fresh interpreter the traceback module still finds the source."""
     def text(exc):
         return "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
 
@@ -526,7 +528,8 @@ def test_a_generated_solve_shows_its_source_in_a_traceback(monkeypatch):
         step(MaxwellModel(1.0, [Dashpot(1.3), PowerLaw(0.7, 2.5)]), 0.0, 1.0, 0.1)
     assert 'File "rheokit step maxwell: graph+powerlaw", line ' in text(out.value)
     broken = L(PowerLaw(1.0, 2.0))
-    broken.__dict__["_float_flow"] = lambda x: 1.0 / (x - x)  # a part that raises when called
+    # a part that raises when a solve calls it away from rest
+    broken.__dict__["_float_flow"] = lambda x: 1.0 / (x - x) if x else (0.0, 0.0, 1.0)
     with pytest.raises(ZeroDivisionError) as out:
         stress_of_strain_rate(Serial([L(Dashpot(1.0)), broken]), 0.5)
     assert 'File "rheokit inverse serial: graph+call", line ' in text(out.value)
