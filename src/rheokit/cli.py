@@ -8,8 +8,8 @@ rheokit equivalence three-element equivalence check and empirical gap
 rheokit simulate    0D generalized Maxwell time integration
 rheokit conjugate   conjugate of a single potential
 
-Exit codes: 0 ok, 2 input/schema error, 3 solver/integrator failure,
-4 equivalence regression.  Output is deterministic: 17 significant
+Exit codes: 0 ok, 2 input/schema error (an unwritable ``--out`` too), 3 solver/integrator
+failure, 4 equivalence regression, 1 where stdout's reader has gone.  Output is deterministic: 17 significant
 digits, ``\\n`` line endings, ``inf`` as the literal token.  ``curve``
 walks its rate grid on Python floats, never importing numpy, up to
 ``FLOAT_RATES`` rates, or ``WALK_RATES`` on a tree whose solves do not nest;
@@ -19,9 +19,11 @@ walks its rate grid on Python floats, never importing numpy, up to
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import json
 import math
+import os
 import sys
 from bisect import bisect_right
 from itertools import chain
@@ -32,7 +34,6 @@ from .errors import (
     NonConvergenceError,
     SchemaError,
 )
-from .maxwell0d import simulate
 from .potentials import Dashpot, PowerLaw, _number, conjugate_analytic, value
 from .rheology import (
     Formula,
@@ -50,6 +51,15 @@ from .rheology import (
     three_element_serial_parallel,
 )
 from .schema import dump_model, dump_simulation, parse_model, parse_simulation
+
+
+def __getattr__(name):  # ``simulate`` from maxwell0d, which only that command loads
+    if name != "simulate":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .maxwell0d import simulate
+
+    return simulate
+
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -70,8 +80,11 @@ def _write(out_path, text: str) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _csv(header, columns) -> str:
@@ -228,7 +241,8 @@ def cmd_simulate(args) -> int:
     if args.dump_model:
         _write(args.out, _dump_json(dump_simulation(model, drive, e_el0)))
         return EXIT_OK
-    t, _, e_el, sigma = simulate(model, drive, args.dt, args.t_end, e_el0).columns
+    run = sys.modules[__name__].simulate  # through the module, where a hook may wrap it
+    t, _, e_el, sigma = run(model, drive, args.dt, args.t_end, e_el0).columns
     segs = (*drive.segments, (math.inf, 0.0))  # rows past the last segment read 0
     ends = [bisect_right(t, t_end) for t_end, _ in segs]  # rows up to each segment's end
     rates = tuple((eps, hi - lo) for (_, eps), lo, hi in zip(segs, [0, *ends], ends))
@@ -325,10 +339,21 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    """Console script and ``python -m rheokit``: exit with ``main()``'s code.  Every exit (a
-    code, ``SystemExit``, a traceback) freezes the heap first, so teardown leaves it to the OS
-    uncollected; atexit handlers and stream flushes still run.  ``main()`` never freezes."""
+    """Console script and ``python -m rheokit``: exit with ``main()``'s code.  Once ``main()``
+    returns, the heap is frozen, atexit handlers run and stdout and stderr are flushed, then the
+    process ends at ``os._exit``, skipping the interpreter's teardown.  ``SystemExit`` and an
+    exception take the interpreter's exit, with the heap frozen.  A stdout whose reader has
+    gone, at a write or at the flush, ends with status 1 and no traceback, the rest of the output
+    dropped.  ``main()`` never freezes and never exits."""
     try:
-        sys.exit(main())
+        code = main()
+        gc.freeze()
+        atexit._run_exitfuncs()
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
+    except BrokenPipeError:  # the interpreter's own flush at exit writes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
     finally:
         gc.freeze()

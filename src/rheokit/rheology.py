@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import enum
 import math
-import re
 import struct
 import sys
 from bisect import bisect_right
@@ -391,9 +390,17 @@ _MADE = {}  # the generated factories, by shape
 
 
 def _fill(src, slots):
-    """``src`` with each slot's name replaced by its text, filled in turn, at the name's indent."""
-    return re.sub(r"( *)\b([A-Z][A-Z_]+)\b", lambda m: m[1] + _fill(slots[m[2]], slots).rstrip(
-        "\n").replace("\n", "\n" + m[1]) if m[2] in slots else m[0], src)
+    """``src`` with each slot's name replaced by its text, filled in turn, its lines after the
+    first indented by the spaces before the name.  A name is replaced wherever it occurs, so no
+    template holds one inside a longer word."""
+    for name, text in slots.items():
+        if name in src:
+            head, *tails = src.split(name)
+            text = _fill(text, slots).rstrip("\n")
+            for tail in tails:
+                head += text.replace("\n", "\n" + " " * (len(head) - len(head.rstrip(" ")))) + tail
+            src = head
+    return src
 
 
 def _generate(node, frame, slots, laws, *cells):

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from . import potentials
 from .errors import InvalidInputError, SchemaError
-from .maxwell0d import DriveProgram, MaxwellModel
 from .potentials import Potential
 from .rheology import Leaf, Parallel, RheoExpr, Serial
 
@@ -127,6 +126,8 @@ def dump_model(e: RheoExpr) -> dict:
 
 def parse_simulation(doc):
     """Parse a simulation document into (model, drive, initial elastic strain)."""
+    from .maxwell0d import DriveProgram, MaxwellModel  # loaded by simulation documents only
+
     doc = _expect_object(doc, "")
     extra = set(doc) - {"E", "elements", "drive", "e_el0"}
     if extra:

@@ -16,6 +16,7 @@ import random
 import numpy as np
 import pytest
 
+from rheokit import rheology
 from rheokit.convex_core import SampledFunction
 from rheokit.errors import NonConvergenceError
 from rheokit.maxwell0d import DriveProgram, MaxwellModel, simulate
@@ -174,3 +175,48 @@ def test_float_path_bits_are_pinned(S, R):
     those pinned; each tree's outputs are the same bits on a copy that calls every leaf's
     float kernels through a counting wrapper."""
     assert _float_bits(S, R) == _FLOAT_BITS_PINNED[S, R]
+
+
+# The first 16 hex digits of the SHA-256 of each generated unit's source, by its shape (the
+# frame, then its parts' kinds), taken while the templates were filled by a regular expression
+_SOURCES_PINNED = {
+    "inverse parallel call call graph": "cd744020cfae86ab",
+    "inverse parallel call powerlaw": "6f6a3399f599df6b",
+    "inverse parallel powerlaw graph": "ea9faa7d21871b48",
+    "inverse serial call graph": "3697833d72dbd08d",
+    "inverse serial graph powerlaw": "a284a316b3c6836d",
+    "inverse serial powerlaw graph": "ea9faa7d21871b48",
+    "law call call graph": "190a657a9763cd44",
+    "law call graph": "a0bdb50a3bb7600b",
+    "law call powerlaw": "6fddc86fab70cda9",
+    "law graph": "1121636a35bd6e77",
+    "law graph powerlaw": "4d13a3857732911c",
+    "law powerlaw": "5d5e7405651c88e1",
+    "law powerlaw graph": "19d0ac0669c0b870",
+    "law row row": "8b5c039c851b09d9",
+    "law row row row": "e5b11b277f825223",
+    "step maxwell graph powerlaw": "b11638fbdd1b9a1f",
+    "walk serial call graph": "16cf5718c020191b",
+    "walk serial graph powerlaw": "b1050fe426929486",
+    "walk serial powerlaw graph": "5baa43271cfa82bb",
+}
+
+
+def test_generated_sources_are_pinned(monkeypatch):
+    """Every unit that walks, inverse and scalar calls of four trees, a lone power law's law
+    and a ``simulate`` run generate, with graph, power-law, called and row parts, is
+    generated from the same source bytes as pinned."""
+    made = {}
+    monkeypatch.setattr(rheology, "_MADE", made)  # a fresh cache: each shape is generated here
+    D, P, W = Leaf(Dashpot(1.3)), Leaf(PerfectPlastic(0.6)), Leaf(PowerLaw(0.8, 2.5))
+    for tree in (Serial([W, D]), Parallel([Serial([P, W]), Serial([D, W]), D]),
+                 Serial([Parallel([W, P]), D]), Parallel([Serial([Parallel([W, P]), D]), W])):
+        tree._walk([0.0, 0.5, 2.0])
+        strain_rate_of_stress(tree, 0.7), stress_of_strain_rate(tree, 0.7)
+    W.p._float_flow(0.5)
+    model = MaxwellModel(1.0, [Dashpot(1.3), PowerLaw(0.7, 2.5), Huber(0.6, 1.6)])
+    simulate(model, DriveProgram([(1.0, 1.2)]), 0.25, 1.0)
+    sources = {" ".join(key): make.__globals__["__loader__"].get_source(None)
+               for key, make in made.items()}
+    assert {key: hashlib.sha256(src.encode()).hexdigest()[:16]
+            for key, src in sources.items()} == _SOURCES_PINNED

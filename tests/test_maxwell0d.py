@@ -744,6 +744,23 @@ def test_cli_commands_load_only_the_code_they_run(tmp_path):
     assert len(wide.read_text().splitlines()) == 16386
 
 
+def test_only_simulate_loads_maxwell0d(tmp_path):
+    """``import rheokit``, a walked ``curve`` on a tree whose solves nest two deep, and the
+    ``--dump-model`` of ``curve`` and ``conjugate`` load neither ``maxwell0d`` nor numpy nor
+    ``convex_core``, in one fresh interpreter; the ``simulate`` after them loads ``maxwell0d``."""
+    walked = _curve_argv(tmp_path, "nested", _depth2(1.0), 16)
+    leaf, out = tmp_path / "leaf.json", str(tmp_path / "dump.json")
+    leaf.write_text(json.dumps(_W), encoding="utf-8")
+    (tmp_path / "sim").mkdir()
+    cases = [walked, ["curve", "--model", walked[2], "--dump-model", "--out", out],
+             ["conjugate", "--model", str(leaf), "--dump-model", "--out", out],
+             _simulate_argv(tmp_path / "sim", *_MIXES[0], "unit")]
+    runs = _fresh_runs(cases, ("numpy", "rheokit.maxwell0d", "rheokit.convex_core"))
+    assert [loaded for _, loaded in runs] == [[], [], [], ["rheokit.maxwell0d"]]
+    assert len((tmp_path / "nested.csv").read_text().splitlines()) == 17
+    assert json.loads((tmp_path / "dump.json").read_text()) == _W
+
+
 @pytest.mark.parametrize("args", [(0.0, 1.0, 10**400), (0.0, "1", 0.1), (0.0, 1.0, "0.1"),
                                   (True, 1.0, 0.1), (0.0, 1.0, np.float64(np.inf))])
 def test_step_takes_numbers_by_the_number_rule(args):

@@ -902,3 +902,59 @@ def test_python_m_rheokit_writes_what_main_writes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", err)
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["curve", "simulate", "equivalence"])
+def test_an_unwritable_out_is_an_input_error(tmp_path, capsys, command):
+    """An ``--out`` in a directory that does not exist exits 2 with one input-error line that
+    names it, as an unreadable ``--model`` does."""
+    argv = {"curve": ["curve", "--model", write_json(tmp_path, "m.json", SERIAL_VP)],
+            "simulate": ["simulate", "--model", write_json(tmp_path, "s.json", RELAX_SIM)],
+            "equivalence": ["equivalence", "--sigma-a", "1", "--d2", "1", "--d3", "1"]}[command]
+    out = tmp_path / "no-such-dir" / "out.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"rheokit: input error: cannot write {out}: ") and err.count("\n") == 1
+    assert not out.parent.exists()
+
+
+def _python_buffered(*args, buffered, **kw):
+    """``python *args`` on this tree's sources, stdout block-buffered or not buffered."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, *([] if buffered else ["-u"]), *args], env=env, **kw)
+
+
+_SHORT = ["equivalence", "--sigma-a", "1", "--d2", "1", "--d3", "1"]
+_LONG = ["compare", "--preset", "fig6", "--samples", "7000"]
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("argv", [_SHORT, _LONG])
+def test_entry_flushes_every_byte_before_it_exits(tmp_path, argv, buffered):
+    """``entry()`` ends the process with ``os._exit`` once ``main()`` returns: stdout, block
+    buffered or not, has every byte ``main()`` writes to a file, and an atexit handler runs
+    once, on the frozen heap."""
+    proc = _python_buffered("-c", _ATEXIT_FREEZE, "entry", *argv, buffered=buffered,
+                            capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"atexit frozen=True\n")
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert proc.stdout == (tmp_path / "out").read_bytes()
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("argv", [_SHORT, _LONG])
+def test_a_stdout_with_no_reader_exits_1_without_a_traceback(argv, buffered):
+    """A stdout pipe whose read end is closed first: the write fails (the long output, or
+    either one unbuffered) or the final flush does (the short output, buffered).  Either way
+    the exit status is 1, nothing is written to stderr but the atexit handler's line, and that
+    handler runs once."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _python_buffered("-c", _ATEXIT_FREEZE, "entry", *argv, buffered=buffered,
+                                stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"atexit frozen=True\n")
