@@ -342,9 +342,10 @@ def entry() -> None:
     """Console script and ``python -m rheokit``: exit with ``main()``'s code.  Once ``main()``
     returns, the heap is frozen, atexit handlers run and stdout and stderr are flushed, then the
     process ends at ``os._exit``, skipping the interpreter's teardown.  ``SystemExit`` and an
-    exception take the interpreter's exit, with the heap frozen.  A stdout whose reader has
-    gone, at a write or at the flush, ends with status 1 and no traceback, the rest of the output
-    dropped.  ``main()`` never freezes and never exits."""
+    exception take the interpreter's exit, with the heap frozen, and so does a failed flush.  A
+    stdout whose reader has gone, at a write or at the flush, ends with status 1 and no traceback,
+    the rest of the output dropped.  ``main()`` never freezes and never exits."""
+    code = None
     try:
         code = main()
         gc.freeze()
@@ -355,5 +356,9 @@ def entry() -> None:
     except BrokenPipeError:  # the interpreter's own flush at exit writes to the null device
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
+    except OSError:  # a failed flush: the interpreter's exit flushes again, reports it, exits 120
+        if code is None:
+            raise
+        sys.exit(code)
     finally:
         gc.freeze()

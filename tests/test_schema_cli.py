@@ -958,3 +958,15 @@ def test_a_stdout_with_no_reader_exits_1_without_a_traceback(argv, buffered):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (1, b"atexit frozen=True\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_flush_takes_the_interpreters_exit():
+    """Buffered stdout on a full device fails at ``entry()``'s flush, not at the write: the
+    process takes the interpreter's exit, which flushes again, reports the error with no
+    traceback and exits 120, never 0."""
+    with open("/dev/full", "wb") as full:
+        proc = _python_buffered("-m", "rheokit", *_SHORT, buffered=True, stdout=full,
+                                stderr=subprocess.PIPE)
+    assert proc.returncode == 120, proc.stderr
+    assert b"No space left on device" in proc.stderr and b"Traceback" not in proc.stderr
