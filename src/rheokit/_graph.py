@@ -44,6 +44,7 @@ class SubdiffInterval(Record):
 # domain all of [0, inf), unbounded range.  Conjugation swaps sv<->nf, dom<->ub.
 _Feat = namedtuple("_Feat", "sv nf dom ub")
 _INF = float("inf")
+_LOOP_ROWS = 3  # past it a graph finds each point's row: faster at any size from 4 rows on
 
 
 class _Graph(Record):
@@ -85,6 +86,8 @@ class _Graph(Record):
         Python floats; the kinds' float kernels run the rows as source (``potentials._GRAPH``)."""
         if not isinstance(x, np.ndarray):
             return tuple(map(float, self(np.asarray(float(x)), rest)))
+        if len(self._rows[0]) > _LOOP_ROWS:
+            return self._gather(x, rest)
         for k, (x0, y0, dx, dy, s, cap, _) in enumerate(self._rows[0]):
             v, ds = y0, s  # a constant stays a scalar until the end
             if dy:  # y0 + (x - x0) * dy / dx, less the exact identities
@@ -106,6 +109,21 @@ class _Graph(Record):
                 y = np.where(at, l0, y) if rest and not x0 else y
         return lo, y, d
 
+    @cached_property
+    def _columns(self):  # the rows, nan for no cap and -0.0 for a y0 of 0, as x + -0.0 is x
+        return np.array([(x0, y0 or -0.0, dx, dy, s, np.nan if cap is None else cap, l0)
+                         for x0, y0, dx, dy, s, cap, l0 in self._rows[0]]).T.copy()
+
+    def _gather(self, x, rest):
+        """The row loop's bits, each point's row found by ``np.searchsorted``."""
+        cols = self._columns
+        x0, y0, dx, dy, s, cap, l0 = np.take(cols, np.searchsorted(cols[0, 1:], x, "right"), axis=1)
+        y = np.where(dy != 0.0, (x - x0) * dy / dx, 0.0) + y0  # a flat keeps its level
+        y, d = np.where(cap <= y, cap, y), np.where(cap <= y, 0.0, s)  # never where cap is nan
+        at = (x == x0) & (l0 < y0)  # a jump
+        lo, d = np.where(at, l0, y), np.where(at, _INF, d)
+        return lo, np.where(at & (x == 0.0), l0, y) if rest else y, d
+
     @property
     def feat(self) -> _Feat:
         """Read from the pieces: vertical ones, flat ones and the final ray."""
@@ -117,9 +135,8 @@ class _Graph(Record):
         """Supremum of y: the level of a flat final ray, else +inf."""
         return self.pieces[-1][1] if self.pieces[-1][3] == 0.0 else _INF
 
-    def _state(self, v) -> tuple:
-        """The y-interval at ``v`` (stored at a vertex) and the direction past ``v``."""
-        xs = [p[0] for p in self.pieces]
+    def _state(self, v, xs) -> tuple:
+        """The y-interval at ``v`` (stored at a vertex), the direction past it; ``xs``: starts."""
         x, y, dx, dy = self.pieces[bisect_right(xs, v) - 1]
         if v != x:
             y += (v - x) * dy / dx
@@ -140,9 +157,9 @@ def _graph_sum(graphs) -> _Graph:
     where it sums their stored vertices; the domain ends with the first to end.
     ``_graph_sum([g.T for g in gs]).T`` sums the inverses."""
     end = min(g.pieces[-1][0] if g.pieces[-1][2] == 0.0 else _INF for g in graphs)
-    pieces = []
-    for v in sorted({p[0] for g in graphs for p in g.pieces if p[0] <= end}):
-        st = [g._state(v) for g in graphs]
+    pieces, starts = [], [[p[0] for p in g.pieces] for g in graphs]  # made once per graph
+    for v in sorted({x for xs in starts for x in xs if x <= end}):
+        st = [g._state(v, xs) for g, xs in zip(graphs, starts)]
         lo, hi = sum(s[0] for s in st), sum(s[1] for s in st)
         if hi > lo:
             pieces.append((v, lo, 0.0, 1.0))

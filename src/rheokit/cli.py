@@ -8,12 +8,12 @@ rheokit equivalence three-element equivalence check and empirical gap
 rheokit simulate    0D generalized Maxwell time integration
 rheokit conjugate   conjugate of a single potential
 
-Exit codes: 0 ok, 2 input/schema error (an unwritable ``--out`` too), 3 solver/integrator
-failure, 4 equivalence regression, 1 where stdout's reader has gone.  Output is deterministic: 17 significant
-digits, ``\\n`` line endings, ``inf`` as the literal token.  ``curve``
-walks its rate grid on Python floats, never importing numpy, up to
-``FLOAT_RATES`` rates, or ``WALK_RATES`` on a tree whose solves do not nest;
-``compare`` fills every column on floats at any size and never imports numpy.
+Exit codes: 0 ok, 2 input/schema error (an unwritable ``--out`` or stdout too, such as a full
+device), 3 solver/integrator failure, 4 equivalence regression, 1 where stdout's reader has
+gone.  Output is deterministic: 17 significant digits, ``\\n`` line endings, ``inf`` as the
+literal token.  ``curve`` walks its rate grid on Python floats, never importing numpy, up to
+``FLOAT_RATES`` rates, or ``WALK_RATES`` on a tree whose solves do not nest; ``compare`` fills
+every column on floats at any size and never imports numpy.
 """
 
 from __future__ import annotations
@@ -77,14 +77,17 @@ def _fmt(x: float) -> str:
 
 
 def _write(out_path, text: str) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        try:
+    try:
+        if out_path is None:
+            sys.stdout.write(text)
+        else:
             with open(out_path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise InvalidInputError(f"cannot write {out_path}: {exc}") from exc
+    except BrokenPipeError:  # no reader: entry() ends with status 1
+        raise
+    except OSError as exc:
+        where = "stdout" if out_path is None else out_path
+        raise InvalidInputError(f"cannot write {where}: {exc}") from exc
 
 
 def _csv(header, columns) -> str:
@@ -342,9 +345,10 @@ def entry() -> None:
     """Console script and ``python -m rheokit``: exit with ``main()``'s code.  Once ``main()``
     returns, the heap is frozen, atexit handlers run and stdout and stderr are flushed, then the
     process ends at ``os._exit``, skipping the interpreter's teardown.  ``SystemExit`` and an
-    exception take the interpreter's exit, with the heap frozen, and so does a failed flush.  A
-    stdout whose reader has gone, at a write or at the flush, ends with status 1 and no traceback,
-    the rest of the output dropped.  ``main()`` never freezes and never exits."""
+    exception take the interpreter's exit, with the heap frozen.  A stdout that fails, at a write
+    or at the flush, ends the process with no traceback and the rest of the output dropped: with
+    status 1 where its reader has gone, else with one input-error line and status 2.  ``main()``
+    never freezes and never exits."""
     code = None
     try:
         code = main()
@@ -356,9 +360,11 @@ def entry() -> None:
     except BrokenPipeError:  # the interpreter's own flush at exit writes to the null device
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
-    except OSError:  # a failed flush: the interpreter's exit flushes again, reports it, exits 120
+    except OSError as exc:  # stdout failed at the flush: one line, as for a failed write
         if code is None:
             raise
-        sys.exit(code)
+        print(f"rheokit: input error: cannot write stdout: {exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_INPUT)
     finally:
         gc.freeze()

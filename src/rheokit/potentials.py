@@ -12,13 +12,13 @@ PerfectPlastic(a)      a * r                              (dry friction, yield a
 PowerLaw(D, n)         n/(n+1) * D * r**(1 + 1/n)         (creep exponent n)
 Huber(a, D)            0.5*D*r**2 below a/D, affine above (serial creep+slip)
 QuadPlusBall(q, a)     0.5*q*s**2 on [0, a], +inf outside (conjugate-side)
-Sampled(f)             grid data, numeric fallbacks
+Sampled(f)             grid samples, linearly interpolated
 
 Each kind subclasses :class:`Potential` and carries its own laws.  The
-polyline kinds (Dashpot, PerfectPlastic, Huber, QuadPlusBall) declare
-only their stress law's graph and read their kernels from it.  The float
-kernels of the polyline and power-law kinds are snippets of source,
-``_GRAPH`` and ``_POWER``, that the generated float solves inline.
+graph kinds (Dashpot, PerfectPlastic, Huber, QuadPlusBall, Sampled)
+declare only their stress law's graph and read their kernels from it.
+Every kind's float kernels are snippets of source, ``_GRAPH`` and
+``_POWER``, that the generated float solves inline.
 """
 
 from __future__ import annotations
@@ -99,9 +99,9 @@ class Potential(Record):
     strain-rate magnitudes) and ``flow`` (at stress magnitudes): at a
     float64 array or numpy scalar they return ``(lo, hi, slope)``, the
     ends of the set-valued derivative and the slope of the upper end, +inf
-    at a jump.  Callers set ``np.errstate``.  ``_float_flow()``, ``_float_stress()``:
-    each on one Python float, in Python floats, bit for bit, +inf on overflow, no raise;
-    one that carries a snippet (:class:`_Law`) runs inline in a generated solve.
+    at a jump.  Callers set ``np.errstate``.  ``_float_flow()``, ``_float_stress()``, the pair
+    ``_floats`` each kind makes: each on one Python float, in Python floats, bit for bit, +inf on
+    overflow, no raise; each carries a snippet (:class:`_Law`), inlined in a generated solve.
     ``kind`` names the element in model documents (None: not representable);
     ``_graph`` is the stress law as a polyline, None where it is not one.
     """
@@ -122,18 +122,6 @@ class Potential(Record):
 
     def _float_stress(self):
         return self._floats[1]
-
-    @cached_property
-    def _floats(self):
-        """The float kernels of ``flow`` and ``stress``, made once; by default numpy's."""
-        def kernel(law):
-            def on_float(x):
-                with np.errstate(all="ignore"):
-                    return tuple(map(float, law(np.float64(x))))
-
-            return on_float
-
-        return kernel(self.flow), kernel(self.stress)
 
     def _feat(self) -> _Feat:
         """Graph features; by default a strictly increasing, unbounded law."""
@@ -298,21 +286,17 @@ class PowerLaw(Potential):
         return self.n / (self.n + 1.0) * self.D * r ** (1.0 + 1.0 / self.n)
 
     @cached_property
-    def _laws(self):  # its flow and stress, each (on numpy's floats, on Python's), made once
-        return (_power_kernel(self.D, 1.0, self.n, self.n / self.D),
-                _power_kernel(1.0, self.D, 1.0 / self.n, self.D / self.n))
+    def _laws(self):  # its flow and stress on numpy's floats, then on Python's, made once
+        return tuple(zip(_power_kernel(self.D, 1.0, self.n, self.n / self.D),
+                         _power_kernel(1.0, self.D, 1.0 / self.n, self.D / self.n)))
 
-    def _float_flow(self, arrays=False):
-        return self._laws[0][not arrays]
-
-    def _float_stress(self, arrays=False):
-        return self._laws[1][not arrays]
+    _floats = property(lambda self: self._laws[1])
 
     def stress(self, eps):
-        return self._laws[1][type(eps) is float](eps)
+        return self._laws[type(eps) is float][1](eps)
 
     def flow(self, sig):
-        return self._laws[0][type(sig) is float](sig)
+        return self._laws[type(sig) is float][0](sig)
 
     def conjugate(self):
         # exponent 1+n, coefficient 1/((1+n) D**n)
@@ -381,13 +365,13 @@ class QuadPlusBall(_GraphLaw):
         return Huber(self.sigma_a, d)
 
 
-class Sampled(Potential):
+class Sampled(_GraphLaw):
     """Grid-sampled potential; shifted so the value at 0 is exactly 0.
 
-    Derivatives are those of the piecewise-linear interpolant; the flow
-    is the stress law of the numeric conjugate, computed once.  A +inf
-    tail bounds the rate by the last finite sample point: the conjugate
-    is affine past its last grid point, and the flow there is that bound.
+    Its stress law, the derivative of the linear interpolant, is a staircase (Lucet, Bauschke &
+    Trienis 2009): from 0 at rest, a flat at each segment's slope and a jump where it rises.  A
+    +inf tail ends it in a vertical ray at the last finite sample; window-limited data in its last
+    flat, the stress past the window, where :mod:`convex_core`'s conjugate is +inf.
     """
 
     f: cc.SampledFunction
@@ -397,41 +381,32 @@ class Sampled(Potential):
         if not isinstance(f, cc.SampledFunction):
             raise InvalidInputError(f"Sampled needs a SampledFunction, got {f!r}")
         if f.values[0] != 0.0:
-            shifted = cc.SampledFunction(f.grid, f.values - f.values[0], f.finite_sup)
-            object.__setattr__(self, "f", shifted)
-
-    @cached_property
-    def _dual(self) -> "Sampled":
-        return Sampled(cc.legendre_transform(self.f))
+            self.__dict__["f"] = cc.SampledFunction(f.grid, f.values - f.values[0], f.finite_sup)
 
     def value(self, r):
         return cc._interp(self.f, r)
 
-    def stress(self, eps):
-        lo, hi = cc._slope_interval(self.f, eps)
-        # piecewise constant: flat between grid points, a jump at a kink
-        return lo, hi, np.where(lo == hi, 0.0, np.inf)
-
-    def flow(self, sig):
-        if self.f.finite_sup < self.f.grid.size:
-            sig = np.minimum(sig, self._dual.f.r_max)
-        # the rate at zero stress is zero, not the conjugate's slope at rest
-        lo, hi, d = self._dual.stress(sig)
-        return lo, np.where(sig == 0.0, 0.0, hi), d
+    def _pieces(self):
+        f, m, pieces, y = self.f, self.f.finite_sup, [], 0.0
+        for x, s in zip(f.grid.tolist(), f._slopes.tolist()):
+            if s > y:  # equal slopes, or a dip within the convexity slack, stay on the flat
+                pieces += [(x, y, 0.0, 1.0), (x, s, 1.0, 0.0)]
+                y = s
+            elif not pieces:
+                pieces.append((x, y, 1.0, 0.0))
+        end = [(float(f.grid[m - 1]), y, 0.0, 1.0)] if m < f.grid.size or m == 1 else []
+        return (*pieces, *end)
 
     def conjugate(self):
-        return self._dual
+        dual = Sampled(cc.legendre_transform(self.f))
+        dual.__dict__["_graph"] = self._graph.T  # so its stress is this flow, bit for bit
+        return dual
 
-    def _feat(self):
-        # accept strictly convex, everywhere-finite samples as strict and
-        # unbounded (growth beyond the window is not inferable)
+    def _feat(self):  # strictly convex samples finite on the grid: strict and unbounded
         f = self.f
         allfin = f.finite_sup == f.grid.size
         strict = f._slopes.size >= 1 and bool(np.all(np.diff(f._slopes) > 0.0))
         return _Feat(allfin, strict, allfin, strict and allfin)
-
-    def stress_sup(self):
-        return cc._dual_cap(self.f)
 
 
 def _potential(p) -> Potential:
@@ -469,7 +444,7 @@ def conjugate_analytic(p: Potential) -> Potential:
     PerfectPlastic(a) <-> QuadPlusBall(0, a)    (indicator of [0, a])
     PowerLaw(D, n)    <-> PowerLaw(D**-n, 1/n)  (exponent 1+n, coeff 1/((1+n) D**n))
     Huber(a, D)       <-> QuadPlusBall(1/D, a)
-    Sampled           ->  numeric transform fallback
+    Sampled           ->  Sampled of the numeric transform, its graph transposed
     """
     return _potential(p).conjugate()
 

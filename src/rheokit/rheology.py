@@ -3,8 +3,8 @@
 A rheological network is a tree: leaves hold potentials, Parallel nodes
 add potentials (stresses add at common rate), Serial nodes combine them
 by infimal convolution (rates add at common stress).  When a node is
-built, its children with polyline stress laws (dashpot, plastic, Huber)
-merge into one exact polyline leaf, so a subtree of them alone is one
+built, its children with polyline stress laws (dashpot, plastic, Huber,
+sampled) merge into one exact polyline leaf, so a subtree of them alone is one
 closed form.  Elsewhere ``strain_rate_of_stress`` (rates summed across
 a Serial node) and ``stress_of_strain_rate`` (stresses summed across a
 Parallel node) invert each other by one monotone root finder: on floats
@@ -22,8 +22,8 @@ when built: on numpy arrays (``stress_curve``), and on Python floats, never
 importing numpy, as a walk along ascending targets per inverting node, each
 solve after the first from the last one's lower end and a log-log Newton step,
 and its one-target inverse, for scalar calls and nested solves.  Each is one
-function generated at its first call, polyline and power-law parts inlined
-from their kinds' snippets, and compiled once per shape (``_generate``).  On
+function generated at its first call, every leaf inlined from its
+kind's snippet, and compiled once per shape (``_generate``).  On
 either path an inverting node reads its summed law at rest once.
 
 The module also provides the closed-form and empirical effective
@@ -384,7 +384,7 @@ else:
 """
 _LAW = ("def make(CELLS):\n    def law(x):\n        PARTS\n"  # a node's summed law, a lone kernel
         "        return SUM_L, SUM_H, SUM_D\n    return law\n")
-_CALL = ("call", "law", "l{i}, h{i}, d{i} = law{i}(x)\n")  # a part that is not inlined
+_CALL = ("call", "law", "l{i}, h{i}, d{i} = law{i}(x)\n")  # a part with no snippet: a nested node
 _ROW = _Law(inline=(("row", "", "l{i}, h{i}, d{i} = x[{i}]\n"), ()))  # part i's row of a walk
 _MADE = {}  # the generated factories, by shape
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rheokit.convex_core as cc
+from rheokit import _graph
 from rheokit.errors import InvalidInputError
 from rheokit.potentials import (
     Dashpot,
@@ -22,7 +23,7 @@ from rheokit.potentials import (
     sample_potential,
     value,
 )
-from rheokit.rheology import Leaf, _merged, stress_of_strain_rate
+from rheokit.rheology import Leaf, Parallel, Serial, _merged, stress_of_strain_rate
 
 CATALOG = [
     Dashpot(1.7),
@@ -266,7 +267,7 @@ def test_power_law_slope_past_the_float_range(law, side, v):
     p = 1.0 / law.n if side == "stress" else law.n
     x, _, slope = getattr(law, f"_float_{side}")()(v)
     assert math.isfinite(slope) and slope == pytest.approx(p * x / v, rel=1e-14, abs=0)
-    on_arrays = getattr(law, f"_float_{side}")(True)
+    on_arrays = getattr(law, side)  # on numpy's floats
     with np.errstate(all="raise"):
         for arg in (np.float64(v), np.array([v, 0.0, 1.0])):
             assert _bits(on_arrays(arg)[2]).ravel()[0] == _bits(slope)
@@ -420,9 +421,9 @@ def test_rest_point_conventions():
 
 
 def test_polyline_kinds_read_their_laws_from_the_graph():
-    for kind in (Dashpot, PerfectPlastic, Huber, QuadPlusBall):
-        own = {"stress", "flow", "_feat", "stress_sup"} & set(vars(kind))
-        assert not own, (kind.__name__, own)
+    for kind in (Dashpot, PerfectPlastic, Huber, QuadPlusBall, Sampled):
+        own = {"stress", "flow", "_feat", "stress_sup", "_dual"} & set(vars(kind))
+        assert own <= ({"_feat"} if kind is Sampled else set()), (kind.__name__, own)
     feats = {Dashpot(1.0): (True, True, True, True), PerfectPlastic(1.0): (False, False, True, False),
              Huber(1.0, 2.0): (True, False, True, False), QuadPlusBall(2.0, 1.0): (False, True, False, True),
              QuadPlusBall(0.0, 1.0): (False, False, False, True)}
@@ -496,3 +497,103 @@ def test_float_kernels_are_the_numpy_kernels_bit_for_bit():
 @given(st.floats(0.3, 40.0), st.floats(-50.0, 50.0), st.floats(-300.0, 300.0))
 def test_power_law_float_kernel_over_hundreds_of_decades(n, log_d, log_s):
     _float_kernel_is_the_flow(PowerLaw(10.0**log_d, n), [10.0**log_s])
+
+
+def _staircases():
+    """Sampled potentials: 0.3 r**2 + 0.1 r**3 at 17, 101 and 2,048 samples on [0, 10], with
+    and without a +inf tail past 6; point supports, +inf past 0 and on a one-point grid; data
+    flat at rest, then with equal slopes."""
+    out = []
+    for n in (17, 101, 2048):
+        grid = np.linspace(0.0, 10.0, n)
+        values = 0.3 * grid**2 + 0.1 * grid**3
+        out += [Sampled(cc.SampledFunction.from_samples(grid, v))
+                for v in (values, np.where(grid <= 6.0, values, np.inf))]
+    grid = np.linspace(0.0, 4.0, 9)
+    out.append(Sampled(cc.SampledFunction.from_samples(grid, np.where(grid > 0, np.inf, 0.0))))
+    out.append(Sampled(cc.SampledFunction.from_samples([0.0], [0.0])))
+    flat = np.concatenate(([0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 5.0, 7.0, 9.0]))
+    out.append(Sampled(cc.SampledFunction.from_samples(grid, np.cumsum(flat))))
+    return out
+
+
+def _suite_graphs():
+    """The graphs the suite builds: each graph kind, the staircases, each staircase below 2,048
+    samples merged with each polyline kind in series and in parallel, seeded random merges of two
+    to five such elements, and the transposes of them all."""
+    rng = np.random.default_rng(31)
+    polylines = [Dashpot(3.0), PerfectPlastic(1.0), Huber(1.0, 49.0), QuadPlusBall(0.0, 1.0),
+                 QuadPlusBall(49.0, 1.0), Dashpot(9.42e20), Huber(4.94e6, 1.1e21)]
+    stairs = _staircases()
+    kinds = polylines + stairs[:4] + stairs[6:]
+    groups = [(s, p) for s in kinds[len(polylines):] for p in polylines[:5]]
+    groups += [tuple(kinds[i] for i in rng.choice(len(kinds), rng.integers(2, 6)))
+               for _ in range(40)]
+    graphs = [p._graph for p in polylines + stairs]
+    for serial in (True, False):
+        for group in groups:
+            (merged,) = _merged(tuple(Leaf(p) for p in group), serial=serial)
+            graphs.append(merged.p._graph)
+    return graphs + [g.T for g in graphs]
+
+
+def test_both_array_paths_of_a_graph_give_the_same_bits(monkeypatch):
+    """Every graph the suite builds, by its row loop and by its gather: the same bits at 0 and
+    -0.0, at each vertex, three floats either side of it, log-uniform over 1e+-300 and at +inf,
+    at rest or not, on arrays and on 0-d arrays.  A graph of up to ``_LOOP_ROWS`` rows loops."""
+    rng = np.random.default_rng(20261031)
+    wide = np.concatenate((10.0 ** rng.uniform(-300, 300, 300), [5e-324, 1.7976931348623157e308]))
+    graphs = _suite_graphs()
+    assert max(len(g._rows[0]) for g in graphs) > 2000 and min(len(g._rows[0]) for g in graphs) == 1
+    for g in graphs:
+        x = np.concatenate((_around([v for v, *_ in g.pieces]), wide, [np.inf, -0.0]))
+        for rest in (False, True):
+            with np.errstate(all="ignore"), monkeypatch.context() as m:
+                m.setattr(_graph, "_LOOP_ROWS", 10**9)
+                loop, gather = g(x, rest), g._gather(x, rest)
+                loop0, gather0 = g(x[:1].reshape(()), rest), g._gather(x[:1].reshape(()), rest)
+            for a, b in zip(loop + loop0, gather + gather0):
+                assert np.array_equal(_bits(a), _bits(b)), (g, rest)
+    calls = []
+    monkeypatch.setattr(_graph._Graph, "_gather", lambda g, x, rest: calls.append(g) or (x, x, x))
+    for g in graphs:
+        g(np.zeros(2))
+    assert calls == [g for g in graphs if len(g._rows[0]) > _graph._LOOP_ROWS]
+
+
+def test_sampled_stress_is_its_staircase():
+    """The stress law of each staircase at its grid points and between them: the slopes either
+    side of a grid point, with a slope of +inf where they differ; the last finite sample ends a
+    +inf tail in a vertical ray; window-limited data keeps its last slope past the window."""
+    for p in _staircases()[:6]:
+        f = p.f
+        m, s = f.finite_sup, f._slopes
+        g = f.grid[:m]
+        mid = 0.5 * (g[:-1] + g[1:])
+        lo, hi, d = p.stress(mid)
+        assert _bits(lo).tolist() == _bits(s).tolist() == _bits(hi).tolist() and not d.any()
+        lo, hi, d = p.stress(g)
+        assert lo[0] == 0.0 and _bits(lo[1:]).tolist() == _bits(s).tolist()
+        assert _bits(hi[:-1]).tolist() == _bits(s).tolist() and np.all(d[:-1] == np.inf)
+        past = p.stress(np.array([2.0 * g[-1], 1e300]))
+        if m < f.grid.size:  # +inf past the tail, a slope of +inf on it
+            assert (lo[-1], hi[-1], d[-1]) == (s[-1], np.inf, np.inf)
+            assert [v.tolist() for v in past] == [[np.inf] * 2] * 3
+        else:  # the last slope, the supremum, flat
+            assert (lo[-1], hi[-1], d[-1]) == (s[-1], s[-1], 0.0) and s[-1] == p.stress_sup()
+            assert [v.tolist() for v in past] == [[s[-1]] * 2, [s[-1]] * 2, [0.0] * 2]
+        assert p.conjugate().conjugate()._graph.pieces == p._graph.pieces
+
+
+def test_sampled_conjugate_stress_is_its_flow_bit_for_bit():
+    """A Sampled conjugate's stress law is the transposed staircase: the flow bit for bit past
+    rest, and twice conjugated the staircase again."""
+    for p in _staircases():
+        dual = p.conjugate()
+        assert isinstance(dual._graph, _graph._Graph) and dual._graph == p._graph.T
+        assert dual.conjugate()._graph.pieces == p._graph.pieces
+        s = np.concatenate((_around([v for v, *_ in dual._graph.pieces]), [1e300]))
+        s = s[s > 0]
+        with np.errstate(all="ignore"):
+            for a, b in zip(p.flow(s), dual.stress(s)):
+                assert np.array_equal(_bits(a), _bits(b)), p

@@ -975,6 +975,58 @@ def test_huber_is_the_serial_merge_of_plastic_and_dashpot():
         assert merged[0].p._graph == Huber(a, d)._graph
 
 
+def _window_sampled(n=101):
+    """0.3 r**2 + 0.1 r**3 on [0, 10], finite on the whole window: its last slope is 35.671."""
+    grid = np.linspace(0.0, 10.0, n)
+    return Sampled(SampledFunction.from_samples(grid, 0.3 * grid**2 + 0.1 * grid**3))
+
+
+def test_a_window_limited_sampled_element_has_one_convention():
+    """Past the window the stress is the last slope, which is also ``stress_sup``: in parallel
+    with a dashpot the stress at a rate past ``r_max`` is that slope plus the rate, on floats and
+    on arrays, and the flow inverts it; in series with a dashpot the stress saturates there."""
+    p = _window_sampled()
+    top = p.f._slopes[-1]
+    assert p.stress_sup() == top and abs(top - 35.671) < 1e-9
+    both = Parallel([L(p), L(Dashpot(1.0))])
+    for rate in (10.5, 20.0, 1e6):
+        sig = stress_of_strain_rate(both, rate)
+        assert sig.lo == sig.hi == top + rate
+        assert stress_curve(both, [rate]).tolist() == [top + rate]
+        back = strain_rate_of_stress(both, top + rate)
+        assert back.lo == back.hi == pytest.approx(rate, rel=1e-15)
+    chain = Serial([L(p), L(Dashpot(1.0))])
+    assert chain._sup == top
+    for rate in (50.0, 1e3, 1e9):
+        assert stress_of_strain_rate(chain, rate).hi == top
+    assert stress_curve(chain, [1e9]).tolist() == [top]
+    assert strain_rate_of_stress(chain, top).hi == math.inf
+    assert strain_rate_of_stress(chain, np.nextafter(top, 0)).hi < math.inf
+
+
+def test_sampled_elements_merge_with_the_polyline_kinds(monkeypatch):
+    """``Serial[Sampled, Dashpot]`` and ``Parallel[Sampled, PerfectPlastic]`` are one merged
+    part, at 101 and 2,048 samples: no array root solve and no generated walk or inverse, and
+    their stresses are those of the children's laws."""
+    calls = _root_calls(monkeypatch)
+    monkeypatch.setattr(rheology, "_MADE", {})
+    for n in (101, 2048):
+        p = _window_sampled(n)
+        for tree in (Serial([L(p), L(Dashpot(1.0))]), Parallel([L(p), L(PerfectPlastic(0.7))])):
+            assert len(tree._parts) == 1 and rheology._depth(tree) == 0
+            eps = np.linspace(0.0, 12.0, 97)
+            with np.errstate(all="ignore"):
+                lo, hi, _ = tree._stress(eps)
+            assert [row[:2] for row in tree._walk(eps.tolist())] == list(zip(lo, hi))
+            stress_curve(tree, eps)
+            for e in (0.05, 0.9, 4.0, 11.0):
+                s = stress_of_strain_rate(tree, e).hi
+                assert abs(s - _from_children(tree, e)) <= 1e-12 * s, (tree, e)
+                assert strain_rate_of_stress(tree, s).lo <= e
+    assert calls[0] == 0
+    assert not [key for key in rheology._MADE if key[0].split()[0] in ("walk", "inverse")]
+
+
 def test_merging_keeps_the_tree_as_written():
     kids = [L(Dashpot(1.0)), L(PowerLaw(1.0, 3.0)), L(PerfectPlastic(2.0)), L(Huber(1.0, 2.0))]
     tree = Serial(kids)

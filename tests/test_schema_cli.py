@@ -961,12 +961,18 @@ def test_a_stdout_with_no_reader_exits_1_without_a_traceback(argv, buffered):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_a_failed_flush_takes_the_interpreters_exit():
-    """Buffered stdout on a full device fails at ``entry()``'s flush, not at the write: the
-    process takes the interpreter's exit, which flushes again, reports the error with no
-    traceback and exits 120, never 0."""
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("argv", [_SHORT, _LONG])
+def test_a_full_stdout_is_an_input_error(argv, buffered):
+    """Stdout on a full device fails at the write (the long output, or either one unbuffered) or
+    at ``entry()``'s flush (the short output, buffered).  Either way the process exits 2, as for
+    an unwritable ``--out``, with one input-error line that names stdout and the error, no
+    traceback and no report from the interpreter's own flush; the atexit handler runs once."""
     with open("/dev/full", "wb") as full:
-        proc = _python_buffered("-m", "rheokit", *_SHORT, buffered=True, stdout=full,
-                                stderr=subprocess.PIPE)
-    assert proc.returncode == 120, proc.stderr
-    assert b"No space left on device" in proc.stderr and b"Traceback" not in proc.stderr
+        proc = _python_buffered("-c", _ATEXIT_FREEZE, "entry", *argv, buffered=buffered,
+                                stdout=full, stderr=subprocess.PIPE)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    line, handler = ("rheokit: input error: cannot write stdout: [Errno 28] No space left on "
+                     "device\n"), "atexit frozen=True\n"
+    assert err == (handler + line if buffered and argv is _SHORT else line + handler)
