@@ -42,6 +42,7 @@ from .rheology import (
     ThreeElementParams,
     _depth,
     _dif_dsl_closed,
+    _scale,
     map_serial_parallel_params,
     mu_eff_formula,
     mu_eff_rigorous,
@@ -181,8 +182,11 @@ def compare_columns(d_dif, d_dsl, n_list, eps):
             tree = Serial([Leaf(Dashpot(d_dif)), Leaf(PowerLaw(d_dsl, n))])
             sig = [hi for _, hi, _ in tree._walk(eps)]
         p = 1.0 - 1.0 / n
-        mu_emp = [1.0 / (1.0 / d_dif + (math.sqrt(e) if p == 0.5 else e**p) / d_dsl)
-                  for e in eps]
+        # scaled once for the column by its least viscosity, d_dif or d_dsl / e**p at an end
+        w = max(eps[0] ** p, eps[-1] ** p)
+        m = _scale(min(d_dif, d_dsl / w if w else math.inf))
+        a = m / d_dif
+        mu_emp = [m / (a + m * (math.sqrt(e) if p == 0.5 else e**p) / d_dsl) for e in eps]
         mus_rig.append([s / e for s, e in zip(sig, eps)])
         mus_emp.append(mu_emp)
         sig_rig.append(sig)
@@ -204,15 +208,23 @@ def cmd_compare(args) -> int:
 
 
 def equivalence_report(sigma_a, d2, d3, n_grid=1000):
-    """Rigorous three-element equivalence data and the empirical gap."""
+    """Rigorous three-element equivalence data and the empirical gap: the two trees' stresses
+    on ``n_grid`` rates up to ``5 sigma_a / D2``, their largest gap and its tolerance, 1e-10
+    of the largest stress compared."""
     base = ThreeElementParams(sigma_a, d2, d3)
     tilde = map_serial_parallel_params(sigma_a, d2, d3)
     tree_a = three_element_parallel_serial(base)
     tree_b = three_element_serial_parallel(tilde)
     eps_max = 5.0 * base.sigma_a / base.D2
+    if not (0.0 < eps_max / n_grid and eps_max < math.inf):
+        raise InvalidInputError("the rates compared, up to 5 sigma_a / D2, leave the float range")
     eps = np.linspace(eps_max / n_grid, eps_max, n_grid)
-    dev = np.max(np.abs(stress_curve(tree_a, eps) - stress_curve(tree_b, eps)))
-    tol = 1e-10 * (base.sigma_a + base.D2 + base.D3)
+    sig_a, sig_b = stress_curve(tree_a, eps), stress_curve(tree_b, eps)
+    tol = 1e-10 * max(sig_a.max(), sig_b.max())
+    if tol == math.inf:
+        raise InvalidInputError("the stresses compared, up to sigma_a (1 + 5 D3/D2), leave the "
+                                "float range")
+    dev = np.max(np.abs(sig_a - sig_b))
     emp = {}
     for e in (0.5, 1.0, 2.0):
         v1 = mu_eff_formula(Formula.EMP_VAR1, (base.sigma_a, base.D2, base.D3), e)

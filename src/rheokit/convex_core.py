@@ -155,6 +155,31 @@ class SampledFunction(Record, eq=False):
         m = self.finite_sup
         return np.diff(self.values[:m]) / np.diff(self.grid[:m])
 
+    @cached_property
+    def _levels(self) -> np.ndarray:
+        """Levels of the interpolant's derivative, a staircase (Lucet, Bauschke & Trienis 2009):
+        ``[levels[i], levels[i + 1]]`` at grid point ``i``, ``levels[i + 1]`` on segment ``i``.
+        0 at rest, then the running maximum of 0 and the slopes, and its end: +inf for a vertical
+        ray at the last finite sample of a cut support (+inf tail or one point), else the last
+        level again."""
+        m = self.finite_sup
+        end = _INF if m < self.grid.size or m == 1 else 0.0
+        lev = np.maximum(np.concatenate(([0.0], self._slopes, [end])), 0.0)  # never -0.0
+        return np.maximum.accumulate(lev, out=lev)
+
+    @cached_property
+    def _staircase(self) -> tuple:
+        """The levels as ``_graph._Graph`` pieces ``(x, y, dx, dy)``: a flat at rest if the first
+        level is 0, a jump and a flat where the level rises, a vertical end ray where it is cut."""
+        m, lev = self.finite_sup, self._levels
+        up = np.flatnonzero(lev[1:m] > lev[: m - 1])
+        pieces = [(0.0, 0.0, 1.0, 0.0)] if m > 1 and lev[1] == 0.0 else []
+        for x, y, s in zip(self.grid[up].tolist(), lev[up].tolist(), lev[up + 1].tolist()):
+            pieces += (x, y, 0.0, 1.0), (x, s, 1.0, 0.0)
+        if m < self.grid.size or m == 1:
+            pieces.append((float(self.grid[m - 1]), float(lev[m - 1]), 0.0, 1.0))
+        return tuple(pieces)
+
     def __call__(self, v: float) -> float:
         return evaluate(self, v)
 
@@ -177,27 +202,6 @@ def _interp(f: SampledFunction, r):
     m = f.finite_sup
     out = np.interp(r, f.grid[:m], f.values[:m])
     return np.where(r > f.grid[m - 1] + _tol(f), np.inf, out)
-
-
-def _slope_interval(f: SampledFunction, r):
-    """Ends ``(lo, hi)`` of the interpolant's slope interval at ``r >= 0``.
-
-    Between samples both are the segment's slope, and at a sample the
-    slopes on either side; ``lo`` is 0 at ``r = 0``.  The graph is
-    vertical past the last finite sample, and at it when the support is
-    cut there.
-    """
-    m = f.finite_sup
-    g = f.grid[:m]
-    if m < 2:
-        # point support: the normal cone at 0
-        return np.where(r > 0, np.inf, 0.0), np.full(np.shape(r), np.inf)
-    s = f._slopes
-    lo = s[np.clip(np.searchsorted(g, r, side="left") - 1, 0, m - 2)]
-    hi = s[np.clip(np.searchsorted(g, r, side="right") - 1, 0, m - 2)]
-    lo = np.where(r > g[-1], np.inf, np.where(r == 0.0, 0.0, lo))
-    hi = np.where((r >= g[-1]) if m < f.grid.size else (r > g[-1]), np.inf, hi)
-    return lo, hi
 
 
 def evaluate(f: SampledFunction, v: float) -> float:
@@ -265,10 +269,10 @@ def _conjugate_values_scan(v, fv, s) -> np.ndarray:
     return out
 
 
-def _conjugate_values_sweep(v, fv, s) -> np.ndarray:
-    """The scan's sup over each dual point's run of slopes within 1e-9, padded by one sample."""
+def _conjugate_values_sweep(v, fv, s, d) -> np.ndarray:
+    """The scan's sup over each dual point's run of the slopes ``d`` within 1e-9, padded by
+    one sample."""
     with np.errstate(over="ignore", invalid="ignore"):
-        d = np.diff(fv) / np.diff(v)
         lo = np.maximum(np.searchsorted(np.maximum.accumulate(d), s * (1.0 - 1e-9)) - 1, 0)
         up = np.minimum.accumulate(d[::-1])[::-1]
         n = np.minimum(np.searchsorted(up, s * (1.0 + 1e-9), side="right") + 2, v.size) - lo
@@ -321,7 +325,7 @@ def legendre_transform(
     if method == "scan":
         out = _conjugate_values_scan(v, fv, s)
     elif method == "sweep":
-        out = _conjugate_values_sweep(v, fv, s)
+        out = _conjugate_values_sweep(v, fv, s, f._slopes)
     else:
         raise InvalidInputError(f"unknown transform method {method!r}")
 
@@ -420,27 +424,24 @@ def yosida(f: SampledFunction, eps: float) -> SampledFunction:
 
 
 def subdifferential(f: SampledFunction, v: float) -> SubdiffInterval:
-    """One-sided slope interval of ``f`` at ``v >= 0``.
+    """Slope interval of ``f`` at ``v >= 0``, read from its staircase ``f._levels``.
 
     ``f`` is extended evenly through 0, so at ``v = 0`` the interval is
-    ``[-f'(0+), f'(0+)]``.  At the boundary of the finite support the
-    upper end is +inf (normal cone); inside the +inf region both ends
-    are +inf, a saturation marker rather than an error.
+    ``[-f'(0+), f'(0+)]``.  Within roundoff of a grid point it is that point's.
+    At the last finite sample of a cut support the upper end is +inf (normal
+    cone); past it both ends are +inf, a saturation marker rather than an error.
     """
     v = _in_range(f, v)
-    tol = _tol(f)
+    lev, tol = f._levels, _tol(f)
     if v <= tol:
-        hi = float(_slope_interval(f, 0.0)[1])
-        return SubdiffInterval(-hi, hi)
+        return SubdiffInterval(-float(lev[1]), float(lev[1]))
     g = f.grid[: f.finite_sup]
-    i = int(np.searchsorted(g, v))
+    i = int(np.searchsorted(g, v))  # g[i - 1] < v <= g[i], i >= 1 as g[0] = 0
     if i < g.size and abs(v - g[i]) <= tol * max(1.0, abs(float(g[i]))):
-        v = float(g[i])
-    elif i > 0 and abs(v - g[i - 1]) <= tol:
-        v = float(g[i - 1])
-    lo, hi = (float(x) for x in _slope_interval(f, v))
-    # clamp against slope noise across nearly coincident points
-    return SubdiffInterval(lo, max(hi, lo))
+        i += 1  # at grid point i
+    elif abs(v - g[i - 1]) > tol:  # on segment i - 1, or past the last finite sample
+        return SubdiffInterval(float(lev[i]), float(lev[i]))
+    return SubdiffInterval(float(lev[i - 1]), float(lev[i]))
 
 
 def fenchel_young_residual(

@@ -366,13 +366,9 @@ class QuadPlusBall(_GraphLaw):
 
 
 class Sampled(_GraphLaw):
-    """Grid-sampled potential; shifted so the value at 0 is exactly 0.
-
-    Its stress law, the derivative of the linear interpolant, is a staircase (Lucet, Bauschke &
-    Trienis 2009): from 0 at rest, a flat at each segment's slope and a jump where it rises.  A
-    +inf tail ends it in a vertical ray at the last finite sample; window-limited data in its last
-    flat, the stress past the window, where :mod:`convex_core`'s conjugate is +inf.
-    """
+    """Grid-sampled potential; shifted so the value at 0 is exactly 0.  Its stress law is the
+    interpolant's staircase derivative, ``SampledFunction._staircase``: window-limited data
+    ends in its last flat, the stress past the window, where the conjugate is +inf."""
 
     f: cc.SampledFunction
 
@@ -387,15 +383,7 @@ class Sampled(_GraphLaw):
         return cc._interp(self.f, r)
 
     def _pieces(self):
-        f, m, pieces, y = self.f, self.f.finite_sup, [], 0.0
-        for x, s in zip(f.grid.tolist(), f._slopes.tolist()):
-            if s > y:  # equal slopes, or a dip within the convexity slack, stay on the flat
-                pieces += [(x, y, 0.0, 1.0), (x, s, 1.0, 0.0)]
-                y = s
-            elif not pieces:
-                pieces.append((x, y, 1.0, 0.0))
-        end = [(float(f.grid[m - 1]), y, 0.0, 1.0)] if m < f.grid.size or m == 1 else []
-        return (*pieces, *end)
+        return self.f._staircase
 
     def conjugate(self):
         dual = Sampled(cc.legendre_transform(self.f))

@@ -517,10 +517,16 @@ def map_serial_parallel_params(sigma_a: float, D2: float, D3: float) -> ThreeEle
     """Parameters of the serial-parallel variant equivalent to (sigma_a, D2, D3).
 
     sigma_a~ = sigma_a (1 + D3/D2),  D2~ = D2 + D3,  D3~ = D3 (1 + D3/D2).
+    A mapped parameter past the float range is an :class:`InvalidInputError` that names it.
     """
     base = ThreeElementParams(sigma_a, D2, D3)
     ratio = 1.0 + base.D3 / base.D2
-    return ThreeElementParams(base.sigma_a * ratio, base.D2 + base.D3, base.D3 * ratio)
+    tilde = {"sigma_a~ = sigma_a (1 + D3/D2)": base.sigma_a * ratio,
+             "D2~ = D2 + D3": base.D2 + base.D3, "D3~ = D3 (1 + D3/D2)": base.D3 * ratio}
+    for name, x in tilde.items():
+        if x == math.inf:
+            raise InvalidInputError(f"the serial-parallel {name} is past the float range")
+    return ThreeElementParams(*tilde.values())
 
 
 def three_element_parallel_serial(p: ThreeElementParams) -> RheoExpr:
@@ -608,6 +614,9 @@ def mu_eff_formula(formula, params: Sequence, eps):
                 params[i] = _number(x, name)
     eps, scalar_in = _rates(eps, "eps", positive=True)
 
+    def scale(mu_1, mu_2):  # of the means m / (m / mu_1 + m / mu_2) below: one m at every rate
+        return _scale(np.min(np.minimum(mu_1, mu_2), initial=math.inf))
+
     if formula is Formula.EMP_HARMONIC_GENERAL:
         (mus,) = params
         if not mus:
@@ -617,7 +626,8 @@ def mu_eff_formula(formula, params: Sequence, eps):
         # harmonic_mean_linear: no term overflows, and where every 1/mu_i is normal, same bits
         m = np.ldexp(0.5, np.frexp(reduce(np.minimum, mus))[1])
         out = m / sum((m / mu for mu in mus), np.zeros_like(eps))
-    with np.errstate(over="ignore"):  # a term past the float range is inf; its min or sum is right
+    # a term past the float range is inf, and a viscosity d / 0; their min or sum is right
+    with np.errstate(over="ignore", divide="ignore"):
         if formula is Formula.VP_MIN:
             sigma_a, d = params
             out = np.minimum(d, sigma_a / eps)
@@ -636,16 +646,21 @@ def mu_eff_formula(formula, params: Sequence, eps):
             out = out.sum(axis=0).reshape(eps.shape) + d3
         elif formula is Formula.EMP_VAR1:
             sigma_a, d2, d3 = params
-            out = 1.0 / (eps / sigma_a + 1.0 / d2) + d3
+            m = scale(sigma_a / eps, d2)
+            out = m / (m * eps / sigma_a + m / d2) + d3
         elif formula is Formula.EMP_VAR2:
             sigma_a, d2, d3 = params
-            out = 1.0 / (1.0 / (sigma_a / eps + d3) + 1.0 / d2)
+            mu = sigma_a / eps + d3
+            m = scale(mu, d2)
+            out = m / (m / mu + m / d2)
         elif formula is Formula.HB_MIN:
             sigma_a, d, n = params
             out = np.minimum(sigma_a / eps, d / eps ** (1.0 - 1.0 / n))
         elif formula is Formula.EMP_DIF_DSL:
             d_dif, d_dsl, n = params
-            out = 1.0 / (1.0 / d_dif + eps ** (1.0 - 1.0 / n) / d_dsl)
+            w = eps ** (1.0 - 1.0 / n)
+            m = scale(d_dif, d_dsl / w)
+            out = m / (m / d_dif + m * w / d_dsl)
     return float(out) if scalar_in else out
 
 
@@ -671,7 +686,7 @@ def serial_dif_dsl_stress(
     if mode == "closed":
         if n == 1:
             with np.errstate(over="ignore"):  # a stress past the float range is inf, as below
-                out = eps / (1.0 / D_dif + 1.0 / D_dsl)
+                out = _dif_dsl_closed(D_dif, D_dsl, 1)(eps)
         elif n in (2, 3):
             # Dimensionless: sigma = S y with S = D_dsl / q and
             # q = (D_dif / D_dsl)**(1/(n-1)) turns the equation into
@@ -713,9 +728,10 @@ def _dif_dsl_closed(D_dif, D_dsl, n):
     """The closed mode of :func:`serial_dif_dsl_stress` for n in {1, 2, 3} as a kernel on one
     Python float rate > 0: the same arithmetic on floats, never importing numpy, and
     ``math.sqrt`` and products where numpy takes them for ``** 0.5`` and ``** 2``."""
-    if n == 1:
-        c = 1.0 / D_dif + 1.0 / D_dsl
-        return lambda eps: eps / c
+    if n == 1:  # eps / (1/D_dif + 1/D_dsl), each term scaled by m; on arrays too
+        m = _scale(min(D_dif, D_dsl))
+        c = m / D_dif + m / D_dsl
+        return lambda eps: eps * m / c
     cut, lz = math.log(1e-17), n * (math.log(D_dif) - math.log(D_dsl))
     rho = D_dif / D_dsl
     q = rho ** (1.0 / (n - 1.0))
@@ -740,6 +756,15 @@ def _dif_dsl_closed(D_dif, D_dsl, n):
             return math.inf
 
     return kernel
+
+
+def _scale(mu):
+    """The scale ``m`` of a harmonic mean ``m / sum(m / mu_i)`` whose terms may take a rate as a
+    factor, ``mu`` the least ``mu_i`` at one rate or many: 1, the unscaled bits, down to ``mu =
+    2**-1001``, below it the power of two that brings ``m / mu`` to ``2**1001``.  So ``m`` is a
+    normal float at most 1, no term overflows, a subnormal modulus is kept and normal terms
+    keep their bits."""
+    return math.ldexp(1.0, min(math.frexp(mu)[1] + 1000, 0))
 
 
 def harmonic_mean_linear(D_list: Sequence[float]) -> float:

@@ -60,6 +60,33 @@ def test_invalid_grids_rejected():
         SampledFunction.from_samples(np.linspace(0, 1, 3), np.array([1.0, 0.0, 1.0]))
 
 
+_POINT = SampledFunction.from_samples([0.0], [0.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SampledFunction([0.0, 1.0, 2.0], [0.0, 1.0], 2),
+     "grid and values must have the same length"),
+    (lambda: SampledFunction([0.0, 1.0], [0.0, 1.0], 0), "finite_sup must be in [1, len(grid)]"),
+    (lambda: SampledFunction([0.0, 1.0], [0.0, 1.0], 3), "finite_sup must be in [1, len(grid)]"),
+    (lambda: SampledFunction([0.0, 1.0, 2.0], [0.0, np.nan, np.inf], 2),
+     "values must be finite below finite_sup"),
+    (lambda: SampledFunction([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], 2),
+     "values must be +inf from finite_sup on"),
+    (lambda: SampledFunction([0.0, 1.0, 2.0], [0.0, 1.0, -np.inf], 2),
+     "infinite values must be +inf, not -inf"),
+    (lambda: SampledFunction.from_samples([0.0, 1.0, 2.0], [0.0, 1.0, 1.5]),
+     "values are not convex on the finite range"),
+    (lambda: legendre_transform(object()), "legendre_transform expects a SampledFunction"),
+    (lambda: inf_convolve_direct(_POINT, _POINT),
+     "infimal convolution: grid needs at least 2 points"),
+], ids=["lengths", "finite_sup 0", "finite_sup past", "nan below", "finite from", "-inf tail",
+        "concave", "not sampled", "one point"])
+def test_input_errors_name_their_rule(call, message):
+    with pytest.raises(InvalidInputError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_uniform_grid_needs_a_finite_end_past_zero():
     assert np.array_equal(uniform_grid(2.0, 3), [0.0, 1.0, 2.0])
     for r_max, n in ((math.inf, 8), (math.nan, 8), (0.0, 8), (-1.0, 8), (1.0, 1)):
@@ -171,7 +198,7 @@ def test_sweep_is_the_walk_on_strictly_convex_samples_and_the_scan_on_linear_one
     f = SampledFunction.from_samples(grid, vals)
     v, fv = f.grid[: f.finite_sup], f.values[: f.finite_sup]
     s = duals(f, np.array([0.0, 1e300, 1.7e308]))
-    assert _conjugate_values_sweep(v, fv, s).tobytes() == _sweep_walk(v, fv, s).tobytes()
+    assert _conjugate_values_sweep(v, fv, s, f._slopes).tobytes() == _sweep_walk(v, fv, s).tobytes()
 
     # one to three affine pieces, evaluated at random points: near-equal slopes
     grid = np.concatenate(([0.0], np.sort(rng.uniform(0.0, r_max, n - 1))))
@@ -179,7 +206,8 @@ def test_sweep_is_the_walk_on_strictly_convex_samples_and_the_scan_on_linear_one
     b = np.concatenate(([0.0], np.cumsum(np.diff(a) * np.sort(rng.uniform(0.0, r_max, a.size - 1)))))
     f = SampledFunction.from_samples(grid, np.max(a[:, None] * grid - b[:, None], axis=0))
     s = duals(f, np.concatenate(([0.0], a * (1.0 + 1e-12))))
-    scan, sweep = _conjugate_values_scan(grid, f.values, s), _conjugate_values_sweep(grid, f.values, s)
+    scan = _conjugate_values_scan(grid, f.values, s)
+    sweep = _conjugate_values_sweep(grid, f.values, s, f._slopes)
     fin = np.isfinite(scan)
     assert np.array_equal(np.isfinite(sweep), fin)
     assert np.array_equal(sweep[fin], scan[fin])

@@ -11,6 +11,7 @@ of it whose leaves count their calls, is left out.  Like the CSV pins in
 """
 
 import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -29,14 +30,14 @@ _TREES = 15  # per solve depth 0-3, at each scale
 _RUNS = 10  # simulate runs, at each scale
 _KINDS = "DPWHQS"  # dashpot, plastic, power law, Huber, QuadPlusBall, Sampled
 
-# (stress scale, rate scale): (SHA-256, trees skipped), taken when a Sampled leaf became a
-# staircase graph that merges with its polyline siblings; with every tree and run that holds a
-# Sampled leaf left out, the hash is the same as that of the pins before it
+# (stress scale, rate scale): (SHA-256, trees skipped), taken when each candidate tree took a
+# stream of its own; the same at the commit before, where Sampled's staircase was built in
+# potentials and subdifferential had a second slope lookup
 _FLOAT_BITS_PINNED = {
-    (1.0, 1.0): ("758fc53bb6344bac35b5b9c364a1aa7df06be2d1ddd95ff5b1064fb8f8dd3373", 2),
-    (1e3, 1e-3): ("64e8440c2f7ed49ee409c013f15977f36e341362a195950c4b0b0da3056119f2", 2),
-    (1e7, 1e-14): ("882f922b65f20280e497895116c875eb47ce874cbf812341265ce83308a0155d", 5),
-    (1e150, 1e-150): ("79c80dbea33c54af83f9cd8c64ec94ea274b5578cd54013c5439c2ed7009cf17", 3),
+    (1.0, 1.0): ("9c833a5a465c35e758421ebb27f15285aec23e8c6a6c5fe3acabba9de4e9f3c2", 2),
+    (1e3, 1e-3): ("4ce0a034d298d321e1e583bb50b43654bb316d836c8c174c740abb8648bee98e", 2),
+    (1e7, 1e-14): ("593db857d0337219868982f8cd44910a1cffdda30a2676444526555a67848f2b", 1),
+    (1e150, 1e-150): ("bcaec7ec6c495c71f298b85ae1beacd1a3dc043f10d41eec2af7e25adfc836f0", 5),
 }
 
 
@@ -122,9 +123,13 @@ def _iv(iv):
 
 def _trees(S, R, seed):
     """``_TREES`` recipes of each solve depth 0-3, with a grid, three rates and three
-    stresses each."""
-    rng, want, got = random.Random(seed), {d: _TREES for d in range(4)}, []
-    while any(want.values()):
+    stresses each.  Candidate ``i`` draws its recipe and grid from a stream of its own, seeded
+    by ``seed`` and ``i``, so which candidates are kept depends on no other's solve depth."""
+    want, got = {d: _TREES for d in range(4)}, []
+    for i in itertools.count():
+        if not any(want.values()):
+            return got
+        rng = random.Random(f"{seed}/{i}")
         recipe = _recipe(rng, rng.randint(0, 4), S, R)
         d = _depth(_build(recipe))
         if want.get(d, 0):
@@ -132,7 +137,6 @@ def _trees(S, R, seed):
             grid = [0.0] + sorted(rng.uniform(1e-3, 10.0) * R for _ in range(12))
             got.append((recipe, grid, [x * R for x in (0.05, 1.0, 7.0)],
                         [x * S for x in (0.05, 1.0, 7.0)]))
-    return got
 
 
 def _runs(S, R, seed):

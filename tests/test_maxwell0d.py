@@ -28,6 +28,18 @@ from rheokit.rheology import (_MAX_ITER, Leaf, Serial, _mid_scalar, stress_curve
 from rheokit.schema import parse_simulation
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: DriveProgram([]), "DriveProgram needs at least one segment"),
+    (lambda: MaxwellModel(1.0, ["x"]), "not a Potential: 'x'"),
+    (lambda: simulate(MaxwellModel(1.0, [Dashpot(1.0)]), DriveProgram.constant(1.0), 0.1, 0.05),
+     "t_end must be at least dt"),
+], ids=["no segment", "not a potential", "t_end < dt"])
+def test_input_errors_name_their_rule(call, message):
+    with pytest.raises(InvalidInputError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_model_and_drive_validation():
     with pytest.raises(InvalidInputError):
         MaxwellModel(0.0, [Dashpot(1.0)])

@@ -45,6 +45,11 @@ def test_moduli_validation():
     QuadPlusBall(0.0, 1.0)  # indicator variant is allowed
 
 
+def test_value_of_an_unknown_potential_is_an_input_error():
+    with pytest.raises(InvalidInputError, match=r"^unknown potential <object object at .*>$"):
+        value(object(), 1.0)
+
+
 def test_values_closed_forms():
     assert value(Huber(1.0, 1.0), 0.5) == pytest.approx(0.125)
     assert value(Huber(1.0, 1.0), 2.0) == pytest.approx(1.5)
@@ -597,3 +602,74 @@ def test_sampled_conjugate_stress_is_its_flow_bit_for_bit():
         with np.errstate(all="ignore"):
             for a, b in zip(p.flow(s), dual.stress(s)):
                 assert np.array_equal(_bits(a), _bits(b)), p
+
+
+def _loop_staircase(f):
+    """The reference staircase builder: one pass over the segment slopes, a jump and a flat
+    where the slope rises past the level so far."""
+    m, pieces, y = f.finite_sup, [], 0.0
+    for x, s in zip(f.grid.tolist(), f._slopes.tolist()):
+        if s > y:  # equal slopes, or a dip within the convexity slack, stay on the flat
+            pieces += [(x, y, 0.0, 1.0), (x, s, 1.0, 0.0)]
+            y = s
+        elif not pieces:
+            pieces.append((x, y, 1.0, 0.0))
+    end = [(float(f.grid[m - 1]), y, 0.0, 1.0)] if m < f.grid.size or m == 1 else []
+    return (*pieces, *end)
+
+
+def _within_slack():
+    """Samples of r**2 on 5 points with a dip of 1e-14 below the minimum, within its slack."""
+    grid = np.linspace(0.0, 1.0, 5)
+    values = grid**2
+    values[1] = -1e-14
+    return cc.SampledFunction.from_samples(grid, values)
+
+
+def test_sampled_pieces_are_the_loop_builders():
+    """``Sampled._pieces`` is ``SampledFunction._staircase``, built once from the levels, and
+    tuple-equal, bit for bit, to the loop builder on every staircase of the suite and on 100
+    seeded random convex samples with flats and equal slopes, with and without a +inf tail."""
+    rng = np.random.default_rng(32)
+    fs = [p.f for p in _staircases()] + [_within_slack()]
+    for _ in range(100):
+        n = int(rng.integers(2, 300))
+        grid = np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 1.0, n - 1))))
+        slopes = np.sort(np.round(np.maximum(rng.uniform(-0.5, 2.0, n - 1), 0.0), 1))
+        values = np.concatenate(([0.0], np.cumsum(slopes * np.diff(grid))))
+        if rng.random() < 0.5:
+            values[int(rng.integers(1, n)):] = np.inf
+        fs.append(cc.SampledFunction.from_samples(grid, values))
+    for f in fs:
+        p = Sampled(f)
+        want = _loop_staircase(p.f)
+        assert p._pieces() is p.f._staircase is p.f._staircase and p._pieces() == want
+        assert [_bits(v).tolist() for v in p._pieces()] == [_bits(v).tolist() for v in want]
+        assert p.f._levels is p.f._levels
+
+
+def test_subdifferential_is_the_staircase():
+    """``convex_core.subdifferential`` is the stress of ``Sampled(f)``: at each grid point past
+    0, three floats either side of it (snapped to it) and mid-segment; ``[-h, h]`` at 0, with
+    ``h`` the upper end there.  Also on samples with a dip within the convexity slack."""
+    for f in [p.f for p in _staircases()] + [_within_slack()]:
+        p = Sampled(f)
+        g = f.grid
+        with np.errstate(all="ignore"):
+            _, h, _ = p.stress(0.0)
+        assert _iv(cc.subdifferential(f, 0.0)) == (-h, h)
+        mid = 0.5 * (g[:-1] + g[1:])
+        for x, near in [(x, _ulps(x)) for x in g[1:]] + [(x, [x]) for x in mid]:
+            with np.errstate(all="ignore"):
+                lo, hi, _ = p.stress(float(x))
+            for y in near:
+                assert _iv(cc.subdifferential(f, min(y, f.r_max))) == (lo, hi), (f, x, y)
+
+
+def _ulps(x):
+    """``x`` and the three floats either side of it."""
+    return [float(x + k * np.spacing(x)) for k in range(-3, 4)]
+
+
+def _iv(iv):
+    return iv.lo, iv.hi

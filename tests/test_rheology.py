@@ -886,6 +886,64 @@ def test_emp_harmonic_general_keeps_a_subnormal_viscosity():
         assert got.tobytes() == want.tobytes(), table
 
 
+def test_serial_harmonic_means_keep_a_subnormal_modulus():
+    """The closed form of a dashpot in series with a dashpot (n = 1) and its float kernel,
+    ``EMP_DIF_DSL``, ``EMP_VAR1`` and ``EMP_VAR2`` scale their sums of reciprocals by a power
+    of two, as ``harmonic_mean_linear`` does: a subnormal modulus next to unit ones gives the
+    subnormal mean, not 0, and where every term is a normal float (moduli over 1e+-150, rates
+    over 1e+-20) the bits are those of the unscaled formula."""
+    numeric = serial_dif_dsl_stress(1e-320, 1.0, 1, 1e300, mode="numeric")
+    assert serial_dif_dsl_stress(1e-320, 1.0, 1, 1e300) == pytest.approx(numeric, rel=1e-12)
+    assert rheology._dif_dsl_closed(1e-320, 1.0, 1)(1e300) == \
+        serial_dif_dsl_stress(1e-320, 1.0, 1, 1e300)
+    assert mu_eff_formula("emp_dif_dsl", (1e-320, 1.0, 2.0), 1.0) == \
+        harmonic_mean_linear([1e-320, 1.0])
+    assert mu_eff_formula("emp_var2", (1.0, 1e-320, 1.0), 1.0) == \
+        harmonic_mean_linear([2.0, 1e-320])
+    assert mu_eff_formula("emp_var1", (1e-320, 1.0, 1e-320), 1.0) == \
+        harmonic_mean_linear([1e-320, 1.0]) + 1e-320
+    rng = np.random.default_rng(32)
+    eps = 10.0 ** rng.uniform(-20.0, 20.0, 16)
+    for a, b, c in 10.0 ** rng.uniform(-150.0, 150.0, (300, 3)):
+        n = rng.choice([1.0, 2.0, 3.0, 3.5, math.inf])
+        p = 1.0 - 1.0 / n
+        pairs = [
+            (serial_dif_dsl_stress(a, b, 1, eps), eps / (1.0 / a + 1.0 / b)),
+            (np.array([rheology._dif_dsl_closed(a, b, 1)(e) for e in eps.tolist()]),
+             eps / (1.0 / a + 1.0 / b)),
+            (mu_eff_formula("emp_dif_dsl", (a, b, n), eps), 1.0 / (1.0 / a + eps**p / b)),
+            (mu_eff_formula("emp_var1", (a, b, c), eps), 1.0 / (eps / a + 1.0 / b) + c),
+            (mu_eff_formula("emp_var2", (a, b, c), eps), 1.0 / (1.0 / (a / eps + c) + 1.0 / b)),
+        ]
+        for k, (got, want) in enumerate(pairs):
+            assert got.tobytes() == want.tobytes(), (k, a, b, c, n)
+
+
+def test_dif_dsl_float_kernel_past_the_float_range_is_inf():
+    """Where both creep elements count and the stress is past the float range, the float
+    kernel of the n = 2, 3 closed form returns +inf, as the array closed form does."""
+    for n in (2, 3):
+        assert rheology._dif_dsl_closed(1e308, 1e308, n)(10.0) == math.inf
+        with np.errstate(over="raise"):
+            assert serial_dif_dsl_stress(1e308, 1e308, n, 10.0) == math.inf
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mu_eff_formula(object(), (1.0,), 1.0), r"unknown formula id <object object at .*>"),
+    (lambda: mu_eff_formula(Formula.EMP_HARMONIC_GENERAL, ([],), 1.0),
+     r"EMP_HARMONIC_GENERAL needs at least one viscosity"),
+    (lambda: map_serial_parallel_params(1e300, 1e-300, 1.0),
+     r"the serial-parallel sigma_a~ = sigma_a \(1 \+ D3/D2\) is past the float range"),
+    (lambda: map_serial_parallel_params(1.0, 1e308, 1e308),
+     r"the serial-parallel D2~ = D2 \+ D3 is past the float range"),
+    (lambda: map_serial_parallel_params(1e-300, 1.0, 1e300),
+     r"the serial-parallel D3~ = D3 \(1 \+ D3/D2\) is past the float range"),
+], ids=["formula id", "no viscosity", "sigma_a~", "D2~", "D3~"])
+def test_input_errors_name_their_rule(call, message):
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        call()
+
+
 def test_shear_thinning_of_plastic_dashpot_models():
     rng = np.random.default_rng(11)
     eps = np.linspace(0.02, 10.0, 200)

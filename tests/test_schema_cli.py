@@ -20,8 +20,10 @@ from rheokit.rheology import (
     Parallel,
     Serial,
     mu_eff_formula,
+    ThreeElementParams,
     serial_dif_dsl_stress,
     stress_curve,
+    three_element_stress,
 )
 from rheokit.schema import (
     dump_model,
@@ -359,6 +361,33 @@ def test_compare_past_the_float_range_warns_on_neither_path(tmp_path):
                                                            eps_max=1e-299))
 
 
+@pytest.mark.parametrize("argv, column", [
+    (["--d-dsl", "1e-320", "--samples", "3"], "mu_emp_n2"),
+    (["--n-list", "1", "--d-dif", "1e-320", "--eps-min", "1e299", "--eps-max", "1e300",
+      "--samples", "3"], "sig_rig_n1"),
+])
+def test_compare_keeps_a_subnormal_modulus(tmp_path, argv, column):
+    """A subnormal modulus next to a unit one: the harmonic means, scaled by a power of two
+    once per column, are not 0, and agree with the library's array forms."""
+    out = tmp_path / "sub.csv"
+    assert cli.main(["compare", *argv, "--out", str(out)]) == 0
+    header, rows = read_csv(str(out))
+    assert np.all(rows[:, 1:] > 0.0) and np.all(rows[:, header.index(column)] > 0.0)
+    opts = dict(zip(argv[::2], argv[1::2]))
+    _assert_csv_agrees(out.read_text(), _compare_on_arrays(
+        d_dif=float(opts.get("--d-dif", 1.0)), d_dsl=float(opts.get("--d-dsl", 1.0)),
+        n_list=[float(n) for n in opts.get("--n-list", "2,3,inf").split(",")],
+        eps_min=float(opts.get("--eps-min", 3.4 / 200.0)),
+        eps_max=float(opts.get("--eps-max", 3.4)), samples=3))
+
+
+def test_compare_needs_a_positive_eps_min(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert cli.main(["compare", "--eps-min", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "rheokit: input error: compare needs eps_min > 0\n"
+    assert not out.exists()
+
+
 def _per_cell_csv(header, columns):
     """The one-format-call-per-cell CSV writer, kept as the byte reference."""
     def fmt(x):
@@ -663,6 +692,34 @@ def test_equivalence_vanishing_d3():
     _, dev, tol, emp = cli.equivalence_report(1.0, 1.0, 1e-12)
     assert dev < tol
     assert emp[1.0] < 1e-9
+
+
+def test_equivalence_tolerance_is_relative_to_the_stresses_compared():
+    """``rigorous_tol`` is 1e-10 of the largest stress compared, the parallel-serial tree's
+    ``sigma_a + 5 sigma_a D3 / D2`` at the last rate, not of a sum of a stress and two
+    viscosities."""
+    for sa, d2, d3 in ((1.0, 1.0, 1.0), (1e6, 1e21, 1e20), (1e-300, 1e-300, 1e-300)):
+        _, dev, tol, _ = cli.equivalence_report(sa, d2, d3)
+        top = three_element_stress(ThreeElementParams(sa, d2, d3), 5.0 * sa / d2)
+        assert tol == pytest.approx(1e-10 * top, rel=1e-14) and dev < tol, (sa, d2, d3)
+
+
+@pytest.mark.parametrize("args, message", [
+    ("1e300 1e-300 1", "the serial-parallel sigma_a~ = sigma_a (1 + D3/D2) is past the float range"),
+    ("1 1e308 1e308", "the serial-parallel D2~ = D2 + D3 is past the float range"),
+    ("1e300 1e-10 1e-20", "the rates compared, up to 5 sigma_a / D2, leave the float range"),
+    ("1e-300 1e300 1", "the rates compared, up to 5 sigma_a / D2, leave the float range"),
+    ("1e307 1 10", "the stresses compared, up to sigma_a (1 + 5 D3/D2), leave the float range"),
+])
+def test_equivalence_at_far_scales_is_one_input_error(tmp_path, capsys, args, message):
+    """A mapped parameter, the rate range or the stresses past the float range (or the rates
+    under it) exit 2 with one line that names them, with no numpy warning and no report."""
+    out = tmp_path / "eq.txt"
+    sa, d2, d3 = args.split()
+    assert cli.main(["equivalence", "--sigma-a", sa, "--d2", d2, "--d3", d3,
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"rheokit: input error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("option", ["--sigma-a", "--d2", "--d3"])
