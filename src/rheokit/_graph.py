@@ -82,8 +82,9 @@ class _Graph(Record):
         return rows, [r[0] for r in rows[1:]]
 
     def __call__(self, x, rest=False):
-        """``(lo, hi, slope)`` at ``x >= 0``; ``rest`` reads only ``lo`` at ``x = 0``.  At a scalar,
-        Python floats; the kinds' float kernels run the rows as source (``potentials._GRAPH``)."""
+        """``(lo, hi, slope)`` at ``x >= 0``; ``rest`` reads only ``lo`` at ``x = 0``.  At a numpy
+        scalar, Python floats, through a 0-d array; a kind sends a Python float to its float
+        kernel, which runs the rows as source (``potentials._GRAPH``)."""
         if not isinstance(x, np.ndarray):
             return tuple(map(float, self(np.asarray(float(x)), rest)))
         if len(self._rows[0]) > _LOOP_ROWS:

@@ -167,6 +167,13 @@ def _n_suffix(n) -> str:
     return "inf" if math.isinf(n) else "n" + repr(n).removesuffix(".0")
 
 
+def _power(e, p):  # e**p, +inf past the float range, as numpy's power gives
+    try:
+        return e**p
+    except OverflowError:
+        return math.inf
+
+
 def compare_columns(d_dif, d_dsl, n_list, eps):
     """Rigorous and harmonic-mean curves of the serial creep pair on a list of Python float
     rates, without numpy.  ``VP_MIN`` and ``EMP_DIF_DSL`` are the formulas' arithmetic
@@ -183,10 +190,13 @@ def compare_columns(d_dif, d_dsl, n_list, eps):
             sig = [hi for _, hi, _ in tree._walk(eps)]
         p = 1.0 - 1.0 / n
         # scaled once for the column by its least viscosity, d_dif or d_dsl / e**p at an end
-        w = max(eps[0] ** p, eps[-1] ** p)
+        w = max(_power(eps[0], p), _power(eps[-1], p))
         m = _scale(min(d_dif, d_dsl / w if w else math.inf))
         a = m / d_dif
-        mu_emp = [m / (a + m * (math.sqrt(e) if p == 0.5 else e**p) / d_dsl) for e in eps]
+        if w < math.inf:  # e**p is monotone: then no row's passes the float range
+            mu_emp = [m / (a + m * (math.sqrt(e) if p == 0.5 else e**p) / d_dsl) for e in eps]
+        else:  # n < 1 at a tiny rate: mu_emp is 0 where e**p is +inf
+            mu_emp = [m / (a + m * _power(e, p) / d_dsl) for e in eps]
         mus_rig.append([s / e for s, e in zip(sig, eps)])
         mus_emp.append(mu_emp)
         sig_rig.append(sig)

@@ -81,7 +81,7 @@ class SampledFunction(Record, eq=False):
     Parameters
     ----------
     grid : ndarray
-        Strictly increasing sample points, ``grid[0] == 0``.
+        Finite, strictly increasing sample points, ``grid[0] == 0``.
     values : ndarray
         Function values; entries from ``finite_sup`` on are ``+inf``.
     finite_sup : int
@@ -96,6 +96,8 @@ class SampledFunction(Record, eq=False):
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float).copy()
         values = np.asarray(self.values, dtype=float).copy()
+        if not np.all(np.isfinite(grid)):
+            raise InvalidInputError("grid must be finite")
         if grid.ndim != 1 or grid.size == 0:
             raise InvalidInputError("grid must be a nonempty 1-d array")
         if grid.shape != values.shape:

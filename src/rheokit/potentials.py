@@ -14,18 +14,19 @@ Huber(a, D)            0.5*D*r**2 below a/D, affine above (serial creep+slip)
 QuadPlusBall(q, a)     0.5*q*s**2 on [0, a], +inf outside (conjugate-side)
 Sampled(f)             grid samples, linearly interpolated
 
-Each kind subclasses :class:`Potential` and carries its own laws.  The
-graph kinds (Dashpot, PerfectPlastic, Huber, QuadPlusBall, Sampled)
-declare only their stress law's graph and read their kernels from it.
-Every kind's float kernels are snippets of source, ``_GRAPH`` and
-``_POWER``, that the generated float solves inline.
+Each kind subclasses :class:`Potential` and declares one pair of laws,
+``_laws``, on numpy's floats and on Python's, which ``stress`` and ``flow``
+choose between.  The graph kinds (Dashpot, PerfectPlastic, Huber,
+QuadPlusBall, Sampled) declare only their stress law's graph and build
+the pair from it.  Every kind's float kernels are snippets of source,
+``_GRAPH`` and ``_POWER``, that the generated float solves inline.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from functools import cached_property
+from functools import cached_property, partial
 
 from ._graph import SubdiffInterval, _Feat, _Graph
 from ._numpy import _Lazy, np
@@ -94,15 +95,15 @@ def _conjugate_modulus(kind, name, x, base, exp):
 class Potential(Record):
     """One element kind of the catalog, carrying its own laws.
 
-    Each kind defines ``value`` (the density at an array of magnitudes,
-    +inf off the support), ``conjugate``, and the kernels ``stress`` (at
-    strain-rate magnitudes) and ``flow`` (at stress magnitudes): at a
-    float64 array or numpy scalar they return ``(lo, hi, slope)``, the
-    ends of the set-valued derivative and the slope of the upper end, +inf
-    at a jump.  Callers set ``np.errstate``.  ``_float_flow()``, ``_float_stress()``, the pair
-    ``_floats`` each kind makes: each on one Python float, in Python floats, bit for bit, +inf on
-    overflow, no raise; each carries a snippet (:class:`_Law`), inlined in a generated solve.
-    ``kind`` names the element in model documents (None: not representable);
+    Each kind defines ``value`` (the density at an array of magnitudes, +inf off the support),
+    ``conjugate``, and ``_laws``, made once: ``((flow, stress) on numpy's floats, (flow, stress)
+    on Python's)``, the stress at strain-rate magnitudes and the flow at stress magnitudes, each
+    returning ``(lo, hi, slope)``: the ends of the set-valued derivative and the slope of the
+    upper end, +inf at a jump.  ``stress`` and ``flow`` run the float law at a Python float, else
+    the numpy law (a float64 array or a numpy scalar; callers set ``np.errstate``).  The float
+    laws, also ``_float_flow()`` and ``_float_stress()``, return Python floats, bit for bit the
+    numpy law's, +inf on overflow, no raise; each carries a snippet (:class:`_Law`), inlined in
+    a generated solve.  ``kind`` names the element in model documents (None: not representable);
     ``_graph`` is the stress law as a polyline, None where it is not one.
     """
 
@@ -117,11 +118,17 @@ class Potential(Record):
             rule = "nonnegative" if f in self._nonneg else "positive"
             self.__dict__[f] = _number(self.__dict__[f], f, rule)
 
+    def stress(self, eps):
+        return self._laws[type(eps) is float][1](eps)
+
+    def flow(self, sig):
+        return self._laws[type(sig) is float][0](sig)
+
     def _float_flow(self):
-        return self._floats[0]
+        return self._laws[1][0]
 
     def _float_stress(self):
-        return self._floats[1]
+        return self._laws[1][1]
 
     def _feat(self) -> _Feat:
         """Graph features; by default a strictly increasing, unbounded law."""
@@ -133,24 +140,19 @@ class Potential(Record):
 
 
 class _GraphLaw(Potential):
-    """A kind whose stress law is the polyline its ``_pieces`` declare; the
-    kernels, graph features and stress supremum are read from that graph
-    (:class:`_graph._Graph`), the flow from its transpose."""
+    """A kind whose stress law is the polyline its ``_pieces`` declare; its pair of laws,
+    graph features and stress supremum are read from that graph (:class:`_graph._Graph`),
+    the flow from its transpose."""
 
     @cached_property
     def _graph(self) -> _Graph:
         return _Graph(self._pieces())
 
-    def stress(self, eps):
-        return self._graph(eps)
-
-    def flow(self, sig):
-        return self._graph.T(sig, rest=True)  # zero rate at zero stress
-
     @cached_property
-    def _floats(self):  # the flow with rest, as ``flow``, and the stress
-        g = self._graph
-        return _Law(inline=(_GRAPH, (*g.T._rows, True))), _Law(inline=(_GRAPH, (*g._rows, False)))
+    def _laws(self):  # the flow reads zero rate at zero stress (``rest``), the stress does not
+        g, t = self._graph, self._graph.T
+        floats = _Law(inline=(_GRAPH, (*t._rows, True))), _Law(inline=(_GRAPH, (*g._rows, False)))
+        return (partial(t, rest=True), g), floats
 
     def _feat(self):
         return self._graph.feat
@@ -161,12 +163,14 @@ class _GraphLaw(Potential):
 
 class _Law:
     """A float law that runs ``_law``, a function made at the first call by ``make(self)`` and kept.
-    A generated solve calls that function, or inlines a law that carries a snippet over its cells,
-    ``_inline = ((kind, cell names, source), cells)``: from ``x`` part ``i`` sets its ends ``l{i},
-    h{i}`` and slope ``d{i}``.  With no ``make``, ``_law`` is the snippet alone, generated."""
+    A generated solve inlines its snippet over its cells, ``_inline = ((kind, cell names, source),
+    cells)``: from ``x`` part ``i`` sets its ends ``l{i}, h{i}`` and slope ``d{i}``; a made law's
+    calls that function.  With no ``make``, ``_law`` is the snippet alone, generated."""
 
     def __init__(self, make=None, inline=None):
-        self._make, self._inline = make, inline
+        self._make = make
+        if inline:
+            self._inline = inline
 
     def __call__(self, x):
         return self._law(x)
@@ -174,6 +178,10 @@ class _Law:
     @cached_property
     def _law(self):
         return self._make(self) if self._make else rh._generate("law", rh._LAW, {}, [self])
+
+    @cached_property
+    def _inline(self):
+        return rh._CALL, (self._law,)
 
 
 # The graph's rows at ``x`` (:meth:`_graph._Graph._rows`): ``y0 + (x - x0) * dy / dx``, capped at
@@ -286,17 +294,9 @@ class PowerLaw(Potential):
         return self.n / (self.n + 1.0) * self.D * r ** (1.0 + 1.0 / self.n)
 
     @cached_property
-    def _laws(self):  # its flow and stress on numpy's floats, then on Python's, made once
+    def _laws(self):
         return tuple(zip(_power_kernel(self.D, 1.0, self.n, self.n / self.D),
                          _power_kernel(1.0, self.D, 1.0 / self.n, self.D / self.n)))
-
-    _floats = property(lambda self: self._laws[1])
-
-    def stress(self, eps):
-        return self._laws[type(eps) is float][1](eps)
-
-    def flow(self, sig):
-        return self._laws[type(sig) is float][0](sig)
 
     def conjugate(self):
         # exponent 1+n, coefficient 1/((1+n) D**n)
@@ -421,7 +421,7 @@ def dvalue(p: Potential, r: float) -> SubdiffInterval:
     reported as ``[0, sigma_a]``, and the normal cone at the support
     boundary of QuadPlusBall, reported with an upper end of +inf.
     """
-    lo, hi, _ = _potential(p)._float_stress()(_number(r, "potential argument", "nonnegative"))
+    lo, hi, _ = _potential(p).stress(_number(r, "potential argument", "nonnegative"))
     return SubdiffInterval(lo, hi)
 
 

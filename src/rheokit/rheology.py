@@ -89,7 +89,7 @@ class Leaf(Record):
         self.__dict__.update(_flow=lambda sig: _leaf_flow(p, sig),
                              _stress=lambda eps: _leaf_stress(p, eps),
                              _float_flow=p._float_flow(), _float_stress=(fs := p._float_stress()),
-                             _walk=lambda eps: list(map(getattr(fs, "_law", fs), eps)),
+                             _walk=lambda eps: list(map(fs._law, eps)),
                              _feat=p._feat(), _graph=p._graph, _sup=p.stress_sup())
 
 
@@ -98,13 +98,20 @@ class Parallel(Record):
 
     children: tuple
 
-    def __init__(self, children):
+    def __init__(self, children):  # also Serial's, which alone checks that its solve is well posed
         object.__setattr__(self, "children", tuple(children))
         if not self.children:
-            raise InvalidInputError("Parallel needs at least one child")
+            raise InvalidInputError(f"{type(self).__name__} needs at least one child")
         for c in self.children:
             _check_expr(c)
-        self.__dict__.update(_bind(self.children, serial=False))
+        serial = isinstance(self, Serial)
+        if serial and not any(all(c._feat) for c in self.children):
+            raise InvalidInputError(
+                "Serial node needs at least one child with a strictly "
+                "increasing, unbounded conjugate derivative (e.g. a dashpot "
+                "or power-law element)"
+            )
+        self.__dict__.update(_bind(self.children, serial))
 
 
 class Serial(Record):
@@ -116,20 +123,7 @@ class Serial(Record):
     """
 
     children: tuple
-
-    def __init__(self, children):
-        object.__setattr__(self, "children", tuple(children))
-        if not self.children:
-            raise InvalidInputError("Serial needs at least one child")
-        for c in self.children:
-            _check_expr(c)
-        if not any(all(c._feat) for c in self.children):
-            raise InvalidInputError(
-                "Serial node needs at least one child with a strictly "
-                "increasing, unbounded conjugate derivative (e.g. a dashpot "
-                "or power-law element)"
-            )
-        self.__dict__.update(_bind(self.children, serial=True))
+    __init__ = Parallel.__init__
 
 
 RheoExpr = Union[Leaf, Parallel, Serial]
@@ -179,7 +173,7 @@ def _bind(children, serial):
     bound[inverted] = _array_inverse(total, cap, top)
     laws, node = [getattr(c, "_float" + summed) for c in parts], "serial" if serial else "parallel"
     total = _Law(lambda _: _generate("law", _LAW, {}, laws))
-    total._laws = laws  # its parts' laws, which a Maxwell step inlines
+    total._terms = laws  # its parts' laws, which a Maxwell step inlines
     rest = cache(lambda: total(0.0)[1:])  # read once, at the first solve
     walk, one = (_Law(lambda _, e=e, slots=slots: _generate(
         f"{e} {node}", _SOLVE, slots, laws, top, cap, _RTOL, *rest()))
@@ -384,7 +378,7 @@ else:
 """
 _LAW = ("def make(CELLS):\n    def law(x):\n        PARTS\n"  # a node's summed law, a lone kernel
         "        return SUM_L, SUM_H, SUM_D\n    return law\n")
-_CALL = ("call", "law", "l{i}, h{i}, d{i} = law{i}(x)\n")  # a part with no snippet: a nested node
+_CALL = ("call", "law", "l{i}, h{i}, d{i} = law{i}(x)\n")  # a nested node, or a plain function
 _ROW = _Law(inline=(("row", "", "l{i}, h{i}, d{i} = x[{i}]\n"), ()))  # part i's row of a walk
 _MADE = {}  # the generated factories, by shape
 
@@ -410,7 +404,7 @@ def _generate(node, frame, slots, laws, *cells):
     shape (``node`` and the parts' kinds) is compiled at its first use and kept, and its unit's
     ``__loader__`` gives it to a traceback.  It reads ``_MAX_ITER`` and ``_mid_scalar`` here at
     each call."""
-    specs = [getattr(f, "_inline", None) or (_CALL, (getattr(f, "_law", f),)) for f in laws]
+    specs = [getattr(f, "_inline", None) or (_CALL, (f,)) for f in laws]
     key, n = (node, *(kind for (kind, _, _), _ in specs)), range(len(specs))
     if key not in _MADE:
         names = ", ".join(c + str(i) for i in n for c in specs[i][0][1].split())

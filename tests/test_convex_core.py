@@ -64,6 +64,8 @@ _POINT = SampledFunction.from_samples([0.0], [0.0])
 
 
 @pytest.mark.parametrize("call, message", [
+    (lambda: SampledFunction.from_samples([0.0, 1.0, np.inf], [0.0, 1.0, 2.0]),
+     "grid must be finite"),
     (lambda: SampledFunction([0.0, 1.0, 2.0], [0.0, 1.0], 2),
      "grid and values must have the same length"),
     (lambda: SampledFunction([0.0, 1.0], [0.0, 1.0], 0), "finite_sup must be in [1, len(grid)]"),
@@ -79,8 +81,8 @@ _POINT = SampledFunction.from_samples([0.0], [0.0])
     (lambda: legendre_transform(object()), "legendre_transform expects a SampledFunction"),
     (lambda: inf_convolve_direct(_POINT, _POINT),
      "infimal convolution: grid needs at least 2 points"),
-], ids=["lengths", "finite_sup 0", "finite_sup past", "nan below", "finite from", "-inf tail",
-        "concave", "not sampled", "one point"])
+], ids=["infinite grid", "lengths", "finite_sup 0", "finite_sup past", "nan below", "finite from",
+        "-inf tail", "concave", "not sampled", "one point"])
 def test_input_errors_name_their_rule(call, message):
     with pytest.raises(InvalidInputError) as exc:
         call()

@@ -498,6 +498,29 @@ def test_float_kernels_are_the_numpy_kernels_bit_for_bit():
         _float_kernel_is_the_flow(p, np.concatenate((_around(grids), wide)))
 
 
+def test_stress_and_flow_at_a_python_float_are_the_numpy_scalar_call():
+    """``stress`` and ``flow``, one dispatch for every kind: at a Python float they return
+    Python floats, bit for bit the same call at ``np.float64``, at 0, around each kind's
+    vertices and far off.  The graph kinds, a merged graph, a power law and sampled potentials
+    with and without a +inf tail."""
+    (merged,) = _merged((Leaf(Dashpot(2.0)), Leaf(Huber(0.6, 1.5)), Leaf(PerfectPlastic(0.9))),
+                        serial=True)
+    grid = np.linspace(0.0, 2.0, 33)
+    kinds = [Dashpot(1.3), PerfectPlastic(0.9), PowerLaw(0.8, 3.5), Huber(0.6, 1.5),
+             QuadPlusBall(2.0, 1.0), QuadPlusBall(0.0, 1.0), merged.p] + [
+        Sampled(cc.SampledFunction.from_samples(grid, v))
+        for v in (0.5 * grid**2, np.where(grid <= 1.0, 0.5 * grid**2, np.inf))]
+    xs = np.concatenate((_around([0.4, 0.6, 0.9, 1.0, 2.0]), [1e-300, 1e300]))
+    for p in kinds:
+        for law in (p.stress, p.flow):
+            for x in xs:
+                with np.errstate(all="ignore"):
+                    want = law(np.float64(x))
+                got = law(float(x))
+                assert all(type(g) is float for g in got), (p, law, x, got)
+                assert [g.hex() for g in got] == [float(w).hex() for w in want], (p, law, x)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.floats(0.3, 40.0), st.floats(-50.0, 50.0), st.floats(-300.0, 300.0))
 def test_power_law_float_kernel_over_hundreds_of_decades(n, log_d, log_s):

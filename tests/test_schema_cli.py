@@ -381,6 +381,21 @@ def test_compare_keeps_a_subnormal_modulus(tmp_path, argv, column):
         eps_max=float(opts.get("--eps-max", 3.4)), samples=3))
 
 
+def test_compare_reads_a_power_past_the_float_range_as_inf(tmp_path, capsys):
+    """An exponent n < 1 at a tiny rate: ``eps**(1 - 1/n)`` passes the float range, so the
+    empirical viscosity there is 0, as ``mu_eff_formula`` gives; no traceback, and the CSV
+    agrees with the library's array forms."""
+    out = tmp_path / "below1.csv"
+    argv = ["--n-list", "0.25", "--eps-min", "1e-300", "--eps-max", "1", "--samples", "3"]
+    assert cli.main(["compare", *argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    header, rows = read_csv(str(out))
+    assert rows[0, header.index("mu_emp_n0.25")] == rows[0, header.index("sig_emp_n0.25")] == 0.0
+    assert mu_eff_formula("emp_dif_dsl", (1, 1, 0.25), 1e-300) == 0.0
+    _assert_csv_agrees(out.read_text(), _compare_on_arrays(n_list=(0.25,), eps_min=1e-300,
+                                                           eps_max=1.0, samples=3))
+
+
 def test_compare_needs_a_positive_eps_min(tmp_path, capsys):
     out = tmp_path / "c.csv"
     assert cli.main(["compare", "--eps-min", "0", "--out", str(out)]) == 2
