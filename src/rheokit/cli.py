@@ -189,14 +189,12 @@ def compare_columns(d_dif, d_dsl, n_list, eps):
             tree = Serial([Leaf(Dashpot(d_dif)), Leaf(PowerLaw(d_dsl, n))])
             sig = [hi for _, hi, _ in tree._walk(eps)]
         p = 1.0 - 1.0 / n
-        # scaled once for the column by its least viscosity, d_dif or d_dsl / e**p at an end
-        w = max(_power(eps[0], p), _power(eps[-1], p))
-        m = _scale(min(d_dif, d_dsl / w if w else math.inf))
+        w = [math.sqrt(e) if p == 0.5 else _power(e, p) for e in eps]
+        # scaled once for the column by its least viscosity, d_dif or d_dsl / e**p, that is not
+        # 0: where e**p is +inf or d_dsl / e**p underflows, the row's mean is 0 at any scale
+        m = _scale(min(d_dif, min(filter(None, (d_dsl / x for x in w if x)), default=math.inf)))
         a = m / d_dif
-        if w < math.inf:  # e**p is monotone: then no row's passes the float range
-            mu_emp = [m / (a + m * (math.sqrt(e) if p == 0.5 else e**p) / d_dsl) for e in eps]
-        else:  # n < 1 at a tiny rate: mu_emp is 0 where e**p is +inf
-            mu_emp = [m / (a + m * _power(e, p) / d_dsl) for e in eps]
+        mu_emp = [m / (a + m * x / d_dsl) for x in w]
         mus_rig.append([s / e for s, e in zip(sig, eps)])
         mus_emp.append(mu_emp)
         sig_rig.append(sig)

@@ -163,14 +163,12 @@ class _GraphLaw(Potential):
 
 class _Law:
     """A float law that runs ``_law``, a function made at the first call by ``make(self)`` and kept.
-    A generated solve inlines its snippet over its cells, ``_inline = ((kind, cell names, source),
-    cells)``: from ``x`` part ``i`` sets its ends ``l{i}, h{i}`` and slope ``d{i}``; a made law's
-    calls that function.  With no ``make``, ``_law`` is the snippet alone, generated."""
+    A generated solve calls that function, or inlines a law that carries a snippet over its cells,
+    ``_inline = ((kind, cell names, source), cells)``: from ``x`` part ``i`` sets its ends ``l{i},
+    h{i}`` and slope ``d{i}``.  With no ``make``, ``_law`` is the snippet alone, generated."""
 
     def __init__(self, make=None, inline=None):
-        self._make = make
-        if inline:
-            self._inline = inline
+        self._make, self._inline = make, inline
 
     def __call__(self, x):
         return self._law(x)
@@ -178,10 +176,6 @@ class _Law:
     @cached_property
     def _law(self):
         return self._make(self) if self._make else rh._generate("law", rh._LAW, {}, [self])
-
-    @cached_property
-    def _inline(self):
-        return rh._CALL, (self._law,)
 
 
 # The graph's rows at ``x`` (:meth:`_graph._Graph._rows`): ``y0 + (x - x0) * dy / dx``, capped at

@@ -97,21 +97,21 @@ class Parallel(Record):
     """Sum of potentials: children see a common strain rate."""
 
     children: tuple
+    _serial = False
 
-    def __init__(self, children):  # also Serial's, which alone checks that its solve is well posed
+    def __init__(self, children):  # also Serial's: a _serial node checks its solve is well posed
         object.__setattr__(self, "children", tuple(children))
         if not self.children:
             raise InvalidInputError(f"{type(self).__name__} needs at least one child")
         for c in self.children:
             _check_expr(c)
-        serial = isinstance(self, Serial)
-        if serial and not any(all(c._feat) for c in self.children):
+        if self._serial and not any(all(c._feat) for c in self.children):
             raise InvalidInputError(
                 "Serial node needs at least one child with a strictly "
                 "increasing, unbounded conjugate derivative (e.g. a dashpot "
                 "or power-law element)"
             )
-        self.__dict__.update(_bind(self.children, serial))
+        self.__dict__.update(_bind(self.children, self._serial))
 
 
 class Serial(Record):
@@ -123,6 +123,7 @@ class Serial(Record):
     """
 
     children: tuple
+    _serial = True
     __init__ = Parallel.__init__
 
 
@@ -378,7 +379,7 @@ else:
 """
 _LAW = ("def make(CELLS):\n    def law(x):\n        PARTS\n"  # a node's summed law, a lone kernel
         "        return SUM_L, SUM_H, SUM_D\n    return law\n")
-_CALL = ("call", "law", "l{i}, h{i}, d{i} = law{i}(x)\n")  # a nested node, or a plain function
+_CALL = ("call", "law", "l{i}, h{i}, d{i} = law{i}(x)\n")  # a part with no snippet: a nested node
 _ROW = _Law(inline=(("row", "", "l{i}, h{i}, d{i} = x[{i}]\n"), ()))  # part i's row of a walk
 _MADE = {}  # the generated factories, by shape
 
@@ -404,7 +405,7 @@ def _generate(node, frame, slots, laws, *cells):
     shape (``node`` and the parts' kinds) is compiled at its first use and kept, and its unit's
     ``__loader__`` gives it to a traceback.  It reads ``_MAX_ITER`` and ``_mid_scalar`` here at
     each call."""
-    specs = [getattr(f, "_inline", None) or (_CALL, (f,)) for f in laws]
+    specs = [getattr(f, "_inline", None) or (_CALL, (getattr(f, "_law", f),)) for f in laws]
     key, n = (node, *(kind for (kind, _, _), _ in specs)), range(len(specs))
     if key not in _MADE:
         names = ", ".join(c + str(i) for i in n for c in specs[i][0][1].split())
@@ -653,7 +654,8 @@ def mu_eff_formula(formula, params: Sequence, eps):
         elif formula is Formula.EMP_DIF_DSL:
             d_dif, d_dsl, n = params
             w = eps ** (1.0 - 1.0 / n)
-            m = scale(d_dif, d_dsl / w)
+            mu = d_dsl / w  # where it is 0 (w is +inf or it underflows), the mean is 0 at any m
+            m = scale(d_dif, mu[mu > 0])
             out = m / (m / d_dif + m * w / d_dsl)
     return float(out) if scalar_in else out
 

@@ -384,7 +384,8 @@ def test_compare_keeps_a_subnormal_modulus(tmp_path, argv, column):
 def test_compare_reads_a_power_past_the_float_range_as_inf(tmp_path, capsys):
     """An exponent n < 1 at a tiny rate: ``eps**(1 - 1/n)`` passes the float range, so the
     empirical viscosity there is 0, as ``mu_eff_formula`` gives; no traceback, and the CSV
-    agrees with the library's array forms."""
+    agrees with the library's array forms.  Such a row, or one where ``D_dsl / eps**p``
+    underflows, leaves the column's scale to its other rows, so their subnormal means are kept."""
     out = tmp_path / "below1.csv"
     argv = ["--n-list", "0.25", "--eps-min", "1e-300", "--eps-max", "1", "--samples", "3"]
     assert cli.main(["compare", *argv, "--out", str(out)]) == 0
@@ -394,6 +395,16 @@ def test_compare_reads_a_power_past_the_float_range_as_inf(tmp_path, capsys):
     assert mu_eff_formula("emp_dif_dsl", (1, 1, 0.25), 1e-300) == 0.0
     _assert_csv_agrees(out.read_text(), _compare_on_arrays(n_list=(0.25,), eps_min=1e-300,
                                                            eps_max=1.0, samples=3))
+    for d_dsl, eps_min, eps_max, want in ((1e-308, 1e-300, 1.0, 1.25e-309),  # at eps 0.5
+                                          (1e-20, 1e-102, 1e-101, 1e-323)):  # at eps_max
+        argv = ["--n-list", "0.25", "--d-dsl", repr(d_dsl), "--eps-min", repr(eps_min),
+                "--eps-max", repr(eps_max), "--samples", "3"]
+        assert cli.main(["compare", *argv, "--out", str(out)]) == 0
+        header, rows = read_csv(str(out))
+        mu_emp = rows[:, header.index("mu_emp_n0.25")]
+        assert mu_emp[0] == 0.0 and want in (mu_emp[1], mu_emp[2]), mu_emp
+        _assert_csv_agrees(out.read_text(), _compare_on_arrays(
+            d_dsl=d_dsl, n_list=(0.25,), eps_min=eps_min, eps_max=eps_max, samples=3))
 
 
 def test_compare_needs_a_positive_eps_min(tmp_path, capsys):
