@@ -44,7 +44,6 @@ class SubdiffInterval(Record):
 # domain all of [0, inf), unbounded range.  Conjugation swaps sv<->nf, dom<->ub.
 _Feat = namedtuple("_Feat", "sv nf dom ub")
 _INF = float("inf")
-_LOOP_ROWS = 3  # past it a graph finds each point's row: faster at any size from 4 rows on
 
 
 class _Graph(Record):
@@ -53,10 +52,10 @@ class _Graph(Record):
     ``pieces`` are ``(x, y, dx, dy)``, a start vertex and a direction; each
     runs to the next one's start and the last is a ray.  ``dx = 0`` is a
     jump of y (as the last piece, the end of the domain), ``dy = 0`` a flat.
-    At an array or scalar ``x`` a graph returns ``(lo, hi, slope)``: its
-    y-interval and the slope of the upper end, +inf at a jump and past the
-    domain.  On a piece ``y + (x - x0) * dy / dx``, capped at the level of a
-    flat it runs into, so a rounded vertex never lifts a value past it.
+    At an array ``x`` a graph returns ``(lo, hi, slope)``: its y-interval and
+    the slope of the upper end, +inf at a jump and past the domain.  On a piece
+    ``y + (x - x0) * dy / dx``, capped at the level of a flat it runs into, so a
+    rounded vertex never lifts a value past it.
     """
 
     pieces: tuple
@@ -81,42 +80,15 @@ class _Graph(Record):
                 rows.append((x, y, dx, dy, dy / dx, ps[k + 1][1] if flat else None, lo))
         return rows, [r[0] for r in rows[1:]]
 
-    def __call__(self, x, rest=False):
-        """``(lo, hi, slope)`` at ``x >= 0``; ``rest`` reads only ``lo`` at ``x = 0``.  At a numpy
-        scalar, Python floats, through a 0-d array; a kind sends a Python float to its float
-        kernel, which runs the rows as source (``potentials._GRAPH``)."""
-        if not isinstance(x, np.ndarray):
-            return tuple(map(float, self(np.asarray(float(x)), rest)))
-        if len(self._rows[0]) > _LOOP_ROWS:
-            return self._gather(x, rest)
-        for k, (x0, y0, dx, dy, s, cap, _) in enumerate(self._rows[0]):
-            v, ds = y0, s  # a constant stays a scalar until the end
-            if dy:  # y0 + (x - x0) * dy / dx, less the exact identities
-                v = x - x0 if x0 else x
-                v = v * dy if dx == 1.0 else v / dx if dy == 1.0 else v * dy / dx
-                v = v + y0 if y0 else v
-            if cap is not None:
-                v, ds = np.minimum(v, cap), np.where(v < cap, s, 0.0)
-            if k:
-                past = x >= x0
-                v, ds = np.where(past, v, y), np.where(past, ds, d)
-            y, d = v, ds
-        lo = y = np.full(x.shape, y) if np.ndim(y) == 0 else y
-        d = np.full(x.shape, d) if np.ndim(d) == 0 else d
-        for x0, y0, *_, l0 in self._rows[0]:
-            if l0 < y0:  # a jump at x0
-                at = x == x0
-                lo, d = np.where(at, l0, lo), np.where(at, _INF, d)
-                y = np.where(at, l0, y) if rest and not x0 else y
-        return lo, y, d
-
     @cached_property
     def _columns(self):  # the rows, nan for no cap and -0.0 for a y0 of 0, as x + -0.0 is x
         return np.array([(x0, y0 or -0.0, dx, dy, s, np.nan if cap is None else cap, l0)
                          for x0, y0, dx, dy, s, cap, l0 in self._rows[0]]).T.copy()
 
-    def _gather(self, x, rest):
-        """The row loop's bits, each point's row found by ``np.searchsorted``."""
+    def __call__(self, x, rest=False):
+        """``(lo, hi, slope)`` at an array ``x >= 0``, each point's row found by
+        ``np.searchsorted``; ``rest`` reads only ``lo`` at ``x = 0``.  A kind runs any other
+        number through its float kernel, which runs the rows as source (``potentials._GRAPH``)."""
         cols = self._columns
         x0, y0, dx, dy, s, cap, l0 = np.take(cols, np.searchsorted(cols[0, 1:], x, "right"), axis=1)
         y = np.where(dy != 0.0, (x - x0) * dy / dx, 0.0) + y0  # a flat keeps its level

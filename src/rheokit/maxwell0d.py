@@ -112,10 +112,10 @@ def make(E, sup, c, rtol, CELLS):
 """
 
 
-def _run(m):  # a model's step, over cells of the run's state: no reference cycle
-    flow, residual = m._float_flow, "f, d = SUM_H, SUM_D\nr, dr = x / E - t + h * f, c + h * d"
-    return _generate("step maxwell", _STEP, {"RESIDUAL": residual}, getattr(flow, "_terms", [flow]),
-                     m.E, m._sup, 1.0 / m.E, _STEP_RTOL)  # a sum keeps its parts' laws
+def _run(m):  # a model's step, its parts' flows inlined, over cells of the run's state: no cycle
+    residual = "f, d = SUM_H, SUM_D\nr, dr = x / E - t + h * f, c + h * d"
+    return _generate("step maxwell", _STEP, {"RESIDUAL": residual},
+                     [c._float_flow for c in m._parts], m.E, m._sup, 1.0 / m.E, _STEP_RTOL)
 
 
 def _column(i):

@@ -99,12 +99,13 @@ class Potential(Record):
     ``conjugate``, and ``_laws``, made once: ``((flow, stress) on numpy's floats, (flow, stress)
     on Python's)``, the stress at strain-rate magnitudes and the flow at stress magnitudes, each
     returning ``(lo, hi, slope)``: the ends of the set-valued derivative and the slope of the
-    upper end, +inf at a jump.  ``stress`` and ``flow`` run the float law at a Python float, else
-    the numpy law (a float64 array or a numpy scalar; callers set ``np.errstate``).  The float
-    laws, also ``_float_flow()`` and ``_float_stress()``, return Python floats, bit for bit the
-    numpy law's, +inf on overflow, no raise; each carries a snippet (:class:`_Law`), inlined in
-    a generated solve.  ``kind`` names the element in model documents (None: not representable);
-    ``_graph`` is the stress law as a polyline, None where it is not one.
+    upper end, +inf at a jump.  ``stress`` and ``flow`` run the numpy law at a numpy array, 0-d
+    included (callers set ``np.errstate``), and the float law at any other number ``x``, a numpy
+    scalar too, at ``float(x)``.  The float laws, also ``_float_flow()`` and ``_float_stress()``,
+    return Python floats, bit for bit the numpy law's, +inf on overflow, no raise; each carries
+    a snippet (:class:`_Law`), inlined in a generated solve.  ``kind`` names the element in
+    model documents (None: not representable); ``_graph`` is the stress law as a polyline, None
+    where it is not one.
     """
 
     kind = None
@@ -119,10 +120,15 @@ class Potential(Record):
             self.__dict__[f] = _number(self.__dict__[f], f, rule)
 
     def stress(self, eps):
-        return self._laws[type(eps) is float][1](eps)
+        return self._law_at(eps, 1)
 
     def flow(self, sig):
-        return self._laws[type(sig) is float][0](sig)
+        return self._law_at(sig, 0)
+
+    def _law_at(self, x, side):  # no numpy name read at a Python number
+        if isinstance(x, (int, float)) or not isinstance(x, np.ndarray):
+            return self._laws[1][side](float(x))
+        return self._laws[0][side](x)
 
     def _float_flow(self):
         return self._laws[1][0]

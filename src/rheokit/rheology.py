@@ -174,7 +174,6 @@ def _bind(children, serial):
     bound[inverted] = _array_inverse(total, cap, top)
     laws, node = [getattr(c, "_float" + summed) for c in parts], "serial" if serial else "parallel"
     total = _Law(lambda _: _generate("law", _LAW, {}, laws))
-    total._terms = laws  # its parts' laws, which a Maxwell step inlines
     rest = cache(lambda: total(0.0)[1:])  # read once, at the first solve
     walk, one = (_Law(lambda _, e=e, slots=slots: _generate(
         f"{e} {node}", _SOLVE, slots, laws, top, cap, _RTOL, *rest()))

@@ -105,7 +105,7 @@ def _flow_evaluations(m):
                 return flow
 
             mp.setattr(kind, "_float_flow", counted)
-        mp.setitem(vars(m), "_float_flow", MaxwellModel(m.E, m.elements)._float_flow)
+        mp.setitem(vars(m), "_parts", MaxwellModel(m.E, m.elements)._parts)
         yield lambda: calls[0] / len(m._parts)
     assert calls[0] >= len(m._parts), "the step's flow evaluations went uncounted"
 

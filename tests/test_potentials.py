@@ -15,6 +15,8 @@ from rheokit.potentials import (
     PowerLaw,
     QuadPlusBall,
     Sampled,
+    _GRAPH,
+    _Law,
     casson_stress,
     conjugate_analytic,
     dvalue,
@@ -268,13 +270,13 @@ def test_power_law_past_the_float_range():
 def test_power_law_slope_past_the_float_range(law, side, v):
     """Where ``u**(p - 1)`` passes the float range and the slope ``c * u**(p - 1)`` does
     not, both kernels give the slope as ``p * x / v`` (x the value at v), finite and
-    bit for bit alike, on a float, a numpy scalar and an array."""
+    bit for bit alike, on a float, a 0-d array and a 1-d array."""
     p = 1.0 / law.n if side == "stress" else law.n
     x, _, slope = getattr(law, f"_float_{side}")()(v)
     assert math.isfinite(slope) and slope == pytest.approx(p * x / v, rel=1e-14, abs=0)
     on_arrays = getattr(law, side)  # on numpy's floats
     with np.errstate(all="raise"):
-        for arg in (np.float64(v), np.array([v, 0.0, 1.0])):
+        for arg in (np.array(v), np.array([v, 0.0, 1.0])):
             assert _bits(on_arrays(arg)[2]).ravel()[0] == _bits(slope)
 
 
@@ -458,13 +460,13 @@ def test_conjugate_graph_is_the_transpose():
 
 
 def _float_kernel_is_the_flow(p, points):
-    """At each point the float kernels return Python floats, bit for bit
-    ``p.flow(np.float64(s))`` and ``p.stress(np.float64(s))``, and raise nothing
-    under any error state."""
+    """At each point the float kernels return Python floats, bit for bit the numpy
+    kernels' on the 0-d array, ``p.flow(np.array(s))`` and ``p.stress(np.array(s))``,
+    and raise nothing under any error state."""
     for kernel, law in ((p._float_flow(), p.flow), (p._float_stress(), p.stress)):
         for s in points:
             with np.errstate(all="ignore"):
-                want = law(np.float64(s))
+                want = law(np.array(s))
             with np.errstate(all="raise"):
                 got = kernel(float(s))
             assert all(type(g) is float for g in got), (p, law, s, got)
@@ -498,11 +500,11 @@ def test_float_kernels_are_the_numpy_kernels_bit_for_bit():
         _float_kernel_is_the_flow(p, np.concatenate((_around(grids), wide)))
 
 
-def test_stress_and_flow_at_a_python_float_are_the_numpy_scalar_call():
-    """``stress`` and ``flow``, one dispatch for every kind: at a Python float they return
-    Python floats, bit for bit the same call at ``np.float64``, at 0, around each kind's
-    vertices and far off.  The graph kinds, a merged graph, a power law and sampled potentials
-    with and without a +inf tail."""
+def test_stress_and_flow_at_a_number_are_the_array_call():
+    """``stress`` and ``flow``, one dispatch for every kind: at a number that is not an array,
+    a Python float or int, a bool or a numpy scalar, they return Python floats, bit for bit the
+    same call on a 0-d array, at 0, around each kind's vertices and far off.  The graph
+    kinds, a merged graph, a power law and sampled potentials with and without a +inf tail."""
     (merged,) = _merged((Leaf(Dashpot(2.0)), Leaf(Huber(0.6, 1.5)), Leaf(PerfectPlastic(0.9))),
                         serial=True)
     grid = np.linspace(0.0, 2.0, 33)
@@ -515,8 +517,12 @@ def test_stress_and_flow_at_a_python_float_are_the_numpy_scalar_call():
         for law in (p.stress, p.flow):
             for x in xs:
                 with np.errstate(all="ignore"):
-                    want = law(np.float64(x))
+                    want = law(np.array(x))
                 got = law(float(x))
+                assert all(type(g) is float for g in got), (p, law, x, got)
+                assert [g.hex() for g in got] == [float(w).hex() for w in want], (p, law, x)
+            for x in (0, 3, True, np.int64(2), np.float32(0.75), np.float64(0.4)):
+                got, want = law(x), law(np.array(float(x)))
                 assert all(type(g) is float for g in got), (p, law, x, got)
                 assert [g.hex() for g in got] == [float(w).hex() for w in want], (p, law, x)
 
@@ -565,10 +571,11 @@ def _suite_graphs():
     return graphs + [g.T for g in graphs]
 
 
-def test_both_array_paths_of_a_graph_give_the_same_bits(monkeypatch):
-    """Every graph the suite builds, by its row loop and by its gather: the same bits at 0 and
-    -0.0, at each vertex, three floats either side of it, log-uniform over 1e+-300 and at +inf,
-    at rest or not, on arrays and on 0-d arrays.  A graph of up to ``_LOOP_ROWS`` rows loops."""
+def test_a_graph_on_arrays_is_its_float_kernel_bit_for_bit():
+    """Every graph the suite builds, on a 1-d array and on a 0-d array, against its float kernel
+    (``potentials._GRAPH``): the same bits at 0, at each vertex, three floats either side of it,
+    log-uniform over 1e+-300 and at +inf, at rest or not; at -0.0 the same values, as the sign of
+    a zero may differ there."""
     rng = np.random.default_rng(20261031)
     wide = np.concatenate((10.0 ** rng.uniform(-300, 300, 300), [5e-324, 1.7976931348623157e308]))
     graphs = _suite_graphs()
@@ -576,17 +583,13 @@ def test_both_array_paths_of_a_graph_give_the_same_bits(monkeypatch):
     for g in graphs:
         x = np.concatenate((_around([v for v, *_ in g.pieces]), wide, [np.inf, -0.0]))
         for rest in (False, True):
-            with np.errstate(all="ignore"), monkeypatch.context() as m:
-                m.setattr(_graph, "_LOOP_ROWS", 10**9)
-                loop, gather = g(x, rest), g._gather(x, rest)
-                loop0, gather0 = g(x[:1].reshape(()), rest), g._gather(x[:1].reshape(()), rest)
-            for a, b in zip(loop + loop0, gather + gather0):
-                assert np.array_equal(_bits(a), _bits(b)), (g, rest)
-    calls = []
-    monkeypatch.setattr(_graph._Graph, "_gather", lambda g, x, rest: calls.append(g) or (x, x, x))
-    for g in graphs:
-        g(np.zeros(2))
-    assert calls == [g for g in graphs if len(g._rows[0]) > _graph._LOOP_ROWS]
+            kernel = _Law(inline=(_GRAPH, (*g._rows, rest)))
+            want = np.array([kernel(v) for v in x.tolist()]).T
+            with np.errstate(all="ignore"):
+                got, at0 = np.array(g(x, rest)), g(x[:1].reshape(()), rest)
+            assert np.array_equal(_bits(got[:, :-1]), _bits(want[:, :-1])), (g, rest)
+            assert np.array_equal(got[:, -1], want[:, -1]), (g, rest)
+            assert _bits(at0).tolist() == _bits(want[:, 0]).tolist(), (g, rest)
 
 
 def test_sampled_stress_is_its_staircase():

@@ -1379,8 +1379,9 @@ _SCALAR_SCRIPT = """
 import json, sys
 from rheokit import (Dashpot, Huber, Leaf as L, Parallel, PerfectPlastic, PowerLaw, Serial,
                      dvalue, mu_eff_rigorous, strain_rate_of_stress, stress_of_strain_rate)
-for p, x in ((Dashpot(1.3), 0.5), (PerfectPlastic(0.6), 0.0), (Huber(2.0, 0.7), 9.0)):
-    out = [*p.stress(x), *p.flow(x), dvalue(p, x).lo, dvalue(p, x).hi]  # Huber past its cap
+for p, x in ((Dashpot(1.3), 0.5), (PerfectPlastic(0.6), 0.0), (Huber(2.0, 0.7), 9.0),
+             (Dashpot(1.0), 1), (PowerLaw(1.0, 2.0), 1)):  # Huber past its cap, then ints
+    out = [*p.stress(x), *p.flow(x), dvalue(p, x).lo, dvalue(p, x).hi]
     assert all(type(v) is float for v in out), (p, out)
 P, W = L(PerfectPlastic(1.0)), L(PowerLaw(1.0, 3.0))
 depth2 = Serial([Parallel([L(PowerLaw(0.8, 2.5)), L(PerfectPlastic(0.6))]), L(Dashpot(1.3)),
@@ -1397,7 +1398,8 @@ print(json.dumps([strain_rate_of_stress(saturating, 9.0).lo, "numpy" in sys.modu
 def test_scalar_api_never_loads_numpy():
     """The scalar API on a tree whose stress solves nest two deep, and on a Parallel node
     whose flow nests two solves and saturates, and the graph kinds' ``stress``, ``flow`` and
-    ``dvalue`` at Python floats, run in a fresh interpreter without numpy."""
+    ``dvalue`` at Python floats, and a dashpot's and a power law's at a Python int, run in a
+    fresh interpreter without numpy."""
     src = str(Path(rheology.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", _SCALAR_SCRIPT], capture_output=True,
