@@ -11,9 +11,8 @@ rheokit conjugate   conjugate of a single potential
 Exit codes: 0 ok, 2 input/schema error (an unwritable ``--out`` or stdout too, such as a full
 device), 3 solver/integrator failure, 4 equivalence regression, 1 where stdout's reader has
 gone.  Output is deterministic: 17 significant digits, ``\\n`` line endings, ``inf`` as the
-literal token.  ``curve`` walks its rate grid on Python floats, never importing numpy, up to
-``FLOAT_RATES`` rates, or ``WALK_RATES`` on a tree whose solves do not nest; ``compare`` fills
-every column on floats at any size and never imports numpy.
+literal token.  ``curve`` walks its rate grid and ``compare`` fills every column on Python
+floats at any size, and neither imports numpy.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .rheology import (
     Leaf,
     Serial,
     ThreeElementParams,
-    _depth,
     _dif_dsl_closed,
     _scale,
     map_serial_parallel_params,
@@ -66,11 +64,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_EQUIVALENCE = 4
-
-# `curve` walks its grid on floats, without numpy, up to WALK_RATES rates (below the cost of
-# numpy) on trees whose solves do not nest, and up to FLOAT_RATES on others: below the
-# crossover measured on trees of solve depth 2 to 6, as a walk's cost per rate grows with depth.
-FLOAT_RATES, WALK_RATES = 256, 16_384
 
 
 def _fmt(x: float) -> str:
@@ -141,10 +134,7 @@ def cmd_curve(args) -> int:
         _write(args.out, _dump_json(dump_model(expr)))
         return EXIT_OK
     eps = _eps_grid(args.eps_min, args.eps_max, args.samples)
-    if args.samples <= (WALK_RATES if _depth(expr) <= 1 else FLOAT_RATES):
-        sigma = [lo if lo == hi else 0.5 * lo + 0.5 * hi for lo, hi, _ in expr._walk(eps)]
-    else:
-        sigma = stress_curve(expr, eps).tolist()
+    sigma = [lo if lo == hi else 0.5 * lo + 0.5 * hi for lo, hi, _ in expr._walk(eps)]
     mu = [s / e if e > 0 else mu_eff_rigorous(expr, 0.0, limit=True) for e, s in zip(eps, sigma)]
     _write(args.out, _csv(["eps", "mu_eff", "sigma"], [eps, mu, sigma]))
     return EXIT_OK

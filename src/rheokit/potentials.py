@@ -102,8 +102,9 @@ class Potential(Record):
     upper end, +inf at a jump.  ``stress`` and ``flow`` run the numpy law at a numpy array, 0-d
     included (callers set ``np.errstate``), and the float law at any other number ``x``, a numpy
     scalar too, at ``float(x)``.  The float laws, also ``_float_flow()`` and ``_float_stress()``,
-    return Python floats, bit for bit the numpy law's, +inf on overflow, no raise; each carries
-    a snippet (:class:`_Law`), inlined in a generated solve.  ``kind`` names the element in
+    return Python floats, +inf on overflow, no raise: the numpy law's bits on 0-d arrays, also
+    on 1-d ones but where numpy's ``**`` rounds a power law otherwise (by up to 2 ulps seen); each
+    carries a snippet (:class:`_Law`), inlined in a generated solve.  ``kind`` names the element in
     model documents (None: not representable); ``_graph`` is the stress law as a polyline, None
     where it is not one.
     """

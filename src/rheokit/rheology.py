@@ -213,15 +213,6 @@ def _plus(f, g):
     return law
 
 
-def _depth(e, stress=True) -> int:
-    """How deeply the solves of the array law ``_stress`` (``_flow`` if not ``stress``) nest."""
-    if isinstance(e, Leaf):
-        return 0
-    # a Serial node solves for its stress, a Parallel one for its rate, unless merged to one part
-    own = len(e._parts) > 1 and stress == isinstance(e, Serial)
-    return own + max(_depth(c, stress != own) for c in e._parts)
-
-
 # ---------------------------------------------------------------------------
 # Vectorized interval evaluation
 # ---------------------------------------------------------------------------

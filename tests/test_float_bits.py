@@ -16,13 +16,14 @@ import random
 
 import numpy as np
 import pytest
+from conftest import solve_depth
 
 from rheokit import rheology
 from rheokit.convex_core import SampledFunction
 from rheokit.errors import NonConvergenceError
 from rheokit.maxwell0d import DriveProgram, MaxwellModel, simulate
 from rheokit.potentials import Dashpot, Huber, PerfectPlastic, PowerLaw, QuadPlusBall, Sampled
-from rheokit.rheology import (Leaf, Parallel, Serial, _depth, strain_rate_of_stress,
+from rheokit.rheology import (Leaf, Parallel, Serial, strain_rate_of_stress,
                               stress_of_strain_rate)
 
 _BUDGET = 20_000
@@ -131,7 +132,7 @@ def _trees(S, R, seed):
             return got
         rng = random.Random(f"{seed}/{i}")
         recipe = _recipe(rng, rng.randint(0, 4), S, R)
-        d = _depth(_build(recipe))
+        d = solve_depth(_build(recipe))
         if want.get(d, 0):
             want[d] -= 1
             grid = [0.0] + sorted(rng.uniform(1e-3, 10.0) * R for _ in range(12))

@@ -23,8 +23,7 @@ from rheokit.maxwell0d import (
     step,
 )
 from rheokit.potentials import Dashpot, Huber, PerfectPlastic, PowerLaw
-from rheokit.rheology import (_MAX_ITER, Leaf, Serial, _mid_scalar, stress_curve,
-                               stress_of_strain_rate)
+from rheokit.rheology import _MAX_ITER, Leaf, Serial, _mid_scalar, stress_of_strain_rate
 from rheokit.schema import parse_simulation
 
 
@@ -680,11 +679,9 @@ def test_simulate_and_dump_model_never_load_numpy(tmp_path):
     assert len((tmp_path / "short.csv").read_text().splitlines()) == 65
 
 
-def test_longer_or_deeper_curves_load_numpy(tmp_path):
-    """A ``curve`` of ``FLOAT_RATES`` + 1 rates on a tree whose solves nest two, three or
-    four deep is evaluated as arrays, and so loads numpy; each runs in its own interpreter.
-    At ``FLOAT_RATES`` rates the trees of solve depth three and four walk on floats and
-    never load it."""
+def test_longer_or_deeper_curves_never_load_numpy(tmp_path):
+    """A ``curve`` of 257 rates on a tree whose solves nest two, three or four deep walks on
+    floats and never loads numpy, in a fresh interpreter."""
     depth3 = {"node": "serial", "children": [
         {"node": "parallel", "children": [
             {"node": "serial", "children": [
@@ -696,46 +693,34 @@ def test_longer_or_deeper_curves_load_numpy(tmp_path):
                 depth4, {"node": "leaf", "potential": {"kind": "powerlaw", "D": 1.5, "n": 2.0}},
                 {"node": "leaf", "potential": {"kind": "plastic", "sigma_a": 0.5}}]},
             {"node": "leaf", "potential": {"kind": "powerlaw", "D": 0.7, "n": 4.0}}]}
-    rates = cli.FLOAT_RATES
-    walked = _fresh_runs([_curve_argv(tmp_path, f"{name}-walk", doc, rates)
-                          for name, doc in (("deep", depth3), ("deeper", depth4))])
-    assert [loaded for _, loaded in walked] == [[]] * 2
-    for name in ("deep", "deeper"):
-        assert len((tmp_path / f"{name}-walk.csv").read_text().splitlines()) == rates + 1
-    for name, doc in (("long", _depth2(1e7)), ("deep", depth3), ("deeper", depth4)):
-        (_, loaded), = _fresh_runs([_curve_argv(tmp_path, name, doc, rates + 1)])
-        assert "numpy" in loaded, name
-        assert len((tmp_path / f"{name}.csv").read_text().splitlines()) == rates + 2
+    trees = (("long", _depth2(1e7)), ("deep", depth3), ("deeper", depth4))
+    runs = _fresh_runs([_curve_argv(tmp_path, name, doc, 257) for name, doc in trees])
+    assert [loaded for _, loaded in runs] == [[]] * 3
+    for name, _ in trees:
+        assert len((tmp_path / f"{name}.csv").read_text().splitlines()) == 258, name
 
 
-def test_wide_shallow_curves_never_load_numpy(tmp_path, monkeypatch):
-    """``curve`` at 10,000 rates walks a tree of solve depth 1 on floats, with a Serial
-    root or a Parallel one, in a fresh interpreter that never loads numpy.  A tree of
-    solve depth 2 at 10,000 rates, or of depth 1 past ``WALK_RATES``, still takes
-    ``stress_curve``."""
+def test_wide_shallow_curves_never_load_numpy(tmp_path):
+    """``curve`` walks a tree of solve depth 1 on floats at 10,000 and 16,385 rates, with a
+    Serial root or a Parallel one, and a tree of solve depth 2 at 10,000 rates, in a fresh
+    interpreter that never loads numpy."""
     serial = {"node": "serial", "children": [
         _W, {"node": "parallel", "children": [_P, _D]}, _D]}
     parallel = {"node": "parallel", "children": [
         {"node": "serial", "children": [_P, _W]}, {"node": "serial", "children": [_D, _W]}, _D]}
-    cases = [_curve_argv(tmp_path, name, doc, 10_000)
-             for name, doc in (("serial", serial), ("parallel", parallel))]
-    assert [loaded for _, loaded in _fresh_runs(cases)] == [[]] * 2
-    for name in ("serial", "parallel"):
-        assert len((tmp_path / f"{name}.csv").read_text().splitlines()) == 10_001
-    for name, doc, samples, array in (("deep", _depth2(1e7), 10_000, True),
-                                      ("walk", serial, cli.WALK_RATES, False),
-                                      ("past", serial, cli.WALK_RATES + 1, True)):
-        arrays = []
-        monkeypatch.setattr(cli, "stress_curve", lambda *a: arrays.append(1) or stress_curve(*a))
-        assert cli.main(_curve_argv(tmp_path, name, doc, samples)) == 0
-        assert arrays == [1] * array, name
+    curves = (("serial", serial, 10_000), ("parallel", parallel, 10_000),
+              ("past", serial, 16_385), ("deep", _depth2(1e7), 10_000))
+    runs = _fresh_runs([_curve_argv(tmp_path, name, doc, n) for name, doc, n in curves])
+    assert [loaded for _, loaded in runs] == [[]] * 4
+    for name, _, samples in curves:
+        assert len((tmp_path / f"{name}.csv").read_text().splitlines()) == samples + 1, name
 
 
 def test_cli_commands_load_only_the_code_they_run(tmp_path):
     """No CLI command compiles ``convex_core``'s transforms, and ``compare`` never loads
     numpy, whatever its size: the fig6 preset, a 7,000-row geoscale comparison whose
-    n = 3.5 column is a tree walk, the same exponents and the fig6 ones at 16,385 rows (past
-    ``WALK_RATES``), ``curve --dump-model``, a short ``curve`` and a ``simulate``, in one fresh
+    n = 3.5 column is a tree walk, the same exponents and the fig6 ones at 16,385 rows,
+    ``curve --dump-model``, a short ``curve`` and a ``simulate``, in one fresh
     interpreter."""
     geo, wide, out = tmp_path / "geo.csv", tmp_path / "wide.csv", str(tmp_path / "out.csv")
     leaf = tmp_path / "leaf.json"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from conftest import solve_depth
 
 import rheokit.rheology as rheology
 from rheokit.errors import InvalidInputError, NonConvergenceError, UnsupportedModeError
@@ -361,11 +362,11 @@ def test_deep_float_solves_read_each_law_at_rest_once():
     inverse read its rest point on each call); a repeated solve reads no rest point."""
     grid = np.linspace(0.0, 10.0, 64).tolist()
     calls, tree, _ = _counted_deep_trees()
-    assert rheology._depth(tree) == 3 and calls[0] == 0  # building evaluates nothing
+    assert solve_depth(tree) == 3 and calls[0] == 0  # building evaluates nothing
     tree._walk(grid)
     assert calls[0] <= 6_890, calls[0]
     calls, _, chain = _counted_deep_trees()
-    assert rheology._depth(chain) == 4 and calls[0] == 0
+    assert solve_depth(chain) == 4 and calls[0] == 0
     chain._walk(grid)
     assert calls[0] <= 46_096, calls[0]
     calls, _, chain = _counted_deep_trees()
@@ -1071,7 +1072,7 @@ def test_sampled_elements_merge_with_the_polyline_kinds(monkeypatch):
     for n in (101, 2048):
         p = _window_sampled(n)
         for tree in (Serial([L(p), L(Dashpot(1.0))]), Parallel([L(p), L(PerfectPlastic(0.7))])):
-            assert len(tree._parts) == 1 and rheology._depth(tree) == 0
+            assert len(tree._parts) == 1 and solve_depth(tree) == 0
             eps = np.linspace(0.0, 12.0, 97)
             with np.errstate(all="ignore"):
                 lo, hi, _ = tree._stress(eps)
@@ -1248,7 +1249,7 @@ def test_walk_is_the_scalar_solve_along_a_grid(tree, ks, kr, rates, samples):
     the rates where the root and its parts reach their caps."""
     S, R = 10.0**ks, 10.0**kr
     tree = _rescaled(tree, S, R)
-    assert rheology._depth(tree) <= 1
+    assert solve_depth(tree) <= 1
     rates = [r * R for r in rates]
     caps = [c._float_flow(c._sup)[0] for c in (tree, *tree._parts) if c._sup < math.inf]
     near = [x * (1.0 + k * 1e-14) for x in rates + caps if 0.0 < x < math.inf
@@ -1304,7 +1305,7 @@ def test_an_array_solve_carries_no_state_into_the_next(tree, ks, kr, first, seco
 
 
 def test_depth_counts_how_deeply_the_solves_nest(monkeypatch):
-    """``_depth``, which picks the ``curve`` path, is the deepest nesting of ``_root``
+    """``solve_depth``, by which the tests classify trees, is the deepest nesting of ``_root``
     that the array walks ``_stress`` and ``_flow`` run."""
     depth = [0, 0]  # open, deepest
     root = rheology._root
@@ -1324,8 +1325,8 @@ def test_depth_counts_how_deeply_the_solves_nest(monkeypatch):
             depth[1] = 0
             with np.errstate(all="ignore"):
                 walk(np.array([0.7, 3.0]))
-            assert depth[1] == rheology._depth(tree, stress), (tree, stress)
-    assert [rheology._depth(t) for t in trees] == [2, 3, 2, 0, 0, 0, 1]
+            assert depth[1] == solve_depth(tree, stress), (tree, stress)
+    assert [solve_depth(t) for t in trees] == [2, 3, 2, 0, 0, 0, 1]
 
 
 def test_scalar_parallel_flow_solves_the_overstress():
@@ -1406,4 +1407,4 @@ def test_scalar_api_never_loads_numpy():
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [math.inf, False]
-    assert rheology._depth(_SCALE_TREES[0]) == rheology._depth(_SATURATING, stress=False) == 2
+    assert solve_depth(_SCALE_TREES[0]) == solve_depth(_SATURATING, stress=False) == 2

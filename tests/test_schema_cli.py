@@ -2,12 +2,14 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import solve_depth
 
 import rheokit.cli as cli
 import rheokit.rheology as rheology
@@ -285,7 +287,7 @@ def test_compare_rejects_bad_n(tmp_path):
 
 
 @pytest.mark.parametrize("n_list", ["2,inf", "2.5"])
-@pytest.mark.parametrize("samples", [3, cli.WALK_RATES + 1])
+@pytest.mark.parametrize("samples", [3, 16_385])
 @pytest.mark.parametrize("option, value, got", [("--d-dif", "inf", "inf"),
                                                 ("--d-dsl", "1e400", "inf"),
                                                 ("--d-dif", "nan", "nan"),
@@ -463,7 +465,7 @@ def test_curve_rest_row_uses_limit(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Curve paths: a short grid on a shallow tree on floats, any other as arrays
+# Curve on floats, against the library's array path
 # ---------------------------------------------------------------------------
 
 
@@ -508,29 +510,57 @@ def _nested_parallel(S, R):
         leaf({"kind": "dashpot", "D": 0.15 * S / R})]}
 
 
+def _curve_on_arrays(tree, eps_min, eps_max, samples):
+    """``curve``'s CSV built from the library's array path on its grid: ``stress_curve``,
+    and at rest ``mu_eff_rigorous``'s limit.  The reference for the walked columns."""
+    eps = np.linspace(eps_min, eps_max, samples).tolist()
+    sigma = stress_curve(tree, eps).tolist()
+    mu = [s / e if e > 0 else rheology.mu_eff_rigorous(tree, 0.0, limit=True)
+          for e, s in zip(eps, sigma)]
+    return cli._csv(["eps", "mu_eff", "sigma"], [eps, mu, sigma])
+
+
 @pytest.mark.parametrize("S, R, eps_min", [(1.0, 1.0, 0.0), (1e7, 1e-14, 1e-16),
                                            (1e-150, 1e150, 0.0)])
 def test_short_curves_on_floats_match_the_array_path(tmp_path, monkeypatch, S, R, eps_min):
-    """A grid of at most ``FLOAT_RATES`` rates on a tree whose solves nest two deep
-    runs on floats: its eps column is the array path's byte for
-    byte, its viscosities and stresses agree with it to 1e-13 relative."""
-    model, rates = write_json(tmp_path, "n.json", _nested(S, R)), cli.FLOAT_RATES
-    argv = ["curve", "--model", model, "--eps-min", repr(eps_min), "--eps-max", repr(7.0 * R),
-            "--samples", str(rates)]
-    arrays = []
-    monkeypatch.setattr(cli, "stress_curve", lambda *a: arrays.append(1) or stress_curve(*a))
-    columns = []
-    for cut in (rates, 0):  # the float path, then the array path
-        monkeypatch.setattr(cli, "FLOAT_RATES", cut)
-        out = tmp_path / f"{cut}.csv"
-        assert cli.main(argv + ["--out", str(out)]) == 0
-        columns.append(list(zip(*(ln.split(",") for ln in out.read_text().splitlines()[1:]))))
-    assert len(arrays) == 1  # only the second run took the array path
-    (eps_f, *rest_f), (eps_a, *rest_a) = columns
-    assert eps_f == eps_a and len(eps_f) == rates
-    for f, a in zip(rest_f, rest_a):
-        f, a = np.array(f, dtype=float), np.array(a, dtype=float)
-        assert np.all((f == a) | (np.abs(f - a) <= 1e-13 * np.abs(a))), (f, a)
+    """``curve`` walks a tree whose solves nest two deep on floats at 257 rates: its eps
+    column is ``np.linspace``'s byte for byte, its viscosities and stresses agree with
+    ``stress_curve`` to 1e-13 relative."""
+    doc, out = _nested(S, R), tmp_path / "n.csv"
+    monkeypatch.setattr(cli, "stress_curve", None)  # the array path would fail
+    assert cli.main(["curve", "--model", write_json(tmp_path, "n.json", doc), "--eps-min",
+                     repr(eps_min), "--eps-max", repr(7.0 * R), "--samples", "257",
+                     "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 258
+    _assert_csv_agrees(out.read_text(), _curve_on_arrays(parse_model(doc), eps_min, 7.0 * R, 257))
+
+
+def _close_rates_tree(rng):
+    """``Serial[Parallel[W, P], D, Huber]``, its parameters log-uniform in [0.1, 10], and one
+    such rate: its solves nest two deep."""
+    u = lambda: 10.0 ** rng.uniform(-1.0, 1.0)  # noqa: E731
+    leaf = lambda p: {"node": "leaf", "potential": p}  # noqa: E731
+    return {"node": "serial", "children": [
+        {"node": "parallel", "children": [
+            leaf({"kind": "powerlaw", "D": u(), "n": rng.uniform(1.5, 4.0)}),
+            leaf({"kind": "plastic", "sigma_a": u()})]},
+        leaf({"kind": "dashpot", "D": u()}),
+        leaf({"kind": "huber", "sigma_a": u(), "D": u()})]}, u()
+
+
+def test_curve_stresses_never_decrease_between_close_rates(tmp_path):
+    """On 100 seeded trees whose solves nest two deep, ``curve``'s stress column is
+    nondecreasing along a grid of 300 rates 1e-14 relative apart: each solve of the walk
+    starts from the last one's root.  ``stress_curve``, whose solves each stop anywhere in
+    a bracket 1e-14 wide, decreases somewhere on 7 of these grids."""
+    for seed in range(100):
+        doc, x = _close_rates_tree(random.Random(seed))
+        out = tmp_path / "close.csv"
+        assert cli.main(["curve", "--model", write_json(tmp_path, "t.json", doc),
+                         "--eps-min", repr(x), "--eps-max", repr(x * (1.0 + 299e-14)),
+                         "--samples", "300", "--out", str(out)]) == 0
+        sigma = np.loadtxt(out, delimiter=",", skiprows=1)[:, 2]
+        assert len(sigma) == 300 and np.all(np.diff(sigma) >= 0), seed
 
 
 def _deep_trees(S, R):
@@ -550,15 +580,15 @@ def _deep_trees(S, R):
 @pytest.mark.parametrize("S, R", [(1.0, 1.0), (1e150, 1.0), (1e-150, 1.0), (1.0, 1e150),
                                   (1.0, 1e-150), (1e150, 1e-150)])
 def test_deep_curves_walk_and_match_the_array_path(tmp_path, monkeypatch, S, R):
-    """``curve`` walks trees of solve depth 3 and 4 on floats at 64 rates (at most
-    ``FLOAT_RATES``; the array reference at far scales is slow past that), and its stresses
+    """``curve`` walks trees of solve depth 3 and 4 on floats at 64 rates (the array
+    reference at far scales is slow past that), and its stresses
     and viscosities agree with ``stress_curve`` to 1e-13 relative, at unit scale and with
     the stresses or the rates scaled by 1e+-150.  (With both far at once, stresses at
     1e-150 and rates at 1e150, the array path takes minutes on the chain.)"""
     arrays = []
     monkeypatch.setattr(cli, "stress_curve", lambda *a: arrays.append(1) or stress_curve(*a))
     for depth, tree in zip((3, 4), _deep_trees(S, R)):
-        assert rheology._depth(tree) == depth
+        assert solve_depth(tree) == depth
         model, out = write_json(tmp_path, "deep.json", dump_model(tree)), tmp_path / "deep.csv"
         assert cli.main(["curve", "--model", model, "--eps-min", "0", "--eps-max", repr(7.0 * R),
                          "--samples", "64", "--out", str(out)]) == 0
@@ -570,27 +600,25 @@ def test_deep_curves_walk_and_match_the_array_path(tmp_path, monkeypatch, S, R):
     assert not arrays  # both curves walked
 
 
-@pytest.mark.parametrize("walk_rates", [cli.WALK_RATES, 1])
-def test_curve_prints_stresses_past_half_the_largest_float(tmp_path, monkeypatch, walk_rates):
+def test_curve_prints_stresses_past_half_the_largest_float(tmp_path):
     """A dashpot of 1e300 at rates up to 1.5e8 has stresses up to 1.5e308, past half the
-    largest float: ``curve`` prints them and their viscosity, walked on floats and on
-    arrays, with no ``inf`` anywhere."""
-    monkeypatch.setattr(cli, "WALK_RATES", walk_rates)
-    model = write_json(tmp_path, "big.json",
-                       {"node": "leaf", "potential": {"kind": "dashpot", "D": 1e300}})
+    largest float: ``curve`` prints them and their viscosity with no ``inf`` anywhere, as
+    ``stress_curve`` gives them."""
+    tree = {"node": "leaf", "potential": {"kind": "dashpot", "D": 1e300}}
     out = tmp_path / "big.csv"
-    assert cli.main(["curve", "--model", model, "--eps-min", "0", "--eps-max", "1.5e8",
-                     "--samples", "4", "--out", str(out)]) == 0
+    assert cli.main(["curve", "--model", write_json(tmp_path, "big.json", tree), "--eps-min",
+                     "0", "--eps-max", "1.5e8", "--samples", "4", "--out", str(out)]) == 0
     assert "inf" not in out.read_text()
+    assert out.read_text() == _curve_on_arrays(parse_model(tree), 0.0, 1.5e8, 4)
     eps, mu, sigma = np.loadtxt(out, delimiter=",", skiprows=1).T
     assert sigma.tolist() == [1e300 * e for e in eps.tolist()]
     assert mu == pytest.approx([1e300] * 4, rel=1e-15)
 
 
-# SHA-256 of two outputs of the array path: a 10,000-rate curve with a rest row,
+# SHA-256 of two outputs of the library's array path: a 10,000-rate curve with a rest row,
 # re-pinned when the array finder took the float finder's rules, and the fig6
-# comparison, pinned when short curves moved to floats.  The curve's tree has solve
-# depth 1, so ``curve`` walks it on floats unless ``WALK_RATES`` is set below 10,000.
+# comparison, pinned when short curves moved to floats.  Each is formatted as the command
+# prints it; the commands themselves run on floats.
 _WIDE_CURVE = {"node": "serial", "children": [
     {"node": "leaf", "potential": {"kind": "dashpot", "D": 1.3}},
     {"node": "leaf", "potential": {"kind": "powerlaw", "D": 0.8, "n": 3.5}},
@@ -602,15 +630,11 @@ _PINNED = {"curve": "62e5dbbae7389bc61c3703646dd55c638228d04bdf49ebed0b56e239321
            "compare": "56c44a7dd7189017bc6e9e0f64e8f4a58a7431bdcde3718305eaa1aba0ebb8b7"}
 
 
-def test_array_path_csv_is_pinned(tmp_path, monkeypatch):
-    """The curve through ``stress_curve``, and the fig6 comparison from the library's array
-    forms (``compare`` itself fills its columns on floats)."""
-    monkeypatch.setattr(cli, "WALK_RATES", 0)
-    out = tmp_path / "curve.csv"
-    assert cli.main(["curve", "--model", write_json(tmp_path, "w.json", _WIDE_CURVE),
-                     "--eps-min", "0", "--eps-max", "10", "--samples", "10000",
-                     "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED["curve"]
+def test_array_path_csv_is_pinned():
+    """The curve from ``stress_curve``, and the fig6 comparison from the library's array
+    forms (``curve`` and ``compare`` themselves run on floats)."""
+    curve = _curve_on_arrays(parse_model(_WIDE_CURVE), 0.0, 10.0, 10000)
+    assert hashlib.sha256(curve.encode()).hexdigest() == _PINNED["curve"]
     assert hashlib.sha256(_compare_on_arrays().encode()).hexdigest() == _PINNED["compare"]
 
 
@@ -622,25 +646,19 @@ _WALK_PINNED = "4bd280d06e7abbca54fe6ebf3fcabbc5e396f9e34a9fe9e5d944c66e63ac590f
 def test_walk_csv_is_pinned_and_matches_the_array_path(tmp_path, monkeypatch):
     """The walk's curve: its eps column is the array path's byte for byte, and its
     viscosities and stresses agree with it to 1e-13 relative."""
-    argv = ["curve", "--model", write_json(tmp_path, "w.json", _WIDE_CURVE), "--eps-min", "0",
-            "--eps-max", "10", "--samples", "10000"]
+    out = tmp_path / "walk.csv"
     monkeypatch.setattr(cli, "stress_curve", None)  # the array path would fail
-    assert cli.main(argv + ["--out", str(tmp_path / "walk.csv")]) == 0
-    assert hashlib.sha256((tmp_path / "walk.csv").read_bytes()).hexdigest() == _WALK_PINNED
-    monkeypatch.setattr(cli, "stress_curve", stress_curve)
-    monkeypatch.setattr(cli, "WALK_RATES", 0)
-    assert cli.main(argv + ["--out", str(tmp_path / "array.csv")]) == 0
-    (eps_w, *rest_w), (eps_a, *rest_a) = (
-        list(zip(*(ln.split(",") for ln in (tmp_path / f"{name}.csv").read_text().splitlines()[1:])))
-        for name in ("walk", "array"))
-    assert eps_w == eps_a and len(eps_w) == 10000
-    for w, a in zip(rest_w, rest_a):
-        w, a = np.array(w, dtype=float), np.array(a, dtype=float)
-        assert np.all((w == a) | (np.abs(w - a) <= 1e-13 * np.abs(a))), (w, a)
+    assert cli.main(["curve", "--model", write_json(tmp_path, "w.json", _WIDE_CURVE),
+                     "--eps-min", "0", "--eps-max", "10", "--samples", "10000",
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _WALK_PINNED
+    assert len(out.read_text().splitlines()) == 10001
+    _assert_csv_agrees(out.read_text(), _curve_on_arrays(parse_model(_WIDE_CURVE), 0.0, 10.0,
+                                                         10000))
 
 
 # SHA-256 of ``compare --preset fig6`` filled on floats, pinned when ``compare`` took the
-# float path up to ``WALK_RATES`` rows.  Like the pins below, it reads the platform's libm.
+# float path up to 16,384 rows.  Like the pins below, it reads the platform's libm.
 _COMPARE_FLOAT_PINNED = "6acd4d046e35d0dde8b90dadca4f45e9d035e7ee4d90b001238b056bae3acdd8"
 
 
@@ -658,13 +676,12 @@ def test_compare_float_csv_is_pinned_and_matches_the_array_path(tmp_path, monkey
 
 def test_compare_fills_its_columns_on_floats_at_any_size(tmp_path, monkeypatch):
     """``compare`` fills every column on floats, with or without walked columns (n not in
-    {1, 2, 3, inf}), up to ``WALK_RATES`` rows times one plus those columns and past it,
+    {1, 2, 3, inf}), at 8,192 and 16,384 rows and one more each,
     and agrees with the library's array forms to 1e-13 relative."""
     for name in ("serial_dif_dsl_stress", "mu_eff_formula"):
         monkeypatch.setattr(cli, name, None)  # an array formula would fail
-    half = cli.WALK_RATES // 2
-    for n_list, samples in (("2,3,inf", cli.WALK_RATES), ("2,3,inf", cli.WALK_RATES + 1),
-                            ("2,3,3.5,inf", half), ("2,3,3.5,inf", half + 1)):
+    for n_list, samples in (("2,3,inf", 16_384), ("2,3,inf", 16_385),
+                            ("2,3,3.5,inf", 8_192), ("2,3,3.5,inf", 8_193)):
         out = tmp_path / f"{samples}.csv"
         argv = ["compare", "--preset", "fig6", "--n-list", n_list, "--samples", str(samples),
                 "--out", str(out)]
