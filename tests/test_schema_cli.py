@@ -600,19 +600,23 @@ def test_deep_curves_walk_and_match_the_array_path(tmp_path, monkeypatch, S, R):
     assert not arrays  # both curves walked
 
 
-def test_curve_prints_stresses_past_half_the_largest_float(tmp_path):
-    """A dashpot of 1e300 at rates up to 1.5e8 has stresses up to 1.5e308, past half the
-    largest float: ``curve`` prints them and their viscosity with no ``inf`` anywhere, as
+@pytest.mark.parametrize("split", [16384, 1])
+def test_curve_prints_stresses_past_half_the_largest_float(tmp_path, split):
+    """A dashpot of 1e300 / ``split`` at rates up to 1.5e8 * ``split`` has stresses up to
+    1.5e308, past half the largest float, whichever of viscosity and rate carries the
+    size: ``curve`` prints them and their viscosity with no ``inf`` anywhere, as
     ``stress_curve`` gives them."""
-    tree = {"node": "leaf", "potential": {"kind": "dashpot", "D": 1e300}}
+    D, eps_max = 1e300 / split, 1.5e8 * split
+    tree = {"node": "leaf", "potential": {"kind": "dashpot", "D": D}}
     out = tmp_path / "big.csv"
     assert cli.main(["curve", "--model", write_json(tmp_path, "big.json", tree), "--eps-min",
-                     "0", "--eps-max", "1.5e8", "--samples", "4", "--out", str(out)]) == 0
+                     "0", "--eps-max", repr(eps_max), "--samples", "4", "--out", str(out)]) == 0
     assert "inf" not in out.read_text()
-    assert out.read_text() == _curve_on_arrays(parse_model(tree), 0.0, 1.5e8, 4)
+    assert out.read_text() == _curve_on_arrays(parse_model(tree), 0.0, eps_max, 4)
     eps, mu, sigma = np.loadtxt(out, delimiter=",", skiprows=1).T
-    assert sigma.tolist() == [1e300 * e for e in eps.tolist()]
-    assert mu == pytest.approx([1e300] * 4, rel=1e-15)
+    assert sigma.max() > 1.4e308
+    assert sigma.tolist() == [D * e for e in eps.tolist()]
+    assert mu == pytest.approx([D] * 4, rel=1e-15)
 
 
 # SHA-256 of two outputs of the library's array path: a 10,000-rate curve with a rest row,
