@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
+import importlib
 import json
 import math
 import os
@@ -33,31 +34,21 @@ from .errors import (
     NonConvergenceError,
     SchemaError,
 )
-from .potentials import Dashpot, PowerLaw, _number, conjugate_analytic, value
-from .rheology import (
-    Formula,
-    Leaf,
-    Serial,
-    ThreeElementParams,
-    _dif_dsl_closed,
-    _scale,
-    map_serial_parallel_params,
-    mu_eff_formula,
-    mu_eff_rigorous,
-    serial_dif_dsl_stress,  # unused: perfbench's closed-form hook patches this name here
-    stress_curve,
-    three_element_parallel_serial,
-    three_element_serial_parallel,
-)
+from .potentials import _number, conjugate_analytic, value
+from .rheology import Leaf, mu_eff_rigorous
 from .schema import dump_model, dump_simulation, parse_model, parse_simulation
 
+# Names served at their first use (PEP 562) by the module that defines them, so a command that
+# runs none of them never compiles it.  Only tests and perfbench's hooks read the last three here.
+_SERVED = {"simulate": "maxwell0d", "compare_columns": "_comparison",
+           "equivalence_report": "_comparison", "mu_eff_formula": "_comparison",
+           "serial_dif_dsl_stress": "_comparison", "stress_curve": "rheology"}
 
-def __getattr__(name):  # ``simulate`` from maxwell0d, which only that command loads
-    if name != "simulate":
+
+def __getattr__(name):
+    if name not in _SERVED:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .maxwell0d import simulate
-
-    return simulate
+    return getattr(importlib.import_module(f"{__package__}.{_SERVED[name]}"), name)
 
 
 EXIT_OK = 0
@@ -157,42 +148,8 @@ def _n_suffix(n) -> str:
     return "inf" if math.isinf(n) else "n" + repr(n).removesuffix(".0")
 
 
-def _power(e, p):  # e**p, +inf past the float range, as numpy's power gives
-    try:
-        return e**p
-    except OverflowError:
-        return math.inf
-
-
-def compare_columns(d_dif, d_dsl, n_list, eps):
-    """Rigorous and harmonic-mean curves of the serial creep pair on a list of Python float
-    rates, without numpy.  ``VP_MIN`` and ``EMP_DIF_DSL`` are the formulas' arithmetic
-    (``math.sqrt`` where numpy takes ``** 0.5``), n in {1, 2, 3} the float kernel of
-    ``serial_dif_dsl_stress``'s closed form, other n the tree's walk."""
-    mus_rig, mus_emp, sig_rig, sig_emp = [], [], [], []
-    for n in n_list:
-        if math.isinf(n):
-            sig = [e * min(d_dif, d_dsl / e) for e in eps]
-        elif n in (1, 2, 3):
-            sig = list(map(_dif_dsl_closed(d_dif, d_dsl, n), eps))
-        else:
-            tree = Serial([Leaf(Dashpot(d_dif)), Leaf(PowerLaw(d_dsl, n))])
-            sig = [hi for _, hi, _ in tree._walk(eps)]
-        p = 1.0 - 1.0 / n
-        w = [math.sqrt(e) if p == 0.5 else _power(e, p) for e in eps]
-        # scaled once for the column by its least viscosity, d_dif or d_dsl / e**p, that is not
-        # 0: where e**p is +inf or d_dsl / e**p underflows, the row's mean is 0 at any scale
-        m = _scale(min(d_dif, min(filter(None, (d_dsl / x for x in w if x)), default=math.inf)))
-        a = m / d_dif
-        mu_emp = [m / (a + m * x / d_dsl) for x in w]
-        mus_rig.append([s / e for s, e in zip(sig, eps)])
-        mus_emp.append(mu_emp)
-        sig_rig.append(sig)
-        sig_emp.append([m * e for m, e in zip(mu_emp, eps)])
-    return mus_rig, mus_emp, sig_rig, sig_emp
-
-
 def cmd_compare(args) -> int:
+    from ._comparison import compare_columns
     n_list = _parse_n_list(args.n_list)
     args.d_dif, args.d_dsl = _number(args.d_dif, "--d-dif"), _number(args.d_dsl, "--d-dsl")
     if args.eps_min <= 0:
@@ -205,33 +162,8 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def equivalence_report(sigma_a, d2, d3, n_grid=1000):
-    """Rigorous three-element equivalence data and the empirical gap: the two trees' stresses
-    on ``n_grid`` rates up to ``5 sigma_a / D2``, their largest gap and its tolerance, 1e-10
-    of the largest stress compared."""
-    base = ThreeElementParams(sigma_a, d2, d3)
-    tilde = map_serial_parallel_params(sigma_a, d2, d3)
-    tree_a = three_element_parallel_serial(base)
-    tree_b = three_element_serial_parallel(tilde)
-    eps_max = 5.0 * base.sigma_a / base.D2
-    if not (0.0 < eps_max / n_grid and eps_max < math.inf):
-        raise InvalidInputError("the rates compared, up to 5 sigma_a / D2, leave the float range")
-    eps = np.linspace(eps_max / n_grid, eps_max, n_grid)
-    sig_a, sig_b = stress_curve(tree_a, eps), stress_curve(tree_b, eps)
-    tol = 1e-10 * max(sig_a.max(), sig_b.max())
-    if tol == math.inf:
-        raise InvalidInputError("the stresses compared, up to sigma_a (1 + 5 D3/D2), leave the "
-                                "float range")
-    dev = np.max(np.abs(sig_a - sig_b))
-    emp = {}
-    for e in (0.5, 1.0, 2.0):
-        v1 = mu_eff_formula(Formula.EMP_VAR1, (base.sigma_a, base.D2, base.D3), e)
-        v2 = mu_eff_formula(Formula.EMP_VAR2, (tilde.sigma_a, tilde.D2, tilde.D3), e)
-        emp[e] = abs(v1 - v2)
-    return tilde, float(dev), tol, emp
-
-
 def cmd_equivalence(args) -> int:
+    from ._comparison import equivalence_report
     tilde, dev, tol, emp = equivalence_report(_number(args.sigma_a, "--sigma-a"),
                                               _number(args.d2, "--d2"), _number(args.d3, "--d3"))
     ok = dev < tol

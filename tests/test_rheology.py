@@ -887,6 +887,23 @@ def test_emp_harmonic_general_keeps_a_subnormal_viscosity():
         assert got.tobytes() == want.tobytes(), table
 
 
+def test_emp_harmonic_general_takes_zero_and_infinite_viscosities_and_rejects_the_rest():
+    """``EMP_HARMONIC_GENERAL`` reads a viscosity of 0 at a rate as a mean of 0 there and one of
+    +inf as no term, with no numpy warning; a callable that gives a NaN or a negative viscosity
+    at any rate is an input error that names its index."""
+    mus = [lambda e: 0.0 * e, lambda e: 1.0 + 0 * e]
+    assert mu_eff_formula(Formula.EMP_HARMONIC_GENERAL, (mus,), 1.0) == 0.0
+    mus = [lambda e: np.where(e > 1.5, 0.0, 2.0), lambda e: np.full_like(e, math.inf)]
+    assert mu_eff_formula(Formula.EMP_HARMONIC_GENERAL, (mus,), [1.0, 2.0]).tolist() == [2.0, 0.0]
+    assert mu_eff_formula(Formula.EMP_HARMONIC_GENERAL, ([lambda e: math.inf],), 1.0) == math.inf
+    for bad in (math.nan, -1.0, -0.0 - 5e-324):
+        mus = [lambda e: 1.0 + 0 * e, lambda e: 2.0 + 0 * e, lambda e, bad=bad: np.where(
+            e > 1.5, bad, 1.0)]
+        with pytest.raises(InvalidInputError,
+                           match=r"^EMP_HARMONIC_GENERAL viscosity 2 gave a NaN or a value < 0$"):
+            mu_eff_formula(Formula.EMP_HARMONIC_GENERAL, (mus,), [1.0, 2.0])
+
+
 def test_serial_harmonic_means_keep_a_subnormal_modulus():
     """The closed form of a dashpot in series with a dashpot (n = 1) and its float kernel,
     ``EMP_DIF_DSL``, ``EMP_VAR1`` and ``EMP_VAR2`` scale their sums of reciprocals by a power
