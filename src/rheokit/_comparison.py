@@ -1,14 +1,16 @@
 """The paper's comparison of the rigorous composed potential with closed forms: the closed-form
 and empirical effective viscosity family, the two equivalent three-element models and the map
 between them, closed-form stresses of serial diffusion/dislocation creep for n in {1, 2, 3}, and
-the data of ``compare`` and ``equivalence``.  Only those commands and library callers load this
-module; ``rheology`` and ``cli`` serve its names at their first use (PEP 562).
+the data of ``compare`` and ``equivalence``, and the standalone overstress, Papanastasiou and
+Casson laws.  Only those commands and library callers load this module; ``rheology``,
+``potentials`` and ``cli`` serve its names at their first use (PEP 562).
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from functools import reduce
 from typing import Sequence
 
@@ -377,3 +379,61 @@ def equivalence_report(sigma_a, d2, d3, n_grid=1000):
         v2 = mu_eff_formula(Formula.EMP_VAR2, (tilde.sigma_a, tilde.D2, tilde.D3), e)
         emp[e] = abs(v1 - v2)
     return tilde, float(dev), tol, emp
+
+
+def overstress_flow(D: float, n_exp: float, sigma_a: float, sigma: float) -> float:
+    """Strain rate of the overstress flow rule, in 1/s.
+
+    Zero at or below the yield stress, ``(sigma - sigma_a)**n / D``
+    above it: the conjugate derivative of the rate-dependent-plasticity
+    potential written as a flow function of the overstress.
+    """
+    D, n_exp = _number(D, "D"), _number(n_exp, "n_exp")
+    sigma_a = _number(sigma_a, "sigma_a", "nonnegative")
+    sigma = _number(sigma, "sigma", "nonnegative")
+    if sigma <= sigma_a:
+        return 0.0
+    x = sigma - sigma_a
+    try:
+        w = x**n_exp
+    except OverflowError:
+        w = math.inf
+    try:  # the power past the float range or under its normals, the rate maybe not: divide first
+        return w / D if sys.float_info.min <= w < math.inf else (x / D ** (1.0 / n_exp)) ** n_exp
+    except OverflowError:
+        return math.inf
+
+
+def papanastasiou_stress(sigma_a: float, c: float, n_exp: float, eps: float) -> float:
+    """Regularized yield-stress law ``sigma_a * (1 + c * eps**n)**(1/n)``.
+
+    Single-valued by design; at ``eps = 0`` the continuous limit
+    ``sigma_a`` is returned.
+    """
+    sigma_a, n_exp = _number(sigma_a, "sigma_a"), _number(n_exp, "n_exp")
+    c, eps = _number(c, "c", "nonnegative"), _number(eps, "eps", "nonnegative")
+    if eps == 0.0 or c == 0.0:
+        return sigma_a
+    try:
+        out = sigma_a * (1.0 + c * eps**n_exp) ** (1.0 / n_exp)
+        if out < math.inf:
+            return out
+    except OverflowError:
+        pass
+    # a power or product past the float range, the stress maybe not: in logs, to about 1e-13
+    # relative, log(1 + t) = max(l, 0) + log1p(exp(-|l|)) from l = log t = log c + n log eps
+    lt = math.log(c) + n_exp * math.log(eps)
+    try:
+        return math.exp(math.log(sigma_a) + (max(lt, 0.0) + math.log1p(math.exp(-abs(lt)))) / n_exp)
+    except OverflowError:
+        return math.inf
+
+
+def casson_stress(sigma_a: float, c: float, eps: float) -> float:
+    """Casson law ``sigma_a * (1 + c * eps)**(1/2)``; ``sigma_a`` at rest."""
+    sigma_a = _number(sigma_a, "sigma_a")
+    c, eps = _number(c, "c", "nonnegative"), _number(eps, "eps", "nonnegative")
+    if eps == 0.0:
+        return sigma_a
+    t = c * eps  # +inf past the float range, where the stress may not be
+    return sigma_a * (math.sqrt(1.0 + t) if t < math.inf else math.sqrt(c) * math.sqrt(eps))

@@ -12,7 +12,8 @@ Exit codes: 0 ok, 2 input/schema error (an unwritable ``--out`` or stdout too, s
 device), 3 solver/integrator failure, 4 equivalence regression, 1 where stdout's reader has
 gone.  Output is deterministic: 17 significant digits, ``\\n`` line endings, ``inf`` as the
 literal token.  ``curve`` walks its rate grid and ``compare`` fills every column on Python
-floats at any size, and neither imports numpy.
+floats at any size, and neither imports numpy.  A run builds only its command's parser, from
+the table ``_COMMANDS`` (:func:`_parse`), and ``entry()`` runs with the cycle collector off.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
-import importlib
 import json
 import math
 import os
@@ -28,12 +28,8 @@ import sys
 from bisect import bisect_right
 from itertools import chain
 
-from ._numpy import np
-from .errors import (
-    InvalidInputError,
-    NonConvergenceError,
-    SchemaError,
-)
+from ._numpy import _served, np
+from .errors import InvalidInputError, NonConvergenceError, SchemaError
 from .potentials import _number, conjugate_analytic, value
 from .rheology import Leaf, mu_eff_rigorous
 from .schema import dump_model, dump_simulation, parse_model, parse_simulation
@@ -43,12 +39,7 @@ from .schema import dump_model, dump_simulation, parse_model, parse_simulation
 _SERVED = {"simulate": "maxwell0d", "compare_columns": "_comparison",
            "equivalence_report": "_comparison", "mu_eff_formula": "_comparison",
            "serial_dif_dsl_stress": "_comparison", "stress_curve": "rheology"}
-
-
-def __getattr__(name):
-    if name not in _SERVED:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__package__}.{_SERVED[name]}"), name)
+__getattr__ = _served(__name__, _SERVED)
 
 
 EXIT_OK = 0
@@ -217,62 +208,66 @@ def cmd_conjugate(args) -> int:
     return EXIT_OK
 
 
+# Each command's help line, function and options, which build its own parser and the whole tree
+_COMMANDS = {
+    "curve": ("mu_eff and stress over a rate range", cmd_curve, {
+        "--model": dict(required=True, help="model JSON path"),
+        "--eps-min": dict(type=float, default=0.01), "--eps-max": dict(type=float, default=10.0),
+        "--samples": dict(type=int, default=200),
+        "--out": dict(help="output CSV (default stdout)"),
+        "--dump-model": dict(action="store_true")}),
+    "compare": ("rigorous vs harmonic-mean serial creep", cmd_compare, {
+        "--preset": dict(choices=["fig6"], help="fig6: the defaults"),
+        "--d-dif": dict(type=float, default=1.0), "--d-dsl": dict(type=float, default=1.0),
+        "--n-list": dict(default="2,3,inf",
+                         help="creep exponents, each > 0 or inf (default 2,3,inf)"),
+        "--eps-min": dict(type=float, default=3.4 / 200.0),
+        "--eps-max": dict(type=float, default=3.4), "--samples": dict(type=int, default=200),
+        "--out": {}}),
+    "equivalence": ("three-element equivalence check", cmd_equivalence, {
+        "--sigma-a": dict(type=float, required=True), "--d2": dict(type=float, required=True),
+        "--d3": dict(type=float, required=True), "--out": {}}),
+    "simulate": ("0D Maxwell time integration", cmd_simulate, {
+        "--model": dict(required=True, help="simulation JSON path"),
+        "--dt": dict(type=float, default=1e-3), "--t-end": dict(type=float, default=1.0),
+        "--out": {}, "--dump-model": dict(action="store_true")}),
+    "conjugate": ("conjugate of a leaf potential", cmd_conjugate, {
+        "--model": dict(required=True), "--sigma-max": dict(type=float),
+        "--samples": dict(type=int, default=256), "--out": {},
+        "--dump-model": dict(action="store_true")}),
+}
+
+
+def _command(parser, name) -> argparse.ArgumentParser:
+    for flag, options in _COMMANDS[name][2].items():
+        parser.add_argument(flag, **options)
+    parser.set_defaults(fn=_COMMANDS[name][1])
+    return parser
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="rheokit",
-        description="Viscoplastic network models: curves, comparisons, 0D simulation.",
-    )
+    ap = argparse.ArgumentParser(prog="rheokit", description="Viscoplastic network models: "
+                                 "curves, comparisons, 0D simulation.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    curve = sub.add_parser("curve", help="mu_eff and stress over a rate range")
-    curve.add_argument("--model", required=True, help="model JSON path")
-    curve.add_argument("--eps-min", dest="eps_min", type=float, default=0.01)
-    curve.add_argument("--eps-max", dest="eps_max", type=float, default=10.0)
-    curve.add_argument("--samples", type=int, default=200)
-    curve.add_argument("--out", default=None, help="output CSV (default stdout)")
-    curve.add_argument("--dump-model", dest="dump_model", action="store_true")
-    curve.set_defaults(fn=cmd_curve)
-
-    comp = sub.add_parser("compare", help="rigorous vs harmonic-mean serial creep")
-    comp.add_argument("--preset", choices=["fig6"], default=None, help="fig6: the defaults")
-    comp.add_argument("--d-dif", dest="d_dif", type=float, default=1.0)
-    comp.add_argument("--d-dsl", dest="d_dsl", type=float, default=1.0)
-    comp.add_argument("--n-list", dest="n_list", default="2,3,inf",
-                      help="creep exponents, each > 0 or inf (default 2,3,inf)")
-    comp.add_argument("--eps-min", dest="eps_min", type=float, default=3.4 / 200.0)
-    comp.add_argument("--eps-max", dest="eps_max", type=float, default=3.4)
-    comp.add_argument("--samples", type=int, default=200)
-    comp.add_argument("--out", default=None)
-    comp.set_defaults(fn=cmd_compare)
-
-    eq = sub.add_parser("equivalence", help="three-element equivalence check")
-    eq.add_argument("--sigma-a", dest="sigma_a", type=float, required=True)
-    eq.add_argument("--d2", type=float, required=True)
-    eq.add_argument("--d3", type=float, required=True)
-    eq.add_argument("--out", default=None)
-    eq.set_defaults(fn=cmd_equivalence)
-
-    sim = sub.add_parser("simulate", help="0D Maxwell time integration")
-    sim.add_argument("--model", required=True, help="simulation JSON path")
-    sim.add_argument("--dt", type=float, default=1e-3)
-    sim.add_argument("--t-end", dest="t_end", type=float, default=1.0)
-    sim.add_argument("--out", default=None)
-    sim.add_argument("--dump-model", dest="dump_model", action="store_true")
-    sim.set_defaults(fn=cmd_simulate)
-
-    conj = sub.add_parser("conjugate", help="conjugate of a leaf potential")
-    conj.add_argument("--model", required=True)
-    conj.add_argument("--sigma-max", dest="sigma_max", type=float, default=None)
-    conj.add_argument("--samples", type=int, default=256)
-    conj.add_argument("--out", default=None)
-    conj.add_argument("--dump-model", dest="dump_model", action="store_true")
-    conj.set_defaults(fn=cmd_conjugate)
+    for name, (summary, _, _) in _COMMANDS.items():
+        _command(sub.add_parser(name, help=summary), name)
     return ap
 
 
+def _parse(argv):
+    """``argv`` by its command's own parser, which the whole tree would hand the rest to, where
+    that takes every argument; else by the whole tree, which reports what it does not take."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _COMMANDS:
+        ap = _command(argparse.ArgumentParser(prog=f"rheokit {argv[0]}"), argv[0])
+        args, rest = ap.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _parse(argv)
     try:
         return args.fn(args)
     except InvalidInputError as exc:
@@ -284,13 +279,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    """Console script and ``python -m rheokit``: exit with ``main()``'s code.  Once ``main()``
-    returns, the heap is frozen, atexit handlers run and stdout and stderr are flushed, then the
-    process ends at ``os._exit``, skipping the interpreter's teardown.  ``SystemExit`` and an
-    exception take the interpreter's exit, with the heap frozen.  A stdout that fails, at a write
-    or at the flush, ends the process with no traceback and the rest of the output dropped: with
-    status 1 where its reader has gone, else with one input-error line and status 2.  ``main()``
-    never freezes and never exits."""
+    """Console script and ``python -m rheokit``: exit with ``main()``'s code, the cycle collector
+    off (``python -m`` turns it off before it imports this module), as a run makes no cycle.  Once
+    ``main()`` returns, the heap is frozen, atexit handlers run and stdout and stderr are flushed,
+    then the process ends at ``os._exit``, skipping the interpreter's teardown.  ``SystemExit``
+    and an exception take the interpreter's exit, with the heap frozen.  A stdout that fails, at
+    a write or at the flush, ends the process with no traceback and the rest of the output
+    dropped: with status 1 where its reader has gone, else with one input-error line and status
+    2.  ``main()`` never freezes, never exits and leaves the collector as it is."""
+    gc.disable()
     code = None
     try:
         code = main()

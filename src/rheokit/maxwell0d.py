@@ -104,6 +104,8 @@ def make(E, sup, c, rtol, CELLS):
         nonlocal x, f, d
         trial = e_el + h * eps
         t = target = abs(trial)
+        if t == inf and sup == inf:  # no cap to stop at: no step from a trial past the floats
+            raise rheology.InvalidInputError(f"trial strain {e_el!r} + {h!r} * {eps!r} overflows")
         cap, lo, g, dr = min(E * t, sup), 0.0, x / E + h * f, c + h * d
         FINDER
         e = min(hi / E, t)
@@ -158,11 +160,13 @@ def step(model: MaxwellModel, e_el: float, eps: float, dt: float) -> float:
     Solves ``x = e_el + dt * (eps - sum_i flow_i(E x))``, signed like the trial
     ``e_el + dt * eps``, for the stress ``E |x|`` with the tree solves' finder
     ``rheology._FINDER``, to ``1e-15`` of itself; ``cap / E`` when the stress
-    stops at the cap.  The residual reads the model's float kernels: no numpy scalar
-    and no floating-point error state.  A run (``_run``) is the step generated once from the
-    model's laws: a model gets a fresh run each call, so its first probe is just below ``min(E
-    t, cap)`` and it keeps no history; :func:`simulate` steps one run, each step but the first
-    handing the finder the last point the step before read, for its warm start.
+    stops at the cap, also from a trial past the float range, which is an
+    :class:`InvalidInputError` where no element caps the stress.  The residual reads the model's
+    float kernels: no numpy scalar and no floating-point error state.  A run (``_run``) is the
+    step generated once from the model's laws: a model gets a fresh run each call, so its first
+    probe is just below ``min(E t, cap)`` and it keeps no history; :func:`simulate` steps one
+    run, each step but the first handing the finder the last point the step before read, for its
+    warm start.
     """
     if not type(e_el) is type(eps) is type(dt) is float:  # floats skip the number rule
         e_el, eps = _number(e_el, "e_el", None), _number(eps, "eps", None)

@@ -19,17 +19,18 @@ Each kind subclasses :class:`Potential` and declares one pair of laws,
 choose between.  The graph kinds (Dashpot, PerfectPlastic, Huber,
 QuadPlusBall, Sampled) declare only their stress law's graph and build
 the pair from it.  Every kind's float kernels are snippets of source,
-``_GRAPH`` and ``_POWER``, that the generated float solves inline.
+``_GRAPH`` and ``_POWER``, that the generated float solves inline.  The
+standalone laws ``overstress_flow``, ``papanastasiou_stress`` and
+``casson_stress`` are ``_comparison``'s, served here at their first use (PEP 562).
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from functools import cached_property, partial
 
 from ._graph import SubdiffInterval, _Feat, _Graph
-from ._numpy import _Lazy, np
+from ._numpy import _Lazy, _served, np
 from ._record import Record
 from .errors import InvalidInputError
 
@@ -438,67 +439,13 @@ def conjugate_analytic(p: Potential) -> Potential:
     return _potential(p).conjugate()
 
 
-def overstress_flow(D: float, n_exp: float, sigma_a: float, sigma: float) -> float:
-    """Strain rate of the overstress flow rule, in 1/s.
-
-    Zero at or below the yield stress, ``(sigma - sigma_a)**n / D``
-    above it: the conjugate derivative of the rate-dependent-plasticity
-    potential written as a flow function of the overstress.
-    """
-    D, n_exp = _number(D, "D"), _number(n_exp, "n_exp")
-    sigma_a = _number(sigma_a, "sigma_a", "nonnegative")
-    sigma = _number(sigma, "sigma", "nonnegative")
-    if sigma <= sigma_a:
-        return 0.0
-    x = sigma - sigma_a
-    try:
-        w = x**n_exp
-    except OverflowError:
-        w = math.inf
-    try:  # the power past the float range or under its normals, the rate maybe not: divide first
-        return w / D if sys.float_info.min <= w < math.inf else (x / D ** (1.0 / n_exp)) ** n_exp
-    except OverflowError:
-        return math.inf
-
-
-def papanastasiou_stress(sigma_a: float, c: float, n_exp: float, eps: float) -> float:
-    """Regularized yield-stress law ``sigma_a * (1 + c * eps**n)**(1/n)``.
-
-    Single-valued by design; at ``eps = 0`` the continuous limit
-    ``sigma_a`` is returned.
-    """
-    sigma_a, n_exp = _number(sigma_a, "sigma_a"), _number(n_exp, "n_exp")
-    c, eps = _number(c, "c", "nonnegative"), _number(eps, "eps", "nonnegative")
-    if eps == 0.0 or c == 0.0:
-        return sigma_a
-    try:
-        out = sigma_a * (1.0 + c * eps**n_exp) ** (1.0 / n_exp)
-        if out < math.inf:
-            return out
-    except OverflowError:
-        pass
-    # a power or product past the float range, the stress maybe not: in logs, to about 1e-13
-    # relative, log(1 + t) = max(l, 0) + log1p(exp(-|l|)) from l = log t = log c + n log eps
-    lt = math.log(c) + n_exp * math.log(eps)
-    try:
-        return math.exp(math.log(sigma_a) + (max(lt, 0.0) + math.log1p(math.exp(-abs(lt)))) / n_exp)
-    except OverflowError:
-        return math.inf
-
-
-def casson_stress(sigma_a: float, c: float, eps: float) -> float:
-    """Casson law ``sigma_a * (1 + c * eps)**(1/2)``; ``sigma_a`` at rest."""
-    sigma_a = _number(sigma_a, "sigma_a")
-    c, eps = _number(c, "c", "nonnegative"), _number(eps, "eps", "nonnegative")
-    if eps == 0.0:
-        return sigma_a
-    t = c * eps  # +inf past the float range, where the stress may not be
-    return sigma_a * (math.sqrt(1.0 + t) if t < math.inf else math.sqrt(c) * math.sqrt(eps))
-
-
 def sample_potential(p: Potential, grid=None) -> cc.SampledFunction:
     """Sample a catalog potential onto a grid (default uniform 2048 pts)."""
     if grid is None:
         grid = cc.uniform_grid()
     grid = np.asarray(grid, dtype=float)
     return cc.SampledFunction.from_samples(grid, value(p, grid))
+
+
+__getattr__ = _served(__name__, dict.fromkeys(
+    ("overstress_flow", "papanastasiou_stress", "casson_stress"), "_comparison"))

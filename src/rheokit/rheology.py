@@ -41,7 +41,7 @@ from types import SimpleNamespace
 from typing import Union
 
 from ._graph import SubdiffInterval, _graph_sum
-from ._numpy import np
+from ._numpy import _served, np
 from ._record import Record
 from .errors import InvalidInputError, NonConvergenceError
 from .potentials import Potential, _Feat, _Law, _Polyline, _number, _rates
@@ -465,14 +465,7 @@ def mu_eff_rigorous(e: RheoExpr, eps: float, limit: bool = False) -> float:
     return math.inf if rest > 0 else slope
 
 
-_COMPARISON = {*"Formula ThreeElementParams _dif_dsl_closed harmonic_mean_linear mu_eff_formula "
-               "map_serial_parallel_params serial_dif_dsl_stress three_element_parallel_serial "
-               "three_element_serial_parallel three_element_stress".split()}
-
-
-def __getattr__(name):  # from _comparison, loaded at the first of them that is read
-    if name not in _COMPARISON:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import _comparison
-
-    return getattr(_comparison, name)
+__getattr__ = _served(__name__, dict.fromkeys((  # the comparison family: _comparison's
+    "Formula ThreeElementParams _dif_dsl_closed harmonic_mean_linear mu_eff_formula "
+    "map_serial_parallel_params serial_dif_dsl_stress three_element_parallel_serial "
+    "three_element_serial_parallel three_element_stress").split(), "_comparison"))

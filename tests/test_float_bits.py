@@ -201,7 +201,7 @@ _SOURCES_PINNED = {
     "law powerlaw graph": "19d0ac0669c0b870",
     "law row row": "8b5c039c851b09d9",
     "law row row row": "e5b11b277f825223",
-    "step maxwell graph powerlaw": "b11638fbdd1b9a1f",
+    "step maxwell graph powerlaw": "ec6d81c04b23968c",
     "walk serial call graph": "16cf5718c020191b",
     "walk serial graph powerlaw": "b1050fe426929486",
     "walk serial powerlaw graph": "5baa43271cfa82bb",

@@ -19,6 +19,7 @@ from rheokit.maxwell0d import (
     DriveProgram,
     MaxwellModel,
     TimeSeries,
+    _run,
     simulate,
     step,
 )
@@ -927,3 +928,46 @@ def test_a_simulate_leaves_no_reference_cycle_and_step_keeps_its_bits():
     assert [step(m, *a).hex() for a in args] == [
         "0x1.bec38defb1b79p-6", "0x1.1da8da90f499cp-2", "-0x1.30abe5f919134p-4",
         "0x1.999b56d7e5eafp-4"]
+
+
+@pytest.mark.parametrize("E, elements, args", [
+    (1.0, [Dashpot(1.0)], (0.0, 1e10, 1e300)),
+    (1.0, [Dashpot(1.0)], (1.7e308, 1e308, 1.0)),
+    (2.0, [PowerLaw(1.0, 3.0)], (1e308, 1e308, 10.0)),
+    (1.0, [Dashpot(1.0)], (-1.7e308, -1e308, 1.0)),
+])
+def test_a_trial_strain_past_the_floats_with_no_cap_is_an_input_error(E, elements, args):
+    """Where ``e_el + dt * eps`` overflows and no element caps the stress, every residual would
+    read inf - inf: ``step`` raises an input error that names the overflow, also on a run."""
+    m = MaxwellModel(E, elements)
+    with pytest.raises(InvalidInputError, match=r"^trial strain .* overflows$"):
+        step(m, *args)
+    run = _run(m)
+    assert step(run, 0.5, 1.0, 0.1) == step(m, 0.5, 1.0, 0.1)
+    with pytest.raises(InvalidInputError, match="overflows"):
+        step(run, *args)
+
+
+@pytest.mark.parametrize("args, e", [((1.7e308, 1e308, 1.0), 1.0), ((0.0, -1e10, 1e300), -1.0)])
+def test_a_trial_strain_past_the_floats_stops_at_a_cap(args, e):
+    """A capped model's step from an overflowing trial is its cap, signed like the trial."""
+    assert step(MaxwellModel(1.0, [Dashpot(1.0), PerfectPlastic(1.0)]), *args) == e
+
+
+def test_simulate_from_an_overflowing_trial_exits_2_with_one_line(tmp_path, capsys):
+    """``rheokit simulate`` whose first trial strain overflows, the model uncapped, exits 2
+    with one input-error line and writes no output; ``python -m rheokit`` writes the same."""
+    doc = {"E": 1.0, "elements": [{"kind": "dashpot", "D": 1.0}],
+           "drive": [{"t_end": 10.0, "eps": 1e308}], "e_el0": 0.0}
+    model, out = tmp_path / "model.json", tmp_path / "out.csv"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["simulate", "--model", str(model), "--dt", "10", "--t-end", "10"]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "rheokit: input error: trial strain 0.0 + 10.0 * 1e+308 overflows\n"
+    assert not out.exists()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "rheokit", *argv], capture_output=True,
+                          text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)

@@ -123,20 +123,25 @@ _MOVED = ("Formula ThreeElementParams _dif_dsl_closed harmonic_mean_linear "
           "map_serial_parallel_params mu_eff_formula serial_dif_dsl_stress "
           "three_element_parallel_serial three_element_serial_parallel three_element_stress")
 _SERVED_BY_CLI = "compare_columns equivalence_report mu_eff_formula serial_dif_dsl_stress"
+_LAWS = "overstress_flow papanastasiou_stress casson_stress"  # served by ``potentials``
 
 
 def test_each_moved_name_is_the_comparisons_own_object():
-    """``rheokit.rheology``, ``rheokit`` for what it exports and ``rheokit.cli`` for what it
-    serves hand out the one object that ``rheokit._comparison`` defines, and serve no other
-    of its names."""
+    """``rheokit.rheology``, ``rheokit.potentials`` for the standalone laws, ``rheokit`` for
+    what it exports and ``rheokit.cli`` for what it serves hand out the one object that
+    ``rheokit._comparison`` defines, and serve no other of its names."""
     comparison = importlib.import_module("rheokit._comparison")
-    rheology, cli = (importlib.import_module(f"rheokit.{m}") for m in ("rheology", "cli"))
-    for name in _MOVED.split():
-        assert getattr(rheology, name) is getattr(comparison, name), name
-        assert name not in rheokit._WHERE or getattr(rheokit, name) is getattr(comparison, name)
+    rheology, potentials, cli = (importlib.import_module(f"rheokit.{m}")
+                                 for m in ("rheology", "potentials", "cli"))
+    for module, names in ((rheology, _MOVED), (potentials, _LAWS)):
+        for name in names.split():
+            assert getattr(module, name) is getattr(comparison, name), name
+            assert name not in rheokit._WHERE or getattr(rheokit, name) is getattr(comparison,
+                                                                                   name)
     for name in _SERVED_BY_CLI.split():
         assert getattr(cli, name) is getattr(comparison, name), name
     for module, name in ((rheology, "_scale"), (rheology, "compare_columns"), (cli, "_scale"),
-                         (cli, "Formula")):
+                         (cli, "Formula"), (rheology, "casson_stress"), (potentials, "_scale"),
+                         (potentials, "mu_eff_formula")):
         with pytest.raises(AttributeError, match=f"'{module.__name__}' has no attribute"):
             getattr(module, name)

@@ -954,6 +954,68 @@ def test_console_entry_point(tmp_path):
     assert proc.stdout.splitlines()[0] == "eps,mu_eff,sigma"
 
 
+# Exit code, stdout and stderr of each argv that ``cli.main`` refuses or answers with help, as
+# the whole parser tree gave them at 80 columns on Python 3.11, before a run built only its
+# command's parser.  argparse's wording and layout vary between Python versions.
+_PARSER_BYTES = json.loads((Path(__file__).parent / "cli_parser_bytes.json").read_text("utf-8"))
+
+
+def _parsed(parse, argv, capsys):
+    try:
+        code = parse(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return [code, out, err]
+
+
+@pytest.mark.parametrize("argv, code, out, err", _PARSER_BYTES,
+                         ids=[" ".join(argv) or "none" for argv, *_ in _PARSER_BYTES])
+def test_the_parsers_write_the_whole_trees_bytes(monkeypatch, capsys, argv, code, out, err):
+    """No command, ``--help``, an unknown command, each command's ``--help``, an unknown option,
+    a bad value, a missing ``--model``, an argument left over and a bad choice: ``cli.main`` exits
+    with the code and writes the bytes of the whole parser tree, those pinned on Python 3.11."""
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _parsed(cli.main, argv, capsys)
+    assert got == _parsed(cli._build_parser().parse_args, argv, capsys)
+    if sys.version_info[:2] == (3, 11):
+        assert got == [code, out, err]
+
+
+@pytest.mark.parametrize("argv", [["curve", "--help"], ["curve", "--model", "m.json", "--", "x"]])
+def test_python_m_rheokit_writes_the_parsers_bytes(capsys, argv):
+    """A command's own help, and an argument left over, which the whole tree reports, reach
+    ``python -m rheokit``'s streams as ``cli.main`` writes them."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COLUMNS", "80")
+        proc = _python("-m", "rheokit", *argv)
+        code, out, err = _parsed(cli.main, argv, capsys)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (code, out, err)
+    if code == 0:
+        assert out.startswith("usage: rheokit curve [-h]") and err == ""
+    else:
+        assert err.startswith("usage: rheokit [-h]") and "rheokit: error: unrecognized" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--mod", "M", "--samples=3"], ["curve", "--model=M", "--eps-max", "2", "--dump-m"],
+    ["compare", "--preset", "fig6", "--n-list", "2,inf"], ["equivalence", "--sigma-a", "1",
+                                                           "--d2=2", "--d3", "3", "--out", "x"],
+    ["simulate", "--model", "M", "--t-end=2"], ["conjugate", "--model", "M", "--sigma-m", "4"]])
+def test_a_commands_own_parser_reads_what_the_tree_reads(tmp_path, capsys, argv):
+    """A command's own parser takes an abbreviated option and the ``=`` form as the whole tree
+    does, into the same options; ``curve --mod M --samples=3`` runs as ``curve --model M
+    --samples 3``."""
+    tree = vars(cli._build_parser().parse_args(argv))
+    assert {**vars(cli._parse(argv)), "command": argv[0]} == tree
+    if argv[1] == "--mod":
+        model = write_json(tmp_path, "m.json", SERIAL_VP)
+        assert cli.main(["curve", "--mod", model, "--samples=3"]) == 0
+        short = capsys.readouterr()
+        assert cli.main(["curve", "--model", model, "--samples", "3"]) == 0
+        assert capsys.readouterr() == short and short.out.count("\n") == 4
+
+
 def _python(*args):
     """``python *args`` on this tree's sources, standard streams captured as bytes."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -963,9 +1025,15 @@ def _python(*args):
 
 _ATEXIT_FREEZE = """\
 import atexit, gc, sys
-import rheokit.cli as cli
-atexit.register(lambda: sys.stderr.write(f"atexit frozen={gc.get_freeze_count() > 0}\\n"))
+atexit.register(lambda: sys.stderr.write(
+    f"atexit frozen={gc.get_freeze_count() > 0} collector={gc.isenabled()}\\n"))
 how, sys.argv[1:] = sys.argv[1], sys.argv[2:]
+if how == "-m":  # a collection at each allocation until the collector is off: none sees the CLI
+    import runpy
+    gc.callbacks.append(lambda *_: "rheokit.cli" not in sys.modules or 1 / 0)
+    gc.set_threshold(1)
+    runpy.run_module("rheokit", run_name="__main__", alter_sys=True)
+import rheokit.cli as cli
 if how == "raise":
     cli.main = lambda: 1 / 0
 if how == "main":
@@ -974,19 +1042,26 @@ cli.entry()
 """
 
 
+_HANDLER = b"atexit frozen=True collector=False\n"  # the handler's line under entry()
+
+
 @pytest.mark.parametrize("how, argv, code", [
     ("entry", ["equivalence", "--sigma-a", "1", "--d2", "1", "--d3", "1"], 0),
     ("entry", ["curve", "--no-such-option"], 2),
     ("raise", [], 1),
-    ("main", ["equivalence", "--sigma-a", "1", "--d2", "1", "--d3", "1"], 0)])
+    ("main", ["equivalence", "--sigma-a", "1", "--d2", "1", "--d3", "1"], 0),
+    ("-m", ["equivalence", "--sigma-a", "1", "--d2", "1", "--d3", "1"], 0),
+    ("-m", ["curve", "--model", "m.json", "--no-such-option"], 2)])
 def test_entry_freezes_the_heap_and_still_runs_atexit(how, argv, code):
     """``entry()`` freezes the heap on every exit: a returned code, argparse's own
     ``SystemExit`` and a traceback; an atexit handler registered before it still runs,
-    and sees the frozen heap.  ``main()`` leaves it collectable."""
+    and sees the frozen heap and the cycle collector off.  ``python -m rheokit`` turns the
+    collector off before it loads the CLI.  ``main()`` leaves the heap collectable and the
+    collector on."""
     proc = _python("-c", _ATEXIT_FREEZE, how, *argv)
     assert proc.returncode == code, proc.stderr
-    frozen = f"atexit frozen={how != 'main'}\n".encode()
-    assert proc.stderr.endswith(frozen), proc.stderr
+    line = b"atexit frozen=False collector=True\n" if how == "main" else _HANDLER
+    assert proc.stderr.endswith(line), proc.stderr
     assert (b"ZeroDivisionError" in proc.stderr) == (how == "raise")
 
 
@@ -1042,7 +1117,7 @@ def test_entry_flushes_every_byte_before_it_exits(tmp_path, argv, buffered):
     once, on the frozen heap."""
     proc = _python_buffered("-c", _ATEXIT_FREEZE, "entry", *argv, buffered=buffered,
                             capture_output=True)
-    assert (proc.returncode, proc.stderr) == (0, b"atexit frozen=True\n")
+    assert (proc.returncode, proc.stderr) == (0, _HANDLER)
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
     assert proc.stdout == (tmp_path / "out").read_bytes()
 
@@ -1061,7 +1136,7 @@ def test_a_stdout_with_no_reader_exits_1_without_a_traceback(argv, buffered):
                                 stdout=write, stderr=subprocess.PIPE)
     finally:
         os.close(write)
-    assert (proc.returncode, proc.stderr) == (1, b"atexit frozen=True\n")
+    assert (proc.returncode, proc.stderr) == (1, _HANDLER)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -1078,5 +1153,5 @@ def test_a_full_stdout_is_an_input_error(argv, buffered):
     err = proc.stderr.decode()
     assert proc.returncode == 2, err
     line, handler = ("rheokit: input error: cannot write stdout: [Errno 28] No space left on "
-                     "device\n"), "atexit frozen=True\n"
+                     "device\n"), _HANDLER.decode()
     assert err == (handler + line if buffered and argv is _SHORT else line + handler)
