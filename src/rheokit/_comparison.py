@@ -260,7 +260,7 @@ def serial_dif_dsl_stress(
                 f"closed mode covers n in {{1, 2, 3}}, got n = {n}"
             )
     elif mode == "numeric":
-        out = Serial([Leaf(Dashpot(D_dif)), Leaf(PowerLaw(D_dsl, n))])._stress(eps)[1]
+        out = stress_curve(Serial([Leaf(Dashpot(D_dif)), Leaf(PowerLaw(D_dsl, n))]), eps)
     else:
         raise InvalidInputError(f"mode must be 'closed' or 'numeric', got {mode!r}")
     return float(out) if scalar_in else out

@@ -7,24 +7,24 @@ built, its children with polyline stress laws (dashpot, plastic, Huber,
 sampled) merge into one exact polyline leaf, so a subtree of them alone is one
 closed form.  Elsewhere ``strain_rate_of_stress`` (rates summed across
 a Serial node) and ``stress_of_strain_rate`` (stresses summed across a
-Parallel node) invert each other by one monotone root finder: on floats
-the template ``_FINDER`` (also the Maxwell step's), on arrays the same rules
-elementwise.  It takes safeguarded Newton steps in log-log coordinates
-inside a bracket that bisects the ordered bits of the floats, from a first
-probe just below a finite cap, else 1, so no solve depends on the unit
-scale.  Each node reports its tangent next to its value (stiffnesses add
-across Parallel, compliances across Serial, an inverse takes the
-reciprocal), for the Newton steps and for ``mu_eff_rigorous``'s exact
-limit at rest.  Set-valued points are :class:`SubdiffInterval`; saturation
-(stress beyond a composite's attainable range) is a +inf marker, not an
-error.  Every node binds its laws, graph features and polyline graph once,
-when built: on numpy arrays (``stress_curve``), and on Python floats, never
-importing numpy, as a walk along ascending targets per inverting node, each
-solve after the first from the last one's lower end and a log-log Newton step,
-and its one-target inverse, for scalar calls and nested solves.  Each is one
-function generated at its first call, every leaf inlined from its
-kind's snippet, and compiled once per shape (``_generate``).  On
-either path an inverting node reads its summed law at rest once.
+Parallel node) invert each other by one monotone root finder on Python
+floats, the template ``_FINDER`` (also the Maxwell step's).  It takes
+safeguarded Newton steps in log-log coordinates inside a bracket that
+bisects the ordered bits of the floats, from a first probe just below a
+finite cap, else 1, so no solve depends on the unit scale.  Each node
+reports its tangent next to its value (stiffnesses add across Parallel,
+compliances across Serial, an inverse takes the reciprocal), for the Newton
+steps and for ``mu_eff_rigorous``'s exact limit at rest.  Set-valued points
+are :class:`SubdiffInterval`; saturation (stress beyond a composite's
+attainable range) is a +inf marker, not an error.  Every node binds its
+laws, graph features and polyline graph once, when built, never importing
+numpy: a walk along ascending targets per inverting node, each solve after
+the first from the last one's lower end and a log-log Newton step, and its
+one-target inverse, for scalar calls and nested solves.  Each is one function
+generated at its first call, every leaf inlined from its kind's snippet, and
+compiled once per shape (``_generate``); an inverting node reads its summed
+law at rest once.  ``stress_curve`` walks its rates sorted, so numpy stays
+at the array API's edges.
 
 The closed-form and empirical viscosity family and the three-element models
 are ``_comparison``'s, which this module serves at their first use (PEP 562).
@@ -36,7 +36,7 @@ import math
 import struct
 import sys
 from bisect import bisect_right
-from functools import cache, reduce
+from functools import cache
 from types import SimpleNamespace
 from typing import Union
 
@@ -81,9 +81,7 @@ class Leaf(Record):
         if not isinstance(self.p, Potential):
             raise InvalidInputError(f"Leaf needs a Potential, got {self.p!r}")
         p = self.p  # its laws, walk, graph features, graph and stress supremum, bound once
-        self.__dict__.update(_flow=lambda sig: _leaf_flow(p, sig),
-                             _stress=lambda eps: _leaf_stress(p, eps),
-                             _float_flow=p._float_flow(), _float_stress=(fs := p._float_stress()),
+        self.__dict__.update(_float_flow=p._float_flow(), _float_stress=(fs := p._float_stress()),
                              _walk=lambda eps: list(map(fs._law, eps)),
                              _feat=p._feat(), _graph=p._graph, _sup=p.stress_sup())
 
@@ -146,15 +144,14 @@ def _merged(children, serial):
 
 def _bind(children, serial):
     """A node's ``_parts`` (its children :func:`_merged`), stress supremum ``_sup``, graph
-    features ``_feat``, polyline ``_graph`` and laws, bound once when it is built: the
-    array laws ``_flow`` and ``_stress``, the float laws ``_float_flow`` and
-    ``_float_stress``, and ``_walk``, the float stress along an ascending grid.  Parts in
-    series add their rates, and the least supremum bounds them; parts in parallel add their
-    stresses and suprema.  The other law inverts that sum (:func:`_array_inverse`; on floats
-    :data:`_INVERSE`, in series also ``_walk``, :data:`_WALK`); a parallel flow saturates to
-    +inf past ``_sup``.  The float laws are each a :class:`_Law`, generated at its first call.  A
-    lone part's laws, walk and graph are the node's.  Features add as the potentials do in
-    parallel, and as their conjugates do in series."""
+    features ``_feat``, polyline ``_graph`` and laws, bound once when it is built: the float laws
+    ``_float_flow`` and ``_float_stress``, and ``_walk``, the float stress along an ascending
+    grid.  Parts in series add their rates, and the least supremum bounds them; parts in parallel
+    add their stresses and suprema.  The other law inverts that sum (:data:`_INVERSE`, in series
+    also ``_walk``, :data:`_WALK`); a parallel flow saturates to +inf past ``_sup``.  Each law is
+    a :class:`_Law`, generated at its first call.  A lone part's laws, walk and graph are the
+    node's.  Features add as the potentials do in parallel, and as their conjugates do in
+    series."""
     parts = _merged(children, serial)
     sup = (min if serial else sum)(c._sup for c in parts)
     cap, top = (sup, math.inf) if serial else (math.inf, sup)
@@ -162,12 +159,11 @@ def _bind(children, serial):
     one, other = (any, all) if serial else (all, any)
     bound = {"_parts": parts, "_sup": sup, "_feat": _Feat(one(sv), other(nf), one(dom), other(ub))}
     if len(parts) == 1:
-        laws = ("_flow", "_stress", "_float_flow", "_float_stress", "_walk", "_graph")
+        laws = ("_float_flow", "_float_stress", "_walk", "_graph")
         return bound | {k: getattr(parts[0], k) for k in laws}
-    summed, inverted = ("_flow", "_stress") if serial else ("_stress", "_flow")
-    bound[summed] = total = reduce(_plus, [getattr(c, summed) for c in parts])
-    bound[inverted] = _array_inverse(total, cap, top)
-    laws, node = [getattr(c, "_float" + summed) for c in parts], "serial" if serial else "parallel"
+    summed, inverted = ("_float_flow", "_float_stress") if serial else (
+        "_float_stress", "_float_flow")
+    laws, node = [getattr(c, summed) for c in parts], "serial" if serial else "parallel"
     total = _Law(lambda _: _generate("law", _LAW, {}, laws))
     rest = cache(lambda: total(0.0)[1:])  # read once, at the first solve
     walk, one = (_Law(lambda _, e=e, slots=slots: _generate(
@@ -177,123 +173,28 @@ def _bind(children, serial):
         walks = [c._walk for c in parts]
         rows = _Law(lambda _: _generate("law", _LAW, {}, [_ROW] * len(walks)))
         walk = lambda ts: list(map(rows._law, zip(*[w(ts) for w in walks])))
-    return bound | {"_float" + summed: total, "_float" + inverted: one, "_walk": walk, "_graph": None}
-
-
-def _array_inverse(total, cap, top):
-    """The array law inverse to ``total``: :func:`_root` in ``[0, cap]``, +inf past ``top``,
-    from the value and slope of ``total`` at rest, read once, as a float walk reads its own."""
-    @cache
-    def at_rest():  # at the first call, so binding evaluates nothing
-        with np.errstate(all="ignore"):
-            return [v[0] for v in total(np.zeros(1))[1:]]
-
-    def inverse(t):
-        sat = t > top  # saturated
-        x, d = _root(total, np.where(sat, 0.0, t), cap, *at_rest())
-        x = np.where(sat, np.inf, x)
-        return x, x, np.where(sat, np.inf, d)
-
-    return inverse
-
-
-def _plus(f, g):
-    """The law of two in sum on numpy arrays: their ``(lo, hi, slope)`` added, so a
-    ``reduce`` over parts adds them left to right."""
-    def law(x):
-        a, b, c = f(x)
-        u, v, w = g(x)
-        return a + u, b + v, c + w
-
-    return law
-
-
-# ---------------------------------------------------------------------------
-# Vectorized interval evaluation
-# ---------------------------------------------------------------------------
-
-
-def _leaf_flow(p: Potential, sig: np.ndarray):
-    """Strain-rate interval and slope of one element at stress magnitudes ``sig``."""
-    return p.flow(sig)
-
-
-def _leaf_stress(p: Potential, eps: np.ndarray):
-    """Stress interval and slope of one element at strain rates ``eps``."""
-    return p.stress(eps)
-
-
-def _root(fn, t, sup, g0, d0):
-    """The solve of a float walk (:data:`_WALK`) on an array of targets ``t``, elementwise, from the
-    caller's value ``g0`` and slope ``d0`` of ``fn`` at rest; a target up to ``g0`` has root 0.
-
-    Each target takes the scalar finder's iterates from the same first probe, Newton
-    step, push, accept test and stop, in numpy's ``log1p`` and ``expm1``; a bisection
-    halves the bracket in the ordered int64 view of the floats (:func:`_mid`), and an
-    entry leaves the loop when its bracket closes.
-    """
-    shape, t = t.shape, t.ravel()
-    with np.errstate(all="ignore"):
-        x, dx = np.zeros_like(t), np.full_like(t, d0)
-        idx = np.flatnonzero(t > g0)
-        tt = t[idx]
-        lo, hi = np.zeros_like(tt), np.full_like(tt, sup)
-        s1 = s2 = np.full_like(tt, np.inf)
-        xc = np.full(1, math.nextafter(sup, 0.0) if sup < math.inf else 1.0)  # one, shared
-        for _ in range(_MAX_ITER):
-            if not idx.size:
-                break
-            _, g, d = fn(xc)
-            r = g - tt
-            below = r < 0
-            lo, hi = np.where(below, xc, lo), np.where(below, hi, xc)
-            adjacent = hi.view(np.int64) - lo.view(np.int64) <= 1
-            done = ((hi - lo <= _RTOL * hi) & (hi < np.inf)) | adjacent
-            x[idx[done]], dx[idx[done]] = hi[done], np.broadcast_to(d, hi.shape)[done]
-            g = tt - g0 + r
-            u = np.log1p(-r / g) * g / (xc * d)  # log(xn / xc)
-            xn = xc + xc * np.expm1(u)
-            push = np.abs(xn - xc) < 0.5 * _RTOL * xc  # too short to cross the root
-            xn = np.where(push, xc + np.where(below, 0.5, -0.5) * _RTOL * xc, xn)
-            u = np.where(push, 0.5 * _RTOL, u)
-            ok = (lo < xn) & (xn < hi) & (np.abs(u) <= 0.5 * s2)
-            xn = np.where(ok, xn, _mid(lo, hi))
-            s1, s2 = np.abs(np.where(ok, u, np.log(xn / xc))), s1
-            if done.any():  # entries whose bracket closed leave the loop
-                idx, tt, lo, hi, xn, s1, s2 = (a[~done] for a in (idx, tt, lo, hi, xn, s1, s2))
-            xc = xn
-        dx = np.where((t < g0) | (x == sup), 0.0, 1.0 / dx)
-    if idx.size:
-        raise NonConvergenceError(
-            f"root solve: {idx.size} targets unresolved after {_MAX_ITER} steps, "
-            f"first {float(tt[0])!r}"
-        )
-    return x.reshape(shape), dx.reshape(shape)
-
-
-def _mid(lo, hi):
-    """Midpoint of ``[lo, hi]`` (floats >= 0) in their ordered int64 view."""
-    ilo, ihi = lo.view(np.int64), hi.view(np.int64)
-    return (ilo + (ihi - ilo) // 2).view(np.float64)
+    return bound | {summed: total, inverted: one, "_walk": walk, "_graph": None}
 
 
 _F64, _I64 = struct.Struct("d"), struct.Struct("q")
 
 
 def _mid_scalar(lo, hi):
-    """:func:`_mid` of two Python floats, through their bits packed by ``struct``."""
+    """The midpoint of ``[lo, hi]`` (Python floats >= 0) in the ordered bits of the floats, packed
+    by ``struct``: the finder's bisection."""
     (ilo,), (ihi,) = _I64.unpack(_F64.pack(lo)), _I64.unpack(_F64.pack(hi))
     return _F64.unpack(_I64.pack(ilo + (ihi - ilo) // 2))[0]
 
 
-# The float finder: ``hi`` ends as the least ``x`` in ``[lo, cap]`` where a nondecreasing ``g``,
-# ``g(lo) < target``, reaches ``target`` (``cap`` if never), from RESIDUAL: ``r = g(x) - target``,
-# formed so its sign holds where the two cancel, and ``dr = g'(x)``.  The first probe is the
-# log-log Newton step from the last point read, ``(x, g, dr)``, if inside the bracket, else (none
-# read: g = 0) just below a finite cap, else 1.  Newton steps in log-log are blind to the unit
-# scale and exact in one step for a power law; one is taken only inside the bracket and at most
-# half the one before last (rtsafe), else the bracket is bisected in the ordered bits of the
-# floats, so 64 halvings span [0, inf].  It stops on a bracket ``rtol`` wide or adjacent floats.
+# The one root finder, of every solve (walks, one-target inverses, the Maxwell step): ``hi`` ends
+# as the least ``x`` in ``[lo, cap]`` where a nondecreasing ``g``, ``g(lo) < target``, reaches
+# ``target`` (``cap`` if never), from RESIDUAL: ``r = g(x) - target``, formed so its sign holds
+# where the two cancel, and ``dr = g'(x)``.  The first probe is the log-log Newton step from the
+# last point read, ``(x, g, dr)``, if inside the bracket, else (none read: g = 0) just below a
+# finite cap, else 1.  Newton steps in log-log are blind to the unit scale and exact in one step
+# for a power law; one is taken only inside the bracket and at most half the one before last
+# (rtsafe), else the bracket is bisected in the ordered bits of the floats, so 64 halvings span
+# [0, inf].  It stops on a bracket ``rtol`` wide or adjacent floats.
 _FINDER = """\
 hi, s1, s2 = cap, inf, inf
 try:  # g = 0 (none read): start cold; a flat slope or a step past the floats raises
@@ -431,12 +332,15 @@ def stress_of_strain_rate(e: RheoExpr, eps: float) -> SubdiffInterval:
 
 
 def stress_curve(e: RheoExpr, eps) -> np.ndarray:
-    """Stress (interval midpoints) over an array of strain rates."""
+    """Stress (interval midpoints) over an array of strain rates, in their order and shape: the
+    tree's float walk along the rates stably sorted, as ``curve`` walks its grid."""
     _check_expr(e)
     eps, _ = _rates(eps, "strain rates")
-    with np.errstate(divide="ignore", over="ignore"):
-        lo, hi, _ = e._stress(eps)
-    return np.where(lo == hi, lo, 0.5 * lo + 0.5 * hi)[()]  # [()]: a 0-d array as a scalar
+    order = np.argsort(eps, axis=None, kind="stable")
+    out = np.empty(eps.size)
+    out[order] = [lo if lo == hi else 0.5 * lo + 0.5 * hi
+                  for lo, hi, _ in e._walk(eps.ravel()[order].tolist())]
+    return out.reshape(eps.shape)[()]  # [()]: a 0-d array as a scalar
 
 
 def mu_eff_curve(e: RheoExpr, eps) -> np.ndarray:

@@ -24,8 +24,8 @@ def convex_from_slopes(grid, slopes, value0=0.0):
 
 
 def solve_depth(e, stress=True) -> int:
-    """How deeply the solves of a tree's array law ``_stress`` (``_flow`` if not ``stress``)
-    nest: the depth by which tests classify trees."""
+    """How deeply the generated solves of a tree's walk ``_walk`` (its float flow
+    ``_float_flow`` if not ``stress``) nest: the depth by which tests classify trees."""
     if isinstance(e, Leaf):
         return 0
     # a Serial node solves for its stress, a Parallel one for its rate, unless merged to one part

@@ -10,11 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from rheokit import maxwell0d, rheology
+from rheokit import maxwell0d
 from rheokit.potentials import Dashpot, PerfectPlastic, PowerLaw
-from rheokit.rheology import Leaf, Parallel, Serial, stress_curve
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# The ``rheology.leaf_calls`` targets: the numpy tree solve's leaf kernels, removed with it.
+# ``tracing.install`` reports them absent, and the benchmark runs on without them.
+_REMOVED = {("rheokit.rheology", "_leaf_flow"), ("rheokit.rheology", "_leaf_stress")}
 
 
 def test_every_bench_hook_resolves(monkeypatch):
@@ -23,12 +25,23 @@ def test_every_bench_hook_resolves(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     for metric, _, module, attr, importers, _ in tracing.HOOKS:
+        if (module, attr) in _REMOVED:
+            continue
         fn = getattr(importlib.import_module(module), attr, None)
         assert callable(fn), f"{metric}: {module}.{attr} does not exist"
         for name in importers:
             assert getattr(importlib.import_module(name), attr, None) is fn, (
                 f"{metric}: {name} no longer imports {attr} from {module}"
             )
+    for _, _, module, attr, importers, _ in tracing.HOOKS:  # what install wraps, restored after
+        for name in (module, *importers):
+            mod = importlib.import_module(name)
+            if callable(getattr(mod, attr, None)):
+                monkeypatch.setattr(mod, attr, getattr(mod, attr))
+    rec = tracing.Recorder("hooks")
+    tracing.install(rec)
+    assert set(rec.absent) == {"rheology.leaf_calls"}
+    assert rec.absent["rheology.leaf_calls"] in {".".join(target) for target in _REMOVED}
 
 
 def test_simulate_calls_the_module_level_step_once_per_step(monkeypatch):
@@ -47,22 +60,3 @@ def test_simulate_calls_the_module_level_step_once_per_step(monkeypatch):
     ts = maxwell0d.simulate(m, maxwell0d.DriveProgram([(0.5, 1.0), (1.0, -1.0)]), 0.03, 1.0)
     assert len(calls) == len(ts) - 1 == 34
     assert calls == ts.e_el[:-1].tolist()  # each step starts from the row before
-
-
-def test_stress_curve_calls_the_module_level_leaf_kernels(monkeypatch):
-    """The ``rheology.leaf_calls`` hooks wrap the module's ``_leaf_flow`` and
-    ``_leaf_stress`` after the tree is built: a tree's bound laws must look them
-    up through the module when called, or the counts read 0."""
-    tree = Serial([Parallel([Leaf(PowerLaw(1.0, 2.5)), Leaf(PerfectPlastic(1.0))]),
-                   Leaf(Dashpot(1.0))])
-    calls = {}
-    for name in ("_leaf_flow", "_leaf_stress"):
-        kernel = getattr(rheology, name)
-
-        def counted(*args, name=name, kernel=kernel):
-            calls[name] = calls.get(name, 0) + 1
-            return kernel(*args)
-
-        monkeypatch.setattr(rheology, name, counted)
-    stress_curve(tree, [0.1, 1.0, 10.0])
-    assert calls.get("_leaf_flow", 0) > 0 and calls.get("_leaf_stress", 0) > 0, calls

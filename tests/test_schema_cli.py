@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import solve_depth
+import tree_reference as reference
 
 import rheokit.cli as cli
 import rheokit.rheology as rheology
@@ -465,7 +466,7 @@ def test_curve_rest_row_uses_limit(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Curve on floats, against the library's array path
+# Curve on floats, against the library's array API and the reference solve
 # ---------------------------------------------------------------------------
 
 
@@ -510,29 +511,43 @@ def _nested_parallel(S, R):
         leaf({"kind": "dashpot", "D": 0.15 * S / R})]}
 
 
-def _curve_on_arrays(tree, eps_min, eps_max, samples):
-    """``curve``'s CSV built from the library's array path on its grid: ``stress_curve``,
-    and at rest ``mu_eff_rigorous``'s limit.  The reference for the walked columns."""
-    eps = np.linspace(eps_min, eps_max, samples).tolist()
-    sigma = stress_curve(tree, eps).tolist()
+def _curve_csv(tree, eps, sigma):
+    """``curve``'s CSV of stresses ``sigma`` on the grid ``eps``, at rest with
+    ``mu_eff_rigorous``'s limit."""
     mu = [s / e if e > 0 else rheology.mu_eff_rigorous(tree, 0.0, limit=True)
           for e, s in zip(eps, sigma)]
     return cli._csv(["eps", "mu_eff", "sigma"], [eps, mu, sigma])
 
 
+def _curve_on_arrays(tree, eps_min, eps_max, samples):
+    """``curve``'s CSV built from the library's array API on its grid, ``stress_curve``."""
+    eps = np.linspace(eps_min, eps_max, samples).tolist()
+    return _curve_csv(tree, eps, stress_curve(tree, eps).tolist())
+
+
+def _curve_on_reference(doc, eps_min, eps_max, samples):
+    """``curve``'s CSV with the midpoints of :mod:`tree_reference`'s stresses, which never
+    import rheokit: the reference for the walked columns."""
+    eps = np.linspace(eps_min, eps_max, samples).tolist()
+    ends = [reference.stress(doc, e) for e in eps]
+    return _curve_csv(parse_model(doc), eps, [lo if lo == hi else 0.5 * lo + 0.5 * hi
+                                               for lo, hi in ends])
+
+
 @pytest.mark.parametrize("S, R, eps_min", [(1.0, 1.0, 0.0), (1e7, 1e-14, 1e-16),
                                            (1e-150, 1e150, 0.0)])
 def test_short_curves_on_floats_match_the_array_path(tmp_path, monkeypatch, S, R, eps_min):
-    """``curve`` walks a tree whose solves nest two deep on floats at 257 rates: its eps
-    column is ``np.linspace``'s byte for byte, its viscosities and stresses agree with
-    ``stress_curve`` to 1e-13 relative."""
+    """``curve`` walks a tree whose solves nest two deep on floats at 257 rates: its CSV is
+    ``stress_curve``'s byte for byte, its eps column ``np.linspace``'s, and its viscosities
+    and stresses agree with the reference solve to 1e-13 relative."""
     doc, out = _nested(S, R), tmp_path / "n.csv"
-    monkeypatch.setattr(cli, "stress_curve", None)  # the array path would fail
+    monkeypatch.setattr(cli, "stress_curve", None)  # the command walks without it
     assert cli.main(["curve", "--model", write_json(tmp_path, "n.json", doc), "--eps-min",
                      repr(eps_min), "--eps-max", repr(7.0 * R), "--samples", "257",
                      "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 258
-    _assert_csv_agrees(out.read_text(), _curve_on_arrays(parse_model(doc), eps_min, 7.0 * R, 257))
+    assert out.read_text() == _curve_on_arrays(parse_model(doc), eps_min, 7.0 * R, 257)
+    _assert_csv_agrees(out.read_text(), _curve_on_reference(doc, eps_min, 7.0 * R, 257))
 
 
 def _close_rates_tree(rng):
@@ -549,18 +564,33 @@ def _close_rates_tree(rng):
 
 
 def test_curve_stresses_never_decrease_between_close_rates(tmp_path):
-    """On 100 seeded trees whose solves nest two deep, ``curve``'s stress column is
-    nondecreasing along a grid of 300 rates 1e-14 relative apart: each solve of the walk
-    starts from the last one's root.  ``stress_curve``, whose solves each stop anywhere in
-    a bracket 1e-14 wide, decreases somewhere on 7 of these grids."""
+    """On 100 seeded trees whose solves nest two deep, ``curve``'s stress column and
+    ``stress_curve`` are nondecreasing along a grid of 300 rates 1e-14 relative apart: each
+    solve of the walk starts from the last one's root.  (When ``stress_curve`` solved each
+    rate on its own, stopping anywhere in a bracket 1e-14 wide, it decreased somewhere on 7
+    of these grids.)  Rates unsorted and repeated, and in two dimensions, come back in their
+    order and shape with the values of the walk along them sorted."""
     for seed in range(100):
-        doc, x = _close_rates_tree(random.Random(seed))
+        rng = random.Random(seed)
+        doc, x = _close_rates_tree(rng)
         out = tmp_path / "close.csv"
         assert cli.main(["curve", "--model", write_json(tmp_path, "t.json", doc),
                          "--eps-min", repr(x), "--eps-max", repr(x * (1.0 + 299e-14)),
                          "--samples", "300", "--out", str(out)]) == 0
-        sigma = np.loadtxt(out, delimiter=",", skiprows=1)[:, 2]
+        eps, _, sigma = np.loadtxt(out, delimiter=",", skiprows=1).T
         assert len(sigma) == 300 and np.all(np.diff(sigma) >= 0), seed
+        tree = parse_model(doc)
+        assert np.all(np.diff(stress_curve(tree, eps)) >= 0), seed
+        rates = np.array(rng.choices(eps.tolist(), k=300))  # shuffled, with repeats
+        order = np.argsort(rates, kind="stable")
+        walked = [lo if lo == hi else 0.5 * lo + 0.5 * hi
+                  for lo, hi, _ in tree._walk(rates[order].tolist())]
+        got = stress_curve(tree, rates.reshape(20, 15))
+        assert got.shape == (20, 15) and got.ravel()[order].tolist() == walked, seed
+    (lo, hi, _), = tree._walk([rates[0]])
+    one = stress_curve(tree, rates[0])  # a 0-d rate gives a scalar
+    assert not isinstance(one, np.ndarray) and one == (lo if lo == hi else 0.5 * lo + 0.5 * hi)
+    assert stress_curve(tree, []).shape == (0,)
 
 
 def _deep_trees(S, R):
@@ -578,25 +608,26 @@ def _deep_trees(S, R):
 
 
 @pytest.mark.parametrize("S, R", [(1.0, 1.0), (1e150, 1.0), (1e-150, 1.0), (1.0, 1e150),
-                                  (1.0, 1e-150), (1e150, 1e-150)])
+                                  (1.0, 1e-150), (1e150, 1e-150), (1e-150, 1e150)])
 def test_deep_curves_walk_and_match_the_array_path(tmp_path, monkeypatch, S, R):
-    """``curve`` walks trees of solve depth 3 and 4 on floats at 64 rates (the array
-    reference at far scales is slow past that), and its stresses
-    and viscosities agree with ``stress_curve`` to 1e-13 relative, at unit scale and with
-    the stresses or the rates scaled by 1e+-150.  (With both far at once, stresses at
-    1e-150 and rates at 1e150, the array path takes minutes on the chain.)"""
+    """``curve`` walks trees of solve depth 3 and 4 on floats at 64 rates, at unit scale, with
+    the stresses or the rates scaled by 1e+-150, and with both: its CSV is ``stress_curve``'s
+    byte for byte, and its stresses agree with the reference solve to 1e-13 relative at four
+    rows (the reference nests a bisection per solve, so it is slow on every row)."""
     arrays = []
     monkeypatch.setattr(cli, "stress_curve", lambda *a: arrays.append(1) or stress_curve(*a))
     for depth, tree in zip((3, 4), _deep_trees(S, R)):
         assert solve_depth(tree) == depth
-        model, out = write_json(tmp_path, "deep.json", dump_model(tree)), tmp_path / "deep.csv"
+        doc, out = dump_model(tree), tmp_path / "deep.csv"
+        model = write_json(tmp_path, "deep.json", doc)
         assert cli.main(["curve", "--model", model, "--eps-min", "0", "--eps-max", repr(7.0 * R),
                          "--samples", "64", "--out", str(out)]) == 0
-        eps, mu, sigma = np.loadtxt(out, delimiter=",", skiprows=1).T
-        want = stress_curve(tree, eps)
+        assert out.read_text() == _curve_on_arrays(tree, 0.0, 7.0 * R, 64)
+        eps, _, sigma = np.loadtxt(out, delimiter=",", skiprows=1).T
         assert len(eps) == 64 and np.all(sigma[1:] > 0), depth
-        for got, ref in ((sigma, want), (mu[1:], want[1:] / eps[1:])):
-            assert np.all((got == ref) | (np.abs(got - ref) <= 1e-13 * np.abs(ref))), depth
+        for i in (1, 9, 30, 63):
+            want = reference.stress(doc, float(eps[i]))[1]
+            assert abs(sigma[i] - want) <= 1e-13 * want, (depth, i, sigma[i], want)
     assert not arrays  # both curves walked
 
 
@@ -604,25 +635,25 @@ def test_deep_curves_walk_and_match_the_array_path(tmp_path, monkeypatch, S, R):
 def test_curve_prints_stresses_past_half_the_largest_float(tmp_path, split):
     """A dashpot of 1e300 / ``split`` at rates up to 1.5e8 * ``split`` has stresses up to
     1.5e308, past half the largest float, whichever of viscosity and rate carries the
-    size: ``curve`` prints them and their viscosity with no ``inf`` anywhere, as
-    ``stress_curve`` gives them."""
+    size: ``curve`` prints them and their viscosity with no ``inf`` anywhere, as the
+    reference gives them."""
     D, eps_max = 1e300 / split, 1.5e8 * split
     tree = {"node": "leaf", "potential": {"kind": "dashpot", "D": D}}
     out = tmp_path / "big.csv"
     assert cli.main(["curve", "--model", write_json(tmp_path, "big.json", tree), "--eps-min",
                      "0", "--eps-max", repr(eps_max), "--samples", "4", "--out", str(out)]) == 0
     assert "inf" not in out.read_text()
-    assert out.read_text() == _curve_on_arrays(parse_model(tree), 0.0, eps_max, 4)
+    assert out.read_text() == _curve_on_reference(tree, 0.0, eps_max, 4)
     eps, mu, sigma = np.loadtxt(out, delimiter=",", skiprows=1).T
     assert sigma.max() > 1.4e308
     assert sigma.tolist() == [D * e for e in eps.tolist()]
     assert mu == pytest.approx([D] * 4, rel=1e-15)
 
 
-# SHA-256 of two outputs of the library's array path: a 10,000-rate curve with a rest row,
-# re-pinned when the array finder took the float finder's rules, and the fig6
-# comparison, pinned when short curves moved to floats.  Each is formatted as the command
-# prints it; the commands themselves run on floats.
+# SHA-256 of two outputs of the library's array API: a 10,000-rate curve with a rest row,
+# re-pinned when ``stress_curve`` took the float walk (so it is ``_WALK_PINNED``), and the
+# fig6 comparison of the closed forms, pinned when short curves moved to floats.  Each is
+# formatted as the command prints it.
 _WIDE_CURVE = {"node": "serial", "children": [
     {"node": "leaf", "potential": {"kind": "dashpot", "D": 1.3}},
     {"node": "leaf", "potential": {"kind": "powerlaw", "D": 0.8, "n": 3.5}},
@@ -630,13 +661,13 @@ _WIDE_CURVE = {"node": "serial", "children": [
         {"node": "leaf", "potential": {"kind": "plastic", "sigma_a": 0.6}},
         {"node": "leaf", "potential": {"kind": "dashpot", "D": 1.1}}]},
     {"node": "leaf", "potential": {"kind": "huber", "sigma_a": 1.7, "D": 0.9}}]}
-_PINNED = {"curve": "62e5dbbae7389bc61c3703646dd55c638228d04bdf49ebed0b56e2393219542e",
+_PINNED = {"curve": "4bd280d06e7abbca54fe6ebf3fcabbc5e396f9e34a9fe9e5d944c66e63ac590f",
            "compare": "56c44a7dd7189017bc6e9e0f64e8f4a58a7431bdcde3718305eaa1aba0ebb8b7"}
 
 
 def test_array_path_csv_is_pinned():
     """The curve from ``stress_curve``, and the fig6 comparison from the library's array
-    forms (``curve`` and ``compare`` themselves run on floats)."""
+    forms (``compare`` itself runs on floats)."""
     curve = _curve_on_arrays(parse_model(_WIDE_CURVE), 0.0, 10.0, 10000)
     assert hashlib.sha256(curve.encode()).hexdigest() == _PINNED["curve"]
     assert hashlib.sha256(_compare_on_arrays().encode()).hexdigest() == _PINNED["compare"]
@@ -648,17 +679,17 @@ _WALK_PINNED = "4bd280d06e7abbca54fe6ebf3fcabbc5e396f9e34a9fe9e5d944c66e63ac590f
 
 
 def test_walk_csv_is_pinned_and_matches_the_array_path(tmp_path, monkeypatch):
-    """The walk's curve: its eps column is the array path's byte for byte, and its
-    viscosities and stresses agree with it to 1e-13 relative."""
+    """The walk's curve: ``stress_curve``'s byte for byte, and its viscosities and stresses
+    within 1e-13 relative of the reference solve's."""
     out = tmp_path / "walk.csv"
-    monkeypatch.setattr(cli, "stress_curve", None)  # the array path would fail
+    monkeypatch.setattr(cli, "stress_curve", None)  # the command walks without it
     assert cli.main(["curve", "--model", write_json(tmp_path, "w.json", _WIDE_CURVE),
                      "--eps-min", "0", "--eps-max", "10", "--samples", "10000",
                      "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _WALK_PINNED
     assert len(out.read_text().splitlines()) == 10001
-    _assert_csv_agrees(out.read_text(), _curve_on_arrays(parse_model(_WIDE_CURVE), 0.0, 10.0,
-                                                         10000))
+    assert out.read_text() == _curve_on_arrays(parse_model(_WIDE_CURVE), 0.0, 10.0, 10000)
+    _assert_csv_agrees(out.read_text(), _curve_on_reference(_WIDE_CURVE, 0.0, 10.0, 10000))
 
 
 # SHA-256 of ``compare --preset fig6`` filled on floats, pinned when ``compare`` took the
@@ -713,7 +744,7 @@ _FLOAT_PINNED = {
 def test_float_path_csv_is_pinned(tmp_path, monkeypatch, shape, S):
     R = 1e-14 if S > 1 else 1.0
     tree = (_nested if shape == "serial" else _nested_parallel)(S, R)
-    monkeypatch.setattr(cli, "stress_curve", None)  # the array path would fail
+    monkeypatch.setattr(cli, "stress_curve", None)  # the command walks without it
     out = tmp_path / "curve.csv"
     argv = ["curve", "--model", write_json(tmp_path, "n.json", tree), "--eps-min", "0",
             "--eps-max", repr(7.0 * R), "--samples", "64"]
@@ -935,7 +966,7 @@ def test_exit_codes(tmp_path, monkeypatch):
 
 
 def test_curve_out_of_solver_steps_exits_3(tmp_path, monkeypatch, capsys):
-    """A solve that runs out of steps exits 3 on the float path and the array path."""
+    """A solve that runs out of steps exits 3, on a short grid and a long one."""
     model = write_json(tmp_path, "n.json", _nested_parallel(1.0, 1.0))
     monkeypatch.setattr(rheology, "_MAX_ITER", 2)
     for samples in ("8", "200"):
